@@ -1,7 +1,7 @@
 """Ablation A1: sensitivity of the M search to the beam width.
 
-DESIGN.md documents beam search as the substitution for the paper's
-unspecified off-line computation of ``M``.  This ablation quantifies the
+docs/design.md ("Beam approximation") documents beam search as the
+substitution for the paper's unspecified off-line computation of ``M``.  This ablation quantifies the
 substitution: on paper-style deployments the beam search latency matches the
 exact search on small instances and stops improving beyond a narrow width,
 i.e. the reported G-OPT numbers are not an artefact of the beam size.

@@ -2,10 +2,10 @@
 
 The paper constructs the duty-cycle estimate with cycle-waiting-time weights
 ``t(u, v)``; proactively those are not known exactly, so our default uses the
-expectation ``(r + 1) / 2`` per hop (DESIGN.md substitution).  This ablation
-compares the expected-CWT weighting against plain hop counting ("unit") to
-show the reported E-model latencies are not sensitive to that choice — the
-selection rule (Eq. 10) only compares estimates, and a uniform per-hop scale
+expectation ``(r + 1) / 2`` per hop (docs/design.md, "Cycle-waiting
+weights").  This ablation compares the expected-CWT weighting against
+plain hop counting ("unit") to show the reported E-model latencies are not
+sensitive to that choice — the selection rule (Eq. 10) only compares estimates, and a uniform per-hop scale
 factor preserves the comparison.
 """
 

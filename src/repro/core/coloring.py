@@ -13,7 +13,8 @@ can transmit concurrently without interfering at any uncovered node
 * :func:`enumerate_color_classes` — every *maximal* admissible colour
   (maximal independent sets of the conflict graph), used by the OPT target
   of Eq. (1)/(5).  Exponential in the worst case; a cap keeps the OPT
-  policy usable on the paper-scale deployments (documented in DESIGN.md).
+  policy usable on the paper-scale deployments (documented in
+  docs/design.md, "Colour-class cap").
 
 The duty-cycle variants (Eq. 3) are obtained by passing the set of nodes
 awake at the current slot via ``awake``.

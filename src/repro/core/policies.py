@@ -273,7 +273,7 @@ class OptPolicy(_TimeCounterPolicy):
         search (``SearchConfig(mode="beam")``) for the 50-300 node sweeps.
     max_color_classes:
         Cap on the number of admissible colours enumerated per decision
-        (see DESIGN.md; ``None`` = exhaustive).
+        (see docs/design.md, "Colour-class cap"; ``None`` = exhaustive).
     """
 
     name = "OPT"

@@ -30,23 +30,30 @@ Two structural properties keep both searches sound:
   which *some* frontier node is awake instead of branching over idle waits.
 * **Admissible lower bound** — any schedule needs at least as many advances
   as the largest hop distance from ``W`` to an uncovered node, because one
-  advance extends coverage by at most one hop.  The bound drives both the
-  exact search's pruning and the beam ranking.
+  advance extends coverage by at most one hop.  The bound ranks the beam
+  states; it is read off the topology's cached hop matrix.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal
 
-from repro.core.coloring import ColorScheme, frontier_candidates
+import numpy as np
+
+from repro.core.coloring import ColorScheme
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.bitset import bitset_view
 from repro.network.interference import receivers_of
 from repro.network.topology import WSNTopology
 
 __all__ = ["SearchConfig", "TimeCounter", "SearchBudgetExceeded", "UnreachableNodes"]
+
+#: An unreachable pair (``-1`` in the int16 hop matrix) read through the
+#: unsigned view: larger than any hop distance, so column minima skip it.
+_UNREACHABLE = np.iinfo(np.uint16).max
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -124,6 +131,19 @@ class TimeCounter:
         (Eq. 7/8), exhaustive for OPT (Eq. 5/6).
     config:
         Search configuration (exact vs beam).
+
+    Notes
+    -----
+    The exact mode memoises ``M`` in two plain, unbounded dicts,
+    ``_sync_memo`` and ``_duty_memo``.  That is safe: exact mode adds at
+    most one entry per expansion and expansions are capped by
+    ``config.max_states``; beam mode never writes them; and the policies'
+    ``prepare`` clears them (or builds a fresh counter) per broadcast.
+
+    Hop distances come from the topology's cached
+    :attr:`~repro.network.topology.WSNTopology.hop_matrix`: the lower bound
+    and the reachability check are column minima over the covered rows,
+    and the duty horizon's diameter is read once.
     """
 
     def __init__(
@@ -140,6 +160,8 @@ class TimeCounter:
         self.stats = _SearchStats()
         self._sync_memo: dict[frozenset[int], int] = {}
         self._duty_memo: dict[tuple[frozenset[int], int], int] = {}
+        self._view = bitset_view(topology)
+        self._hops = topology.hop_matrix.view(np.uint16)
 
     # ------------------------------------------------------------------
     # Public API
@@ -194,7 +216,8 @@ class TimeCounter:
         of the earliest-completing state wins.  This preserves the "judge a
         colour by the best schedule that starts with it" semantics of the
         time counter while doing the work of one search instead of
-        ``λ(W)`` searches — the approximation documented in DESIGN.md.
+        ``λ(W)`` searches — the approximation documented in docs/design.md
+        ("Beam approximation").
         """
         covered = frozenset(covered)
         colors = [frozenset(c) for c in colors]
@@ -252,33 +275,37 @@ class TimeCounter:
                 f"(e.g. {sorted(unreachable)[:5]}); the topology is disconnected"
             )
 
+    def _nearest_hops(self, covered: frozenset[int]) -> np.ndarray:
+        """Hop distance from ``W`` to every node (``_UNREACHABLE`` if none)."""
+        return self._hops[self._view.indices(covered)].min(axis=0)
+
     def _reachable_from(self, covered: frozenset[int]) -> frozenset[int]:
-        seen = set(covered)
-        queue = deque(covered)
-        while queue:
-            u = queue.popleft()
-            for v in self.topology.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
+        if not covered:
+            return frozenset()
+        return self._view.nodes_from_bool(self._nearest_hops(covered) != _UNREACHABLE)
 
     def _hop_lower_bound(self, covered: frozenset[int]) -> int:
-        """Largest hop distance from ``W`` to an uncovered node (admissible)."""
-        uncovered = self.topology.node_set - covered
-        if not uncovered:
+        """Largest hop distance from ``W`` to an uncovered node (admissible).
+
+        Covered columns read 0, so the maximum over all columns is the
+        maximum over the uncovered ones; nodes ``W`` cannot reach are left
+        out, as a BFS from ``W`` would never visit them.
+        """
+        if not covered:
             return 0
-        distance = {u: 0 for u in covered}
-        queue = deque(covered)
-        farthest = 0
-        while queue:
-            u = queue.popleft()
-            for v in self.topology.neighbors(u):
-                if v not in distance:
-                    distance[v] = distance[u] + 1
-                    farthest = max(farthest, distance[v])
-                    queue.append(v)
+        nearest = self._nearest_hops(covered)
+        farthest = int(nearest.max())
+        if farthest == _UNREACHABLE:
+            farthest = int(nearest[nearest != _UNREACHABLE].max())
         return farthest
+
+    @cached_property
+    def _horizon_depth(self) -> int:
+        """``d`` of the duty horizon: the hop diameter, read once."""
+        try:
+            return self.topology.diameter()
+        except ValueError:  # pragma: no cover - disconnected handled earlier
+            return self.topology.num_nodes
 
     def _duty_horizon(self, time: int) -> int:
         assert self.schedule is not None
@@ -286,10 +313,7 @@ class TimeCounter:
         rate = self.schedule.max_rate
         # d+2 measured from scratch is a safe over-estimate of the remaining
         # depth for any intermediate W.
-        try:
-            depth = self.topology.diameter()
-        except ValueError:  # pragma: no cover - disconnected handled earlier
-            depth = self.topology.num_nodes
+        depth = self._horizon_depth
         return time + int(self.config.max_slots * 2 * rate * (depth + 2)) + 2 * rate
 
     # ------------------------------------------------------------------
@@ -454,8 +478,8 @@ class TimeCounter:
         """Keep the ``beam_width`` most promising (coverage, first-colour) states.
 
         States are first ordered by covered-set size (cheap), then the top
-        few are re-ranked with the admissible hop lower bound (a BFS each,
-        so only computed for the short list).
+        few are re-ranked with the admissible hop lower bound (a gather
+        over the hop matrix each, so only computed for the short list).
         """
         if len(states) <= self.config.beam_width:
             return states

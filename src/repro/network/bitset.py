@@ -4,7 +4,7 @@ The reference implementation represents node sets as Python ``frozenset``
 objects and arbitrary-precision integer bitmasks.  That is the right
 representation for the schedulers (which manipulate small frontier sets),
 but the *engine-side* work — interference checking, receiver computation,
-coverage replay, BFS bounds — touches whole-network sets every round/slot
+coverage replay — touches whole-network sets every round/slot
 and pays Python-loop costs proportional to ``n`` per operation.
 
 :class:`BitsetTopology` re-expresses the same data as numpy arrays:
@@ -68,8 +68,6 @@ class BitsetTopology:
         "degrees",
         "id_lookup",
         "_index",
-        "_distance_cache",
-        "_ecc_cache",
         "_max_degree",
         "__weakref__",
     )
@@ -108,8 +106,6 @@ class BitsetTopology:
                 lookup = np.full(max_id + 1, -1, dtype=np.int64)
                 lookup[self.node_ids] = np.arange(n, dtype=np.int64)
                 self.id_lookup = lookup
-        self._distance_cache: dict[int, np.ndarray] = {}
-        self._ecc_cache: dict[int, int] = {}
         self._max_degree: int | None = None
 
     @property
@@ -273,28 +269,12 @@ class BitsetTopology:
     # Vectorized graph-wide queries
     # ------------------------------------------------------------------
     def hop_distances_bool(self, source: int) -> np.ndarray:
-        """BFS hop distances from ``source`` (``-1`` for unreachable nodes).
+        """Hop distances from ``source`` (``-1`` for unreachable nodes).
 
-        The wavefront propagation runs one matrix slice per BFS layer
-        instead of a Python queue: frontier ``F`` expands to
-        ``adjacency[F].any(axis=0) & unvisited``.  Cached per source.
+        A read-only row of the topology's
+        :attr:`~repro.network.topology.WSNTopology.hop_matrix`.
         """
-        idx = self._index[source]
-        cached = self._distance_cache.get(idx)
-        if cached is not None:
-            return cached
-        distances = np.full(self.num_nodes, -1, dtype=np.int64)
-        frontier = np.zeros(self.num_nodes, dtype=bool)
-        frontier[idx] = True
-        distances[idx] = 0
-        depth = 0
-        while frontier.any():
-            depth += 1
-            reached = self.adjacency[frontier].any(axis=0) & (distances < 0)
-            distances[reached] = depth
-            frontier = reached
-        self._distance_cache[idx] = distances
-        return distances
+        return self.topology.hop_matrix[self._index[source]]
 
     def eccentricity(self, source: int) -> int:
         """Hop distance to the farthest node, mirroring the reference method.
@@ -303,18 +283,7 @@ class BitsetTopology:
         :meth:`WSNTopology.eccentricity` when the network is disconnected
         from ``source``.
         """
-        cached = self._ecc_cache.get(source)
-        if cached is not None:
-            return cached
-        distances = self.hop_distances_bool(source)
-        unreachable = int(np.count_nonzero(distances < 0))
-        if unreachable:
-            raise ValueError(
-                f"network is disconnected: {unreachable} nodes unreachable from {source}"
-            )
-        ecc = int(distances.max(initial=0))
-        self._ecc_cache[source] = ecc
-        return ecc
+        return self.topology.eccentricity(source)
 
     def max_degree(self) -> int:
         """The maximum node degree (precomputed)."""

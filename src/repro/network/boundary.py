@@ -5,9 +5,9 @@ construction of Goldenberg et al. [6] starting from any node on the convex
 hull [3] of the deployment (Algorithm 2, step 1).  The role of that phase is
 only to decide which nodes may seed the quadrant estimates ``E_i`` with zero.
 
-Substitution (documented in DESIGN.md): the original boundary construction
-walks the outer face of the UDG with right-hand-rule link traversal.  Here a
-node is classified as a boundary node when either
+Substitution (documented in docs/design.md, "Network edge"): the original
+boundary construction walks the outer face of the UDG with right-hand-rule
+link traversal.  Here a node is classified as a boundary node when either
 
 * it is a vertex of the convex hull of the node positions, or
 * at least one of its four quadrants contains no neighbour (the exact

@@ -117,15 +117,11 @@ class Deployment:
 
 def _candidate_sources(topology: WSNTopology, config: DeploymentConfig) -> list[int]:
     """Node ids whose eccentricity lies in the configured range."""
-    candidates = []
-    for u in topology.node_ids:
-        ecc = topology.eccentricity(u)
-        if ecc < config.source_min_ecc:
-            continue
-        if config.source_max_ecc is not None and ecc > config.source_max_ecc:
-            continue
-        candidates.append(u)
-    return candidates
+    eccentricities = topology.eccentricities()
+    eligible = eccentricities >= config.source_min_ecc
+    if config.source_max_ecc is not None:
+        eligible &= eccentricities <= config.source_max_ecc
+    return [u for u, ok in zip(topology.node_ids, eligible.tolist()) if ok]
 
 
 def deploy_uniform(

@@ -66,21 +66,20 @@ def _place_spread(
     if not chosen:
         # Deterministic anchor: the lowest node id (no RNG on this path).
         chosen.append(min(topology.node_ids))
+    # Hop-matrix rows with unreachable pairs at infinity; ``min_hops`` is the
     # min hop distance from every node to the chosen set, updated per pick.
-    min_hops = {u: np.inf for u in topology.node_ids}
-    for s in chosen:
-        for u, d in topology.hop_distances(s).items():
-            if d < min_hops[u]:
-                min_hops[u] = d
+    hops = topology.hop_matrix.astype(float)
+    hops[hops < 0] = np.inf
+    rows = [topology.index_of(s) for s in chosen]
+    min_hops = hops[rows].min(axis=0).tolist()
+    ids = topology.node_ids
     while len(chosen) < k:
         best = max(
-            (u for u in topology.node_ids if u not in chosen),
-            key=lambda u: (min_hops[u], -u),
+            (i for i, u in enumerate(ids) if u not in chosen),
+            key=lambda i: (min_hops[i], -ids[i]),
         )
-        chosen.append(best)
-        for u, d in topology.hop_distances(best).items():
-            if d < min_hops[u]:
-                min_hops[u] = d
+        chosen.append(ids[best])
+        min_hops = np.minimum(min_hops, hops[best]).tolist()
     return chosen
 
 

@@ -22,7 +22,6 @@ the HPC Python guides.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -83,6 +82,7 @@ class WSNTopology:
         "_neighbor_masks",
         "_full_mask",
         "_node_set",
+        "_hop_matrix",
         # Weak-referenceable so derived views (e.g. the vectorized backend's
         # BitsetTopology) can be cached per topology without keeping dead
         # topologies alive.
@@ -135,6 +135,7 @@ class WSNTopology:
                 mask |= 1 << self._id_to_index[v]
             self._neighbor_masks[u] = mask
         self._full_mask = (1 << len(ids)) - 1
+        self._hop_matrix: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -325,32 +326,69 @@ class WSNTopology:
         return frozenset(result)
 
     # ------------------------------------------------------------------
-    # Graph-wide queries (BFS based)
+    # Graph-wide queries (all read the hop matrix)
     # ------------------------------------------------------------------
-    def hop_distances(self, source: NodeId) -> dict[NodeId, int]:
-        """Breadth-first hop distance from ``source`` to every reachable node."""
+    @property
+    def hop_matrix(self) -> np.ndarray:
+        """All-pairs hop distances as a read-only ``(n, n)`` int16 array.
+
+        Row and column order is :attr:`node_ids`; ``-1`` marks unreachable
+        pairs.  Built on first use and kept for the topology's lifetime:
+        it is the one distance index behind every hop query (BFS layers,
+        eccentricities, the time counter's lower bound, source vetting).
+        """
+        if self._hop_matrix is None:
+            self._hop_matrix = self._build_hop_matrix()
+        return self._hop_matrix
+
+    def _build_hop_matrix(self) -> np.ndarray:
+        """One BFS from every node at once, as a multi-source wavefront.
+
+        Row ``i`` of ``frontier`` is source ``i``'s BFS frontier; one matrix
+        product with the adjacency advances all ``n`` frontiers by one hop,
+        so the build costs one product per BFS layer instead of ``n``
+        Python queues.
+        """
+        n = self.num_nodes
+        if n > np.iinfo(np.int16).max:
+            raise ValueError(f"hop matrix supports at most 32767 nodes, got {n}")
+        index = self._id_to_index
+        adjacency = np.zeros((n, n), dtype=np.float32)
+        for u, neighbours in self._adjacency.items():
+            adjacency[index[u], [index[v] for v in neighbours]] = 1.0
+        hops = np.full((n, n), -1, dtype=np.int16)
+        reached = np.eye(n, dtype=bool)
+        hops[reached] = 0
+        frontier = reached
+        depth = 0
+        while True:
+            depth += 1
+            frontier = (frontier.astype(np.float32) @ adjacency > 0) & ~reached
+            if not frontier.any():
+                break
+            hops[frontier] = depth
+            reached |= frontier
+        hops.setflags(write=False)
+        return hops
+
+    def _hop_row(self, source: NodeId) -> np.ndarray:
         if source not in self._nodes:
             raise KeyError(f"unknown source node {source}")
-        distances = {source: 0}
-        queue: deque[NodeId] = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self._adjacency[u]:
-                if v not in distances:
-                    distances[v] = distances[u] + 1
-                    queue.append(v)
-        return distances
+        return self.hop_matrix[self._id_to_index[source]]
+
+    def hop_distances(self, source: NodeId) -> dict[NodeId, int]:
+        """Hop distance from ``source`` to every reachable node."""
+        row = self._hop_row(source)
+        ids = self._node_ids
+        return {ids[i]: d for i, d in enumerate(row.tolist()) if d >= 0}
 
     def bfs_layers(self, source: NodeId) -> list[frozenset[NodeId]]:
         """Nodes grouped by hop distance: layer 0 is ``{source}``."""
-        distances = self.hop_distances(source)
-        if not distances:
-            return []
-        depth = max(distances.values())
-        layers: list[set[NodeId]] = [set() for _ in range(depth + 1)]
-        for node_id, dist in distances.items():
-            layers[dist].add(node_id)
-        return [frozenset(layer) for layer in layers]
+        row = self._hop_row(source)
+        ids = np.asarray(self._node_ids)
+        return [
+            frozenset(ids[row == depth].tolist()) for depth in range(int(row.max()) + 1)
+        ]
 
     def eccentricity(self, source: NodeId) -> int:
         """Hop distance from ``source`` to the farthest *reachable* node.
@@ -358,24 +396,33 @@ class WSNTopology:
         This is the quantity ``d`` of Theorem 1.  Raises if the network is
         disconnected from ``source`` (the broadcast could never finish).
         """
-        distances = self.hop_distances(source)
-        if len(distances) != self.num_nodes:
-            missing = self.node_set - distances.keys()
+        row = self._hop_row(source)
+        unreachable = int(np.count_nonzero(row < 0))
+        if unreachable:
             raise ValueError(
-                f"network is disconnected: {len(missing)} nodes unreachable from {source}"
+                f"network is disconnected: {unreachable} nodes unreachable from {source}"
             )
-        return max(distances.values())
+        return int(row.max())
+
+    def eccentricities(self) -> np.ndarray:
+        """Every node's eccentricity, in :attr:`node_ids` order.
+
+        Raises the :meth:`eccentricity` ``ValueError`` if the network is
+        disconnected.
+        """
+        if not self.is_connected():
+            self.eccentricity(self._node_ids[0])  # raises: the first row has a gap
+        return self.hop_matrix.max(axis=1)
 
     def diameter(self) -> int:
         """The largest eccentricity over all nodes (hop diameter)."""
-        return max(self.eccentricity(u) for u in self._node_ids)
+        return int(self.eccentricities().max())
 
     def is_connected(self) -> bool:
         """True iff every node is reachable from every other node."""
         if self.num_nodes == 0:
             return True
-        start = self._node_ids[0]
-        return len(self.hop_distances(start)) == self.num_nodes
+        return bool((self.hop_matrix[0] >= 0).all())
 
     # ------------------------------------------------------------------
     # Interop / reporting

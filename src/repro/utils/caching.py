@@ -1,9 +1,9 @@
-"""Lightweight caching primitives used by the schedulers.
+"""A bounded LRU cache with hit/miss/eviction statistics.
 
-The time-counter search (:mod:`repro.core.time_counter`) memoises the
-completion time of intermediate coverage states.  The number of distinct
-states can grow quickly on dense deployments, so the memo table used there
-is a bounded LRU mapping rather than an unbounded dict.
+No scheduler uses it.  The time-counter search
+(:mod:`repro.core.time_counter`) memoises completion times in plain dicts,
+which its ``max_states`` expansion budget keeps bounded (see the
+``TimeCounter`` docstring and docs/design.md, "Memo tables").
 """
 
 from __future__ import annotations

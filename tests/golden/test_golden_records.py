@@ -1,0 +1,46 @@
+"""Golden records: pinned digests of the paper line-up's sweep records.
+
+The parity suites compare engines that run the same policy code, so a
+change inside a scheduler (the time counter's search, the E-model, the
+baselines) or the deployment generator passes them unnoticed.  These
+digests pin the records themselves: any change to what a sweep returns —
+a latency, an eccentricity, an energy figure — fails here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.config import SweepConfig
+from repro.experiments.runner import run_sweep
+from repro.utils.serialization import canonical_json
+
+GOLDEN = json.loads((Path(__file__).parent / "records.json").read_text(encoding="utf-8"))
+
+
+def _slice_id(spec: dict) -> str:
+    nodes = ",".join(str(n) for n in spec["node_counts"])
+    return f"{spec['system']}-r{spec['rate']}-n{nodes}"
+
+
+def records_digest(records) -> str:
+    """SHA-256 over the canonical JSON of the records, in sweep order."""
+    payload = canonical_json([dataclasses.asdict(record) for record in records])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("spec", GOLDEN["slices"], ids=_slice_id)
+def test_sweep_records_match_pinned_digest(spec):
+    config = SweepConfig(
+        node_counts=tuple(spec["node_counts"]),
+        repetitions=GOLDEN["repetitions"],
+        seed=GOLDEN["seed"],
+    )
+    result = run_sweep(config, system=spec["system"], rate=spec["rate"], workers=1)
+    assert len(result.records) == 4 * len(spec["node_counts"])
+    assert records_digest(result.records) == spec["digest"]

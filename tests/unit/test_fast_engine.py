@@ -102,6 +102,18 @@ class TestBitsetKernels:
             assert distances[i] == reference[u]
         assert view.eccentricity(source) == topology.eccentricity(source)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bfs_matches_reference_on_disconnected(self, seed):
+        positions = make_rng(seed).uniform(0.0, 40.0, size=(30, 2))
+        topology = WSNTopology.from_positions(positions, radius=6.0)
+        assert not topology.is_connected()
+        view = bitset_view(topology)
+        for i, u in enumerate(topology.node_ids):
+            reference = topology.hop_distances(u)
+            distances = view.hop_distances_bool(u)
+            for j, v in enumerate(topology.node_ids):
+                assert distances[j] == reference.get(v, -1)
+
     def test_eccentricity_raises_on_disconnected(self):
         positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (9.0, 9.0)}
         topology = WSNTopology.from_edges([(0, 1)], positions)

@@ -1,0 +1,147 @@
+"""The per-topology hop matrix and the time-counter queries that read it.
+
+The matrix is the one distance index of the program, so it is checked
+against an independent implementation (networkx all-pairs shortest paths)
+on seeded random unit-disc graphs, connected and disconnected.  The time
+counter's lower bound and reachability check are checked against a plain
+multi-source BFS kept in this file.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from repro.core.time_counter import TimeCounter
+from repro.network.bitset import bitset_view
+from repro.network.topology import WSNTopology
+from repro.utils.rng import make_rng
+
+nx = pytest.importorskip("networkx")
+
+
+def random_udg(seed: int, num_nodes: int = 40, side: float = 30.0, radius: float = 6.0):
+    """A seeded UDG with non-contiguous node ids (often disconnected)."""
+    rng = make_rng(seed)
+    positions = rng.uniform(0.0, side, size=(num_nodes, 2))
+    ids = [3 * i + 7 for i in range(num_nodes)]
+    return WSNTopology.from_positions(positions, radius=radius, node_ids=ids)
+
+
+UDGS = [random_udg(seed, radius=radius) for seed in range(6) for radius in (5.0, 9.0)]
+DISCONNECTED = [t for t in UDGS if not t.is_connected()]
+CONNECTED = [t for t in UDGS if t.is_connected()]
+
+
+def bfs_from_set(topology: WSNTopology, covered) -> dict[int, int]:
+    """Plain multi-source BFS: hop distance from ``covered`` to each reached node."""
+    distance = {u: 0 for u in covered}
+    queue = deque(covered)
+    while queue:
+        u = queue.popleft()
+        for v in topology.neighbors(u):
+            if v not in distance:
+                distance[v] = distance[u] + 1
+                queue.append(v)
+    return distance
+
+
+def random_covered_sets(topology: WSNTopology, seed: int, count: int = 25):
+    rng = make_rng(seed)
+    ids = list(topology.node_ids)
+    for _ in range(count):
+        size = int(rng.integers(1, len(ids) + 1))
+        yield frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
+
+
+def test_the_seeded_graphs_cover_both_cases():
+    assert DISCONNECTED and CONNECTED
+
+
+@pytest.mark.parametrize("topology", UDGS, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
+def test_matrix_equals_networkx_all_pairs(topology):
+    hops = topology.hop_matrix
+    assert hops.shape == (topology.num_nodes, topology.num_nodes)
+    assert hops.dtype == np.int16
+    expected = np.full(hops.shape, -1, dtype=np.int16)
+    for u, lengths in nx.all_pairs_shortest_path_length(topology.to_networkx()):
+        for v, d in lengths.items():
+            expected[topology.index_of(u), topology.index_of(v)] = d
+    np.testing.assert_array_equal(hops, expected)
+    assert (hops == hops.T).all()
+
+
+@pytest.mark.parametrize("topology", UDGS[:4], ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
+def test_row_queries_read_the_matrix(topology):
+    hops = topology.hop_matrix
+    view = bitset_view(topology)
+    for i, u in enumerate(topology.node_ids):
+        row = hops[i]
+        distances = topology.hop_distances(u)
+        assert distances == {
+            v: int(row[j]) for j, v in enumerate(topology.node_ids) if row[j] >= 0
+        }
+        layers = topology.bfs_layers(u)
+        assert layers[0] == {u}
+        assert {v: d for d, layer in enumerate(layers) for v in layer} == distances
+        np.testing.assert_array_equal(view.hop_distances_bool(u), row)
+
+
+def test_matrix_is_cached_and_read_only():
+    topology = UDGS[0]
+    assert topology.hop_matrix is topology.hop_matrix
+    with pytest.raises(ValueError):
+        topology.hop_matrix[0, 0] = 5
+
+
+@pytest.mark.parametrize("topology", DISCONNECTED, ids=lambda t: f"n{t.num_nodes}")
+def test_disconnected_graphs_keep_their_errors(topology):
+    assert (topology.hop_matrix < 0).any()
+    with pytest.raises(ValueError, match="disconnected"):
+        topology.diameter()
+    with pytest.raises(ValueError, match="disconnected"):
+        topology.eccentricities()
+    for u in topology.node_ids:
+        with pytest.raises(ValueError, match="disconnected"):
+            topology.eccentricity(u)
+        with pytest.raises(ValueError, match="disconnected"):
+            bitset_view(topology).eccentricity(u)
+
+
+@pytest.mark.parametrize("topology", CONNECTED, ids=lambda t: f"n{t.num_nodes}")
+def test_eccentricities_and_diameter(topology):
+    graph = topology.to_networkx()
+    expected = [nx.eccentricity(graph, u) for u in topology.node_ids]
+    assert topology.eccentricities().tolist() == expected
+    assert [topology.eccentricity(u) for u in topology.node_ids] == expected
+    assert topology.diameter() == nx.diameter(graph)
+
+
+def test_unknown_source_raises_key_error():
+    topology = UDGS[0]
+    for query in (topology.hop_distances, topology.bfs_layers, topology.eccentricity):
+        with pytest.raises(KeyError):
+            query(10_000)
+
+
+def test_edge_cases():
+    lone = WSNTopology.from_edges([], {4: (0.0, 0.0)})
+    assert lone.hop_matrix.tolist() == [[0]]
+    assert lone.bfs_layers(4) == [frozenset({4})]
+    assert lone.diameter() == 0 and lone.is_connected()
+    assert WSNTopology.from_edges([], {}).is_connected()
+
+
+@pytest.mark.parametrize("topology", UDGS, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
+def test_time_counter_queries_match_a_plain_bfs(topology):
+    counter = TimeCounter(topology)
+    for seed in range(3):
+        for covered in random_covered_sets(topology, seed):
+            distance = bfs_from_set(topology, covered)
+            assert counter._reachable_from(covered) == frozenset(distance)
+            assert counter._hop_lower_bound(covered) == max(distance.values())
+    assert counter._reachable_from(frozenset()) == frozenset()
+    assert counter._hop_lower_bound(frozenset()) == 0
+    assert counter._hop_lower_bound(topology.node_set) == 0
