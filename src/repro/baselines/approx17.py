@@ -21,11 +21,9 @@ this baseline and plots in Figures 4-7.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.baselines.approx26 import layer_color_plan
 from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.interference import has_conflict
@@ -163,17 +161,3 @@ class Approx17Policy(SchedulingPolicy):
             num_colors=len(self._layer_parents),
             note=self.name,
         )
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Batched layer replay.
-
-        The decision itself stays per-lane — admission mutates the back-off
-        state (``_pending``) and inspects per-pair conflicts — so this
-        decider dispatches each view to its own policy.  The batching win
-        of this baseline is :meth:`next_decision_slot`: the engines
-        fast-forward each lane straight to its first pending parent's
-        wake-up slot, so a duty-cycled lane is decided ~once per cycle
-        instead of once per slot."""
-        return [view.policy.select_advance(view) for view in views]

@@ -17,10 +17,8 @@ times the hop radius, which is the curve the paper plots as
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import conflict_graph
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
@@ -127,9 +125,10 @@ class Approx26Policy(SchedulingPolicy):
         self._queue = [color for layer_classes in plan for color in layer_classes]
         self._cursor = 0
 
-    def _pop_color(self, topology: WSNTopology) -> frozenset[int]:
-        """Shared cursor pop of both decision paths (same errors, same state)."""
-        if self._tree is None or self._topology is not topology:
+    def select_advance(self, state: BroadcastState) -> Advance | None:
+        if state.is_complete:
+            return None
+        if self._tree is None or self._topology is not state.topology:
             raise RuntimeError(
                 "Approx26Policy.prepare(topology, None, source) must run before use"
             )
@@ -139,12 +138,6 @@ class Approx26Policy(SchedulingPolicy):
             )
         color = self._queue[self._cursor]
         self._cursor += 1
-        return color
-
-    def select_advance(self, state: BroadcastState) -> Advance | None:
-        if state.is_complete:
-            return None
-        color = self._pop_color(state.topology)
         return Advance.from_color(
             state.topology,
             state.covered,
@@ -154,35 +147,3 @@ class Approx26Policy(SchedulingPolicy):
             num_colors=len(self._queue),
             note=self.name,
         )
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Batched plan replay: pop the planned colour, receivers from the
-        stacked coverage row (same adjacency, same result as
-        :func:`repro.network.interference.receivers_of`)."""
-        decisions: list[Advance | None] = []
-        for view in views:
-            policy = view.policy
-            bitset = view.bitset
-            if bitset is None or view.covered_bool is None:
-                decisions.append(policy.select_advance(view))
-                continue
-            if view.is_complete:
-                decisions.append(None)
-                continue
-            color = policy._pop_color(view.topology)
-            receivers = bitset.nodes_from_bool(
-                bitset.receivers_bool(bitset.indices(color), view.covered_bool)
-            )
-            decisions.append(
-                Advance(
-                    time=view.time,
-                    color=color,
-                    receivers=receivers,
-                    color_index=policy._cursor,
-                    num_colors=len(policy._queue),
-                    note=policy.name,
-                )
-            )
-        return decisions

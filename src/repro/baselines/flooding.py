@@ -14,9 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import cached_greedy_color_classes, frontier_candidates
 from repro.core.policies import SchedulingPolicy
 
@@ -34,9 +32,6 @@ class FloodingPolicy(SchedulingPolicy):
     name = "flooding"
     interference_free = False
     frontier_driven = True
-    #: The batched decider reads the stacked uncovered-degree rows, so the
-    #: executor tracks them even for synchronous flooding batches.
-    batch_frontier = True
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
@@ -56,51 +51,6 @@ class FloodingPolicy(SchedulingPolicy):
             num_colors=1,
             note=self.name,
         )
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Vectorized flooding: the frontier mask per lane is one stacked
-        comparison, ``covered & (uncovered_degree > 0)``, over the batch's
-        zero-copy rows.
-
-        Flooding relays the *whole* frontier, so the candidate ordering of
-        :func:`frontier_candidates` is irrelevant — only the set matters —
-        and the mask is exactly that set (a node is a candidate iff it is
-        covered, has an uncovered neighbour, and — duty-cycle system — is
-        awake).  Views without stacked frontier rows fall back per lane.
-        """
-        decisions: list[Advance | None] = []
-        for view in views:
-            degree = view.uncovered_degree
-            bitset = view.bitset
-            if degree is None or bitset is None or view.covered_bool is None:
-                decisions.append(view.policy.select_advance(view))
-                continue
-            if view.is_complete:
-                decisions.append(None)
-                continue
-            candidates = bitset.nodes_from_bool(view.covered_bool & (degree > 0))
-            if view.schedule is not None:
-                candidates = view.schedule.awake_nodes(candidates, view.time)
-            if not candidates:
-                decisions.append(None)
-                continue
-            color = frozenset(candidates)
-            receivers = bitset.nodes_from_bool(
-                bitset.receivers_bool(bitset.indices(color), view.covered_bool)
-            )
-            decisions.append(
-                Advance(
-                    time=view.time,
-                    color=color,
-                    receivers=receivers,
-                    color_index=1,
-                    num_colors=1,
-                    note=view.policy.name,
-                )
-            )
-        return decisions
 
 
 class LargestFirstPolicy(SchedulingPolicy):

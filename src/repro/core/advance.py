@@ -17,7 +17,7 @@ from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.interference import receivers_of
 from repro.network.topology import WSNTopology
 
-__all__ = ["BroadcastState", "LaneStateView", "Advance"]
+__all__ = ["BroadcastState", "Advance"]
 
 
 @dataclass(frozen=True)
@@ -108,102 +108,6 @@ class BroadcastState:
             covered=new_covered,
             time=new_time,
             schedule=self.schedule,
-        )
-
-
-class LaneStateView:
-    """Mutable per-lane scheduling state over a batch's stacked tensors.
-
-    The batched executor (:mod:`repro.sim.batched`) creates **one** view per
-    lane and mutates ``covered``/``time`` in place between decisions, so the
-    hot loop never allocates a fresh :class:`BroadcastState` per lane per
-    slot.  ``covered`` may be the engine's *live* (mutable) covered set —
-    treat it as read-only and copy it (``frozenset(view.covered)``) before
-    storing it anywhere that outlives the decision.  The view duck-types
-    the read surface policies use
-    (``topology``/``covered``/``time``/``schedule`` plus the ``uncovered``/
-    ``is_complete``/``is_synchronous``/``awake`` helpers), so
-    ``select_advance(view)`` — the per-lane fallback of
-    :meth:`repro.core.policies.SchedulingPolicy.select_advance_batch` —
-    behaves exactly as with a real state object.
-
-    Batched deciders additionally get zero-copy rows of the stacked arrays:
-
-    ``covered_bool``
-        This lane's row of the batch's ``(L, n)`` coverage matrix — a numpy
-        *view*, so it reflects every applied advance without reassignment.
-    ``uncovered_degree``
-        This lane's row of the uncovered-degree matrix (``None`` when the
-        batch does not track frontier state); ``uncovered_degree[i] > 0``
-        iff the node at bitset row ``i`` still has an uncovered neighbour.
-    ``bitset``
-        The lane's :class:`repro.network.bitset.BitsetTopology`, for mapping
-        row indices back to node ids.
-    ``policy``
-        The lane's policy instance.  A mixed fallback group passes views of
-        *different* policies to one ``select_advance_batch`` call, so batch
-        deciders must consult ``view.policy`` rather than ``self``.
-    """
-
-    __slots__ = (
-        "topology",
-        "schedule",
-        "policy",
-        "bitset",
-        "row",
-        "covered",
-        "time",
-        "covered_bool",
-        "uncovered_degree",
-    )
-
-    def __init__(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule | None,
-        policy: object,
-        bitset: object = None,
-        row: int = 0,
-        covered: frozenset[int] | set[int] = frozenset(),
-        time: int = 1,
-        covered_bool: object = None,
-        uncovered_degree: object = None,
-    ) -> None:
-        self.topology = topology
-        self.schedule = schedule
-        self.policy = policy
-        self.bitset = bitset
-        self.row = row
-        self.covered = covered
-        self.time = time
-        self.covered_bool = covered_bool
-        self.uncovered_degree = uncovered_degree
-
-    @property
-    def uncovered(self) -> frozenset[int]:
-        """``W̄ = N - W``."""
-        return self.topology.node_set - self.covered
-
-    @property
-    def is_complete(self) -> bool:
-        """True when every node holds the message (``W = N``)."""
-        return len(self.covered) == self.topology.num_nodes
-
-    @property
-    def is_synchronous(self) -> bool:
-        """True for the round-based system (no wake-up schedule attached)."""
-        return self.schedule is None
-
-    def awake(self, nodes: frozenset[int] | set[int]) -> frozenset[int]:
-        """Subset of ``nodes`` allowed to send at the current time."""
-        if self.schedule is None:
-            return frozenset(nodes)
-        return self.schedule.awake_nodes(nodes, self.time)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LaneStateView(row={self.row}, time={self.time}, "
-            f"covered={len(self.covered)}/{self.topology.num_nodes})"
         )
 
 

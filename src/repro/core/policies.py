@@ -19,9 +19,9 @@ exercised through identical machinery.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Literal, Sequence
+from typing import Literal
 
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import ColorScheme, cached_greedy_color_classes
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
@@ -80,14 +80,6 @@ class SchedulingPolicy(ABC):
     #: largest-first) opt in explicitly.
     frontier_driven: bool = False
 
-    #: Whether the policy's *batched* decider reads the stacked
-    #: uncovered-degree rows (``LaneStateView.uncovered_degree``).  The
-    #: batched executor tracks that state for any lane whose policy either
-    #: skips idle duty-cycle slots (``frontier_driven`` with a schedule) or
-    #: sets this flag; the flooding baseline opts in so its frontier mask is
-    #: one stacked comparison even for synchronous batches.
-    batch_frontier: bool = False
-
     def prepare(
         self,
         topology: WSNTopology,
@@ -102,44 +94,12 @@ class SchedulingPolicy(ABC):
         A fast-forward hint honoured by every engine backend: returning
         ``s`` is a promise that :meth:`select_advance` answers ``None`` for
         every slot in ``[time, s)``, so an engine may jump straight to ``s``
-        without offering the intermediate slots (the batched executor feeds
-        the hint into its min-heap of lane wake times).  Returning ``None``
+        without offering the intermediate slots.  Returning ``None``
         (the default) makes no promise — every slot is offered as usual.
         Policies that precompute their transmission times (replays, the
-        exact tiers, the layer-schedule baselines) override this.
+        exact tiers, the 17-approximation's layer schedule) override this.
         """
         return None
-
-    def select_advance_batch(
-        self, views: "Sequence[LaneStateView]"
-    ) -> "list[Advance | None]":
-        """Batched decision point: one advance (or ``None``) per lane view.
-
-        The batched executor groups its lanes by policy class and calls
-        this once per group per macro-slot instead of ``select_advance``
-        once per lane.  The default implementation *is* the per-lane
-        fallback — it dispatches ``select_advance`` on each view — so a
-        policy without a vectorized decider behaves identically under
-        either path.
-
-        Contract for overrides:
-
-        * decisions must be **lane-independent** — lane ``i``'s advance may
-          depend only on ``views[i]``, never on the other lanes, so any
-          lane grouping or batch size yields bit-identical traces (the
-          conformance suites pin the batched path against the fallback);
-        * a mixed group passes views of *different instances* (the engine
-          groups by class), so overrides must consult ``view.policy``
-          rather than ``self``;
-        * the returned list is parallel to ``views`` (same length, same
-          order).
-
-        Direct callers may also pass plain :class:`BroadcastState` objects
-        (which carry no ``policy``); the default then decides with ``self``.
-        """
-        return [
-            getattr(view, "policy", self).select_advance(view) for view in views
-        ]
 
     @abstractmethod
     def select_advance(self, state: BroadcastState) -> Advance | None:
@@ -232,9 +192,9 @@ class _TimeCounterPolicy(SchedulingPolicy):
             awake = state.schedule.awake_nodes(state.covered, state.time)
         if self._decision_scheme.mode == "greedy":
             # Decision-level greedy colourings are pure in (topology, W,
-            # awake), so lanes of a batched stripe sharing a topology reuse
-            # them; the recursive evaluation of M keeps its own uncached
-            # scheme (its state space would swamp the cache).
+            # awake), so the policies of one cell, which share a topology,
+            # reuse them; the recursive evaluation of M keeps its own
+            # uncached scheme (its state space would swamp the cache).
             colors = cached_greedy_color_classes(
                 state.topology, state.covered, awake
             )

@@ -112,9 +112,15 @@ from repro.fabric import (
     TransportError,
 )
 from repro.network.sources import placement_names
-from repro.obs import EVENT_BUS, JsonlTraceSink, SweepMonitor
+from repro.obs import (
+    EVENT_BUS,
+    CallbackSink,
+    Event,
+    JsonlTraceSink,
+    SweepMonitor,
+    SweepStarted,
+)
 from repro.scenarios import list_scenarios, scenario_names
-from repro.sim.batched import BatchProfile
 from repro.sim.broadcast import ENGINE_BACKENDS
 from repro.sim.links import link_model_names
 from repro.solvers import solver_catalog, solver_names
@@ -279,16 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ENGINE_BACKENDS),
         default=None,
         help="simulation backend (default: reference; all are bit-identical)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "lane cap per stacked batch of the batched engine's stripe "
-            "executor (0 = whole stripe at once; ignored by other engines)"
-        ),
     )
     parser.add_argument(
         "--loss",
@@ -497,16 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "report the batched engine's timing split (stacked kernels / "
-            "policy decisions / bookkeeping) for the 'sweep' target; forces "
-            "in-process execution and requires --engine batched on a "
-            "stripe-eligible sweep (single-source, heuristic solver)"
-        ),
-    )
-    parser.add_argument(
         "--list-scenarios",
         action="store_true",
         help="print the registered deployment scenarios and exit",
@@ -545,8 +531,6 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
         config = dataclasses.replace(config, workers=args.workers)
     if args.engine is not None:
         config = dataclasses.replace(config, engine=args.engine)
-    if args.batch is not None:
-        config = dataclasses.replace(config, batch=args.batch)
     if args.scenario is not None:
         config = dataclasses.replace(config, scenario=args.scenario)
     if args.duty_model is not None:
@@ -577,23 +561,6 @@ def _format_catalog(title: str, entries: list[tuple[str, str, dict]]) -> str:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(defaults.items()))
             lines.append(f"  {'':<{width}}  defaults: {rendered}")
     return "\n".join(lines)
-
-
-def _profile_line(profile: BatchProfile) -> str:
-    """One-line batched-engine timing split for the sweep header."""
-    if profile.macro_steps == 0:
-        return (
-            "profile: no batched stripes ran (needs --engine batched on a "
-            "stripe-eligible sweep with uncached cells)"
-        )
-    return (
-        f"profile: kernel {profile.kernel_s * 1e3:.1f} ms | "
-        f"policy decisions {profile.decide_s * 1e3:.1f} ms | "
-        f"bookkeeping {profile.bookkeeping_s * 1e3:.1f} ms "
-        f"(total {profile.total_s * 1e3:.1f} ms over "
-        f"{profile.macro_steps} macro-steps, "
-        f"{profile.lanes_decided} decisions, {profile.advances} advances)"
-    )
 
 
 def _emit(name: str, text: str, csv: str | None, csv_dir: Path | None) -> None:
@@ -873,8 +840,13 @@ def main(argv: list[str] | None = None) -> int:
     config = _config_from_args(args)
     store = open_store(args.store)
 
-    def _progress(message: str) -> None:
-        print(message, file=sys.stderr)
+    def _store_split_line(event: Event) -> None:
+        if isinstance(event, SweepStarted):
+            print(
+                f"store: {event.cached_cells} cells cached, "
+                f"{event.missing_cells} to simulate",
+                file=sys.stderr,
+            )
 
     targets = (
         [args.target]
@@ -941,10 +913,14 @@ def main(argv: list[str] | None = None) -> int:
                 if held != len(checks):
                     exit_code = 1
             elif target == "sweep":
-                profile = BatchProfile() if args.profile else None
                 trace_sink = (
                     EVENT_BUS.attach(JsonlTraceSink(args.trace))
                     if args.trace is not None
+                    else None
+                )
+                split_sink = (
+                    EVENT_BUS.attach(CallbackSink(_store_split_line))
+                    if store is not None
                     else None
                 )
                 try:
@@ -954,10 +930,10 @@ def main(argv: list[str] | None = None) -> int:
                         rate=args.rate,
                         store=store,
                         resume=args.resume,
-                        progress=_progress if store is not None else None,
-                        profile=profile,
                     )
                 finally:
+                    if split_sink is not None:
+                        EVENT_BUS.detach(split_sink)
                     if trace_sink is not None:
                         EVENT_BUS.detach(trace_sink)
                         trace_sink.close()
@@ -976,8 +952,6 @@ def main(argv: list[str] | None = None) -> int:
                         f"\nstore: {sweep.cache_hits} hits / "
                         f"{sweep.cache_misses} misses ({cached:.0f}% cached)"
                     )
-                if profile is not None:
-                    header += f"\n{_profile_line(profile)}"
                 if trace_sink is not None:
                     header += (
                         f"\ntrace: {trace_sink.written} events -> {args.trace}"

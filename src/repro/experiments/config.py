@@ -50,7 +50,7 @@ __all__ = [
 #: coordinates — so extending a grid with more node counts or repetitions
 #: leaves every existing cell's digest (and cached records) intact.
 CELL_KEY_EXCLUDED_FIELDS = frozenset(
-    {"engine", "workers", "batch", "node_counts", "repetitions"}
+    {"engine", "workers", "node_counts", "repetitions"}
 )
 
 #: Environment variable selecting the benchmark scale ("quick" or "paper").
@@ -89,21 +89,11 @@ class SweepConfig:
         Cycle rates used by the duty-cycle figures (10 = heavy, 50 = light).
     engine:
         Simulation backend from :data:`repro.sim.ENGINE_BACKENDS`:
-        ``"reference"`` (frozenset/bigint oracle), ``"vectorized"`` (numpy
-        bitset fast path) or ``"batched"`` (stacked multi-lane kernel; the
-        sweep runner additionally executes whole same-node-count grid
-        stripes in one batch).  All backends produce bit-identical traces.
+        ``"reference"`` (frozenset/bigint oracle) or ``"vectorized"`` (numpy
+        bitset fast path).  Both backends produce bit-identical traces.
     workers:
         Worker processes for the sweep runner; 1 runs in-process, 0 means
         "one per CPU".
-    batch:
-        Lane cap per stacked batch of the ``"batched"`` engine's stripe
-        executor (:mod:`repro.sim.batched`): ``0`` stacks a whole
-        same-node-count stripe at once, ``k > 0`` chunks it into batches of
-        at most ``k`` broadcasts.  Like ``engine`` and ``workers`` this is
-        pure execution shape — the records are bit-identical for every
-        value — so it stays out of the store's cell keys.  Ignored by the
-        per-cell engines.
     scenario:
         Named deployment generator from the :mod:`repro.scenarios` registry
         (``"uniform"`` is the paper's workload; ``--list-scenarios`` on the
@@ -162,7 +152,6 @@ class SweepConfig:
     duty_rates: tuple[int, ...] = (10, 50)
     engine: str = "reference"
     workers: int = 1
-    batch: int = 0
     scenario: str = "uniform"
     duty_model: str = "uniform"
     link_model: str = "reliable"
@@ -180,7 +169,6 @@ class SweepConfig:
             f"unknown engine {self.engine!r}; expected one of {sorted(ENGINE_BACKENDS)}",
         )
         require(self.workers >= 0, "workers must be >= 0 (0 = one per CPU)")
-        require(self.batch >= 0, "batch must be >= 0 (0 = one batch per stripe)")
         require(
             self.scenario in scenario_names(),
             f"unknown scenario {self.scenario!r}; registered: {scenario_names()}",

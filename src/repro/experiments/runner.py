@@ -36,12 +36,7 @@ contract has three legs:
 (``workers=0`` means one per CPU); ``engine="vectorized"`` switches every
 broadcast (and its validation) to the numpy bitset backend, which is
 trace-identical to the reference engine — including over lossy links.
-``engine="batched"`` goes one step further: the runner groups the missing
-cells into same-node-count *stripes* and executes every broadcast of a
-stripe as one lane of the stacked kernel (:mod:`repro.sim.batched`), with
-``config.batch`` capping the lanes per stacked batch; multi-source and
-exact-solver grids bypass the stripes and run per-cell.  Any combination
-of ``(scenario, duty_model, link_model, engine, workers, batch)``
+Any combination of ``(scenario, duty_model, link_model, engine, workers)``
 therefore changes *what* is simulated or *how fast*, never the records'
 reproducibility.
 
@@ -62,7 +57,7 @@ import functools
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.baselines.approx17 import Approx17Policy
@@ -74,9 +69,7 @@ from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.sources import select_sources
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
-from repro.obs.sinks import CallbackSink
 from repro.scenarios import generate_scenario
-from repro.sim.batched import BatchProfile, BroadcastTask, run_batched
 from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import energy_of_broadcast
 from repro.sim.links import build_link_model
@@ -364,11 +357,8 @@ class _CellSetup:
     """Everything a cell's broadcasts share, reproduced from its seed.
 
     The deterministic half of a cell's work (deployment, wake-up schedule,
-    link model, source placement) factored out of :func:`_run_cell` so the
-    batched stripe executor (:func:`_run_stripe`) prepares many cells and
-    hands all their broadcasts to :func:`repro.sim.batched.run_batched` in
-    one call — the records stay bit-identical because the setup *is* the
-    per-cell one.
+    link model, source placement): a pure function of the cell, shared by
+    every policy of the line-up.
     """
 
     policies: tuple[tuple[str, PolicyFactory], ...]
@@ -527,81 +517,6 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
     return records
 
 
-def _stripe_eligible(config: SweepConfig) -> bool:
-    """Whether the batched stripe executor can run this sweep's cells.
-
-    Stripes stack *single-source* broadcasts; multi-source cells go through
-    the engines' ``run_multi`` path instead.  Exact solver tiers are also
-    left on the per-cell path: their per-policy ``prepare`` dominates the
-    cell (branch-and-bound over the whole instance), so stacking the slot
-    loops buys nothing and would hold every solved plan alive at once.
-    """
-    return config.n_sources == 1 and config.solver == "heuristic"
-
-
-def _run_stripe(
-    stripe: tuple[SweepCell, ...], profile: BatchProfile | None = None
-) -> list[list[RunRecord]]:
-    """Execute one same-node-count stripe of cells in stacked batches.
-
-    The pool work unit of the ``"batched"`` engine: every (cell, policy)
-    broadcast of the stripe becomes one :class:`~repro.sim.batched.BroadcastTask`
-    lane and :func:`~repro.sim.batched.run_batched` advances them together.
-    Cells are *prepared* exactly as :func:`_run_cell` does (same seeds, same
-    generators) and each lane keeps its own policy, schedule and link-model
-    stream, so the returned records are bit-identical to per-cell execution
-    — the stripe only changes how many slot loops run per numpy dispatch.
-    """
-    setups = [_prepare_cell(cell) for cell in stripe]
-    tasks = [
-        BroadcastTask(
-            setup.topology,
-            setup.source,
-            factory(),
-            schedule=setup.schedule,
-            align_start=cell.system == "duty",
-            link_model=setup.link_model,
-        )
-        for cell, setup in zip(stripe, setups)
-        for _, factory in setup.policies
-    ]
-    batch = stripe[0].config.batch
-    # With listeners attached, time the stripe through a private profile —
-    # StripeFinished wants per-stripe numbers, not the caller's running
-    # totals — and fold it into the caller's accumulator afterwards.
-    observing = EVENT_BUS.active
-    stripe_profile = BatchProfile() if observing else profile
-    if observing:
-        EVENT_BUS.emit(_events.StripeStarted(stripe[0].num_nodes, len(tasks)))
-    traces = iter(
-        run_batched(
-            tasks, batch=batch, validate=True, prepare=True, profile=stripe_profile
-        )
-    )
-    if observing:
-        EVENT_BUS.emit(
-            _events.StripeFinished(
-                stripe[0].num_nodes,
-                len(tasks),
-                stripe_profile.kernel_s,
-                stripe_profile.decide_s,
-                stripe_profile.bookkeeping_s,
-                stripe_profile.macro_steps,
-                stripe_profile.advances,
-            )
-        )
-        if profile is not None:
-            profile.merge(stripe_profile)
-    results: list[list[RunRecord]] = []
-    for cell, setup in zip(stripe, setups):
-        records = []
-        for name, _ in setup.policies:
-            trace = next(traces)
-            records.append(_cell_record(cell, setup, name, trace, (trace.latency,)))
-        results.append(records)
-    return results
-
-
 def sweep_cells(
     config: SweepConfig,
     *,
@@ -612,10 +527,10 @@ def sweep_cells(
 ) -> list[SweepCell]:
     """The sweep's grid as independently executable cells, in serial order.
 
-    Exactly the cells (and the order) ``run_sweep`` would build for the
-    same arguments — the shared vocabulary between the runner and the
-    fabric coordinator, which partitions and leases this list to a worker
-    fleet (:mod:`repro.fabric`).
+    The cells (and the order) ``run_sweep`` dispatches for the same
+    arguments — the shared vocabulary between the runner and the fabric
+    coordinator, which partitions and leases this list to a worker fleet
+    (:mod:`repro.fabric`).
     """
     if system not in ("sync", "duty"):
         raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
@@ -652,8 +567,6 @@ def run_sweep(
     engine: str | None = None,
     store: ExperimentStore | None = None,
     resume: bool = True,
-    progress: Callable[[str], None] | None = None,
-    profile: BatchProfile | None = None,
     fabric: object | None = None,
 ) -> SweepResult:
     """Run the full sweep and return the collected records.
@@ -678,13 +591,8 @@ def run_sweep(
         bit-identical for every worker count: each grid cell derives its
         own RNG stream from the experiment seed and its coordinates.
     engine:
-        Simulation backend override (defaults to ``config.engine``).  With
-        ``"batched"`` the runner executes whole same-node-count stripes of
-        missing cells through :func:`repro.sim.batched.run_batched` (one
-        lane per (cell, policy) broadcast, ``config.batch`` lanes per
-        stacked batch); stripes become the pool work units.  Multi-source
-        and exact-solver sweeps fall back to per-cell vectorized execution.
-        Records are bit-identical for every backend and batch size.
+        Simulation backend override (defaults to ``config.engine``).
+        Records are bit-identical for every backend.
     store:
         Persistent :class:`~repro.store.ExperimentStore`.  Every simulated
         cell is written back as it finishes (so an interrupted sweep keeps
@@ -695,22 +603,6 @@ def run_sweep(
     resume:
         Consult the store before dispatching (default).  ``False`` forces a
         full re-simulation that overwrites the cached cells.
-    progress:
-        Optional sink for one-line progress messages (the CLI passes a
-        stderr printer); reports the cache hit/miss split.  A legacy shim:
-        it is served by a :class:`~repro.obs.sinks.CallbackSink` rendering
-        the :class:`~repro.obs.events.SweepStarted` event — new callers
-        should attach a sink to :data:`~repro.obs.bus.EVENT_BUS` instead
-        and see the full event stream (docs/telemetry.md).
-    profile:
-        Optional :class:`~repro.sim.batched.BatchProfile` accumulator for
-        the batched stripe executor's per-phase timing split (kernel /
-        policy decisions / bookkeeping).  Profiling forces the stripes to
-        run in-process (phase timers cannot aggregate across pool
-        workers), so expect ``workers`` to be ignored while it is set.
-        The accumulator stays empty when the sweep does not take the
-        batched stripe path (other engines, multi-source or exact-solver
-        grids, or every cell already cached).
     fabric:
         Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
         object with the same ``execute(cells, store=...)`` method): the
@@ -728,23 +620,9 @@ def run_sweep(
     )
     effective_engine = config.engine if engine is None else engine
     effective_rate = 1 if system == "sync" else rate
-    if system not in ("sync", "duty"):
-        raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
-
-    frozen_policies = None if policies is None else tuple(policies.items())
-    cells = [
-        SweepCell(
-            config=config,
-            system=system,
-            rate=rate if system == "duty" else 1,
-            num_nodes=num_nodes,
-            repetition=repetition,
-            engine=effective_engine,
-            policies=frozen_policies,
-        )
-        for num_nodes in config.node_counts
-        for repetition in range(config.repetitions)
-    ]
+    cells = sweep_cells(
+        config, system=system, rate=rate, engine=effective_engine, policies=policies
+    )
 
     result = SweepResult(system=system, rate=effective_rate, config=config)
 
@@ -791,40 +669,23 @@ def run_sweep(
 
     missing = [index for index in range(len(cells)) if index not in per_cell]
 
-    # ``progress=`` predates the event bus; it survives as a CallbackSink
-    # that renders SweepStarted back into the legacy one-line store split.
-    progress_sink = None
-    if progress is not None and store is not None:
-
-        def _legacy_line(event: _events.Event) -> None:
-            if isinstance(event, _events.SweepStarted):
-                progress(
-                    f"store: {event.cached_cells} cells cached, "
-                    f"{event.missing_cells} to simulate"
-                )
-
-        progress_sink = EVENT_BUS.attach(CallbackSink(_legacy_line))
-    try:
-        if EVENT_BUS.active:
-            EVENT_BUS.emit(
-                _events.SweepStarted(
-                    system,
-                    effective_rate,
-                    effective_engine,
-                    len(cells),
-                    result.cache_hits if store is not None else -1,
-                    len(missing),
-                )
+    if EVENT_BUS.active:
+        EVENT_BUS.emit(
+            _events.SweepStarted(
+                system,
+                effective_rate,
+                effective_engine,
+                len(cells),
+                result.cache_hits if store is not None else -1,
+                len(missing),
             )
-    finally:
-        if progress_sink is not None:
-            EVENT_BUS.detach(progress_sink)
+        )
     if missing and fabric is not None:
         # Fabric mode: lease the missing cells out to a coordinator/worker
         # fleet.  The coordinator validates and commits each cell into the
         # store itself (idempotently, by digest), so the runner skips its
         # own write-back and only reassembles in serial order.
-        if frozen_policies is not None:
+        if policies is not None:
             raise ValueError(
                 "fabric execution requires the default policy line-up; "
                 "custom policy factories cannot cross the fabric wire"
@@ -839,52 +700,8 @@ def run_sweep(
                         index, cell.num_nodes, cell.repetition, len(records)
                     )
                 )
-    elif missing and effective_engine == "batched" and _stripe_eligible(config):
-        # Stripe planner: group the missing cells by node count (stacked
-        # lanes need one shape) and run each stripe through the batched
-        # executor.  Stripes — not cells — are the pool work units; the
-        # per-cell store write-back happens here in the parent as each
-        # stripe's records arrive, exactly like the per-cell path.
-        stripes: dict[int, list[int]] = {}
-        for index in missing:
-            stripes.setdefault(cells[index].num_nodes, []).append(index)
-        stripe_indices = list(stripes.values())
-        stripe_cells = [
-            tuple(cells[index] for index in indices) for indices in stripe_indices
-        ]
-        in_process = (
-            effective_workers <= 1 or len(stripe_cells) <= 1 or profile is not None
-        )
-        if in_process:
-            # profile forces this path: phase timers accumulate in the
-            # parent's BatchProfile, which pool workers could not share.
-            stripe_results = (
-                _run_stripe(stripe, profile=profile) for stripe in stripe_cells
-            )
-            for indices, per_stripe in zip(stripe_indices, stripe_results):
-                for index, records in zip(indices, per_stripe):
-                    _finish(index, records)
-        else:
-            use_fork = (
-                sys.platform.startswith("linux")
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
-            context = multiprocessing.get_context("fork" if use_fork else "spawn")
-            processes = min(effective_workers, len(stripe_cells))
-            with context.Pool(processes=processes) as pool:
-                for indices, per_stripe in zip(
-                    stripe_indices, pool.imap(_run_stripe, stripe_cells, chunksize=1)
-                ):
-                    for index, records in zip(indices, per_stripe):
-                        _finish(index, records)
     elif missing:
         pending = [cells[index] for index in missing]
-        if effective_engine == "batched":
-            # Stripe-ineligible grid (multi-source or exact solver): run the
-            # cells per-cell on the vectorized engine.  Records are
-            # bit-identical across backends, so the bypass is invisible in
-            # the output (and in the store, which never keys on the engine).
-            pending = [replace(cell, engine="vectorized") for cell in pending]
         if effective_workers <= 1 or len(pending) <= 1:
             for index, cell in zip(missing, pending):
                 _finish(index, _run_cell(cell))

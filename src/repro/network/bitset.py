@@ -33,20 +33,13 @@ and repetition over the same deployment reuses it.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.network.topology import WSNTopology
 
-__all__ = [
-    "BitsetTopology",
-    "bitset_view",
-    "stacked_adjacency",
-    "stacked_hear_counts",
-    "stacked_hear_counts_at",
-    "stacked_receivers",
-]
+__all__ = ["BitsetTopology", "bitset_view"]
 
 
 class BitsetTopology:
@@ -304,123 +297,3 @@ def bitset_view(topology: WSNTopology) -> BitsetTopology:
         view = BitsetTopology(topology)
         _VIEW_CACHE[topology] = view
     return view
-
-
-# ----------------------------------------------------------------------
-# Stacked-mask kernels (the batched executor's substrate)
-# ----------------------------------------------------------------------
-def stacked_adjacency(
-    views: Sequence[BitsetTopology], dtype: type = np.uint8
-) -> np.ndarray:
-    """Stack same-size views into one ``(L, n, n)`` adjacency tensor.
-
-    Lane ``l`` of the stack is ``views[l].adjacency_u8`` (or the cached
-    float32 copy for ``dtype=np.float32`` — the batched executor stacks
-    float32 so the per-advance gather feeds BLAS without an ``astype`` per
-    kernel call); the batched executor (:mod:`repro.sim.batched`) runs
-    every per-advance interference kernel of all lanes through a single
-    gather over this tensor instead of one matrix slice per lane.  The
-    views may come from *different* topologies — a sweep stripe stacks
-    independent deployments — but must share the node count.
-    """
-    if not views:
-        return np.zeros((0, 0, 0), dtype=dtype)
-    sizes = {view.num_nodes for view in views}
-    if len(sizes) > 1:
-        raise ValueError(
-            f"cannot stack views with different node counts: {sorted(sizes)}"
-        )
-    if dtype is np.float32:
-        return np.stack([view.adjacency_f32 for view in views])
-    return np.stack([view.adjacency_u8 for view in views])
-
-
-# Above this many lanes the dense lane-selector matmul (O(L * R * n) flops)
-# loses to the O(R * n) segment-sum; measured crossover is ~128 lanes for
-# paper-grid row counts.
-_MATMUL_LANE_LIMIT = 128
-
-# Shared, growing arange so the per-advance kernel never re-allocates an
-# index vector for the selector scatter.
-_ARANGE = np.arange(256)
-
-
-def _arange(size: int) -> np.ndarray:
-    global _ARANGE
-    if size > len(_ARANGE):
-        _ARANGE = np.arange(2 * size)
-    return _ARANGE[:size]
-
-
-def stacked_hear_counts_at(
-    adjacency_stack: np.ndarray, lane_idx: np.ndarray, tx_idx: np.ndarray
-) -> np.ndarray:
-    """Per-lane hear counts from flat transmitter coordinates, as ``(L, n)``.
-
-    ``(lane_idx[k], tx_idx[k])`` names one transmitter; lane ``l``'s row of
-    the result equals ``views[l].hear_counts(...)`` over its transmitters.
-    Like the per-lane kernel (:meth:`BitsetTopology.check_and_receivers`),
-    the cost is proportional to the *transmitters*, not the full
-    ``L * n^2`` tensor: one fancy-index gathers every transmitter's
-    adjacency row across all lanes at once, then a single reduction folds
-    the rows into per-lane counts — a lane-selector matmul (BLAS sgemm,
-    order-free) for small batches, a ``np.add.reduceat`` segment-sum
-    (which needs ``lane_idx`` sorted, as row-major callers produce
-    naturally) beyond :data:`_MATMUL_LANE_LIMIT` lanes.  The conversion
-    work is proportional to the gathered transmitters, never the full
-    tensor, and the returned counts are float32 holding *exact* small
-    integers (bounded by ``n``, far inside float32's integer range) — the
-    hot path stays comparison-safe without paying a counts-sized int
-    conversion per advance.  :func:`stacked_hear_counts` wraps this with
-    an int64 result for mask-shaped callers.
-    """
-    num_lanes = adjacency_stack.shape[0]
-    num_rows = len(lane_idx)
-    rows = adjacency_stack[lane_idx, tx_idx]
-    if rows.dtype != np.float32:
-        rows = rows.astype(np.float32)
-    if num_lanes <= _MATMUL_LANE_LIMIT:
-        selector = np.zeros((num_lanes, num_rows), dtype=np.float32)
-        selector[lane_idx, _arange(num_rows)] = 1.0
-        return selector @ rows
-    counts = np.zeros((num_lanes, adjacency_stack.shape[1]), dtype=np.float32)
-    boundary = np.empty(num_rows, dtype=bool)
-    boundary[0] = True
-    np.not_equal(lane_idx[1:], lane_idx[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    counts[lane_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
-    return counts
-
-
-def stacked_hear_counts(adjacency_stack: np.ndarray, tx_mask: np.ndarray) -> np.ndarray:
-    """Per-lane hear counts for stacked transmitter masks, as ``(L, n)``.
-
-    Mask-shaped front end of :func:`stacked_hear_counts_at`: lane ``l``'s
-    row equals ``views[l].hear_counts(tx_idx_l)`` for the transmitters
-    flagged in ``tx_mask[l]``, which may be boolean or uint8, and counts
-    come back int64.  Callers that already hold flat transmitter
-    coordinates (the batched executor does) should call the ``_at`` form
-    directly and skip the mask scan and the int conversion.
-    """
-    num_lanes, num_nodes = tx_mask.shape
-    lane_idx, tx_idx = np.nonzero(tx_mask)
-    if len(lane_idx) == 0:
-        return np.zeros((num_lanes, num_nodes), dtype=np.int64)
-    counts = stacked_hear_counts_at(adjacency_stack, lane_idx, tx_idx)
-    return counts.astype(np.int64)
-
-
-def stacked_receivers(
-    counts: np.ndarray, covered_stack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched twin of :meth:`BitsetTopology.check_and_receivers`.
-
-    From per-lane hear counts (:func:`stacked_hear_counts`) and the stacked
-    coverage, returns ``(conflicts, receivers)``: lane ``l`` has a conflict
-    iff some uncovered node hears two or more of its transmitters, and its
-    receivers are the uncovered nodes hearing at least one — exactly the
-    per-lane kernel's booleans, computed for all lanes in three array ops
-    (zero covered nodes' counts, then one row-max and one comparison).
-    """
-    masked = np.where(covered_stack, 0, counts)
-    return masked.max(axis=1) >= 2, masked > 0

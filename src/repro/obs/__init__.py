@@ -22,7 +22,6 @@ from repro.obs.events import (
     CellQuarantined,
     CellStarted,
     Event,
-    LaneWoke,
     LeaseClaimed,
     LeaseExpired,
     LeaseFailed,
@@ -30,8 +29,6 @@ from repro.obs.events import (
     StoreHit,
     StoreMiss,
     StorePut,
-    StripeFinished,
-    StripeStarted,
     SweepFinished,
     SweepStarted,
     WorkerHeartbeat,
@@ -44,7 +41,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
-    profile_to_metrics,
 )
 from repro.obs.monitor import SweepMonitor, render_metrics
 from repro.obs.sinks import (
@@ -70,10 +66,7 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "StripeStarted",
-    "StripeFinished",
     "SlotAdvanced",
-    "LaneWoke",
     "StoreHit",
     "StoreMiss",
     "StorePut",
@@ -99,7 +92,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "profile_to_metrics",
     # monitor
     "SweepMonitor",
     "render_metrics",

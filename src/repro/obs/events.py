@@ -30,10 +30,7 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "StripeStarted",
-    "StripeFinished",
     "SlotAdvanced",
-    "LaneWoke",
     "StoreHit",
     "StoreMiss",
     "StorePut",
@@ -108,31 +105,7 @@ class CellFinished(Event):
     records: int
 
 
-# -- batched stripe executor ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripeStarted(Event):
-    """A same-node-count stripe of lanes entered the stacked executor."""
-
-    kind: ClassVar[str] = "stripe_started"
-    num_nodes: int
-    lanes: int
-
-
-@dataclass(frozen=True)
-class StripeFinished(Event):
-    """A stripe completed, with its :class:`~repro.sim.batched.BatchProfile`
-    split (zeros when the stripe ran unprofiled)."""
-
-    kind: ClassVar[str] = "stripe_finished"
-    num_nodes: int
-    lanes: int
-    kernel_s: float
-    decide_s: float
-    bookkeeping_s: float
-    macro_steps: int
-    advances: int
+# -- streaming engine --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -143,15 +116,6 @@ class SlotAdvanced(Event):
     time: int
     transmitters: int
     receivers: int
-
-
-@dataclass(frozen=True)
-class LaneWoke(Event):
-    """A batched lane reached its next offered slot and was served."""
-
-    kind: ClassVar[str] = "lane_woke"
-    lane: int
-    time: int
 
 
 # -- experiment store ------------------------------------------------------
@@ -245,10 +209,7 @@ EVENT_KINDS: dict[str, type[Event]] = {
         SweepFinished,
         CellStarted,
         CellFinished,
-        StripeStarted,
-        StripeFinished,
         SlotAdvanced,
-        LaneWoke,
         StoreHit,
         StoreMiss,
         StorePut,

@@ -9,14 +9,10 @@ Two halves:
 * :class:`MetricsSink` — an event sink (attachable to the
   :data:`~repro.obs.bus.EVENT_BUS`) folding the event taxonomy into a
   registry: sweep throughput (cells/s), store cache hit rate, lease retry
-  counts, per-stripe kernel/decision/bookkeeping time, worker liveness.
-
-:func:`profile_to_metrics` folds a :class:`~repro.sim.batched.BatchProfile`
-into the same stripe-time counters, so the ``--profile`` timing split and
-the event-driven split land in one namespace.
+  counts, worker liveness.
 
 Instrument mutations take the registry lock — metrics update at cell /
-lease / stripe granularity (tens per second), never per slot, so contention
+lease granularity (tens per second), never per slot, so contention
 is irrelevant and correctness under fleet threads is free.
 """
 
@@ -24,14 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.obs import events as _events
 from repro.obs.events import Event
 from repro.obs.sinks import EventSink
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batched import BatchProfile
 
 __all__ = [
     "Counter",
@@ -39,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "profile_to_metrics",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -189,20 +181,6 @@ class MetricsRegistry:
             }
 
 
-def profile_to_metrics(profile: "BatchProfile", registry: MetricsRegistry) -> None:
-    """Fold a batched-executor timing split into the stripe-time counters.
-
-    The same namespace :class:`MetricsSink` uses for
-    :class:`~repro.obs.events.StripeFinished` events, so profiled sweeps
-    and event-instrumented sweeps report per-phase time identically.
-    """
-    registry.counter("stripe.kernel_s").inc(profile.kernel_s)
-    registry.counter("stripe.decide_s").inc(profile.decide_s)
-    registry.counter("stripe.bookkeeping_s").inc(profile.bookkeeping_s)
-    registry.counter("stripe.macro_steps").inc(profile.macro_steps)
-    registry.counter("stripe.advances").inc(profile.advances)
-
-
 class MetricsSink(EventSink):
     """Fold the event stream into a :class:`MetricsRegistry`.
 
@@ -255,15 +233,6 @@ class MetricsSink(EventSink):
         elif isinstance(event, _events.SlotAdvanced):
             registry.counter("engine.slot_advances").inc()
             registry.counter("engine.transmissions").inc(event.transmitters)
-        elif isinstance(event, _events.LaneWoke):
-            registry.counter("engine.lane_wakeups").inc()
-        elif isinstance(event, _events.StripeFinished):
-            registry.counter("stripe.kernel_s").inc(event.kernel_s)
-            registry.counter("stripe.decide_s").inc(event.decide_s)
-            registry.counter("stripe.bookkeeping_s").inc(event.bookkeeping_s)
-            registry.counter("stripe.macro_steps").inc(event.macro_steps)
-            registry.counter("stripe.advances").inc(event.advances)
-            registry.counter("stripe.lanes").inc(event.lanes)
         elif isinstance(event, _events.LeaseClaimed):
             registry.counter("fabric.lease_claims").inc()
         elif isinstance(event, (_events.LeaseExpired, _events.LeaseFailed)):

@@ -79,17 +79,6 @@ def render_metrics(snapshot: dict, *, clock: Callable[[], float] = time.time) ->
             f"({100.0 * rate:.0f}% hit rate)"
         )
 
-    kernel = counters.get("stripe.kernel_s")
-    if kernel is not None:
-        decide = counters.get("stripe.decide_s", 0.0)
-        bookkeeping = counters.get("stripe.bookkeeping_s", 0.0)
-        lines.append(
-            f"  stripes   kernel {kernel * 1e3:.1f} ms | "
-            f"decisions {decide * 1e3:.1f} ms | "
-            f"bookkeeping {bookkeeping * 1e3:.1f} ms "
-            f"({int(counters.get('stripe.macro_steps', 0))} macro-steps)"
-        )
-
     retries = counters.get("fabric.lease_retries", 0)
     claims = counters.get("fabric.lease_claims", 0)
     quarantined = counters.get("fabric.quarantined", 0)

@@ -15,8 +15,8 @@ harness need:
     back.
 ``callback``
     :class:`CallbackSink` — adapt any ``event -> None`` callable into a
-    sink; the compatibility shim behind ``run_sweep(progress=...)`` is one
-    of these.
+    sink; the CLI's ``sweep`` target prints its store hit/miss line through
+    one of these.
 
 Sinks stamp arrival times themselves (``time.time()`` at consumption):
 events are pure values without clocks (see :mod:`repro.obs.events`), so

@@ -1,11 +1,5 @@
 """Broadcast simulators: engines, traces, validation and metrics."""
 
-from repro.sim.batched import (
-    BatchedRoundEngine,
-    BatchedSlotEngine,
-    BroadcastTask,
-    run_batched,
-)
 from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
 from repro.sim.energy import EnergyModel, EnergyReport, energy_of_broadcast
 from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
@@ -28,8 +22,6 @@ from repro.sim.replay import ReplayPolicy
 from repro.sim.streaming import StreamSummary, stream_broadcast
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.unreliable import (
-    LossyRoundEngine,
-    LossySlotEngine,
     reliability_sweep,
     run_lossy_broadcast,
 )
@@ -42,11 +34,8 @@ from repro.sim.validation import (
 )
 
 __all__ = [
-    "BatchedRoundEngine",
-    "BatchedSlotEngine",
     "BroadcastMetrics",
     "BroadcastResult",
-    "BroadcastTask",
     "ENGINE_BACKENDS",
     "EnergyModel",
     "EnergyReport",
@@ -55,8 +44,6 @@ __all__ = [
     "IndependentLossLinks",
     "LINK_MODELS",
     "LinkModel",
-    "LossyRoundEngine",
-    "LossySlotEngine",
     "MultiBroadcastMetrics",
     "MultiBroadcastResult",
     "ReliableLinks",
@@ -75,7 +62,6 @@ __all__ = [
     "reliability_sweep",
     "render_schedule_timeline",
     "render_topology_ascii",
-    "run_batched",
     "run_broadcast",
     "run_lossy_broadcast",
     "stream_broadcast",

@@ -18,9 +18,8 @@ per-message trace per source; for a one-element sequence it wraps a trace
 bit-identical to the single-source call.
 
 :data:`ENGINE_BACKENDS` is the *single* registry of engine backends: the
-experiment configuration, the CLI and the lossy shims of
-:mod:`repro.sim.unreliable` all resolve engine classes through it, so a new
-backend plugs in here and is immediately selectable everywhere.
+experiment configuration and the CLI resolve engine classes through it, so
+a new backend plugs in here and is immediately selectable everywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Sequence
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.batched import BatchedRoundEngine, BatchedSlotEngine
 from repro.sim.engine import RoundEngine, SlotEngine
 from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
 from repro.sim.links import LinkModel, ReliableLinks
@@ -44,14 +42,10 @@ __all__ = ["run_broadcast", "ENGINE_BACKENDS"]
 #: ``(round_engine_cls, slot_engine_cls)`` per backend name.  Both classes
 #: of a backend accept ``link_model=`` as their last constructor argument
 #: and implement the single-source ``run`` and the multi-source
-#: ``run_multi`` entry points.  ``"batched"`` routes single-source runs
-#: through the stacked multi-lane kernel of :mod:`repro.sim.batched` (and
-#: inherits the vectorized multi-source path); the sweep runner uses the
-#: same kernel to execute whole grid stripes at once.
+#: ``run_multi`` entry points.
 ENGINE_BACKENDS = {
     "reference": (RoundEngine, SlotEngine),
     "vectorized": (FastRoundEngine, FastSlotEngine),
-    "batched": (BatchedRoundEngine, BatchedSlotEngine),
 }
 
 

@@ -16,9 +16,7 @@ network model, which makes it useful for
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
-
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.sim.trace import BroadcastResult
 
@@ -42,12 +40,6 @@ class ReplayPolicy(SchedulingPolicy):
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         return self._by_time.get(state.time)
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Batched replay: one dict lookup per lane, no state inspection."""
-        return [view.policy._by_time.get(view.time) for view in views]
 
     def next_decision_slot(self, time: int) -> int | None:
         """The next recorded transmission slot (the replay acts at no other)."""

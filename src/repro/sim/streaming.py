@@ -20,8 +20,8 @@ materialized trace's.  The memory-regression test in
 weak references: after each sink call returns, the advance must be
 collectable.
 
-Only the numpy backends stream (``"vectorized"`` and ``"batched"``, which
-share the generator); the reference engine is the materialized oracle.
+Only the numpy backend (``"vectorized"``) streams; the reference engine is
+the materialized oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class StreamSinkError(RuntimeError):
         )
 
 #: Backends whose engines expose the streaming generator.
-STREAMING_BACKENDS = ("vectorized", "batched")
+STREAMING_BACKENDS = ("vectorized",)
 
 
 @dataclass(frozen=True)

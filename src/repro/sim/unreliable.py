@@ -7,20 +7,15 @@ gracefully: a node that misses a transmission simply stays uncovered, so it
 remains part of the frontier's uncovered set and a later advance re-serves
 it — no protocol change is needed.
 
-Since the composable-core refactor this module no longer owns an engine
-loop: the loss model lives in :class:`repro.sim.links.IndependentLossLinks`
-and runs inside the shared kernels of *both* backends, so
+This module owns no engine loop: the loss model lives in
+:class:`repro.sim.links.IndependentLossLinks` and runs inside the shared
+kernels of *both* backends, so
 ``run_broadcast(..., link_model=..., engine=...)`` is the canonical entry
 point and the loss axis composes with every scenario, duty model, engine
-and worker count (see :mod:`repro.experiments.runner`).  What remains here:
+and worker count (see :mod:`repro.experiments.runner`).  This module adds:
 
 * :func:`run_lossy_broadcast` — a convenience wrapper over
   :func:`~repro.sim.broadcast.run_broadcast` for one lossy run;
-* :class:`LossyRoundEngine` / :class:`LossySlotEngine` — **deprecated**
-  shims kept for source compatibility: each is exactly the corresponding
-  reference engine (resolved through
-  :data:`~repro.sim.broadcast.ENGINE_BACKENDS`, never imported directly)
-  constructed with an :class:`IndependentLossLinks` model;
 * :func:`reliability_sweep` — the small latency-inflation helper used by
   the robustness example and the reliability ablation bench.
 
@@ -34,88 +29,17 @@ retransmissions correctly and ``BroadcastResult.retransmissions`` /
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
+from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
 from repro.sim.trace import BroadcastResult
 from repro.utils.rng import derive_seed
 
-__all__ = ["LossyRoundEngine", "LossySlotEngine", "run_lossy_broadcast", "LossySweepPoint"]
-
-_REFERENCE_ROUND, _REFERENCE_SLOT = ENGINE_BACKENDS["reference"]
-
-
-class LossyRoundEngine(_REFERENCE_ROUND):
-    """Deprecated shim: the reference round engine with independent losses.
-
-    Prefer ``run_broadcast(..., link_model=IndependentLossLinks(p, seed=s))``,
-    which additionally composes with the vectorized backend.
-    """
-
-    def __init__(
-        self,
-        topology: WSNTopology,
-        *,
-        loss_probability: float,
-        seed: int | None = 0,
-    ) -> None:
-        warnings.warn(
-            "LossyRoundEngine is a deprecated shim; use run_broadcast(..., "
-            "link_model=IndependentLossLinks(p, seed=s)).  Note the lossy RNG "
-            "stream changed with the composable-core refactor (one draw per "
-            "candidate pair, canonical order), so seed-pinned traces differ "
-            "from pre-refactor runs.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            topology, link_model=IndependentLossLinks(loss_probability, seed=seed)
-        )
-
-    @property
-    def loss_probability(self) -> float:
-        """Per-link delivery failure probability."""
-        return self.link_model.loss_probability
-
-
-class LossySlotEngine(_REFERENCE_SLOT):
-    """Deprecated shim: the reference slot engine with independent losses.
-
-    Prefer ``run_broadcast(..., schedule=..., link_model=...)``.
-    """
-
-    def __init__(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule,
-        *,
-        loss_probability: float,
-        seed: int | None = 0,
-    ) -> None:
-        warnings.warn(
-            "LossySlotEngine is a deprecated shim; use run_broadcast(..., "
-            "schedule=..., link_model=IndependentLossLinks(p, seed=s)).  Note "
-            "the lossy RNG stream changed with the composable-core refactor, "
-            "so seed-pinned traces differ from pre-refactor runs.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            topology,
-            schedule,
-            link_model=IndependentLossLinks(loss_probability, seed=seed),
-        )
-
-    @property
-    def loss_probability(self) -> float:
-        """Per-link delivery failure probability."""
-        return self.link_model.loss_probability
-
+__all__ = ["run_lossy_broadcast", "LossySweepPoint"]
 
 def run_lossy_broadcast(
     topology: WSNTopology,

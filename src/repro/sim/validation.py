@@ -73,9 +73,7 @@ def validate_broadcast(
     (the *delivered* subset), and any recorded ``intended_receivers`` must
     equal the expected receivers exactly.
     """
-    if backend in ("vectorized", "batched"):
-        # The batched executor produces traces bit-identical to the
-        # vectorized kernel, so its validation path is the bitset one.
+    if backend == "vectorized":
         return _validate_vectorized(topology, result, schedule, require_complete, lossy)
     if backend != "reference":
         raise ValueError(

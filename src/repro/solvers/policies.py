@@ -20,9 +20,7 @@ the capability matrix).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
-
-from repro.core.advance import Advance, BroadcastState, LaneStateView
+from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
@@ -116,30 +114,6 @@ class ExactPolicy(SchedulingPolicy):
         if index == len(self._times):
             return None if not self._times else self._times[-1] + 1_000_000_000
         return self._times[index]
-
-    def select_advance_batch(
-        self, views: Sequence[LaneStateView]
-    ) -> list[Advance | None]:
-        """Batched replay of the solved plans: one dict lookup per lane.
-
-        Lanes whose plan is not solved yet (or that were never prepared)
-        take the per-lane path, preserving the lazy first-decision solve and
-        the unprepared-policy error.
-        """
-        decisions: list[Advance | None] = []
-        for view in views:
-            policy = view.policy
-            if (
-                policy._plan is None
-                or policy._topology is not view.topology
-                or view.is_complete
-            ):
-                # Delegation keeps the canonical order of the per-lane
-                # checks: unprepared error, completion, lazy solve.
-                decisions.append(policy.select_advance(view))
-            else:
-                decisions.append(policy._by_time.get(view.time))
-        return decisions
 
 
 class BranchAndBoundPolicy(ExactPolicy):

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG helpers, caching, validation, formatting."""
+"""Shared utilities: seeded RNG helpers, validation, serialization, formatting."""
 
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.serialization import atomic_write_text, canonical_json

@@ -5,8 +5,8 @@ independent randomness source — the standard library's ``random`` module
 with explicit seeds — so backend conformance is not hostage to one
 generator's corpus shape.  Each fuzz case draws a random connected UDG
 deployment, a random duty cycle, a random frontier policy and a random
-loss probability, then asserts the two invariants the batched executor
-must never break:
+loss probability, then asserts the two invariants every backend must
+never break:
 
 1. **Cross-backend trace equality** — every registered backend returns a
    trace equal to the reference engines'.
@@ -29,7 +29,6 @@ from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.batched import BroadcastTask, run_batched
 from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
 from repro.sim.links import IndependentLossLinks
 from repro.sim.streaming import stream_broadcast
@@ -99,66 +98,6 @@ def test_fuzzed_backends_agree_and_validate(seed):
             )
             == []
         ), f"fuzz seed {seed}: trace failed validation under {backend!r}"
-
-
-@pytest.mark.slow_property
-@pytest.mark.parametrize("seed", range(0, 24, 4))
-def test_fuzzed_batched_decisions_match_fallback(seed):
-    """Batched decisions == per-lane fallback == per-cell vectorized runs.
-
-    Six fuzz cases form one heterogeneous stripe (mixed node counts, duty
-    cycles, policies and loss), executed three ways per chunking: the
-    batched decision protocol, the per-lane fallback, and six independent
-    ``run_broadcast`` calls.  Policies and link models are stateful, so
-    each execution rebuilds the stripe from the same seeds (``_fuzz_case``
-    is a pure function of its seed).
-    """
-    case_seeds = range(seed, seed + 6)
-
-    def stripe() -> list[BroadcastTask]:
-        tasks = []
-        for case_seed in case_seeds:
-            topology, source, schedule, factory, link = _fuzz_case(case_seed)
-            tasks.append(
-                BroadcastTask(
-                    topology,
-                    source,
-                    factory(),
-                    schedule=schedule,
-                    align_start=schedule is not None,
-                    link_model=link,
-                )
-            )
-        return tasks
-
-    per_cell = []
-    for case_seed in case_seeds:
-        topology, source, schedule, factory, link = _fuzz_case(case_seed)
-        per_cell.append(
-            run_broadcast(
-                topology,
-                source,
-                factory(),
-                schedule=schedule,
-                align_start=schedule is not None,
-                link_model=link,
-                engine="vectorized",
-            )
-        )
-    lane_count = len(case_seeds)
-    for batch in (0, 1, lane_count - 1):
-        fallback = run_batched(
-            stripe(), batch=batch, batch_decisions=False, validate=False
-        )
-        batched = run_batched(stripe(), batch=batch, validate=False)
-        assert batched == fallback, (
-            f"fuzz seed {seed}: batched decisions diverged from the "
-            f"per-lane fallback (batch={batch})"
-        )
-        assert batched == per_cell, (
-            f"fuzz seed {seed}: batched stripe diverged from per-cell "
-            f"vectorized runs (batch={batch})"
-        )
 
 
 @pytest.mark.slow_property

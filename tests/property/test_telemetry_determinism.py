@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsSink
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink, read_trace
 from repro.utils.format import to_csv
 
-ENGINES = ("reference", "vectorized", "batched")
+ENGINES = ("reference", "vectorized")
 
 
 def _config() -> SweepConfig:
@@ -79,7 +79,7 @@ def test_records_are_byte_identical_with_every_sink_set(engine, tmp_path):
     assert fold["counters"]["sweep.cells_finished"] == 4
 
 
-@pytest.mark.parametrize("engine", ("reference", "batched"))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_pool_workers_stay_byte_identical_under_telemetry(engine):
     # Forked pool children reset their inherited bus (fork-safety), so the
     # parent still observes every cell finish and the records stay equal.

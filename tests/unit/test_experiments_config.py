@@ -44,20 +44,9 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(repetitions=0)
         with pytest.raises(ValueError):
-            SweepConfig(batch=-1)
-        with pytest.raises(ValueError):
             SweepConfig(engine="warp-drive")
-
-    def test_batch_is_execution_shape_not_cell_identity(self):
-        from repro.experiments.config import CELL_KEY_EXCLUDED_FIELDS
-
-        assert "batch" in CELL_KEY_EXCLUDED_FIELDS
-        fields = SweepConfig().cell_key_fields()
-        assert "batch" not in fields
-        # and changing it leaves the digest inputs untouched
-        import dataclasses
-
-        assert dataclasses.replace(SweepConfig(), batch=8).cell_key_fields() == fields
+        with pytest.raises(ValueError):
+            SweepConfig(engine="batched")
 
 
 class TestSweepFromEnv:

@@ -17,7 +17,6 @@ from repro.sim.links import (
     build_link_model,
     link_model_names,
 )
-from repro.sim.unreliable import LossyRoundEngine, LossySlotEngine
 
 
 class TestRegistry:
@@ -165,25 +164,3 @@ class TestLossyTraceContents:
         counts = lossy.transmissions_by_node()
         assert lossy.retransmissions == sum(c - 1 for c in counts.values() if c > 1)
         assert lossy.retransmissions > 0
-
-
-class TestShims:
-    def test_lossy_round_engine_shim(self, small_deployment):
-        topo, source = small_deployment
-        engine = LossyRoundEngine(topo, loss_probability=0.2, seed=3)
-        assert engine.loss_probability == 0.2
-        assert isinstance(engine.link_model, IndependentLossLinks)
-        policy = EModelPolicy()
-        policy.prepare(topo, None, source)
-        trace = engine.run(policy, source)
-        assert trace.covered == topo.node_set
-
-    def test_lossy_slot_engine_shim(self, small_deployment, duty_schedule_factory):
-        topo, source = small_deployment
-        schedule = duty_schedule_factory(topo, rate=5)
-        engine = LossySlotEngine(topo, schedule, loss_probability=0.1, seed=3)
-        assert engine.loss_probability == 0.1
-        policy = EModelPolicy()
-        policy.prepare(topo, schedule, source)
-        trace = engine.run(policy, source, align_start=True)
-        assert trace.covered == topo.node_set

@@ -35,14 +35,11 @@ from repro.obs.sinks import (
 def _sample_events() -> list[Event]:
     """One instance of every registered event kind."""
     samples = [
-        events_mod.SweepStarted("duty", 10, "batched", 4, 1, 3),
+        events_mod.SweepStarted("duty", 10, "vectorized", 4, 1, 3),
         events_mod.SweepFinished(16, 1, 3),
         events_mod.CellStarted("duty", 10, 50, 0),
         events_mod.CellFinished(0, 50, 0, 4),
-        events_mod.StripeStarted(50, 2),
-        events_mod.StripeFinished(50, 2, 0.1, 0.2, 0.3, 7, 11),
         events_mod.SlotAdvanced(3, 2, 5),
-        events_mod.LaneWoke(1, 3),
         events_mod.StoreHit("ab" * 32, 4),
         events_mod.StoreMiss("cd" * 32),
         events_mod.StorePut("ef" * 32, 4),
@@ -77,8 +74,11 @@ class TestEvents:
         assert event_from_json(payload) == StoreMiss("00" * 32)
 
     def test_from_json_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            event_from_json({"event": "frobnicated"})
+        # Retired kinds (the removed stripe executor's) fail as loudly as
+        # never-registered ones.
+        for kind in ("frobnicated", "stripe_started", "stripe_finished", "lane_woke"):
+            with pytest.raises(ValueError, match="unknown event kind"):
+                event_from_json({"event": kind})
 
     def test_events_are_frozen_values(self):
         event = SlotAdvanced(3, 2, 5)

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
-    profile_to_metrics,
 )
 
 
@@ -81,24 +80,6 @@ class TestMetricsRegistry:
         assert histogram["bucket_counts"][1] == 1  # 0.02 <= 0.05
 
 
-class TestProfileToMetrics:
-    def test_folds_the_batched_timing_split(self):
-        from repro.sim.batched import BatchProfile
-
-        profile = BatchProfile()
-        profile.kernel_s, profile.decide_s = 0.5, 0.25
-        profile.offer_s, profile.apply_s = 0.1, 0.525  # bookkeeping_s == 0.125
-        profile.macro_steps, profile.advances = 9, 17
-        registry = MetricsRegistry()
-        profile_to_metrics(profile, registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["stripe.kernel_s"] == 0.5
-        assert counters["stripe.decide_s"] == 0.25
-        assert counters["stripe.bookkeeping_s"] == pytest.approx(0.125)
-        assert counters["stripe.macro_steps"] == 9
-        assert counters["stripe.advances"] == 17
-
-
 class TestMetricsSink:
     def _fold(self, sink: MetricsSink, *folded: events.Event) -> dict:
         for event in folded:
@@ -108,7 +89,7 @@ class TestMetricsSink:
     def test_sweep_throughput_uses_the_injected_clock(self):
         now = [100.0]
         sink = MetricsSink(clock=lambda: now[0])
-        sink.consume(events.SweepStarted("duty", 10, "batched", 4, 1, 3))
+        sink.consume(events.SweepStarted("duty", 10, "vectorized", 4, 1, 3))
         now[0] = 102.0
         sink.consume(events.CellFinished(0, 50, 0, 4))
         sink.consume(events.CellFinished(1, 50, 1, 4))
@@ -164,28 +145,23 @@ class TestMetricsSink:
         assert gauges["worker.w1.last_seen_ts"] == 50.0
         assert gauges["worker.w2.last_seen_ts"] == 60.0
 
-    def test_stripe_split_and_engine_counters(self):
+    def test_engine_counters(self):
         snapshot = self._fold(
             MetricsSink(),
-            events.StripeFinished(50, 2, 0.5, 0.25, 0.125, 9, 17),
             events.SlotAdvanced(3, 2, 5),
             events.SlotAdvanced(4, 3, 1),
-            events.LaneWoke(0, 3),
         )
         counters = snapshot["counters"]
-        assert counters["stripe.kernel_s"] == 0.5
-        assert counters["stripe.lanes"] == 2
         assert counters["engine.slot_advances"] == 2
         assert counters["engine.transmissions"] == 5
-        assert counters["engine.lane_wakeups"] == 1
 
     def test_every_kind_lands_in_an_events_counter(self):
         sink = MetricsSink()
         sink.consume(events.StoreMiss("00" * 32))
-        sink.consume(events.LaneWoke(0, 1))
+        sink.consume(events.SlotAdvanced(1, 1, 1))
         counters = sink.registry.snapshot()["counters"]
         assert counters["events.store_miss"] == 1
-        assert counters["events.lane_woke"] == 1
+        assert counters["events.slot_advanced"] == 1
 
     def test_folds_a_real_sweep_from_the_bus(self):
         from dataclasses import replace

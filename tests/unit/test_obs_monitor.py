@@ -22,7 +22,7 @@ def _folded(*folded: events.Event, clock=lambda: 100.0) -> dict:
 class TestRenderMetrics:
     def test_sweep_progress_bar(self):
         snapshot = _folded(
-            events.SweepStarted("duty", 10, "batched", 4, 0, 4),
+            events.SweepStarted("duty", 10, "vectorized", 4, 0, 4),
             events.CellFinished(0, 50, 0, 4),
             events.CellFinished(1, 50, 1, 4),
         )

@@ -53,14 +53,16 @@ class TestStoreWorkflow:
     def test_cold_run_populates_then_warm_run_hits(self, store_dir, capsys):
         capsys.readouterr()
         assert main(["sweep", *_TINY, "--store", str(store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "store: 1 hits / 0 misses (100% cached)" in out
+        captured = capsys.readouterr()
+        assert "store: 1 hits / 0 misses (100% cached)" in captured.out
+        assert captured.err == "store: 1 cells cached, 0 to simulate\n"
 
     def test_no_resume_forces_resimulation(self, store_dir, capsys):
         capsys.readouterr()
         assert main(["sweep", *_TINY, "--store", str(store_dir), "--no-resume"]) == 0
-        out = capsys.readouterr().out
-        assert "store: 0 hits / 1 misses (0% cached)" in out
+        captured = capsys.readouterr()
+        assert "store: 0 hits / 1 misses (0% cached)" in captured.out
+        assert captured.err == "store: 0 cells cached, 1 to simulate\n"
 
     def test_stats_action(self, store_dir, capsys):
         capsys.readouterr()

@@ -89,15 +89,13 @@ def test_schema_version_bump_forces_rerun(config):
 
 
 def test_execution_knobs_do_not_invalidate(config):
-    """Engine, workers, batch size and the grid shape are excluded by contract."""
+    """Engine, workers and the grid shape are excluded by contract."""
     base = _digest(config)
     assert _digest(dataclasses.replace(config, engine="vectorized")) == base
-    assert _digest(dataclasses.replace(config, engine="batched")) == base
     assert _digest(dataclasses.replace(config, workers=8)) == base
-    assert _digest(dataclasses.replace(config, batch=16)) == base
     assert _digest(dataclasses.replace(config, node_counts=(16, 24, 32))) == base
     assert _digest(dataclasses.replace(config, repetitions=7)) == base
-    excluded = {"engine", "workers", "batch", "node_counts", "repetitions"}
+    excluded = {"engine", "workers", "node_counts", "repetitions"}
     assert CELL_KEY_EXCLUDED_FIELDS == frozenset(excluded)
 
 

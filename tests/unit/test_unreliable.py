@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.core.time_counter import SearchConfig
-from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
-from repro.sim.links import IndependentLossLinks
+from repro.sim.broadcast import run_broadcast
 from repro.sim.unreliable import (
-    LossyRoundEngine,
-    LossySlotEngine,
     reliability_sweep,
     run_lossy_broadcast,
 )
@@ -99,8 +94,6 @@ class TestLossyBehaviour:
         topo, source = figure2
         with pytest.raises(ValueError):
             run_lossy_broadcast(topo, source, EModelPolicy(), loss_probability=1.5)
-        with pytest.raises(ValueError):
-            LossyRoundEngine(topo, loss_probability=-0.1)
 
     def test_deterministic_given_seed(self, small_deployment):
         topo, source = small_deployment
@@ -114,57 +107,6 @@ class TestLossyBehaviour:
         assert [a.receivers for a in first.advances] == [
             a.receivers for a in second.advances
         ]
-
-
-class TestDeprecatedShims:
-    """The PR-3 compatibility shims: loud deprecation, registry resolution."""
-
-    def test_round_shim_emits_deprecation_warning(self, small_deployment):
-        topo, _ = small_deployment
-        with pytest.warns(DeprecationWarning, match="LossyRoundEngine"):
-            LossyRoundEngine(topo, loss_probability=0.2, seed=4)
-
-    def test_slot_shim_emits_deprecation_warning(
-        self, small_deployment, duty_schedule_factory
-    ):
-        topo, _ = small_deployment
-        schedule = duty_schedule_factory(topo, rate=6)
-        with pytest.warns(DeprecationWarning, match="LossySlotEngine"):
-            LossySlotEngine(topo, schedule, loss_probability=0.2, seed=4)
-
-    def test_shims_resolve_through_engine_backends(
-        self, small_deployment, duty_schedule_factory
-    ):
-        """The shims are the registry's reference engines, not private forks."""
-        topo, _ = small_deployment
-        reference_round, reference_slot = ENGINE_BACKENDS["reference"]
-        assert issubclass(LossyRoundEngine, reference_round)
-        assert issubclass(LossySlotEngine, reference_slot)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            round_shim = LossyRoundEngine(topo, loss_probability=0.25, seed=4)
-            slot_shim = LossySlotEngine(
-                topo, duty_schedule_factory(topo, rate=6), loss_probability=0.25, seed=4
-            )
-        for shim in (round_shim, slot_shim):
-            assert isinstance(shim.link_model, IndependentLossLinks)
-            assert shim.loss_probability == 0.25
-
-    def test_round_shim_matches_canonical_entry_point(self, small_deployment):
-        """A shim run is bit-identical to run_broadcast with the link model."""
-        topo, source = small_deployment
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = LossyRoundEngine(topo, loss_probability=0.3, seed=7)
-        via_shim = shim.run(EModelPolicy(), source)
-        canonical = run_broadcast(
-            topo,
-            source,
-            EModelPolicy(),
-            link_model=IndependentLossLinks(0.3, seed=7),
-            validate=False,
-        )
-        assert via_shim == canonical
 
 
 class TestReliabilitySweep:
