@@ -25,7 +25,11 @@ GOLDEN = json.loads((Path(__file__).parent / "records.json").read_text(encoding=
 
 def _slice_id(spec: dict) -> str:
     nodes = ",".join(str(n) for n in spec["node_counts"])
-    return f"{spec['system']}-r{spec['rate']}-n{nodes}"
+    slice_id = f"{spec['system']}-r{spec['rate']}-n{nodes}"
+    for field in ("scenario", "duty_model"):
+        if spec.get(field, "uniform") != "uniform":
+            slice_id += f"-{spec[field]}"
+    return slice_id
 
 
 def records_digest(records) -> str:
@@ -40,6 +44,8 @@ def test_sweep_records_match_pinned_digest(spec):
         node_counts=tuple(spec["node_counts"]),
         repetitions=GOLDEN["repetitions"],
         seed=GOLDEN["seed"],
+        scenario=spec.get("scenario", "uniform"),
+        duty_model=spec.get("duty_model", "uniform"),
     )
     result = run_sweep(config, system=spec["system"], rate=spec["rate"], workers=1)
     assert len(result.records) == 4 * len(spec["node_counts"])
