@@ -18,6 +18,12 @@ can transmit concurrently without interfering at any uncovered node
 
 The duty-cycle variants (Eq. 3) are obtained by passing the set of nodes
 awake at the current slot via ``awake``.
+
+Both providers are thin frozenset wrappers over one mask-native core,
+:meth:`ColorScheme.color_masks`, which takes ``(covered, pool)`` as int
+bitmasks (bit ``i`` is ``topology.node_ids[i]``) and returns
+``(colour, receivers)`` mask pairs; the time counter's search calls it
+directly (docs/design.md, "Search state").
 """
 
 from __future__ import annotations
@@ -32,10 +38,158 @@ __all__ = [
     "frontier_candidates",
     "greedy_color_classes",
     "cached_greedy_color_classes",
+    "cached_greedy_pool_classes",
     "enumerate_color_classes",
     "ColorScheme",
     "conflict_graph",
+    "frontier_mask",
+    "lex_order_key",
 ]
+
+#: A colour in the bitmask search state: ``(colour mask, receivers mask)``,
+#: bit ``i`` standing for ``topology.node_ids[i]``.
+ColorMasks = tuple[int, int]
+
+
+def frontier_mask(topology: WSNTopology, covered: int) -> int:
+    """Covered nodes with an uncovered neighbour, as a bitmask.
+
+    ``covered & OR(N(v) for uncovered v)``, walked from whichever side of
+    the cut is smaller.
+    """
+    neighbors = topology.neighbor_masks
+    uncovered = topology.full_mask & ~covered
+    frontier = 0
+    if uncovered.bit_count() < covered.bit_count():
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            frontier |= neighbors[low.bit_length() - 1]
+            rest ^= low
+        return covered & frontier
+    rest = covered
+    while rest:
+        low = rest & -rest
+        if neighbors[low.bit_length() - 1] & uncovered:
+            frontier |= low
+        rest ^= low
+    return frontier
+
+
+def lex_order_key(mask: int, width: int) -> int:
+    """Sort key ordering equal-popcount masks as ``tuple(sorted(ids))`` does.
+
+    For two sets of one size, the sorted id tuples first differ at the
+    smallest id in exactly one of them; the set holding it sorts first.
+    Reversing ``width`` bits makes that lowest differing bit the highest,
+    so the negated reversal orders the masks the same way.  Sets of
+    different sizes are not ordered as tuples: callers sort by size first.
+    """
+    return -int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def _candidate_masks(
+    topology: WSNTopology, covered: int, pool: int
+) -> list[tuple[int, int, int]]:
+    """``(-gain, bit, uncovered-neighbour mask)`` of every relay candidate.
+
+    Candidates are the nodes of ``pool`` with an uncovered neighbour, in the
+    order step 3 of Algorithm 1 prescribes (most uncovered receivers first,
+    then ascending node id, which is ascending bit).
+    """
+    neighbors = topology.neighbor_masks
+    uncovered = topology.full_mask & ~covered
+    if uncovered.bit_count() < pool.bit_count():
+        pool &= frontier_mask(topology, covered)
+    weighted = []
+    while pool:
+        low = pool & -pool
+        bit = low.bit_length() - 1
+        pool ^= low
+        gain = neighbors[bit] & uncovered
+        if gain:
+            weighted.append((-gain.bit_count(), bit, gain))
+    weighted.sort()
+    return weighted
+
+
+def _greedy_masks(weighted: list[tuple[int, int, int]]) -> list[ColorMasks]:
+    """Algorithm 1's packing over candidate masks.
+
+    A candidate conflicts with a class iff its uncovered neighbours meet
+    the union of the members' uncovered neighbours (the pairwise test of
+    Eq. 1, constraint 3, folded into one AND), and that union is the
+    class's receivers.
+    """
+    remaining = [(1 << bit, gain) for _, bit, gain in weighted]
+    classes: list[ColorMasks] = []
+    while remaining:
+        color = receivers = 0
+        deferred = []
+        for bit, gain in remaining:
+            if gain & receivers:
+                deferred.append((bit, gain))
+            else:
+                color |= bit
+                receivers |= gain
+        classes.append((color, receivers))
+        remaining = deferred
+    return classes
+
+
+def _conflict_sets(order: Sequence[int], gains: Sequence[int]) -> dict[int, set[int]]:
+    """Conflict adjacency of ``order`` given each node's uncovered-neighbour mask."""
+    adjacency: dict[int, set[int]] = {u: set() for u in order}
+    for i, u in enumerate(order):
+        gain_u = gains[i]
+        for j in range(i + 1, len(order)):
+            if gain_u & gains[j]:
+                v = order[j]
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return adjacency
+
+
+def _enumerated_masks(
+    topology: WSNTopology,
+    weighted: list[tuple[int, int, int]],
+    max_classes: int | None,
+) -> list[ColorMasks]:
+    """Every maximal admissible colour (capped), in canonical order."""
+    ids = topology.node_ids
+    order = [ids[bit] for _, bit, _ in weighted]
+    gains = [gain for _, _, gain in weighted]
+    by_id = {ids[bit]: (1 << bit, gain) for _, bit, gain in weighted}
+    colors: list[ColorMasks] = []
+    for members in _bron_kerbosch_independent_sets(
+        order, _conflict_sets(order, gains), max_classes
+    ):
+        color = receivers = 0
+        for u in members:
+            bit, gain = by_id[u]
+            color |= bit
+            receivers |= gain
+        colors.append((color, receivers))
+    if max_classes is not None:
+        seen = {color for color, _ in colors}
+        colors.extend(pair for pair in _greedy_masks(weighted) if pair[0] not in seen)
+    # Deterministic order: larger classes (more parallel relays) first.
+    width = topology.num_nodes
+    colors.sort(key=lambda pair: (-pair[0].bit_count(), lex_order_key(pair[0], width)))
+    return colors
+
+
+def _pool_masks(
+    topology: WSNTopology,
+    covered: frozenset[int] | set[int],
+    awake: Iterable[int] | None,
+) -> tuple[int, int]:
+    """``(covered mask, pool mask)`` of a frozenset-level call."""
+    covered = frozenset(covered)
+    covered_mask = topology.mask_from_nodes(covered)
+    if awake is None:
+        return covered_mask, covered_mask
+    return covered_mask, topology.mask_from_nodes(covered & frozenset(awake))
 
 
 def frontier_candidates(
@@ -51,16 +205,9 @@ def frontier_candidates(
     id) — the order step 3 of Algorithm 1 prescribes, with the id as a
     deterministic tie-break.
     """
-    covered = frozenset(covered)
-    pool = covered if awake is None else (covered & frozenset(awake))
-    uncovered_mask = topology.full_mask & ~topology.mask_from_nodes(covered)
-    weighted = []
-    for u in pool:
-        gain = (topology.neighbor_mask(u) & uncovered_mask).bit_count()
-        if gain:
-            weighted.append((-gain, u))
-    weighted.sort()
-    return [u for _, u in weighted]
+    ids = topology.node_ids
+    weighted = _candidate_masks(topology, *_pool_masks(topology, covered, awake))
+    return [ids[bit] for _, bit, _ in weighted]
 
 
 def conflict_graph(
@@ -73,19 +220,10 @@ def conflict_graph(
     Edge ``u - v`` iff the two candidates share an uncovered neighbour
     (constraint 3 of Eq. 1 violated when transmitting together).
     """
-    covered = frozenset(covered)
     uncovered_mask = topology.full_mask & ~topology.mask_from_nodes(covered)
-    adjacency: dict[int, set[int]] = {u: set() for u in candidates}
     ordered = list(candidates)
-    masks = [topology.neighbor_mask(u) & uncovered_mask for u in ordered]
-    for i, u in enumerate(ordered):
-        mask_u = masks[i]
-        for j in range(i + 1, len(ordered)):
-            if mask_u & masks[j]:
-                v = ordered[j]
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return adjacency
+    gains = [topology.neighbor_mask(u) & uncovered_mask for u in ordered]
+    return _conflict_sets(ordered, gains)
 
 
 def greedy_color_classes(
@@ -105,35 +243,14 @@ def greedy_color_classes(
     covers every node, or — in the duty-cycle system — no frontier node is
     awake at this slot).
     """
-    covered = frozenset(covered)
-    candidates = frontier_candidates(topology, covered, awake)
-    if not candidates:
-        return []
-
-    conflicts = conflict_graph(topology, candidates, covered)
-    classes: list[list[int]] = []
-    assigned: set[int] = set()
-    remaining = list(candidates)
-    while remaining:
-        current: list[int] = []
-        current_set: set[int] = set()
-        still_remaining: list[int] = []
-        for u in remaining:
-            if conflicts[u] & current_set:
-                still_remaining.append(u)
-            else:
-                current.append(u)
-                current_set.add(u)
-                assigned.add(u)
-        classes.append(current)
-        remaining = still_remaining
-    return [frozenset(c) for c in classes]
+    return ColorScheme("greedy").color_classes(topology, covered, awake)
 
 
-# Greedy classes keyed on (covered, awake) per topology; the classes depend
-# on nothing else.  The WeakKeyDictionary drops a topology's entries with the
-# topology itself; the per-topology cap bounds the worst case (every slot a
-# distinct awake set) without evicting the hot single-topology reuse.
+# Greedy classes keyed on (covered, awake pool) per topology; the classes
+# depend on nothing else.  The WeakKeyDictionary drops a topology's entries
+# with the topology itself; the per-topology cap bounds the worst case
+# (every slot a distinct awake set) without evicting the hot single-topology
+# reuse.
 _GREEDY_CLASS_CACHE: WeakKeyDictionary[WSNTopology, dict] = WeakKeyDictionary()
 _GREEDY_CLASS_CACHE_CAP = 4096
 
@@ -153,16 +270,32 @@ def cached_greedy_color_classes(
     hits a colouring G-OPT computed; on the synchronous 300-node cell 2 of
     its 8 do.  Callers must treat the returned list as immutable.
     """
+    covered = frozenset(covered)
+    pool = None if awake is None else topology.mask_from_nodes(covered & frozenset(awake))
+    return cached_greedy_pool_classes(topology, covered, pool)
+
+
+def cached_greedy_pool_classes(
+    topology: WSNTopology,
+    covered: frozenset[int],
+    pool: int | None,
+) -> list[frozenset[int]]:
+    """:func:`cached_greedy_color_classes` keyed on the awake pool's mask.
+
+    ``pool`` is the mask of the covered nodes allowed to send (``None``:
+    all of them, the synchronous system).
+    """
     per_topology = _GREEDY_CLASS_CACHE.get(topology)
     if per_topology is None:
         per_topology = _GREEDY_CLASS_CACHE[topology] = {}
-    key = (
-        frozenset(covered),
-        None if awake is None else frozenset(awake),
-    )
+    key = (covered, pool)
     classes = per_topology.get(key)
     if classes is None:
-        classes = greedy_color_classes(topology, covered, awake)
+        covered_mask = topology.mask_from_nodes(covered)
+        masks = ColorScheme().color_masks(
+            topology, covered_mask, covered_mask if pool is None else pool
+        )
+        classes = [topology.nodes_from_mask(color) for color, _ in masks]
         if len(per_topology) >= _GREEDY_CLASS_CACHE_CAP:
             per_topology.clear()
         per_topology[key] = classes
@@ -176,6 +309,10 @@ def _bron_kerbosch_independent_sets(
 ) -> list[frozenset[int]]:
     """All maximal independent sets of the conflict graph (maximal cliques of
     its complement), via Bron-Kerbosch with pivoting on the complement graph.
+
+    Runs on Python sets of node ids on purpose: the pivot ``max`` keeps the
+    first maximum in set iteration order, which the capped enumeration's
+    output (and so the pinned records) depends on.
     """
     vertex_set = set(vertices)
     complement = {
@@ -218,19 +355,7 @@ def enumerate_color_classes(
     candidates) — this is the documented cap that keeps OPT tractable on
     300-node deployments.
     """
-    covered = frozenset(covered)
-    candidates = frontier_candidates(topology, covered, awake)
-    if not candidates:
-        return []
-    conflicts = conflict_graph(topology, candidates, covered)
-    sets = _bron_kerbosch_independent_sets(candidates, conflicts, max_classes)
-    if max_classes is not None:
-        for greedy_class in greedy_color_classes(topology, covered, awake):
-            if greedy_class not in sets:
-                sets.append(greedy_class)
-    # Deterministic order: larger classes (more parallel relays) first.
-    sets.sort(key=lambda s: (-len(s), tuple(sorted(s))))
-    return sets
+    return ColorScheme("exhaustive", max_classes).color_classes(topology, covered, awake)
 
 
 @dataclass(frozen=True)
@@ -249,6 +374,23 @@ class ColorScheme:
     mode: Literal["greedy", "exhaustive"] = "greedy"
     max_classes: int | None = None
 
+    def color_masks(self, topology: WSNTopology, covered: int, pool: int) -> list[ColorMasks]:
+        """The candidate colours as ``(colour mask, receivers mask)`` pairs.
+
+        The mask-native core behind :meth:`color_classes`: ``covered`` is
+        ``W`` and ``pool`` the nodes allowed to send (``covered`` itself in
+        the synchronous system), bit ``i`` standing for
+        ``topology.node_ids[i]``.
+        """
+        if self.mode not in ("greedy", "exhaustive"):
+            raise ValueError(f"unknown colour scheme mode {self.mode!r}")
+        weighted = _candidate_masks(topology, covered, pool)
+        if not weighted:
+            return []
+        if self.mode == "greedy":
+            return _greedy_masks(weighted)
+        return _enumerated_masks(topology, weighted, self.max_classes)
+
     def color_classes(
         self,
         topology: WSNTopology,
@@ -256,13 +398,8 @@ class ColorScheme:
         awake: Iterable[int] | None = None,
     ) -> list[frozenset[int]]:
         """Return the candidate colours for the current state."""
-        if self.mode == "greedy":
-            return greedy_color_classes(topology, covered, awake)
-        if self.mode == "exhaustive":
-            return enumerate_color_classes(
-                topology, covered, awake, max_classes=self.max_classes
-            )
-        raise ValueError(f"unknown colour scheme mode {self.mode!r}")
+        masks = self.color_masks(topology, *_pool_masks(topology, covered, awake))
+        return [topology.nodes_from_mask(color) for color, _ in masks]
 
     def num_colors(
         self,

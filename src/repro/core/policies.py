@@ -22,10 +22,16 @@ from abc import ABC, abstractmethod
 from typing import Literal
 
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import ColorScheme, cached_greedy_color_classes
+from repro.core.coloring import (
+    ColorScheme,
+    cached_greedy_color_classes,
+    cached_greedy_pool_classes,
+)
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.dutycycle.window import window_for
+from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = [
@@ -187,21 +193,25 @@ class _TimeCounterPolicy(SchedulingPolicy):
             self.prepare(state.topology, state.schedule, source=-1)
         assert self._counter is not None
 
-        awake = None
+        topology = state.topology
+        covered = topology.mask_from_nodes(state.covered)
+        pool = None
         if state.schedule is not None:
-            awake = state.schedule.awake_nodes(state.covered, state.time)
+            window = window_for(state.schedule, bitset_view(topology))
+            pool = covered & window.awake_mask(state.time)
         if self._decision_scheme.mode == "greedy":
             # Decision-level greedy colourings are pure in (topology, W,
-            # awake), so the policies of one cell, which share a topology,
-            # reuse them; the recursive evaluation of M keeps its own
-            # uncached scheme (its state space would swamp the cache).
-            colors = cached_greedy_color_classes(
-                state.topology, state.covered, awake
-            )
+            # awake pool), so the policies of one cell, which share a
+            # topology, reuse them; the recursive evaluation of M keeps its
+            # own uncached scheme (its state space would swamp the cache).
+            colors = cached_greedy_pool_classes(topology, state.covered, pool)
         else:
-            colors = self._decision_scheme.color_classes(
-                state.topology, state.covered, awake
-            )
+            colors = [
+                topology.nodes_from_mask(color)
+                for color, _ in self._decision_scheme.color_masks(
+                    topology, covered, covered if pool is None else pool
+                )
+            ]
         if not colors:
             return None
         best_color, _ = self._counter.select_color(state.covered, state.time, colors)

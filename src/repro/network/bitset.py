@@ -1,11 +1,15 @@
 """Dense numpy bitset view of a topology (the vectorized backend's substrate).
 
-The reference implementation represents node sets as Python ``frozenset``
-objects and arbitrary-precision integer bitmasks.  That is the right
-representation for the schedulers (which manipulate small frontier sets),
-but the *engine-side* work — interference checking, receiver computation,
-coverage replay — touches whole-network sets every round/slot
-and pays Python-loop costs proportional to ``n`` per operation.
+Node sets have three representations, all in one bit/row order (node-id
+order): ``frozenset`` objects at the public API and in the reference
+engine; arbitrary-precision int bitmasks in the schedulers' search state
+(see docs/design.md, "Search state"), where a coverage union or a conflict
+test is one integer operation; and the boolean vectors of this view.  The
+*engine-side* work — interference checking, receiver computation,
+coverage replay — touches whole-network sets every round/slot, so it uses
+the vectors and avoids Python-loop costs proportional to ``n`` per
+operation.  :meth:`BitsetTopology.bool_from_mask` and
+:meth:`BitsetTopology.mask_from_bool` convert between masks and vectors.
 
 :class:`BitsetTopology` re-expresses the same data as numpy arrays:
 
@@ -39,7 +43,11 @@ import numpy as np
 
 from repro.network.topology import WSNTopology
 
-__all__ = ["BitsetTopology", "bitset_view"]
+__all__ = ["BitsetTopology", "bitset_view", "UNREACHABLE_HOPS"]
+
+#: An unreachable pair (``-1`` in the int16 hop matrix) read through the
+#: unsigned view: larger than any hop distance, so column minima skip it.
+UNREACHABLE_HOPS = int(np.iinfo(np.uint16).max)
 
 
 class BitsetTopology:
@@ -62,6 +70,7 @@ class BitsetTopology:
         "id_lookup",
         "_index",
         "_max_degree",
+        "_hops",
         "__weakref__",
     )
 
@@ -100,6 +109,7 @@ class BitsetTopology:
                 lookup[self.node_ids] = np.arange(n, dtype=np.int64)
                 self.id_lookup = lookup
         self._max_degree: int | None = None
+        self._hops: np.ndarray | None = None
 
     @property
     def topology(self) -> WSNTopology:
@@ -147,6 +157,15 @@ class BitsetTopology:
         # tolist() yields Python ints in one C pass — the per-element
         # int() loop dominated the lossy fast path at 500 nodes.
         return frozenset(self.node_ids[mask].tolist())
+
+    def bool_from_mask(self, mask: int) -> np.ndarray:
+        """Boolean membership vector of a bitmask (bit ``i`` is row ``i``)."""
+        packed = np.frombuffer(mask.to_bytes((self.num_nodes + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=self.num_nodes, bitorder="little").view(bool)
+
+    def mask_from_bool(self, vector: np.ndarray) -> int:
+        """Bitmask of a boolean membership vector (inverse of :meth:`bool_from_mask`)."""
+        return int.from_bytes(np.packbits(vector, bitorder="little").tobytes(), "little")
 
     # ------------------------------------------------------------------
     # Vectorized interference kernels
@@ -268,6 +287,17 @@ class BitsetTopology:
         :attr:`~repro.network.topology.WSNTopology.hop_matrix`.
         """
         return self.topology.hop_matrix[self._index[source]]
+
+    def nearest_hops(self, mask: int) -> np.ndarray:
+        """Hop distance from the node set ``mask`` to every node, as uint16.
+
+        Column minima of the hop matrix over the rows set in ``mask``;
+        :data:`UNREACHABLE_HOPS` where no node of the set reaches (every
+        column, for an empty set).  Covered columns read 0.
+        """
+        if self._hops is None:
+            self._hops = self.topology.hop_matrix.view(np.uint16)
+        return self._hops[self.bool_from_mask(mask)].min(axis=0, initial=UNREACHABLE_HOPS)
 
     def eccentricity(self, source: int) -> int:
         """Hop distance to the farthest node, mirroring the reference method.

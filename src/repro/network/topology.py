@@ -80,6 +80,7 @@ class WSNTopology:
         "_positions",
         "_id_to_index",
         "_neighbor_masks",
+        "_index_masks",
         "_full_mask",
         "_node_set",
         "_hop_matrix",
@@ -134,6 +135,9 @@ class WSNTopology:
             for v in neighbours:
                 mask |= 1 << self._id_to_index[v]
             self._neighbor_masks[u] = mask
+        self._index_masks: tuple[int, ...] = tuple(
+            self._neighbor_masks[u] for u in ids
+        )
         self._full_mask = (1 << len(ids)) - 1
         self._hop_matrix: np.ndarray | None = None
 
@@ -306,6 +310,11 @@ class WSNTopology:
     def neighbor_mask(self, node_id: NodeId) -> int:
         """``N(u)`` as a bitmask."""
         return self._neighbor_masks[node_id]
+
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """``N(u)`` as a bitmask for every node, indexed by bit (node-id order)."""
+        return self._index_masks
 
     def mask_from_nodes(self, nodes: Iterable[NodeId]) -> int:
         """Convert an iterable of node ids to a bitmask."""

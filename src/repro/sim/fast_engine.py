@@ -16,9 +16,10 @@ enforce this).  What changes is how the engine-side work is carried out:
   :class:`~repro.network.bitset.BitsetTopology` view, so interference
   checking and advance validation are matrix slices instead of Python set
   loops;
-* wake-up schedules are materialised into a lazily grown boolean activity
-  window (:meth:`~repro.dutycycle.schedule.WakeupSchedule.activity_window`),
-  so "is anyone on the frontier awake?" is a column reduction;
+* wake-up schedules are read through the shared wake-up index
+  (:class:`~repro.dutycycle.window.ActivityWindow`, the lazily grown
+  activity matrix the time counter's search also uses), so "when does the
+  next frontier node wake up?" is a scan over per-slot awake masks;
 * the default time limits (source eccentricity, max degree) come from the
   view's vectorized BFS instead of the Python queue BFS;
 * for policies that declare themselves frontier-driven (OPT, G-OPT,
@@ -35,8 +36,6 @@ enforce this).  What changes is how the engine-side work is carried out:
 from __future__ import annotations
 
 import dataclasses
-import weakref
-from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,8 @@ import numpy as np
 from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import BitsetTopology, bitset_view
+from repro.dutycycle.window import ActivityWindow, window_for
+from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 from repro.sim.engine import SimulationTimeout, check_multi_inputs
 from repro.sim.links import LinkModel, ReliableLinks
@@ -54,126 +54,10 @@ from repro.utils.validation import require
 __all__ = ["FastRoundEngine", "FastSlotEngine"]
 
 
-class _ActivityWindow:
-    """Lazily grown boolean activity matrix for one (schedule, topology) pair.
-
-    Rows follow the bitset view's node order; column ``j`` is slot
-    ``j + 1``.  The window doubles on demand, so short broadcasts never pay
-    for the engine's (deliberately generous) worst-case slot limit.
-    """
-
-    __slots__ = ("_schedule_ref", "_node_ids", "_matrix", "_horizon", "rate")
-
-    def __init__(self, schedule: WakeupSchedule, view: BitsetTopology) -> None:
-        # Weak back-reference: windows are cached per schedule in a
-        # WeakKeyDictionary, so a strong reference here would pin the key
-        # forever and leak the activity matrices.
-        self._schedule_ref = weakref.ref(schedule)
-        self._node_ids = [int(u) for u in view.node_ids]
-        # Chunk sizing tracks the slowest node so one extension always
-        # covers at least a few cycles of every node.
-        self.rate = schedule.max_rate
-        self._horizon = 0
-        self._matrix = np.zeros((view.num_nodes, 0), dtype=bool)
-
-    def ensure(self, slot: int) -> None:
-        """Grow the window so that ``slot`` is materialised."""
-        if slot <= self._horizon:
-            return
-        schedule = self._schedule_ref()
-        if schedule is None:  # pragma: no cover - requires racing the GC
-            raise ReferenceError("the schedule behind this window was garbage-collected")
-        new_horizon = max(slot, max(self._horizon, 4 * self.rate, 64) * 2)
-        extension = schedule.activity_window(
-            self._node_ids, self._horizon + 1, new_horizon
-        )
-        self._matrix = np.concatenate([self._matrix, extension], axis=1)
-        self._horizon = new_horizon
-
-    def active_rows(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        """Boolean activity of the given rows at ``slot``."""
-        self.ensure(slot)
-        return self._matrix[rows, slot - 1]
-
-    def any_active(self, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Per-slot "some selected row is awake" over ``[start, stop]``."""
-        self.ensure(stop)
-        return self._matrix[rows, start - 1 : stop].any(axis=0)
-
-    def active_at(self, slots: np.ndarray) -> np.ndarray:
-        """Activity of every node at the given slots, as ``(n, len(slots))``."""
-        self.ensure(int(slots.max(initial=1)))
-        return self._matrix[:, slots - 1]
-
-    def active_pairs(self, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Element-wise activity of ``(rows[i], slots[i])`` pairs."""
-        if len(slots) == 0:
-            return np.zeros(0, dtype=bool)
-        self.ensure(int(slots.max(initial=1)))
-        return self._matrix[rows, slots - 1]
-
-
-class _FrontierScan:
-    """Incremental "next slot with an awake frontier node" queries.
-
-    Built once per frontier change: scans the activity window in chunks,
-    records the absolute slots at which *some* frontier node is awake, and
-    answers subsequent queries with a bisect instead of a numpy reduction
-    per slot (the query is issued once per simulated slot, so per-call
-    overhead dominates at scale).
-    """
-
-    __slots__ = ("_window", "_rows", "_hits", "_scanned_until", "_chunk")
-
-    def __init__(self, window: _ActivityWindow, rows: np.ndarray, start: int) -> None:
-        self._window = window
-        self._rows = rows
-        self._hits: list[int] = []
-        self._scanned_until = start - 1
-        self._chunk = max(4 * window.rate, 64)
-
-    def next_active(self, slot: int, limit: int) -> int | None:
-        """Smallest slot in ``[slot, limit]`` with an awake frontier node."""
-        if len(self._rows) == 0:
-            return None
-        hits = self._hits
-        index = bisect_left(hits, slot)
-        while index >= len(hits):
-            if self._scanned_until >= limit:
-                return None
-            begin = self._scanned_until + 1
-            stop = min(begin + self._chunk - 1, limit)
-            segment = self._window.any_active(self._rows, begin, stop)
-            offsets = np.flatnonzero(segment)
-            if offsets.size:
-                hits.extend((begin + offsets).tolist())
-            self._scanned_until = stop
-            index = bisect_left(hits, slot)
-        return hits[index]
-
-
-_WINDOW_CACHE: (
-    "weakref.WeakKeyDictionary[WakeupSchedule, list[tuple[weakref.ref, _ActivityWindow]]]"
-) = weakref.WeakKeyDictionary()
-
-
-def _window_for(schedule: WakeupSchedule, view: BitsetTopology) -> _ActivityWindow:
-    """The cached activity window for a (schedule, topology-view) pair.
-
-    Views are matched by identity through weak references (not ``id()``,
-    which the allocator may recycle after a view is collected).
-    """
-    per_schedule = _WINDOW_CACHE.get(schedule)
-    if per_schedule is None:
-        per_schedule = []
-        _WINDOW_CACHE[schedule] = per_schedule
-    for view_ref, window in per_schedule:
-        if view_ref() is view:
-            return window
-    window = _ActivityWindow(schedule, view)
-    per_schedule[:] = [(r, w) for r, w in per_schedule if r() is not None]
-    per_schedule.append((weakref.ref(view), window))
-    return window
+def _next_frontier_slot(window: ActivityWindow, frontier: int, time: int, limit: int) -> int:
+    """The first slot in ``[time, limit]`` with an awake frontier node, else ``limit + 1``."""
+    next_slot = window.next_awake(frontier, time)
+    return limit + 1 if next_slot is None or next_slot > limit else next_slot
 
 
 class _FastEngineBase:
@@ -190,7 +74,7 @@ class _FastEngineBase:
         covered: frozenset[int],
         covered_bool: np.ndarray,
         time: int,
-        window: _ActivityWindow | None,
+        window: ActivityWindow | None,
         *,
         check_conflicts: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,7 +181,7 @@ class _FastEngineBase:
         link_state = None if link.lossless else link.make_state()
         check_conflicts = getattr(policy, "interference_free", True)
         skip_idle = schedule is not None and getattr(policy, "frontier_driven", False)
-        window = None if schedule is None else _window_for(schedule, view)
+        window = None if schedule is None else window_for(schedule, view)
         # Fast-forward hint (see SchedulingPolicy.next_decision_slot); the
         # base-class default always answers None (no promise).
         hint = policy.next_decision_slot
@@ -312,8 +196,7 @@ class _FastEngineBase:
         uncovered_degree = view.degrees.astype(np.int64) - view.hear_counts(
             np.asarray([view.index_of(source)], dtype=np.int64)
         )
-        frontier_idx: np.ndarray | None = None
-        scan: _FrontierScan | None = None
+        frontier: int | None = None
 
         time = start_time
         end_time = start_time - 1
@@ -324,19 +207,12 @@ class _FastEngineBase:
                 time = hinted
             # When the policy explicitly promised a decision at this very
             # slot, offering it is the cheapest correct move; the frontier
-            # probe/scan is for policies that make no such promise.
+            # scan is for policies that make no such promise.
             if skip_idle and hinted != time and time <= limit:
                 assert window is not None
-                if frontier_idx is None:
-                    frontier_idx = np.flatnonzero(covered_bool & (uncovered_degree > 0))
-                    scan = None
-                # Cheap single-column probe first; the chunked forward scan
-                # only runs through genuinely idle stretches.
-                if not window.active_rows(frontier_idx, time).any():
-                    if scan is None:
-                        scan = _FrontierScan(window, frontier_idx, time)
-                    next_slot = scan.next_active(time, limit)
-                    time = limit + 1 if next_slot is None else next_slot
+                if frontier is None:
+                    frontier = view.mask_from_bool(covered_bool & (uncovered_degree > 0))
+                time = _next_frontier_slot(window, frontier, time, limit)
             if time > limit:
                 raise SimulationTimeout(
                     f"broadcast did not complete by time {limit} "
@@ -378,7 +254,7 @@ class _FastEngineBase:
                         uncovered_degree -= view.adjacency_u8[:, delivered_idx].sum(
                             axis=1, dtype=np.int64
                         )
-                        frontier_idx = None
+                        frontier = None
                     end_time = time
                 yield recorded
             time += 1
@@ -423,7 +299,7 @@ class _FastEngineBase:
         skip_idle = schedule is not None and all(
             getattr(policy, "frontier_driven", False) for policy in policies
         )
-        window = None if schedule is None else _window_for(schedule, view)
+        window = None if schedule is None else window_for(schedule, view)
 
         covered: list[frozenset[int]] = [frozenset({s}) for s in sources]
         covered_bool = np.zeros((k, num_nodes), dtype=bool)
@@ -435,8 +311,7 @@ class _FastEngineBase:
             uncovered_degree[m] = view.degrees.astype(np.int64) - view.hear_counts(
                 np.asarray([row], dtype=np.int64)
             )
-        frontier_idx: np.ndarray | None = None
-        scan: _FrontierScan | None = None
+        frontier: int | None = None
 
         advances: list[list[Advance]] = [[] for _ in range(k)]
         end_times = [start_time - 1] * k
@@ -445,18 +320,13 @@ class _FastEngineBase:
         while any(count != num_nodes for count in covered_count):
             if skip_idle and time <= limit:
                 assert window is not None
-                if frontier_idx is None:
+                if frontier is None:
                     # Union multi-frontier: covered nodes of *some* message
                     # that still have uncovered neighbours for that message.
-                    frontier_idx = np.flatnonzero(
+                    frontier = view.mask_from_bool(
                         (covered_bool & (uncovered_degree > 0)).any(axis=0)
                     )
-                    scan = None
-                if not window.active_rows(frontier_idx, time).any():
-                    if scan is None:
-                        scan = _FrontierScan(window, frontier_idx, time)
-                    next_slot = scan.next_active(time, limit)
-                    time = limit + 1 if next_slot is None else next_slot
+                time = _next_frontier_slot(window, frontier, time, limit)
             if time > limit:
                 pending = sum(1 for count in covered_count if count != num_nodes)
                 raise SimulationTimeout(
@@ -520,7 +390,7 @@ class _FastEngineBase:
                         uncovered_degree[m] -= view.adjacency_u8[
                             :, delivered_idx
                         ].sum(axis=1, dtype=np.int64)
-                        frontier_idx = None
+                        frontier = None
                     end_times[m] = time
                 advances[m].append(recorded)
                 busy[tx_idx] = True

@@ -33,6 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.dutycycle.window import window_for
 from repro.network.bitset import bitset_view
 from repro.network.interference import conflicting_pairs, receivers_of
 from repro.network.topology import WSNTopology
@@ -169,8 +170,6 @@ def _validate_vectorized(
     touches no per-advance Python loop; when any constraint fails, the
     reference validator re-runs to produce its exact violation messages.
     """
-    from repro.sim.fast_engine import _window_for
-
     advances = result.advances
     if not advances:
         return validate_broadcast(
@@ -262,7 +261,7 @@ def _validate_vectorized(
         return fail()
     # 2. (duty-cycle) every transmitter was awake in its slot.
     if schedule is not None:
-        window = _window_for(schedule, view)
+        window = window_for(schedule, view)
         if not window.active_pairs(color_cols, times[color_rows]).all():
             return fail()
     # 3+4. Hear counts give both the conflict test (an uncovered node hearing

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from repro.core.advance import Advance
 from repro.core.coloring import enumerate_color_classes, frontier_candidates
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
 from repro.network.interference import receivers_of
 from repro.network.topology import WSNTopology
 from repro.utils.validation import require
@@ -132,7 +133,16 @@ def flood_completion_bound(
     duty-cycle system.  The bound is the latest receive slot over the
     uncovered nodes; ``None`` means some node is unreachable (disconnected
     topology), i.e. the instance is infeasible.
+
+    In the synchronous system the latest receive slot is ``t - 1`` plus the
+    largest hop distance from ``W``, read off the hop matrix through the
+    same column minima as the time counter's lower bound.
     """
+    if schedule is None:
+        nearest = bitset_view(topology).nearest_hops(topology.mask_from_nodes(covered))
+        if (nearest == UNREACHABLE_HOPS).any():
+            return None
+        return time - 1 + int(nearest.max(initial=0))
     best: dict[int, int] = {u: time - 1 for u in covered}
     heap: list[tuple[int, int]] = [(time - 1, u) for u in sorted(covered)]
     heapq.heapify(heap)
@@ -140,10 +150,7 @@ def flood_completion_bound(
         received, u = heapq.heappop(heap)
         if received > best.get(u, received):
             continue
-        if schedule is None:
-            transmit = received + 1
-        else:
-            transmit = schedule.next_active_slot(u, received + 1)
+        transmit = schedule.next_active_slot(u, received + 1)
         for v in topology.neighbors(u):
             if transmit < best.get(v, transmit + 1):
                 best[v] = transmit

@@ -6,13 +6,18 @@ import pytest
 
 from repro.core.coloring import (
     ColorScheme,
+    _bron_kerbosch_independent_sets,
     cached_greedy_color_classes,
+    cached_greedy_pool_classes,
     conflict_graph,
     enumerate_color_classes,
     frontier_candidates,
+    frontier_mask,
     greedy_color_classes,
 )
-from repro.network.interference import conflict_free, has_conflict
+from repro.network.interference import conflict_free, has_conflict, receivers_of
+from repro.network.topology import WSNTopology
+from repro.utils.rng import make_rng
 
 
 class TestFrontierCandidates:
@@ -221,3 +226,123 @@ class TestCachedGreedyColorClasses:
         restricted = cached_greedy_color_classes(topo, covered, awake={source})
         assert restricted == greedy_color_classes(topo, covered, awake={source})
         assert cached_greedy_color_classes(topo, covered) is unrestricted
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the mask-native core against the frozenset Algorithm 1
+# ----------------------------------------------------------------------
+def _random_udg(seed: int, num_nodes: int) -> WSNTopology:
+    """A seeded UDG whose node ids are not bit indices (ids 3i + 7)."""
+    rng = make_rng(seed)
+    positions = rng.uniform(0.0, 40.0, size=(num_nodes, 2))
+    ids = [3 * i + 7 for i in range(num_nodes)]
+    return WSNTopology.from_positions(positions, radius=9.0, node_ids=ids)
+
+
+def _random_states(topology: WSNTopology, seed: int, count: int = 12):
+    """Seeded ``(W, awake)`` pairs: BFS balls and random subsets, with and
+    without a random awake pool (which may hold uncovered nodes too)."""
+    rng = make_rng(seed)
+    ids = list(topology.node_ids)
+    for k in range(count):
+        if k % 2:
+            size = int(rng.integers(1, len(ids) + 1))
+            covered = frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
+        else:
+            source = int(rng.choice(ids))
+            radius = int(rng.integers(0, 6))
+            covered = frozenset(
+                u for u, d in topology.hop_distances(source).items() if d <= radius
+            )
+        awake = None
+        if k % 3:
+            size = int(rng.integers(0, len(ids) + 1))
+            awake = frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
+        yield covered, awake
+
+
+def _oracle_candidates(topology, covered, awake=None) -> list[int]:
+    pool = covered if awake is None else covered & awake
+    gains = {u: len(topology.uncovered_neighbors(u, covered)) for u in pool}
+    return sorted((u for u in pool if gains[u]), key=lambda u: (-gains[u], u))
+
+
+def _oracle_greedy(topology, covered, awake=None) -> list[frozenset[int]]:
+    """Algorithm 1 as the frozenset loop: pack through the conflict graph."""
+    candidates = _oracle_candidates(topology, covered, awake)
+    conflicts = conflict_graph(topology, candidates, covered)
+    classes = []
+    remaining = candidates
+    while remaining:
+        current: set[int] = set()
+        deferred = []
+        for u in remaining:
+            if conflicts[u] & current:
+                deferred.append(u)
+            else:
+                current.add(u)
+        classes.append(frozenset(current))
+        remaining = deferred
+    return classes
+
+
+def _oracle_enumeration(topology, covered, awake=None, max_classes=None):
+    candidates = _oracle_candidates(topology, covered, awake)
+    if not candidates:
+        return []
+    conflicts = conflict_graph(topology, candidates, covered)
+    sets = _bron_kerbosch_independent_sets(candidates, conflicts, max_classes)
+    if max_classes is not None:
+        sets += [c for c in _oracle_greedy(topology, covered, awake) if c not in sets]
+    return sorted(sets, key=lambda s: (-len(s), tuple(sorted(s))))
+
+
+MASK_CORE_GRAPHS = [
+    _random_udg(seed, num_nodes)
+    for seed, num_nodes in ((1, 30), (2, 60), (3, 90), (4, 120))
+]
+
+
+@pytest.mark.parametrize("topology", MASK_CORE_GRAPHS, ids=lambda t: f"n{t.num_nodes}")
+class TestMaskCoreDifferential:
+    def test_candidates_and_frontier(self, topology):
+        for covered, awake in _random_states(topology, seed=topology.num_nodes):
+            assert frontier_candidates(topology, covered, awake) == _oracle_candidates(
+                topology, covered, awake
+            )
+            frontier = frozenset(
+                u for u in covered if topology.uncovered_neighbors(u, covered)
+            )
+            mask = frontier_mask(topology, topology.mask_from_nodes(covered))
+            assert topology.nodes_from_mask(mask) == frontier
+
+    def test_greedy_classes_equal_algorithm1_through_conflict_graph(self, topology):
+        for covered, awake in _random_states(topology, seed=topology.num_nodes + 1):
+            expected = _oracle_greedy(topology, covered, awake)
+            assert greedy_color_classes(topology, covered, awake) == expected
+            pool = None if awake is None else topology.mask_from_nodes(covered & awake)
+            assert cached_greedy_pool_classes(topology, covered, pool) == expected
+
+    @pytest.mark.parametrize("max_classes", [None, 1, 4, 32])
+    def test_enumeration_equals_the_frozenset_output(self, topology, max_classes):
+        for covered, awake in _random_states(topology, seed=topology.num_nodes + 2):
+            if max_classes is None and len(_oracle_candidates(topology, covered, awake)) > 20:
+                continue  # uncapped enumeration is exponential in the frontier
+            assert enumerate_color_classes(
+                topology, covered, awake, max_classes=max_classes
+            ) == _oracle_enumeration(topology, covered, awake, max_classes)
+
+    @pytest.mark.parametrize(
+        "scheme", [ColorScheme("greedy"), ColorScheme("exhaustive", 8)], ids=["greedy", "exhaustive"]
+    )
+    def test_receivers_masks_equal_receivers_of(self, topology, scheme):
+        for covered, awake in _random_states(topology, seed=topology.num_nodes + 3):
+            covered_mask = topology.mask_from_nodes(covered)
+            pool = covered if awake is None else covered & awake
+            pairs = scheme.color_masks(topology, covered_mask, topology.mask_from_nodes(pool))
+            assert [topology.nodes_from_mask(c) for c, _ in pairs] == scheme.color_classes(
+                topology, covered, awake
+            )
+            for color, receivers in pairs:
+                expected = receivers_of(topology, topology.nodes_from_mask(color), covered)
+                assert receivers == topology.mask_from_nodes(expected)

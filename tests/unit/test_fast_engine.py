@@ -139,12 +139,12 @@ class TestBitsetKernels:
         import gc
         import weakref
 
-        from repro.sim.fast_engine import _window_for
+        from repro.dutycycle.window import window_for
 
         topology = _line_topology(6)
         schedule = WakeupSchedule(topology.node_ids, rate=3, seed=0)
         view = bitset_view(topology)
-        _window_for(schedule, view)
+        window_for(schedule, view)
         topology_ref = weakref.ref(topology)
         schedule_ref = weakref.ref(schedule)
         assert view.topology is topology

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.time_counter import TimeCounter
-from repro.network.bitset import bitset_view
+from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
 
@@ -137,11 +137,18 @@ def test_edge_cases():
 @pytest.mark.parametrize("topology", UDGS, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
 def test_time_counter_queries_match_a_plain_bfs(topology):
     counter = TimeCounter(topology)
+    view = bitset_view(topology)
+
+    def reachable(covered):
+        nearest = view.nearest_hops(topology.mask_from_nodes(covered))
+        return view.nodes_from_bool(nearest != UNREACHABLE_HOPS)
+
     for seed in range(3):
         for covered in random_covered_sets(topology, seed):
             distance = bfs_from_set(topology, covered)
-            assert counter._reachable_from(covered) == frozenset(distance)
-            assert counter._hop_lower_bound(covered) == max(distance.values())
-    assert counter._reachable_from(frozenset()) == frozenset()
-    assert counter._hop_lower_bound(frozenset()) == 0
-    assert counter._hop_lower_bound(topology.node_set) == 0
+            assert reachable(covered) == frozenset(distance)
+            mask = topology.mask_from_nodes(covered)
+            assert counter._hop_lower_bound(mask) == max(distance.values())
+    assert reachable(frozenset()) == frozenset()
+    assert counter._hop_lower_bound(0) == 0
+    assert counter._hop_lower_bound(topology.full_mask) == 0

@@ -11,6 +11,8 @@ which value backend produced the optimum (the determinism contract of
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
@@ -19,6 +21,7 @@ from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.topology import WSNTopology
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
+from repro.utils.rng import make_rng
 from repro.solvers import (
     SOLVER_TIERS,
     BranchAndBoundPolicy,
@@ -199,6 +202,57 @@ class TestDeterminismContract:
                 align_start=schedule is not None,
             )
             assert exact.latency <= other.latency
+
+
+def _sync_flood_oracle(topology: WSNTopology, covered, time: int) -> int | None:
+    """The synchronous flood bound as the Dijkstra relaxation computes it."""
+    best = {u: time - 1 for u in covered}
+    heap = [(time - 1, u) for u in sorted(covered)]
+    heapq.heapify(heap)
+    while heap:
+        received, u = heapq.heappop(heap)
+        if received > best.get(u, received):
+            continue
+        for v in topology.neighbors(u):
+            if received + 1 < best.get(v, received + 2):
+                best[v] = received + 1
+                heapq.heappush(heap, (received + 1, v))
+    if len(best) < topology.num_nodes:
+        return None
+    uncovered = topology.node_set - covered
+    return max((best[v] for v in uncovered), default=time - 1)
+
+
+class TestSyncFloodBound:
+    """The sync bound is read off the hop matrix; it must equal the relaxation."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_dijkstra_relaxation(self, seed):
+        rng = make_rng(seed)
+        num_nodes = int(rng.integers(5, 60))
+        positions = rng.uniform(0.0, 30.0, size=(num_nodes, 2))
+        # Radii from sparse (mostly disconnected) to dense (connected).
+        topology = WSNTopology.from_positions(
+            positions, radius=float(rng.uniform(3.0, 12.0)),
+            node_ids=[2 * i + 1 for i in range(num_nodes)],
+        )
+        ids = list(topology.node_ids)
+        states = [frozenset(), topology.node_set]
+        for _ in range(20):
+            size = int(rng.integers(1, num_nodes + 1))
+            states.append(frozenset(int(u) for u in rng.choice(ids, size=size, replace=False)))
+        for covered in states:
+            time = int(rng.integers(1, 9))
+            assert flood_completion_bound(topology, covered, time, None) == _sync_flood_oracle(
+                topology, covered, time
+            )
+
+    def test_complete_and_disconnected_cases(self):
+        positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (9.0, 9.0), 3: (10.0, 9.0)}
+        topology = WSNTopology.from_edges([(0, 1), (2, 3)], positions)
+        assert flood_completion_bound(topology, topology.node_set, 5, None) == 4
+        assert flood_completion_bound(topology, frozenset({0, 2}), 3, None) == 3
+        assert flood_completion_bound(topology, frozenset({0, 1}), 3, None) is None
 
 
 class TestSolverEdges:

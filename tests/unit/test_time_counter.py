@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.coloring import ColorScheme, greedy_color_classes
+from repro.core.coloring import ColorScheme, greedy_color_classes, lex_order_key
 from repro.core.time_counter import (
     SearchBudgetExceeded,
     SearchConfig,
     TimeCounter,
     UnreachableNodes,
 )
+from repro.dutycycle.models import build_wakeup_schedule
 from repro.network.graphs import FIGURE2_DUTY_START
 from repro.network.topology import WSNTopology
+from repro.utils.rng import make_rng
 
 
 class TestSearchConfig:
@@ -207,3 +211,55 @@ class TestDutyCycle:
         sync_latency = sync.completion_time({source}, 1)
         duty_latency = duty.completion_time({source}, start) - start + 1
         assert duty_latency >= sync_latency
+
+
+class TestBitmaskSearchState:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tie_break_key_orders_equal_popcount_masks_like_sorted_ids(self, data):
+        width = data.draw(st.integers(1, 320), label="width")
+        size = data.draw(st.integers(0, min(width, 40)), label="size")
+        members = st.lists(
+            st.integers(0, width - 1), min_size=size, max_size=size, unique=True
+        )
+        a, b = data.draw(members, label="a"), data.draw(members, label="b")
+        mask_a = sum(1 << i for i in a)
+        mask_b = sum(1 << i for i in b)
+        key_a, key_b = lex_order_key(mask_a, width), lex_order_key(mask_b, width)
+        tuple_a, tuple_b = tuple(sorted(a)), tuple(sorted(b))
+        assert (key_a < key_b) == (tuple_a < tuple_b)
+        assert (key_a == key_b) == (tuple_a == tuple_b)
+
+    def test_state_key_sorts_states_like_the_frozenset_key(self, medium_deployment):
+        topo, _ = medium_deployment
+        counter = TimeCounter(topo)
+        rng = make_rng(11)
+        ids = list(topo.node_ids)
+        states = [
+            frozenset(int(u) for u in rng.choice(ids, size=int(rng.integers(1, 6)), replace=False))
+            for _ in range(400)
+        ]
+        expected = sorted(set(states), key=lambda s: (-len(s), tuple(sorted(s))))
+        masks = sorted({topo.mask_from_nodes(s) for s in states}, key=counter._state_key)
+        assert [topo.nodes_from_mask(m) for m in masks] == expected
+
+    @pytest.mark.parametrize("model", ["uniform", "two-tier", "zipf"])
+    def test_decision_slot_and_pool_match_point_queries(self, medium_deployment, model):
+        """The wake-up index answers the frontier scan the schedule answers."""
+        topo, source = medium_deployment
+        schedule = build_wakeup_schedule(topo.node_ids, 10, seed=3, model=model)
+        counter = TimeCounter(topo, schedule=schedule)
+        rng = make_rng(5)
+        for _ in range(60):
+            radius = int(rng.integers(0, 6))
+            covered = frozenset(
+                u for u, d in topo.hop_distances(source).items() if d <= radius
+            )
+            if covered == topo.node_set:
+                continue
+            slot = int(rng.integers(1, 200))
+            frontier = [u for u in covered if topo.uncovered_neighbors(u, covered)]
+            expected_slot = schedule.next_awake_slot(frontier, slot)
+            decision_slot, pool = counter._next_decision(topo.mask_from_nodes(covered), slot)
+            assert decision_slot == expected_slot
+            assert topo.nodes_from_mask(pool) == schedule.awake_nodes(frontier, expected_slot)

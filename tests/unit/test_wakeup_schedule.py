@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.dutycycle.window import window_for
+from repro.network.bitset import bitset_view
+from repro.network.deployment import grid_deployment
+from repro.network.graphs import figure2_duty_schedule, figure2_topology
+from repro.utils.rng import make_rng
 
 
 class TestConstruction:
@@ -115,3 +121,50 @@ class TestHelpers:
     def test_active_slots_until_zero_horizon(self):
         schedule = WakeupSchedule([0], rate=3, seed=0)
         assert schedule.active_slots_until(0, 0) == []
+
+
+class TestWakeupIndex:
+    """The shared activity window answers exactly the schedule's point queries."""
+
+    @staticmethod
+    def _check(topology, schedule, last_slot: int, seed: int) -> None:
+        window = window_for(schedule, bitset_view(topology))
+        # Query a late slot first so the window grows out of order.
+        for slot in [last_slot, *range(1, last_slot + 1)]:
+            awake = topology.nodes_from_mask(window.awake_mask(slot))
+            assert awake == schedule.awake_nodes(topology.node_ids, slot)
+        rng = make_rng(seed)
+        ids = list(topology.node_ids)
+        for _ in range(200):
+            size = int(rng.integers(1, min(len(ids), 6) + 1))
+            frontier = [int(u) for u in rng.choice(ids, size=size, replace=False)]
+            slot = int(rng.integers(1, last_slot + 1))
+            assert window.next_awake(
+                topology.mask_from_nodes(frontier), slot
+            ) == schedule.next_awake_slot(frontier, slot)
+        assert window.next_awake(0, 1) is None
+
+    @pytest.mark.parametrize("model", ["uniform", "two-tier", "zipf"])
+    def test_matches_point_queries(self, model):
+        topology = grid_deployment(6, 6, spacing=1.0, radius=1.1, seed=2)
+        schedule = build_wakeup_schedule(topology.node_ids, 10, seed=7, model=model)
+        self._check(topology, schedule, last_slot=6 * schedule.max_rate, seed=1)
+
+    def test_explicit_figure2e_schedule_past_its_repeat_horizon(self):
+        # The explicit slots end at 18; the pattern repeats every 20 slots.
+        self._check(figure2_topology(), figure2_duty_schedule(), last_slot=95, seed=2)
+
+    def test_slots_are_one_based(self):
+        topology = figure2_topology()
+        window = window_for(figure2_duty_schedule(), bitset_view(topology))
+        with pytest.raises(ValueError):
+            window.awake_mask(0)
+        with pytest.raises(ValueError):
+            window.next_awake(topology.full_mask, 0)
+
+    def test_one_window_per_schedule_and_view(self):
+        topology = figure2_topology()
+        schedule = figure2_duty_schedule()
+        view = bitset_view(topology)
+        assert window_for(schedule, view) is window_for(schedule, view)
+        assert window_for(figure2_duty_schedule(), view) is not window_for(schedule, view)
