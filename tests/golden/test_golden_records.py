@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.time_counter import SearchConfig
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import run_sweep
 from repro.utils.serialization import canonical_json
@@ -29,6 +30,13 @@ def _slice_id(spec: dict) -> str:
     for field in ("scenario", "duty_model"):
         if spec.get(field, "uniform") != "uniform":
             slice_id += f"-{spec[field]}"
+    for field, tag in (
+        ("repetitions", "reps"),
+        ("beam_width", "beam"),
+        ("max_color_classes", "colors"),
+    ):
+        if field in spec:
+            slice_id += f"-{tag}{spec[field]}"
     return slice_id
 
 
@@ -40,13 +48,19 @@ def records_digest(records) -> str:
 
 @pytest.mark.parametrize("spec", GOLDEN["slices"], ids=_slice_id)
 def test_sweep_records_match_pinned_digest(spec):
+    defaults = SweepConfig()
+    repetitions = spec.get("repetitions", GOLDEN["repetitions"])
     config = SweepConfig(
         node_counts=tuple(spec["node_counts"]),
-        repetitions=GOLDEN["repetitions"],
+        repetitions=repetitions,
         seed=GOLDEN["seed"],
         scenario=spec.get("scenario", "uniform"),
         duty_model=spec.get("duty_model", "uniform"),
+        search=SearchConfig(
+            mode="beam", beam_width=spec.get("beam_width", defaults.search.beam_width)
+        ),
+        max_color_classes=spec.get("max_color_classes", defaults.max_color_classes),
     )
     result = run_sweep(config, system=spec["system"], rate=spec["rate"], workers=1)
-    assert len(result.records) == 4 * len(spec["node_counts"])
+    assert len(result.records) == 4 * len(spec["node_counts"]) * repetitions
     assert records_digest(result.records) == spec["digest"]
