@@ -45,8 +45,16 @@ def test_greedy_coloring_of_a_frontier(benchmark, frontier_state):
 
 
 def test_emodel_construction_200_nodes(benchmark, deployment_200):
+    """Cold build: a fresh topology per round, so the quadrant index is timed too."""
     topology, _ = deployment_200
-    estimate = benchmark(build_edge_estimate, topology)
+    positions = topology.positions.copy()
+
+    def fresh_topology():
+        return (WSNTopology.from_positions(positions, topology.radius),), {}
+
+    estimate = benchmark.pedantic(
+        build_edge_estimate, setup=fresh_topology, rounds=20, iterations=1
+    )
     assert estimate.update_count <= 4 * topology.num_nodes
 
 

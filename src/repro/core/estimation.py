@@ -24,32 +24,32 @@ Because the quadrant successor relation is strictly monotone in one
 coordinate (``Q_1`` neighbours have strictly larger x, ``Q_2`` strictly
 larger y, ...), each relaxation is a single sweep over the nodes in sorted
 coordinate order — O(n log n + m) per quadrant, and O(1) information
-exchanges per node as Theorem 3 requires.
+exchanges per node as Theorem 3 requires.  The sweeps read the neighbour
+lists of the topology's cached :class:`~repro.network.quadrant.QuadrantIndex`
+and the Eq. (10) scores its bitmasks, so no neighbour is classified twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping
+
+import numpy as np
 
 from repro.dutycycle.cwt import expected_cwt
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.boundary import boundary_nodes
-from repro.network.quadrant import QUADRANTS, quadrant_neighbors
+from repro.network.quadrant import QUADRANTS, quadrant_view
 from repro.network.topology import WSNTopology
 
 __all__ = ["EdgeEstimate", "build_edge_estimate"]
 
 
-#: Sort key per quadrant guaranteeing that every quadrant-i neighbour of a
-#: node is processed before the node itself (see module docstring).
-_SWEEP_ORDER: dict[int, Callable[[WSNTopology, int], float]] = {
-    1: lambda topo, u: -topo.position(u)[0],  # descending x
-    2: lambda topo, u: -topo.position(u)[1],  # descending y
-    3: lambda topo, u: topo.position(u)[0],  # ascending x
-    4: lambda topo, u: topo.position(u)[1],  # ascending y
-}
+#: Per quadrant, the position column and sign of a sort key that puts every
+#: quadrant-i neighbour of a node before the node itself (see module
+#: docstring): descending x, descending y, ascending x, ascending y.
+_SWEEP_KEY: dict[int, tuple[int, float]] = {1: (0, -1.0), 2: (1, -1.0), 3: (0, 1.0), 4: (1, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,34 @@ class EdgeEstimate:
         self,
         topology: WSNTopology,
         node_id: int,
-        covered: frozenset[int] | set[int],
+        covered: frozenset[int] | set[int] | int,
     ) -> float:
         """Largest estimate over quadrants where ``node_id`` still has work.
 
         Eq. (10) only compares estimates for quadrants containing uncovered
         neighbours (``N(u) ∩ Q_k(u) ∩ W̄ ≠ ∅``); with no such quadrant the
-        node contributes ``-inf`` (it cannot be the bottleneck).
+        node contributes ``-inf`` (it cannot be the bottleneck).  ``covered``
+        is a node set or its bitmask (bit ``i`` is ``topology.node_ids[i]``).
         """
-        covered = frozenset(covered)
+        if not isinstance(covered, int):
+            covered = topology.mask_from_nodes(covered)
+        row = topology.index_of(node_id)
+        values = self.values[node_id]
         best = -math.inf
-        for quadrant in QUADRANTS:
-            members = quadrant_neighbors(topology, node_id, quadrant)
-            if members - covered:
-                best = max(best, self.value(node_id, quadrant))
+        for quadrant, masks in enumerate(quadrant_view(topology).masks):
+            if masks[row] & ~covered:
+                best = max(best, values[quadrant])
         return best
 
     def color_score(
         self,
         topology: WSNTopology,
         color: Iterable[int],
-        covered: frozenset[int] | set[int],
+        covered: frozenset[int] | set[int] | int,
     ) -> float:
         """The colour's Eq.-(10) score: the max node score over its members."""
+        if not isinstance(covered, int):
+            covered = topology.mask_from_nodes(covered)
         scores = [self.node_score(topology, u, covered) for u in color]
         return max(scores, default=-math.inf)
 
@@ -118,6 +123,31 @@ def _edge_weight(
         return 1.0
     assert schedule is not None
     return expected_cwt(schedule.rate)
+
+
+def _relax(
+    estimates: list[float],
+    members: tuple[tuple[int, ...], ...],
+    order: list[int],
+    step: float,
+) -> int:
+    """One sweep of ``E_i(u) = step + min_{v ∈ Q_i(u) ∩ N(u)} E_i(v)``.
+
+    Fills unset (infinite) entries only, visiting rows in ``order``, and
+    returns the number of entries it set.
+    """
+    count = 0
+    for row in order:
+        if estimates[row] != math.inf:
+            continue
+        neighbours = members[row]
+        if not neighbours:
+            continue
+        best = min([estimates[v] for v in neighbours])
+        if best != math.inf:
+            estimates[row] = step + best
+            count += 1
+    return count
 
 
 def build_edge_estimate(
@@ -148,47 +178,35 @@ def build_edge_estimate(
     mode: Literal["sync", "duty"] = "duty" if schedule is not None else "sync"
     step = _edge_weight(mode, schedule, weight)
     edge_nodes = frozenset(boundary) if boundary is not None else boundary_nodes(topology)
+    on_edge = [u in edge_nodes for u in topology.node_ids]
+    index = quadrant_view(topology)
+    positions = topology.positions
 
-    estimates: dict[int, list[float]] = {
-        u: [math.inf] * 4 for u in topology.node_ids
-    }
+    # The quadrants never read each other's entries, so each runs both
+    # phases on its own: the values and the update total do not depend on
+    # the order in which quadrants are visited.
+    columns: list[list[float]] = []
     updates = 0
+    for quadrant in QUADRANTS:
+        members = index.rows[quadrant - 1]
+        empty = index.empty[quadrant - 1].tolist()
+        axis, sign = _SWEEP_KEY[quadrant]
+        order = np.argsort(sign * positions[:, axis], kind="stable").tolist()
+        estimates = [math.inf] * topology.num_nodes
+        # Phase 1: seeds restricted to the network edge, then one full sweep.
+        for row, is_empty in enumerate(empty):
+            if is_empty and on_edge[row]:
+                estimates[row] = 0.0
+                updates += 1
+        updates += _relax(estimates, members, order, step)
+        # Phase 2 (local-minimum repair): interior nodes with an empty
+        # quadrant become seeds, then one more sweep resolves the rest.
+        for row, is_empty in enumerate(empty):
+            if is_empty and estimates[row] == math.inf:
+                estimates[row] = 0.0
+                updates += 1
+        updates += _relax(estimates, members, order, step)
+        columns.append(estimates)
 
-    def seed(eligible: Callable[[int], bool]) -> int:
-        count = 0
-        for u in topology.node_ids:
-            for quadrant in QUADRANTS:
-                if math.isinf(estimates[u][quadrant - 1]) and eligible(u):
-                    if not quadrant_neighbors(topology, u, quadrant):
-                        estimates[u][quadrant - 1] = 0.0
-                        count += 1
-        return count
-
-    def relax() -> int:
-        count = 0
-        for quadrant in QUADRANTS:
-            order = sorted(
-                topology.node_ids, key=lambda u: _SWEEP_ORDER[quadrant](topology, u)
-            )
-            for u in order:
-                if not math.isinf(estimates[u][quadrant - 1]):
-                    continue
-                members = quadrant_neighbors(topology, u, quadrant)
-                if not members:
-                    continue
-                best = min(estimates[v][quadrant - 1] for v in members)
-                if not math.isinf(best):
-                    estimates[u][quadrant - 1] = step + best
-                    count += 1
-        return count
-
-    # Phase 1: seeds restricted to the network edge, then one full sweep.
-    updates += seed(lambda u: u in edge_nodes)
-    updates += relax()
-    # Phase 2 (local-minimum repair): interior nodes with an empty quadrant
-    # become seeds, then one more sweep resolves the remaining entries.
-    updates += seed(lambda u: True)
-    updates += relax()
-
-    values = {u: tuple(vals) for u, vals in estimates.items()}
+    values = {u: entry for u, entry in zip(topology.node_ids, zip(*columns))}
     return EdgeEstimate(values=values, mode=mode, update_count=updates)

@@ -64,9 +64,11 @@ def local_contention_winners(
     whenever ``candidates`` is non-empty.
     """
 
+    covered_mask = topology.mask_from_nodes(covered)
+
     def priority(node: int) -> tuple[float, int, int]:
         return (
-            estimate.node_score(topology, node, covered),
+            estimate.node_score(topology, node, covered_mask),
             len(topology.uncovered_neighbors(node, covered)),
             -node,
         )

@@ -350,9 +350,10 @@ class EModelPolicy(SchedulingPolicy):
         if not colors:
             return None
 
+        covered_mask = state.topology.mask_from_nodes(state.covered)
         scored: list[tuple[float, int, int, frozenset[int]]] = []
         for index, color in enumerate(colors):
-            score = self._estimate.color_score(state.topology, color, state.covered)
+            score = self._estimate.color_score(state.topology, color, covered_mask)
             advance = Advance.from_color(
                 state.topology, state.covered, color, state.time
             )

@@ -10,21 +10,53 @@ half-open boundaries so that every neighbour falls in exactly one quadrant:
 * ``Q_3(u)``: ``dx < 0  and dy <= 0``   (west to south, excluding south)
 * ``Q_4(u)``: ``dx >= 0 and dy < 0``    (south to east, excluding east)
 
-A node exactly at ``u``'s position would not belong to any quadrant; the
-deployment generator guarantees distinct positions and the example graphs are
-constructed accordingly, so this case is rejected loudly.
+This module is the one owner of that convention.  :func:`quadrant_index`
+classifies a single point; :class:`QuadrantIndex` classifies every
+neighbourhood of a topology at once and is what the E-model, the
+network-edge detection and :func:`quadrant_neighbors` read.
+
+A neighbour at exactly ``u``'s position belongs to no quadrant.  Nothing
+upstream prevents it — :func:`repro.network.deployment.deploy_uniform`
+draws positions independently and does not reject repeats, and
+hand-written topologies may place two nodes on one spot — so the index
+build rejects it with a :class:`ValueError` naming both node ids.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable
 
+import numpy as np
+
+from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
-__all__ = ["QUADRANTS", "quadrant_index", "quadrant_neighbors", "quadrant_partition"]
+__all__ = [
+    "QUADRANTS",
+    "QuadrantIndex",
+    "quadrant_index",
+    "quadrant_neighbors",
+    "quadrant_partition",
+    "quadrant_view",
+]
 
 #: The four quadrant labels, in the order used by the 4-tuple ``E``.
 QUADRANTS: tuple[int, int, int, int] = (1, 2, 3, 4)
+
+
+def _quadrant_tests(dx, dy):
+    """Membership of offset ``(dx, dy)`` in ``Q_1..Q_4``, in label order.
+
+    Works elementwise on numpy arrays and on plain floats alike, so the
+    scalar and the whole-topology classification share one definition.
+    """
+    return (
+        (dx > 0) & (dy >= 0),
+        (dx <= 0) & (dy > 0),
+        (dx < 0) & (dy <= 0),
+        (dx >= 0) & (dy < 0),
+    )
 
 
 def quadrant_index(origin: tuple[float, float], point: tuple[float, float]) -> int:
@@ -39,13 +71,78 @@ def quadrant_index(origin: tuple[float, float], point: tuple[float, float]) -> i
     dy = point[1] - origin[1]
     if dx == 0.0 and dy == 0.0:
         raise ValueError("point coincides with origin; quadrant undefined")
-    if dx > 0 and dy >= 0:
-        return 1
-    if dx <= 0 and dy > 0:
-        return 2
-    if dx < 0 and dy <= 0:
-        return 3
-    return 4
+    return 1 + _quadrant_tests(dx, dy).index(True)
+
+
+class QuadrantIndex:
+    """Every node's quadrant neighbour sets ``N(u) ∩ Q_i(u)``, built once.
+
+    Row ``r`` stands for ``topology.node_ids[r]`` (the bit order of the
+    topology's masks).  For quadrant label ``q``:
+
+    * ``masks[q - 1][r]`` — the neighbours of row ``r`` in ``Q_q`` as an
+      int bitmask;
+    * ``rows[q - 1][r]`` — the same neighbours as a tuple of row indices;
+    * ``empty[q - 1]`` — boolean vector, true where that quadrant holds no
+      neighbour.
+
+    Build with :func:`quadrant_view`, which caches one index per topology.
+    """
+
+    __slots__ = ("masks", "rows", "empty")
+
+    def __init__(self, topology: WSNTopology) -> None:
+        adjacency = bitset_view(topology).adjacency
+        positions = topology.positions
+        # dx[r, c] is the offset of row c's position seen from row r.
+        dx = positions[None, :, 0] - positions[:, None, 0]
+        dy = positions[None, :, 1] - positions[:, None, 1]
+        coincident = np.argwhere(adjacency & (dx == 0.0) & (dy == 0.0))
+        if len(coincident):
+            ids = topology.node_ids
+            u, v = (ids[int(r)] for r in coincident[0])
+            raise ValueError(
+                f"nodes {u} and {v} are neighbours at the same position; "
+                "quadrant undefined"
+            )
+        n = topology.num_nodes
+        masks: list[tuple[int, ...]] = []
+        rows: list[tuple[tuple[int, ...], ...]] = []
+        empty: list[np.ndarray] = []
+        for members in _quadrant_tests(dx, dy):
+            members &= adjacency
+            packed = np.packbits(members, axis=1, bitorder="little")
+            width = packed.shape[1]
+            buffer = packed.tobytes()
+            masks.append(
+                tuple(
+                    int.from_bytes(buffer[r * width : (r + 1) * width], "little")
+                    for r in range(n)
+                )
+            )
+            counts = members.sum(axis=1)
+            columns = np.nonzero(members)[1].tolist()
+            ends = np.cumsum(counts).tolist()
+            starts = [0, *ends[:-1]]
+            rows.append(tuple(tuple(columns[s:e]) for s, e in zip(starts, ends)))
+            empty.append(counts == 0)
+        self.masks: tuple[tuple[int, ...], ...] = tuple(masks)
+        self.rows: tuple[tuple[tuple[int, ...], ...], ...] = tuple(rows)
+        self.empty: tuple[np.ndarray, ...] = tuple(empty)
+
+
+_INDEX_CACHE: "weakref.WeakKeyDictionary[WSNTopology, QuadrantIndex]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def quadrant_view(topology: WSNTopology) -> QuadrantIndex:
+    """Return the (cached) :class:`QuadrantIndex` of ``topology``."""
+    index = _INDEX_CACHE.get(topology)
+    if index is None:
+        index = QuadrantIndex(topology)
+        _INDEX_CACHE[topology] = index
+    return index
 
 
 def quadrant_neighbors(
@@ -54,21 +151,29 @@ def quadrant_neighbors(
     """``N(u) ∩ Q_i(u)``: neighbours of ``node_id`` lying in ``quadrant``."""
     if quadrant not in QUADRANTS:
         raise ValueError(f"quadrant must be one of {QUADRANTS}, got {quadrant}")
-    origin = topology.position(node_id)
-    return frozenset(
-        v
-        for v in topology.neighbors(node_id)
-        if quadrant_index(origin, topology.position(v)) == quadrant
-    )
+    mask = quadrant_view(topology).masks[quadrant - 1][topology.index_of(node_id)]
+    return topology.nodes_from_mask(mask)
 
 
 def quadrant_partition(
     topology: WSNTopology, node_id: int, candidates: Iterable[int] | None = None
 ) -> dict[int, frozenset[int]]:
-    """Partition ``candidates`` (default: all neighbours) into the 4 quadrants."""
-    origin = topology.position(node_id)
-    pool = topology.neighbors(node_id) if candidates is None else candidates
-    buckets: dict[int, set[int]] = {q: set() for q in QUADRANTS}
-    for v in pool:
-        buckets[quadrant_index(origin, topology.position(v))].add(v)
-    return {q: frozenset(members) for q, members in buckets.items()}
+    """Partition ``candidates`` (default: all neighbours) into the 4 quadrants.
+
+    Raises
+    ------
+    ValueError
+        If a candidate is not a neighbour of ``node_id``.
+    """
+    pool = topology.neighbor_mask(node_id)
+    if candidates is not None:
+        wanted = topology.mask_from_nodes(candidates)
+        if wanted & ~pool:
+            stray = sorted(topology.nodes_from_mask(wanted & ~pool))
+            raise ValueError(f"candidates {stray} are not neighbours of node {node_id}")
+        pool = wanted
+    row = topology.index_of(node_id)
+    masks = quadrant_view(topology).masks
+    return {
+        q: topology.nodes_from_mask(masks[q - 1][row] & pool) for q in QUADRANTS
+    }

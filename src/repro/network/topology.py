@@ -104,7 +104,7 @@ class WSNTopology:
         self._node_ids: tuple[NodeId, ...] = tuple(ids)
         self._node_set: frozenset[NodeId] = frozenset(ids)
         self._id_to_index: dict[NodeId, int] = {u: i for i, u in enumerate(ids)}
-        self._positions = np.array([[n.x, n.y] for n in node_list], dtype=float)
+        self._positions = np.array([[n.x, n.y] for n in node_list], dtype=float).reshape(-1, 2)
         self._radius = radius
 
         frozen: dict[NodeId, frozenset[NodeId]] = {}

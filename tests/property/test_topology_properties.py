@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+
+import pytest
+from hypothesis import example, given, settings
 
 from repro.network.boundary import boundary_nodes, hull_nodes
+from repro.network.deployment import grid_deployment
 from repro.network.geometry import euclidean_distance
-from repro.network.quadrant import QUADRANTS, quadrant_partition
+from repro.network.quadrant import QUADRANTS, quadrant_index, quadrant_partition
+from repro.network.topology import WSNTopology
 
 from .conftest import topologies_with_source, udg_topologies
 
@@ -75,7 +80,66 @@ def test_quadrants_partition_each_neighborhood(topology):
         assert sum(len(p) for p in partition.values()) == len(topology.neighbors(u))
 
 
-@settings(max_examples=40, deadline=None)
+#: A 5x5 8-connected grid: the corner (id 0) is exposed, the centre (id 12)
+#: has neighbours all around.
+DENSE_GRID = grid_deployment(5, 5, spacing=1.0, radius=1.5, jitter=0.0, seed=0)
+#: Two nodes out of range of each other: both isolated.
+ISOLATED_PAIR = WSNTopology.from_positions([(0, 0), (10, 10)], radius=1.0)
+
+
+def is_exposed(topology: WSNTopology, node_id: int) -> bool:
+    """Oracle: some half-plane through ``node_id`` holds no neighbour.
+
+    Exact angular-gap test: sort the neighbour directions and look for a gap
+    wider than pi between consecutive ones (an isolated node is exposed).
+    """
+    origin = topology.position(node_id)
+    angles = sorted(
+        math.atan2(y - origin[1], x - origin[0])
+        for x, y in map(topology.position, topology.neighbors(node_id))
+    )
+    if not angles:
+        return True
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2 * math.pi - angles[-1])
+    return max(gaps) > math.pi
+
+
+def empty_quadrant_nodes(topology: WSNTopology) -> frozenset[int]:
+    """Reference: nodes with a quadrant that no neighbour falls in, per node."""
+    result = set()
+    for u in topology.node_ids:
+        origin = topology.position(u)
+        occupied = {quadrant_index(origin, topology.position(v)) for v in topology.neighbors(u)}
+        if occupied != set(QUADRANTS):
+            result.add(u)
+    return frozenset(result)
+
+
+@settings(max_examples=60, deadline=None)
 @given(udg_topologies(connected=False, min_nodes=3))
-def test_hull_nodes_are_boundary_nodes(topology):
-    assert hull_nodes(topology) <= boundary_nodes(topology)
+@example(DENSE_GRID)
+@example(ISOLATED_PAIR)
+def test_boundary_is_the_empty_quadrant_set(topology):
+    assert boundary_nodes(topology) == empty_quadrant_nodes(topology)
+
+
+@settings(max_examples=60, deadline=None)
+@given(udg_topologies(connected=False, min_nodes=3))
+@example(DENSE_GRID)
+@example(ISOLATED_PAIR)
+def test_exposed_and_hull_nodes_are_boundary_nodes(topology):
+    """An empty half-plane through ``u`` holds a whole quadrant of ``u``."""
+    boundary = boundary_nodes(topology)
+    assert hull_nodes(topology) <= boundary
+    assert {u for u in topology.node_ids if is_exposed(topology, u)} <= boundary
+
+
+@pytest.mark.parametrize(
+    "topology, node, exposed",
+    [(DENSE_GRID, 0, True), (DENSE_GRID, 12, False), (ISOLATED_PAIR, 0, True)],
+    ids=["grid-corner", "grid-centre", "isolated"],
+)
+def test_exposed_oracle_and_boundary_on_fixed_cases(topology, node, exposed):
+    assert is_exposed(topology, node) is exposed
+    assert (node in boundary_nodes(topology)) is exposed

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.boundary import boundary_nodes, hull_nodes, is_exposed
+from repro.network.boundary import boundary_nodes, hull_nodes
 from repro.network.deployment import grid_deployment
 from repro.network.topology import WSNTopology
 
@@ -28,18 +28,7 @@ class TestHullNodes:
     def test_empty_topology(self):
         topo = WSNTopology([], {})
         assert hull_nodes(topo) == frozenset()
-
-
-class TestIsExposed:
-    def test_corner_exposed(self, dense_grid):
-        assert is_exposed(dense_grid, 0)
-
-    def test_centre_not_exposed(self, dense_grid):
-        assert not is_exposed(dense_grid, 12)
-
-    def test_isolated_node_exposed(self):
-        topo = WSNTopology.from_positions([(0, 0), (10, 10)], radius=1.0)
-        assert is_exposed(topo, 0)
+        assert boundary_nodes(topo) == frozenset()
 
 
 class TestBoundaryNodes:

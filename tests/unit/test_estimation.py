@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,10 @@ from repro.core.bounds import emodel_update_cost
 from repro.core.estimation import build_edge_estimate
 from repro.dutycycle.cwt import expected_cwt
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.quadrant import QUADRANTS, quadrant_neighbors
+from repro.network.deployment import DeploymentConfig
+from repro.network.quadrant import QUADRANTS, quadrant_index, quadrant_neighbors
+from repro.network.topology import WSNTopology
+from repro.scenarios import generate_scenario, scenario_names
 
 
 class TestSynchronousConstruction:
@@ -138,3 +142,117 @@ class TestBoundaryOverride:
         estimate = build_edge_estimate(line_topology, boundary=[5])
         assert estimate.value(5, 1) == 0.0
         assert estimate.value(0, 1) == pytest.approx(5.0)
+
+
+def per_node_quadrants(topology: WSNTopology) -> dict[int, dict[int, frozenset[int]]]:
+    """``N(u) ∩ Q_i(u)`` for every node, classified one neighbour at a time."""
+    result = {}
+    for u in topology.node_ids:
+        origin = topology.position(u)
+        buckets = {q: set() for q in QUADRANTS}
+        for v in topology.neighbors(u):
+            buckets[quadrant_index(origin, topology.position(v))].add(v)
+        result[u] = {q: frozenset(members) for q, members in buckets.items()}
+    return result
+
+
+def reference_edge_estimate(topology, step=1.0, boundary=None):
+    """Algorithm 2 node by node: per-node quadrant sets and sorted sweeps.
+
+    Returns ``(values, update_count)`` as :func:`build_edge_estimate` would.
+    The default network edge is every node with an empty quadrant.
+    """
+    quadrants = per_node_quadrants(topology)
+    if boundary is None:
+        boundary = {u for u in topology.node_ids if not all(quadrants[u].values())}
+    edge_nodes = frozenset(boundary)
+    sweep_key = {
+        1: lambda u: -topology.position(u)[0],
+        2: lambda u: -topology.position(u)[1],
+        3: lambda u: topology.position(u)[0],
+        4: lambda u: topology.position(u)[1],
+    }
+    estimates = {u: [math.inf] * 4 for u in topology.node_ids}
+    updates = 0
+
+    def seed(eligible):
+        count = 0
+        for u in topology.node_ids:
+            for q in QUADRANTS:
+                if math.isinf(estimates[u][q - 1]) and eligible(u) and not quadrants[u][q]:
+                    estimates[u][q - 1] = 0.0
+                    count += 1
+        return count
+
+    def relax():
+        count = 0
+        for q in QUADRANTS:
+            for u in sorted(topology.node_ids, key=sweep_key[q]):
+                members = quadrants[u][q]
+                if not math.isinf(estimates[u][q - 1]) or not members:
+                    continue
+                best = min(estimates[v][q - 1] for v in members)
+                if not math.isinf(best):
+                    estimates[u][q - 1] = step + best
+                    count += 1
+        return count
+
+    updates += seed(lambda u: u in edge_nodes)
+    updates += relax()
+    updates += seed(lambda u: True)
+    updates += relax()
+    return {u: tuple(vals) for u, vals in estimates.items()}, updates
+
+
+def _scenario_topology(scenario: str, num_nodes: int) -> WSNTopology:
+    config = DeploymentConfig(num_nodes=num_nodes, source_min_ecc=1, source_max_ecc=None)
+    return generate_scenario(scenario, config, seed=num_nodes).topology
+
+
+@pytest.mark.parametrize("num_nodes", [30, 90, 150])
+@pytest.mark.parametrize("scenario", scenario_names())
+class TestIndexBuildMatchesPerNodeReference:
+    """The quadrant-index build reproduces the per-node Algorithm 2 exactly."""
+
+    def test_values_and_update_count(self, scenario, num_nodes):
+        topology = _scenario_topology(scenario, num_nodes)
+        schedule = WakeupSchedule(topology.node_ids, rate=10, seed=num_nodes)
+        interior = sorted(topology.node_ids)[::3]
+        cases = [
+            (build_edge_estimate(topology), 1.0, None),
+            (build_edge_estimate(topology, schedule), expected_cwt(10), None),
+            (build_edge_estimate(topology, schedule, weight="unit"), 1.0, None),
+            (build_edge_estimate(topology, boundary=interior), 1.0, interior),
+        ]
+        for estimate, step, boundary in cases:
+            values, updates = reference_edge_estimate(topology, step, boundary)
+            assert estimate.values == values
+            assert estimate.update_count == updates
+
+    def test_scores_match_set_definition(self, scenario, num_nodes):
+        topology = _scenario_topology(scenario, num_nodes)
+        estimate = build_edge_estimate(topology)
+        quadrants = per_node_quadrants(topology)
+        rng = random.Random(num_nodes)
+        nodes = list(topology.node_ids)
+        for _ in range(5):
+            covered = frozenset(rng.sample(nodes, rng.randrange(len(nodes) + 1)))
+            covered_mask = topology.mask_from_nodes(covered)
+            expected = {
+                u: max(
+                    (
+                        estimate.value(u, q)
+                        for q in QUADRANTS
+                        if quadrants[u][q] - covered
+                    ),
+                    default=-math.inf,
+                )
+                for u in nodes
+            }
+            for u in nodes:
+                assert estimate.node_score(topology, u, covered) == expected[u]
+                assert estimate.node_score(topology, u, covered_mask) == expected[u]
+            color = rng.sample(nodes, 6)
+            best = max(expected[u] for u in color)
+            assert estimate.color_score(topology, color, covered) == best
+            assert estimate.color_score(topology, color, covered_mask) == best

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.estimation import build_edge_estimate
+from repro.network.boundary import boundary_nodes
 from repro.network.quadrant import (
     QUADRANTS,
     quadrant_index,
     quadrant_neighbors,
     quadrant_partition,
+    quadrant_view,
 )
 from repro.network.topology import WSNTopology
 
@@ -91,3 +94,35 @@ class TestQuadrantPartition:
         assert partition[3] == frozenset({3})
         assert partition[2] == frozenset()
         assert partition[4] == frozenset()
+
+    def test_non_neighbour_candidates_rejected(self, star_topology):
+        with pytest.raises(ValueError, match=r"\[2\] are not neighbours of node 1"):
+            quadrant_partition(star_topology, 1, candidates=[0, 2])
+
+
+class TestQuadrantView:
+    def test_masks_rows_and_empty_agree(self, small_grid):
+        index = quadrant_view(small_grid)
+        for q in QUADRANTS:
+            for row, u in enumerate(small_grid.node_ids):
+                members = quadrant_neighbors(small_grid, u, q)
+                rows = index.rows[q - 1][row]
+                assert small_grid.nodes_from_mask(index.masks[q - 1][row]) == members
+                assert frozenset(small_grid.node_ids[r] for r in rows) == members
+                assert bool(index.empty[q - 1][row]) == (not members)
+
+    def test_cached_per_topology(self, small_grid):
+        assert quadrant_view(small_grid) is quadrant_view(small_grid)
+
+    def test_coincident_neighbours_rejected(self):
+        """Positions are not guaranteed distinct; a shared spot fails loudly."""
+        topology = WSNTopology.from_positions(
+            [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)], radius=2.0
+        )
+        message = r"nodes 1 and 2 are neighbours at the same position"
+        with pytest.raises(ValueError, match=message):
+            quadrant_neighbors(topology, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            boundary_nodes(topology)
+        with pytest.raises(ValueError, match=message):
+            build_edge_estimate(topology)
