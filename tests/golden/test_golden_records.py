@@ -4,7 +4,9 @@ The parity suites compare engines that run the same policy code, so a
 change inside a scheduler (the time counter's search, the E-model, the
 baselines) or the deployment generator passes them unnoticed.  These
 digests pin the records themselves: any change to what a sweep returns —
-a latency, an eccentricity, an energy figure — fails here.
+a latency, an eccentricity, an energy figure — fails here.  Beside the
+paper line-up on reliable links, slices pin the exact solver tier on the
+``RATIO_SWEEP`` grid, a lossy sweep and a multi-source sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.core.time_counter import SearchConfig
 from repro.experiments.config import SweepConfig
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import default_policies, run_sweep
 from repro.utils.serialization import canonical_json
 
 GOLDEN = json.loads((Path(__file__).parent / "records.json").read_text(encoding="utf-8"))
@@ -34,9 +36,14 @@ def _slice_id(spec: dict) -> str:
         ("repetitions", "reps"),
         ("beam_width", "beam"),
         ("max_color_classes", "colors"),
+        ("loss_probability", "loss"),
+        ("n_sources", "sources"),
     ):
         if field in spec:
             slice_id += f"-{tag}{spec[field]}"
+    for field in ("source_placement", "solver"):
+        if field in spec:
+            slice_id += f"-{spec[field]}"
     return slice_id
 
 
@@ -44,6 +51,23 @@ def records_digest(records) -> str:
     """SHA-256 over the canonical JSON of the records, in sweep order."""
     payload = canonical_json([dataclasses.asdict(record) for record in records])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Optional slice fields passed to :class:`SweepConfig` verbatim (a slice
+#: that leaves one out gets the ``SweepConfig`` default).
+_PASSTHROUGH = (
+    "scenario",
+    "duty_model",
+    "max_color_classes",
+    "area_side",
+    "source_min_ecc",
+    "source_max_ecc",
+    "solver",
+    "link_model",
+    "loss_probability",
+    "n_sources",
+    "source_placement",
+)
 
 
 @pytest.mark.parametrize("spec", GOLDEN["slices"], ids=_slice_id)
@@ -54,13 +78,12 @@ def test_sweep_records_match_pinned_digest(spec):
         node_counts=tuple(spec["node_counts"]),
         repetitions=repetitions,
         seed=GOLDEN["seed"],
-        scenario=spec.get("scenario", "uniform"),
-        duty_model=spec.get("duty_model", "uniform"),
         search=SearchConfig(
             mode="beam", beam_width=spec.get("beam_width", defaults.search.beam_width)
         ),
-        max_color_classes=spec.get("max_color_classes", defaults.max_color_classes),
+        **{field: spec[field] for field in _PASSTHROUGH if field in spec},
     )
     result = run_sweep(config, system=spec["system"], rate=spec["rate"], workers=1)
-    assert len(result.records) == 4 * len(spec["node_counts"]) * repetitions
+    line_up = default_policies(config, spec["system"])
+    assert len(result.records) == len(line_up) * len(spec["node_counts"]) * repetitions
     assert records_digest(result.records) == spec["digest"]
