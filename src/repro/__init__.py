@@ -40,7 +40,7 @@ Sub-packages
     schedule validation and metrics.
 ``repro.solvers``
     The solver-tier catalog: exact minimum-latency schedulers
-    (branch-and-bound, ILP-accelerated) behind the same policy interface,
+    (branch-and-bound; an opt-in ILP) behind the same policy interface,
     plus the registry (:data:`repro.solvers.SOLVER_TIERS`) grading every
     scheduler by its optimality guarantee.
 ``repro.experiments``

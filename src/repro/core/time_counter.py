@@ -12,26 +12,25 @@ The exact recursion is exponential in the number of advances.  The paper
 computes ``M`` "off-line in the simulator" without describing how it is made
 tractable; this implementation provides
 
-* ``mode="exact"`` — memoised depth-first search over coverage states with a
-  hard state-count budget (used in tests and on the paper's worked
-  examples, where it is cheap), and
+* ``mode="exact"`` — the branch-and-bound of :mod:`repro.core.search`
+  over the counter's own colour provider, with a hard state-count budget
+  (used in tests and on the paper's worked examples, where it is cheap;
+  the exact solver tier runs the same search over every maximal colour),
+  and
 * ``mode="beam"``  — a beam search over coverage states (default width 8)
   that preserves the "evaluate each candidate colour by its recursive
   completion time" semantics while bounding work; exact and beam agree on
   every small instance we test (see ``tests/unit/test_time_counter.py`` and
   the beam-width ablation benchmark).
 
-Two structural properties keep both searches sound:
-
-* **Monotonicity** — a larger covered set never completes later: every
-  colour admissible for ``W`` remains admissible (after dropping useless
-  transmitters) for any ``W' ⊇ W``, so transmitting earlier never hurts.
-  This is why the duty-cycle search may always jump to the next slot at
-  which *some* frontier node is awake instead of branching over idle waits.
-* **Admissible lower bound** — any schedule needs at least as many advances
-  as the largest hop distance from ``W`` to an uncovered node, because one
-  advance extends coverage by at most one hop.  The bound ranks the beam
-  states; it is read off the topology's cached hop matrix.
+Both searches jump from one decision to the next with the same helper,
+:meth:`~repro.core.search.ExactSearch.decision`: by coverage monotonicity
+(a larger covered set never completes later) transmitting never hurts, so
+the duty-cycle search moves to the next slot at which *some* frontier node
+is awake instead of branching over idle waits.  The beam ranks its states
+by the largest hop distance from ``W`` to an uncovered node, an admissible
+lower bound on the remaining advances read off the topology's cached hop
+matrix.
 """
 
 from __future__ import annotations
@@ -41,24 +40,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
-from repro.core.coloring import ColorScheme, frontier_mask, lex_order_key
+from repro.core.coloring import ColorScheme, lex_order_key
+from repro.core.search import ExactSearch, SearchBudgetExceeded, SearchStats, UnreachableNodes
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.dutycycle.window import window_for
 from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = ["SearchConfig", "TimeCounter", "SearchBudgetExceeded", "UnreachableNodes"]
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when the exact search exceeds its state budget.
-
-    The caller should retry with ``mode="beam"`` (or a larger budget).
-    """
-
-
-class UnreachableNodes(RuntimeError):
-    """Raised when uncovered nodes can never be reached (disconnected graph)."""
 
 
 @dataclass(frozen=True)
@@ -68,14 +56,16 @@ class SearchConfig:
     Attributes
     ----------
     mode:
-        ``"exact"`` (memoised DFS, guaranteed optimal w.r.t. the colour
+        ``"exact"`` (branch-and-bound, guaranteed optimal w.r.t. the colour
         provider) or ``"beam"`` (bounded-width search).
     beam_width:
         Number of coverage states kept per step in beam mode.
     max_states:
-        State budget of the exact mode; exceeded ⇒ :class:`SearchBudgetExceeded`.
+        State budget of the exact mode, summed over a counter's searches
+        until :meth:`TimeCounter.clear_cache`; exceeded ⇒
+        :class:`SearchBudgetExceeded`.
     max_slots:
-        Hard horizon for duty-cycle searches, expressed as a multiple of
+        Hard horizon for duty-cycle beam searches, expressed as a multiple of
         ``2 r (d + 2)`` (the Theorem-1 bound); a schedule exceeding it
         indicates a modelling error rather than a legitimate schedule.
     """
@@ -94,20 +84,6 @@ class SearchConfig:
             raise ValueError(f"max_states must be >= 1, got {self.max_states}")
         if self.max_slots <= 0:
             raise ValueError(f"max_slots must be > 0, got {self.max_slots}")
-
-
-@dataclass
-class _SearchStats:
-    """Counters exposed for tests and the ablation benchmarks."""
-
-    expansions: int = 0
-    memo_hits: int = 0
-    states: int = 0
-
-    def reset(self) -> None:
-        self.expansions = 0
-        self.memo_hits = 0
-        self.states = 0
 
 
 class TimeCounter:
@@ -132,22 +108,22 @@ class TimeCounter:
     ``topology.node_ids[i]`` (see docs/design.md, "Search state").  Every
     public method converts ``W`` once at entry; colours come from
     :meth:`ColorScheme.color_masks` as ``(colour, receivers)`` masks, and
-    wake-up queries (the awake pool at a slot, the next slot a frontier
-    node wakes) from the shared
+    each decision's slot and sender pool from
+    :meth:`~repro.core.search.ExactSearch.decision`, which reads the shared
     :class:`~repro.dutycycle.window.ActivityWindow`.
 
-    The exact mode memoises ``M`` in two plain, unbounded dicts keyed on
-    masks: ``_sync_memo`` (``W``) and ``_duty_memo`` (``(W, slot)``).  That
-    is safe: exact mode adds at most one entry per expansion and
-    expansions are capped by ``config.max_states``; beam mode never writes
-    them; and the policies' ``prepare`` clears them (or builds a fresh
-    counter) per broadcast.
+    Every ``M`` value of the exact mode is one
+    :meth:`~repro.core.search.ExactSearch.minimum` call; nothing is
+    memoised between calls.  Its expansions are charged to :attr:`stats`,
+    so ``config.max_states`` caps the work of a counter until
+    :meth:`clear_cache` (which the policies' ``prepare`` calls, or builds a
+    fresh counter, per broadcast).
 
     Hop distances come from the topology's cached
-    :attr:`~repro.network.topology.WSNTopology.hop_matrix`: the lower bound
-    and the reachability check are column minima over the covered rows
-    (:meth:`~repro.network.bitset.BitsetTopology.nearest_hops`), and the
-    duty horizon's diameter is read once.
+    :attr:`~repro.network.topology.WSNTopology.hop_matrix`: the beam's
+    lower bound and the reachability check are column minima over the
+    covered rows (:meth:`~repro.network.bitset.BitsetTopology.nearest_hops`),
+    and the duty horizon's diameter is read once.
     """
 
     def __init__(
@@ -161,12 +137,16 @@ class TimeCounter:
         self.schedule = schedule
         self.color_scheme = color_scheme or ColorScheme(mode="greedy")
         self.config = config or SearchConfig()
-        self.stats = _SearchStats()
-        self._sync_memo: dict[int, int] = {}
-        self._duty_memo: dict[tuple[int, int], int] = {}
+        self.stats = SearchStats()
+        self._search = ExactSearch(
+            topology,
+            schedule,
+            self.color_scheme,
+            max_states=self.config.max_states,
+            stats=self.stats,
+        )
         self._view = bitset_view(topology)
         self._full = topology.full_mask
-        self._window = None if schedule is None else window_for(schedule, self._view)
 
     # ------------------------------------------------------------------
     # Public API
@@ -227,8 +207,8 @@ class TimeCounter:
         """
         covered_mask = self._mask_of(covered)
         pool = covered_mask
-        if self._window is not None:
-            pool &= self._window.awake_mask(time)
+        if self._search.window is not None:
+            pool &= self._search.window.awake_mask(time)
         pairs = self.color_scheme.color_masks(self.topology, covered_mask, pool)
         if not pairs:
             return None
@@ -237,9 +217,7 @@ class TimeCounter:
         return self._select_color(covered_mask, time, colors)
 
     def clear_cache(self) -> None:
-        """Drop memoised values (e.g. after switching deployments)."""
-        self._sync_memo.clear()
-        self._duty_memo.clear()
+        """Reset the work counters, and with them the exact-mode budget."""
         self.stats.reset()
 
     # ------------------------------------------------------------------
@@ -253,9 +231,11 @@ class TimeCounter:
         if time < 1:
             raise ValueError(f"time is 1-based, got {time}")
         self._check_reachable(covered)
+        if self.config.mode == "exact":
+            return self._search.minimum(covered, time)
         if self.schedule is None:
-            return time - 1 + self._remaining_sync(covered)
-        return self._completion_duty(covered, time)
+            return time - 1 + self._remaining_sync_beam(covered)
+        return self._completion_duty_beam(covered, time)
 
     def _receivers(self, color: frozenset[int], covered: int) -> int:
         """Uncovered nodes reached by the colour ``color`` (a mask)."""
@@ -335,48 +315,8 @@ class TimeCounter:
         return time + int(self.config.max_slots * 2 * rate * (depth + 2)) + 2 * rate
 
     # ------------------------------------------------------------------
-    # Synchronous system
+    # Beam search of the synchronous M
     # ------------------------------------------------------------------
-    def _sync_receivers(self, state: int) -> list[int]:
-        colors = self.color_scheme.color_masks(self.topology, state, state)
-        if not colors:
-            raise UnreachableNodes("no admissible colour although uncovered nodes remain")
-        return [reached for _, reached in colors]
-
-    def _remaining_sync(self, covered: int) -> int:
-        if self.config.mode == "exact":
-            return self._remaining_sync_exact(covered)
-        return self._remaining_sync_beam(covered)
-
-    def _remaining_sync_exact(self, covered: int) -> int:
-        if covered == self._full:
-            return 0
-        cached = self._sync_memo.get(covered)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
-        if self.stats.expansions >= self.config.max_states:
-            raise SearchBudgetExceeded(
-                f"exact M search exceeded {self.config.max_states} expansions; "
-                "use SearchConfig(mode='beam') for deployments of this size"
-            )
-        self.stats.expansions += 1
-        best = math.inf
-        # Exploring large-coverage colours first makes the memo fill with
-        # near-final states early, which prunes later branches quickly.
-        expansions = sorted(self._sync_receivers(covered), key=lambda r: -r.bit_count())
-        seen_coverages: set[int] = set()
-        for reached in expansions:
-            new_covered = covered | reached
-            if new_covered in seen_coverages:
-                continue
-            seen_coverages.add(new_covered)
-            best = min(best, 1 + self._remaining_sync_exact(new_covered))
-        result = int(best)
-        self._sync_memo[covered] = result
-        self.stats.states = len(self._sync_memo)
-        return result
-
     def _remaining_sync_beam(self, covered: int) -> int:
         full = self._full
         if covered == full:
@@ -389,7 +329,8 @@ class TimeCounter:
             successors: set[int] = set()
             for state in beam:
                 self.stats.expansions += 1
-                successors.update(state | reached for reached in self._sync_receivers(state))
+                _, pairs = self._search.colors(state, rounds)
+                successors.update(state | reached for _, reached in pairs)
             if full in successors:
                 return rounds
             fresh = [s for s in successors if s not in visited]
@@ -408,68 +349,6 @@ class TimeCounter:
                     "the colour provider (coverage must grow every round)"
                 )
         raise UnreachableNodes("beam search exhausted without completing coverage")
-
-    # ------------------------------------------------------------------
-    # Duty-cycle system
-    # ------------------------------------------------------------------
-    def _completion_duty(self, covered: int, slot: int) -> int:
-        if self.config.mode == "exact":
-            return self._completion_duty_exact(covered, slot)
-        return self._completion_duty_beam(covered, slot)
-
-    def _next_decision(self, covered: int, slot: int) -> tuple[int, int]:
-        """Earliest slot >= ``slot`` at which some frontier node may send,
-        and the frontier nodes awake then (the decision's sender pool)."""
-        assert self._window is not None
-        frontier = frontier_mask(self.topology, covered)
-        nxt = self._window.next_awake(frontier, slot)
-        if nxt is None:
-            raise UnreachableNodes(
-                "no frontier node exists although uncovered nodes remain"
-            )
-        return nxt, frontier & self._window.awake_mask(nxt)
-
-    def _duty_receivers(self, state: int, pool: int) -> list[int]:
-        return [reached for _, reached in self.color_scheme.color_masks(self.topology, state, pool)]
-
-    def _completion_duty_exact(self, covered: int, slot: int) -> int:
-        assert self.schedule is not None
-        if covered == self._full:
-            return slot - 1
-        horizon = self._duty_horizon(slot)
-        key = (covered, slot)
-        cached = self._duty_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
-        if self.stats.expansions >= self.config.max_states:
-            raise SearchBudgetExceeded(
-                f"exact M search exceeded {self.config.max_states} expansions; "
-                "use SearchConfig(mode='beam') for deployments of this size"
-            )
-        decision_slot, pool = self._next_decision(covered, slot)
-        if decision_slot > horizon:
-            raise RuntimeError(
-                "duty-cycle search exceeded its slot horizon; the wake-up "
-                "schedule does not give frontier nodes sending opportunities"
-            )
-        self.stats.expansions += 1
-        # ``decision_slot`` guarantees at least one awake frontier node.
-        best = math.inf
-        seen_coverages: set[int] = set()
-        expansions = sorted(self._duty_receivers(covered, pool), key=lambda r: -r.bit_count())
-        for reached in expansions:
-            new_covered = covered | reached
-            if new_covered in seen_coverages:
-                continue
-            seen_coverages.add(new_covered)
-            best = min(
-                best, self._completion_duty_exact(new_covered, decision_slot + 1)
-            )
-        result = int(best)
-        self._duty_memo[key] = result
-        self.stats.states = len(self._duty_memo)
-        return result
 
     # ------------------------------------------------------------------
     # Shared-beam colour selection (beam mode decision making)
@@ -600,11 +479,11 @@ class TimeCounter:
             for state, slot, first in beam:
                 if slot >= best_completion:
                     continue
-                decision_slot, pool = self._next_decision(state, slot)
+                decision_slot, pool = self._search.decision(state, slot)
                 if decision_slot > horizon or decision_slot >= best_completion:
                     continue
                 self.stats.expansions += 1
-                for reached in self._duty_receivers(state, pool):
+                for _, reached in self.color_scheme.color_masks(self.topology, state, pool):
                     new_covered = state | reached
                     if new_covered == full:
                         if decision_slot < best_completion:
@@ -651,12 +530,12 @@ class TimeCounter:
             for state, state_slot in beam:
                 if state_slot >= best_completion:
                     continue
-                decision_slot, pool = self._next_decision(state, state_slot)
+                decision_slot, pool = self._search.decision(state, state_slot)
                 if decision_slot > horizon:
                     continue
                 self.stats.expansions += 1
                 new_slot = decision_slot + 1
-                for reached in self._duty_receivers(state, pool):
+                for _, reached in self.color_scheme.color_masks(self.topology, state, pool):
                     new_covered = state | reached
                     if new_covered == full:
                         best_completion = min(best_completion, decision_slot)

@@ -2,8 +2,8 @@
 
 The packages below this one *run* the paper's algorithm; this package
 *audits* it.  :data:`SOLVER_TIERS` catalogs every guarantee level — from
-the always-available exact branch-and-bound (ILP-accelerated when scipy is
-importable) down to the paper's E-model heuristic — behind one registry,
+the exact branch-and-bound (an opt-in scipy/HiGHS ILP can supply the value
+instead) down to the paper's E-model heuristic — behind one registry,
 and :func:`solve_broadcast` computes certified optimal schedules that
 replay through the ordinary simulation engines.  The observed-vs-proved
 approximation-ratio study (``figures.figure_ratio`` /

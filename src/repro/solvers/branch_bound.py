@@ -19,13 +19,16 @@ with ``W' ⊇ W``):
   :func:`repro.core.coloring.enumerate_color_classes` (the maximal
   independent sets of the conflict graph) loses no optimal schedule.
 
-Pruning uses an admissible lower bound, :func:`flood_completion_bound`:
-the earliest completion if interference vanished, i.e. a Dijkstra-style
-relaxation where a node covered at slot ``τ`` forwards at its next wake-up
-slot ``> τ`` (in the synchronous system this degenerates to hop distance;
-in the duty-cycle system it is at least as tight as hop distance times the
-cycle length).  The incumbent is seeded by a greedy descent (always take
-the first maximal colour), so the search starts with a feasible schedule.
+The search is :class:`repro.core.search.ExactSearch` over every maximal
+colour; the functions here are its frozenset-in entry points, each running
+:func:`check_instance` and converting ``W`` once.  It prunes with
+:func:`flood_completion_bound`, the completion slot if interference
+vanished: hop distance in the synchronous system, and in the duty-cycle
+system a Dijkstra relaxation over each node's own wake-up slots, which is
+at least hop distance but usually far below hop distance times the cycle
+length.  The incumbent is :func:`greedy_completion` (the first maximal
+colour at every decision), and a child whose coverage is a subset of a
+sibling's is dropped (monotonicity again).
 
 Determinism contract
 --------------------
@@ -36,19 +39,17 @@ pure: branching order is the sorted order of
 optimum-achieving leaf in that fixed depth-first order.  The ILP backend
 (:mod:`repro.solvers.ilp`) only ever supplies the optimal *value*; the plan
 is always extracted here, which is what makes exact-tier records
-bit-identical whether or not a solver library is installed.
+bit-identical whichever value backend ran.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.core.advance import Advance
-from repro.core.coloring import enumerate_color_classes, frontier_candidates
+from repro.core.coloring import ColorScheme
+from repro.core.search import ExactSearch, SearchBudgetExceeded, UnreachableNodes
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
-from repro.network.interference import receivers_of
 from repro.network.topology import WSNTopology
 from repro.utils.validation import require
 
@@ -56,6 +57,7 @@ __all__ = [
     "SolverError",
     "SolverLimitExceeded",
     "SolverPlan",
+    "check_instance",
     "flood_completion_bound",
     "greedy_completion",
     "minimum_completion",
@@ -63,11 +65,14 @@ __all__ = [
     "DEFAULT_MAX_STATES",
 ]
 
-#: Search-state budget of the branch-and-bound (states *expanded*, summed
-#: over the value search and the plan extraction).  Generous for the
+#: Search-state budget of the branch-and-bound (states *expanded*; the
+#: value search and the plan extraction each get one).  Generous for the
 #: small-``n`` instances the exact tiers accept; exceeding it raises
 #: :class:`SolverLimitExceeded` instead of hanging.
 DEFAULT_MAX_STATES = 500_000
+
+#: The exact tier's colour provider: every maximal admissible colour.
+_ALL_MAXIMAL = ColorScheme("exhaustive")
 
 
 class SolverError(RuntimeError):
@@ -76,6 +81,14 @@ class SolverError(RuntimeError):
 
 class SolverLimitExceeded(SolverError):
     """The branch-and-bound exhausted its search-state budget."""
+
+
+def _limit_exceeded(max_states: int) -> SolverLimitExceeded:
+    return SolverLimitExceeded(
+        f"branch-and-bound exceeded {max_states} search states; "
+        "the instance is too large for the exact tier "
+        "(see the instance-size limits in docs/solvers.md)"
+    )
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,19 @@ class SolverPlan:
         return max(self.optimum - self.start_time + 1, 0)
 
 
-def _check_instance(
+def check_instance(
     topology: WSNTopology,
     covered: frozenset[int],
     schedule: WakeupSchedule | None,
+    start_time: int,
 ) -> None:
+    """Reject a malformed instance with :class:`ValueError`.
+
+    Shared by every value entry point of the exact tier (this module, the
+    brute-force oracle and the ILP): a non-positive start slot, an empty or
+    unknown covered set, or a wake-up schedule missing some node.
+    """
+    require(start_time >= 1, "start_time is 1-based")
     unknown = covered - topology.node_set
     require(not unknown, f"covered contains unknown nodes: {sorted(unknown)}")
     require(bool(covered), "need at least one initially covered node")
@@ -116,6 +137,12 @@ def _check_instance(
             not missing,
             f"wake-up schedule missing nodes {sorted(missing)}",
         )
+
+
+def _search(
+    topology: WSNTopology, schedule: WakeupSchedule | None, max_states: int
+) -> ExactSearch:
+    return ExactSearch(topology, schedule, _ALL_MAXIMAL, max_states=max_states)
 
 
 def flood_completion_bound(
@@ -133,64 +160,8 @@ def flood_completion_bound(
     duty-cycle system.  The bound is the latest receive slot over the
     uncovered nodes; ``None`` means some node is unreachable (disconnected
     topology), i.e. the instance is infeasible.
-
-    In the synchronous system the latest receive slot is ``t - 1`` plus the
-    largest hop distance from ``W``, read off the hop matrix through the
-    same column minima as the time counter's lower bound.
     """
-    if schedule is None:
-        nearest = bitset_view(topology).nearest_hops(topology.mask_from_nodes(covered))
-        if (nearest == UNREACHABLE_HOPS).any():
-            return None
-        return time - 1 + int(nearest.max(initial=0))
-    best: dict[int, int] = {u: time - 1 for u in covered}
-    heap: list[tuple[int, int]] = [(time - 1, u) for u in sorted(covered)]
-    heapq.heapify(heap)
-    while heap:
-        received, u = heapq.heappop(heap)
-        if received > best.get(u, received):
-            continue
-        transmit = schedule.next_active_slot(u, received + 1)
-        for v in topology.neighbors(u):
-            if transmit < best.get(v, transmit + 1):
-                best[v] = transmit
-                heapq.heappush(heap, (transmit, v))
-    if len(best) < topology.num_nodes:
-        return None
-    uncovered = topology.node_set - covered
-    if not uncovered:
-        return time - 1
-    return max(best[v] for v in uncovered)
-
-
-def _next_decision(
-    topology: WSNTopology,
-    covered: frozenset[int],
-    time: int,
-    schedule: WakeupSchedule | None,
-) -> tuple[int, list[frozenset[int]]] | None:
-    """The next slot with an awake frontier candidate, and its colours.
-
-    Returns ``None`` when the frontier is empty (disconnected topology) or
-    no candidate ever wakes again; otherwise ``(slot, colours)`` with
-    ``colours`` the maximal admissible colours in canonical order.
-    """
-    candidates = frontier_candidates(topology, covered)
-    if not candidates:
-        return None
-    if schedule is None:
-        slot = time
-        awake = None
-    else:
-        next_slot = schedule.next_awake_slot(candidates, time)
-        if next_slot is None:  # pragma: no cover - schedules are unbounded
-            return None
-        slot = next_slot
-        awake = schedule.awake_nodes(candidates, slot)
-    colors = enumerate_color_classes(topology, covered, awake)
-    if not colors:  # pragma: no cover - a candidate awake at ``slot`` exists
-        return None
-    return slot, colors
+    return _search(topology, schedule, 0).lower_bound(topology.mask_from_nodes(covered), time)
 
 
 def greedy_completion(
@@ -202,46 +173,15 @@ def greedy_completion(
     """Completion slot of the greedy descent (first maximal colour each slot).
 
     A feasible schedule, used as the initial incumbent of the value search
-    and as the default horizon of the brute-force oracle.  ``None`` for
-    disconnected topologies.
+    and as the default horizon of the brute-force oracle and the ILP.
+    ``None`` for disconnected topologies.
     """
-    full = topology.node_set
-    time = start_time
-    end = start_time - 1
-    while covered != full:
-        decision = _next_decision(topology, covered, time, schedule)
-        if decision is None:
-            return None
-        slot, colors = decision
-        receivers = receivers_of(topology, colors[0], covered)
-        covered = covered | receivers
-        end = slot
-        time = slot + 1
-    return end
-
-
-class _Search:
-    """Shared state of one branch-and-bound run (value or extraction)."""
-
-    def __init__(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule | None,
-        max_states: int,
-    ) -> None:
-        self.topology = topology
-        self.schedule = schedule
-        self.max_states = max_states
-        self.explored = 0
-
-    def charge(self) -> None:
-        self.explored += 1
-        if self.explored > self.max_states:
-            raise SolverLimitExceeded(
-                f"branch-and-bound exceeded {self.max_states} search states; "
-                "the instance is too large for the exact tier "
-                "(see the instance-size limits in docs/solvers.md)"
-            )
+    try:
+        return _search(topology, schedule, 0).descent(
+            topology.mask_from_nodes(covered), start_time
+        )
+    except UnreachableNodes:
+        return None
 
 
 def minimum_completion(
@@ -258,52 +198,19 @@ def minimum_completion(
     :class:`SolverError` for disconnected topologies and
     :class:`SolverLimitExceeded` past the state budget.
     """
-    require(start_time >= 1, "start_time is 1-based")
-    _check_instance(topology, covered, schedule)
-    full = topology.node_set
-    if covered == full:
-        return start_time - 1, start_time - 1, 0
-
-    root_bound = flood_completion_bound(topology, covered, start_time, schedule)
-    incumbent = greedy_completion(topology, covered, start_time, schedule)
-    if root_bound is None or incumbent is None:
+    check_instance(topology, covered, schedule, start_time)
+    search = _search(topology, schedule, max_states)
+    mask = topology.mask_from_nodes(covered)
+    root_bound = search.lower_bound(mask, start_time)
+    if root_bound is None:
         raise SolverError(
             "topology is disconnected: some node can never receive the message"
         )
-
-    search = _Search(topology, schedule, max_states)
-    # Once a state is fully explored the incumbent has absorbed everything
-    # its subtree can offer (the incumbent only ever decreases), so a
-    # revisit can simply be pruned: ``visited`` needs no stored value.
-    visited: set[tuple[frozenset[int], int]] = set()
-
-    def descend(covered: frozenset[int], time: int) -> None:
-        nonlocal incumbent
-        bound = flood_completion_bound(search.topology, covered, time, search.schedule)
-        if bound is None or bound >= incumbent:
-            return
-        key = (covered, time)
-        if key in visited:
-            return
-        visited.add(key)
-        search.charge()
-        decision = _next_decision(search.topology, covered, time, search.schedule)
-        if decision is None:
-            return
-        slot, colors = decision
-        if slot >= incumbent:
-            # Even an immediately completing advance would not improve.
-            return
-        for color in colors:
-            receivers = receivers_of(search.topology, color, covered)
-            child = covered | receivers
-            if child == full:
-                incumbent = slot  # strictly better: slot < incumbent above
-            else:
-                descend(child, slot + 1)
-
-    descend(covered, start_time)
-    return incumbent, root_bound, search.explored
+    try:
+        optimum = search.minimum(mask, start_time)
+    except SearchBudgetExceeded as exc:
+        raise _limit_exceeded(max_states) from exc
+    return optimum, root_bound, search.stats.expansions
 
 
 def extract_plan(
@@ -322,55 +229,20 @@ def extract_plan(
     deadline is the same either way and the extracted plan is identical).
     Returns ``(advances, explored_states)``.
     """
-    require(start_time >= 1, "start_time is 1-based")
-    _check_instance(topology, covered, schedule)
-    full = topology.node_set
-    if covered == full:
-        return (), 0
-
-    search = _Search(topology, schedule, max_states)
-    # States proved unable to finish by the deadline; revisits re-fail.
-    dead: set[tuple[frozenset[int], int]] = set()
-    prefix: list[Advance] = []
-
-    def descend(covered: frozenset[int], time: int) -> bool:
-        bound = flood_completion_bound(search.topology, covered, time, search.schedule)
-        if bound is None or bound > optimum:
-            return False
-        key = (covered, time)
-        if key in dead:
-            return False
-        search.charge()
-        decision = _next_decision(search.topology, covered, time, search.schedule)
-        if decision is None or decision[0] > optimum:
-            dead.add(key)
-            return False
-        slot, colors = decision
-        for index, color in enumerate(colors):
-            advance = Advance.from_color(
-                search.topology,
-                covered,
-                color,
-                slot,
-                color_index=index + 1,
-                num_colors=len(colors),
-            )
-            prefix.append(advance)
-            child = covered | advance.receivers
-            if child == full or descend(child, slot + 1):
-                return True
-            prefix.pop()
-        dead.add(key)
-        return False
-
-    if not descend(covered, start_time):
+    check_instance(topology, covered, schedule, start_time)
+    search = _search(topology, schedule, max_states)
+    try:
+        advances = search.plan(topology.mask_from_nodes(covered), start_time, optimum)
+    except SearchBudgetExceeded as exc:
+        raise _limit_exceeded(max_states) from exc
+    if advances is None:
         raise SolverError(
             f"no schedule completes by slot {optimum}; the deadline is not "
             "the optimal completion slot of this instance"
         )
-    if prefix[-1].time != optimum:
+    if advances and advances[-1].time != optimum:
         raise SolverError(
-            f"canonical plan completes at slot {prefix[-1].time}, not the "
+            f"canonical plan completes at slot {advances[-1].time}, not the "
             f"claimed optimum {optimum}; the deadline is below optimal"
         )
-    return tuple(prefix), search.explored
+    return advances, search.stats.expansions

@@ -19,8 +19,7 @@ from repro.core.coloring import frontier_candidates
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.interference import conflict_free, receivers_of
 from repro.network.topology import WSNTopology
-from repro.solvers.branch_bound import SolverError, greedy_completion
-from repro.utils.validation import require
+from repro.solvers.branch_bound import SolverError, check_instance, greedy_completion
 
 __all__ = ["brute_force_completion"]
 
@@ -40,9 +39,10 @@ def brute_force_completion(
     ``horizon`` defaults to the greedy completion slot (a feasible
     schedule, hence an upper bound on the optimum).  Raises
     :class:`~repro.solvers.branch_bound.SolverError` for disconnected
-    topologies.
+    topologies and :class:`ValueError` for malformed instances
+    (:func:`~repro.solvers.branch_bound.check_instance`).
     """
-    require(start_time >= 1, "start_time is 1-based")
+    check_instance(topology, covered, schedule, start_time)
     full = topology.node_set
     if covered == full:
         return start_time - 1

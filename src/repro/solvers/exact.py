@@ -21,13 +21,14 @@ from repro.solvers.branch_bound import (
     flood_completion_bound,
     minimum_completion,
 )
-from repro.solvers.ilp import ilp_available, minimum_completion_ilp
+from repro.solvers.ilp import minimum_completion_ilp
 
 __all__ = ["solve_broadcast", "SOLVER_BACKENDS"]
 
-#: Value backends of the exact tier.  ``"auto"`` prefers the ILP when a
-#: solver library (scipy/HiGHS) is importable and falls back to the pure
-#: python branch-and-bound otherwise — the tier stays always-available.
+#: Value backends of the exact tier.  ``"auto"`` resolves to the pure-python
+#: branch-and-bound, which needs no solver library and beat the MILP at
+#: every instance size measured up to the tier's cap; ``"ilp"`` opts in to
+#: the scipy/HiGHS MILP.
 SOLVER_BACKENDS = ("auto", "branch-and-bound", "ilp")
 
 
@@ -54,8 +55,7 @@ def solve_broadcast(
             f"unknown solver backend {backend!r}; expected one of {SOLVER_BACKENDS}"
         )
     initial = frozenset({source}) if covered is None else frozenset(covered)
-    use_ilp = backend == "ilp" or (backend == "auto" and ilp_available())
-    if use_ilp:
+    if backend == "ilp":
         optimum = minimum_completion_ilp(
             topology, initial, schedule=schedule, start_time=start_time
         )

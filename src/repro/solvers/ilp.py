@@ -1,14 +1,14 @@
 """Time-indexed ILP backend for the exact solver tier (scipy/HiGHS).
 
-When :mod:`scipy` is importable the exact tier can obtain the optimal
-completion *value* from a mixed-integer program solved by HiGHS
-(``scipy.optimize.milp``) instead of the pure-python branch-and-bound; the
-canonical *plan* is still extracted by
+The opt-in ``backend="ilp"`` of :func:`repro.solvers.solve_broadcast`
+obtains the optimal completion *value* from a mixed-integer program solved
+by HiGHS (``scipy.optimize.milp``) instead of the pure-python
+branch-and-bound; the canonical *plan* is still extracted by
 :func:`repro.solvers.branch_bound.extract_plan`, so records never depend on
 which backend produced the value (the exact-solver determinism contract of
-``docs/solvers.md``).  Without scipy, :func:`ilp_available` returns False
-and the tier transparently falls back to the branch-and-bound — nothing is
-installed on demand.
+``docs/solvers.md``); the tests also use it as an independent voter.  scipy
+is imported only when a MILP is built, never by ``import repro``, and is
+never installed on demand.
 
 Formulation (decision slots ``s_0 < … < s_{K-1}`` are the slots in
 ``[start_time, horizon]`` with at least one awake node):
@@ -36,26 +36,21 @@ the brute-force oracle on every instance of the small-``n`` grid.
 
 from __future__ import annotations
 
+from importlib.util import find_spec
+
+import numpy as np
+
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.solvers.branch_bound import SolverError, greedy_completion
+from repro.solvers.branch_bound import SolverError, check_instance, greedy_completion
 from repro.utils.validation import require
-
-try:  # gated dependency: scipy ships HiGHS; never installed on demand
-    import numpy as _np
-    from scipy import sparse as _sparse
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.optimize import LinearConstraint as _LinearConstraint
-    from scipy.optimize import milp as _milp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _np = None
 
 __all__ = ["ilp_available", "minimum_completion_ilp"]
 
 
 def ilp_available() -> bool:
-    """Whether the scipy/HiGHS MILP backend is importable."""
-    return _np is not None
+    """Whether the scipy/HiGHS MILP backend is importable (without importing it)."""
+    return find_spec("scipy") is not None
 
 
 def minimum_completion_ilp(
@@ -71,13 +66,18 @@ def minimum_completion_ilp(
     ``horizon`` bounds the time-indexed formulation and must admit a
     feasible schedule; it defaults to the greedy completion slot (always
     feasible).  Raises :class:`SolverError` when scipy is unavailable, the
-    topology is disconnected, or the solver fails.
+    topology is disconnected, or the solver fails, and :class:`ValueError`
+    for malformed instances
+    (:func:`~repro.solvers.branch_bound.check_instance`).
     """
+    check_instance(topology, covered, schedule, start_time)
     if not ilp_available():
         raise SolverError(
             "the ILP backend needs scipy (HiGHS); use the branch-and-bound tier"
         )
-    require(start_time >= 1, "start_time is 1-based")
+    from scipy import sparse  # gated: importing scipy costs more than the package
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     full = topology.node_set
     if covered == full:
         return start_time - 1
@@ -138,8 +138,8 @@ def minimum_completion_ilp(
         upper.append(ub)
         row += 1
 
-    lower_var = _np.zeros(num_vars)
-    upper_var = _np.ones(num_vars)
+    lower_var = np.zeros(num_vars)
+    upper_var = np.ones(num_vars)
     for v in covered:
         for k in range(num_slots):
             lower_var[c_index[(v, k)]] = 1.0  # initially covered stay covered
@@ -192,20 +192,20 @@ def minimum_completion_ilp(
                         terms.append((before, -1.0))
                     add(terms, bound)
 
-    matrix = _sparse.csr_matrix(
+    matrix = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(row, num_vars)
     )
-    constraints = _LinearConstraint(matrix, ub=_np.asarray(upper))
-    objective = _np.zeros(num_vars)
+    constraints = LinearConstraint(matrix, ub=np.asarray(upper))
+    objective = np.zeros(num_vars)
     objective[z_offset:] = -1.0  # maximise the number of complete slots
-    integrality = _np.zeros(num_vars)
+    integrality = np.zeros(num_vars)
     integrality[:num_x] = 1
     integrality[z_offset:] = 1
-    result = _milp(
+    result = milp(
         c=objective,
         constraints=constraints,
         integrality=integrality,
-        bounds=_Bounds(lb=lower_var, ub=upper_var),
+        bounds=Bounds(lb=lower_var, ub=upper_var),
     )
     if not result.success:  # pragma: no cover - horizon is always feasible
         raise SolverError(f"HiGHS failed on the exact-tier MILP: {result.message}")

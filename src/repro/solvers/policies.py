@@ -33,9 +33,9 @@ __all__ = ["ExactPolicy", "BranchAndBoundPolicy"]
 class ExactPolicy(SchedulingPolicy):
     """Optimal minimum-latency broadcast as a planned policy.
 
-    Uses the ILP value backend when a solver library is importable and the
-    pure-python branch-and-bound otherwise; the replayed plan is the
-    canonical optimal plan either way (the exact-solver determinism
+    Solves with the ``"auto"`` value backend (the pure-python
+    branch-and-bound); the replayed plan is the canonical optimal plan
+    whichever backend supplies the value (the exact-solver determinism
     contract), so traces and records never depend on the installed
     libraries, the engine backend or the worker count.
     """
@@ -117,12 +117,11 @@ class ExactPolicy(SchedulingPolicy):
 
 
 class BranchAndBoundPolicy(ExactPolicy):
-    """The exact tier pinned to the pure-python branch-and-bound backend.
+    """The exact tier under the explicit ``"branch-and-bound"`` backend name.
 
-    Identical plans and records to :class:`ExactPolicy` (both backends are
-    exact and the canonical plan extraction is shared); exists so the
-    always-available fallback is exercised and benchmarked even where a
-    solver library is importable.
+    Identical plans and records to :class:`ExactPolicy`, whose ``"auto"``
+    backend resolves to the same search; the tier name keeps the solver
+    catalog and stored records that select it stable.
     """
 
     name = "branch-and-bound"

@@ -68,8 +68,8 @@ SOLVER_TIERS: dict[str, SolverTier] = {
     for tier in (
         SolverTier(
             name="exact",
-            summary="optimal schedule; ILP (HiGHS) value when scipy is "
-            "importable, branch-and-bound fallback otherwise",
+            summary="optimal schedule; value and canonical plan from the "
+            "pure-python branch-and-bound",
             guarantee="optimal",
             max_nodes=16,
             systems=("sync", "duty"),
@@ -78,8 +78,8 @@ SOLVER_TIERS: dict[str, SolverTier] = {
         ),
         SolverTier(
             name="branch-and-bound",
-            summary="optimal schedule; pure-python branch-and-bound with "
-            "admissible flooding lower bounds (always available)",
+            summary="optimal schedule; the exact tier under its explicit "
+            "branch-and-bound backend name (admissible flooding bounds)",
             guarantee="optimal",
             max_nodes=16,
             systems=("sync", "duty"),

@@ -16,6 +16,7 @@ import hashlib
 from typing import Iterable
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in the first cell
 
 __all__ = ["make_rng", "derive_seed", "spawn_seeds"]
 

@@ -11,14 +11,27 @@ which value backend produced the optimum (the determinism contract of
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.policies import EModelPolicy, GreedyOptPolicy
+import repro
+from repro.core.policies import EModelPolicy, GreedyOptPolicy, OptPolicy
+from repro.core.time_counter import SearchConfig
+from repro.dutycycle.models import duty_model_names
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.experiments.config import RATIO_SWEEP
+from repro.experiments.runner import run_sweep
 from repro.network.deployment import DeploymentConfig, deploy_uniform
+from repro.network.graphs import FIGURE2_SOURCE, figure2_topology
 from repro.network.topology import WSNTopology
+from repro.scenarios.registry import scenario_names
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
 from repro.utils.rng import make_rng
@@ -300,12 +313,97 @@ class TestSolverEdges:
         with pytest.raises(ValueError, match="unknown solver backend"):
             solve_broadcast(topology, 0, backend="simplex")
 
+    def test_auto_backend_is_the_branch_and_bound(self):
+        plan = solve_broadcast(_line(5), 0)
+        assert plan.backend == "branch-and-bound"
+
+    def test_importing_the_package_leaves_scipy_unloaded(self):
+        """The ILP imports scipy only when it builds a MILP."""
+        code = "import sys, repro; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert result.stdout.strip() == "False"
+
     def test_line_optimum_is_the_eccentricity(self):
         """Hand-checkable: on a line, one hop per slot is optimal (sync)."""
         topology = _line(6)
         plan = solve_broadcast(topology, 0)
         assert plan.latency == 5
         assert plan.lower_bound == plan.optimum  # the flood bound is tight here
+
+
+def _ilp_voter(topology, covered, *, schedule=None):
+    if not ilp_available():
+        pytest.skip("scipy/HiGHS not importable")
+    return minimum_completion_ilp(topology, covered, schedule=schedule)
+
+
+_FIGURE2 = figure2_topology()
+#: ``(covered, schedule)`` pairs on Figure 2 no value entry point may accept.
+_MALFORMED = {
+    "schedule-missing-nodes": (
+        frozenset({FIGURE2_SOURCE}),
+        WakeupSchedule((1, 2, 3), rate=4, seed=9),
+    ),
+    "unknown-covered-node": (frozenset({FIGURE2_SOURCE, 99}), None),
+    "empty-covered-set": (frozenset(), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize(
+    "voter",
+    [minimum_completion, brute_force_completion, _ilp_voter],
+    ids=["branch-and-bound", "brute-force", "ilp"],
+)
+def test_value_entry_points_reject_malformed_instances(voter, case):
+    covered, schedule = _MALFORMED[case]
+    with pytest.raises(ValueError):
+        voter(_FIGURE2, covered, schedule=schedule)
+
+
+_RATIO_GRID = [
+    ("sync", scenario, "uniform")
+    for scenario in scenario_names()
+    if scenario != "knn"
+] + [
+    ("duty", scenario, duty_model)
+    for scenario in scenario_names()
+    if scenario != "knn"
+    for duty_model in duty_model_names()
+]
+
+
+@pytest.mark.parametrize(
+    "system,scenario,duty_model",
+    _RATIO_GRID,
+    ids=[f"{s}-{sc}-{d}" if s == "duty" else f"{s}-{sc}" for s, sc, d in _RATIO_GRID],
+)
+def test_exact_opt_ends_at_the_certified_optimum(system, scenario, duty_model):
+    """The paper's OPT with exact ``M`` over every maximal colour is optimal.
+
+    Every ``RATIO_SWEEP`` cell (knn fails source vetting at these sizes),
+    synchronous and duty-cycle ``r = 4``.
+    """
+    config = dataclasses.replace(RATIO_SWEEP, scenario=scenario, duty_model=duty_model)
+    sweep = run_sweep(
+        config,
+        system=system,
+        rate=4,
+        policies={
+            "certified": BranchAndBoundPolicy,
+            "OPT": functools.partial(
+                OptPolicy, search=SearchConfig(mode="exact"), max_color_classes=None
+            ),
+        },
+        workers=1,
+    )
+    certified = {(r.num_nodes, r.repetition): r.end_time for r in sweep.records_for("certified")}
+    opt = {(r.num_nodes, r.repetition): r.end_time for r in sweep.records_for("OPT")}
+    assert len(certified) == len(RATIO_SWEEP.node_counts) * RATIO_SWEEP.repetitions
+    assert opt == certified
 
 
 class TestSolverPolicies:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coloring import ColorScheme, greedy_color_classes, lex_order_key
+from repro.core.coloring import ColorScheme, frontier_mask, greedy_color_classes, lex_order_key
+from repro.core.search import ExactSearch
 from repro.core.time_counter import (
     SearchBudgetExceeded,
     SearchConfig,
@@ -14,6 +15,9 @@ from repro.core.time_counter import (
     UnreachableNodes,
 )
 from repro.dutycycle.models import build_wakeup_schedule
+from repro.dutycycle.window import window_for
+from repro.network.bitset import bitset_view
+from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.graphs import FIGURE2_DUTY_START
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
@@ -248,7 +252,7 @@ class TestBitmaskSearchState:
         """The wake-up index answers the frontier scan the schedule answers."""
         topo, source = medium_deployment
         schedule = build_wakeup_schedule(topo.node_ids, 10, seed=3, model=model)
-        counter = TimeCounter(topo, schedule=schedule)
+        search = ExactSearch(topo, schedule, ColorScheme(), max_states=1)
         rng = make_rng(5)
         for _ in range(60):
             radius = int(rng.integers(0, 6))
@@ -260,6 +264,125 @@ class TestBitmaskSearchState:
             slot = int(rng.integers(1, 200))
             frontier = [u for u in covered if topo.uncovered_neighbors(u, covered)]
             expected_slot = schedule.next_awake_slot(frontier, slot)
-            decision_slot, pool = counter._next_decision(topo.mask_from_nodes(covered), slot)
+            decision_slot, pool = search.decision(topo.mask_from_nodes(covered), slot)
             assert decision_slot == expected_slot
             assert topo.nodes_from_mask(pool) == schedule.awake_nodes(frontier, expected_slot)
+
+
+def _memoised_reference(topology, schedule, scheme, covered: int, time: int) -> int:
+    """``M(W, t)`` by the plain memoised depth-first search (no bound, no
+    incumbent, no dominance): the exact mode's recursion written out."""
+    full = topology.full_mask
+    window = None if schedule is None else window_for(schedule, bitset_view(topology))
+    memo: dict[tuple[int, int], int] = {}
+
+    def completion(covered: int, slot: int) -> int:
+        if covered == full:
+            return slot - 1
+        key = (covered, slot)
+        if key not in memo:
+            pool = covered
+            if window is not None:
+                frontier = frontier_mask(topology, covered)
+                slot = window.next_awake(frontier, slot)
+                pool = frontier & window.awake_mask(slot)
+            memo[key] = min(
+                completion(covered | reached, slot + 1)
+                for _, reached in scheme.color_masks(topology, covered, pool)
+            )
+        return memo[key]
+
+    return completion(covered, time)
+
+
+def _reference_instances():
+    """Seeded dense deployments (n = 14..24) on which the search must branch
+    (the first-colour descent misses the bound) for some provider."""
+    instances = []
+    for num_nodes, radius, seed in (
+        (14, 6.0, 1),
+        (16, 6.0, 4),
+        (16, 7.0, 4),  # an exhaustive incumbent would undercut greedy M
+        (18, 6.0, 6),
+        (20, 6.0, 4),
+        (24, 7.0, 20),  # subset dominance would overstate greedy M
+    ):
+        config = DeploymentConfig(
+            num_nodes=num_nodes,
+            area_side=20.0,
+            radius=radius,
+            source_min_ecc=2,
+            source_max_ecc=None,
+        )
+        name = f"n{num_nodes}-r{radius:g}-s{seed}"
+        instances.append((name, deploy_uniform(config=config, seed=seed)[0]))
+    return instances
+
+
+_REFERENCE = _reference_instances()
+_REFERENCE_SCHEMES = {
+    "greedy": ColorScheme("greedy"),
+    "exhaustive": ColorScheme("exhaustive"),
+    "exhaustive-cap3": ColorScheme("exhaustive", 3),
+}
+
+
+def _reference_schedule(topo, system):
+    if system == "sync":
+        return None
+    return build_wakeup_schedule(topo.node_ids, 4, seed=7, model=system.removeprefix("duty-"))
+
+
+def _reference_states(topo):
+    """Every node and its one-hop ball, as the covered set at slot 1 and 5."""
+    for centre in topo.node_ids:
+        hops = topo.hop_distances(centre)
+        for radius in range(2):
+            covered = frozenset(u for u, d in hops.items() if d <= radius)
+            for time in (1, 5):
+                yield covered, time
+
+
+@pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier"])
+@pytest.mark.parametrize("scheme", sorted(_REFERENCE_SCHEMES))
+@pytest.mark.parametrize("name,topo", _REFERENCE, ids=[name for name, _ in _REFERENCE])
+def test_exact_mode_matches_the_memoised_recursion(name, topo, scheme, system):
+    """The branch-and-bound's pruning never changes ``M``, for any provider."""
+    schedule = _reference_schedule(topo, system)
+    provider = _REFERENCE_SCHEMES[scheme]
+    counter = TimeCounter(topo, schedule=schedule, color_scheme=provider)
+    for covered, time in _reference_states(topo):
+        expected = _memoised_reference(
+            topo, schedule, provider, topo.mask_from_nodes(covered), time
+        )
+        assert counter.completion_time(covered, time) == expected
+
+
+@pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier"])
+def test_reference_grid_makes_the_search_branch(system):
+    """Otherwise the comparison above would never exercise the pruning."""
+    for scheme in ("greedy", "exhaustive"):
+        expansions = 0
+        for _, topo in _REFERENCE:
+            counter = TimeCounter(
+                topo,
+                schedule=_reference_schedule(topo, system),
+                color_scheme=_REFERENCE_SCHEMES[scheme],
+            )
+            for covered, time in _reference_states(topo):
+                counter.completion_time(covered, time)
+            expansions += counter.stats.expansions
+        assert expansions > 0, scheme
+
+
+def test_capped_provider_keeps_dominated_children():
+    """Subset dominance needs every maximal colour: under the colour cap,
+    dropping a dominated child overstates ``M`` on this deployment."""
+    config = DeploymentConfig(
+        num_nodes=30, area_side=20.0, radius=8.0, source_min_ecc=2, source_max_ecc=None
+    )
+    topo, _ = deploy_uniform(config=config, seed=24)
+    capped = ColorScheme("exhaustive", 3)
+    covered = frozenset({7})
+    expected = _memoised_reference(topo, None, capped, topo.mask_from_nodes(covered), 1)
+    assert TimeCounter(topo, color_scheme=capped).completion_time(covered, 1) == expected
