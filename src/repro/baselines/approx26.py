@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import conflict_graph
+from repro.core.coloring import greedy_masks
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
@@ -36,34 +36,23 @@ def layer_color_plan(
     available when the layer starts transmitting (all nodes at hop distance
     <= ℓ), which is conservative with respect to the actual coverage while
     the layer's colour classes run and therefore always interference-free.
+    Parents are packed first-fit by :func:`~repro.core.coloring.greedy_masks`
+    over their uncovered-neighbour masks, most assigned children first (the
+    greedy "most receivers first" rule of the referenced construction).
     """
     plan: list[list[frozenset[int]]] = []
-    covered: set[int] = set()
+    covered = 0
     for level, layer in enumerate(tree.layers):
-        covered |= set(layer)
-        parents = list(tree.parents_per_layer[level])
-        if not parents:
-            plan.append([])
-            continue
-        # Sort parents by number of assigned children (the greedy "most
-        # receivers first" rule of the referenced construction).
-        parents.sort(key=lambda u: (-len(tree.children_of(u)), u))
-        conflicts = conflict_graph(topology, parents, frozenset(covered))
-        classes: list[list[int]] = []
-        remaining = list(parents)
-        while remaining:
-            current: list[int] = []
-            current_set: set[int] = set()
-            deferred: list[int] = []
-            for u in remaining:
-                if conflicts[u] & current_set:
-                    deferred.append(u)
-                else:
-                    current.append(u)
-                    current_set.add(u)
-            classes.append(current)
-            remaining = deferred
-        plan.append([frozenset(c) for c in classes])
+        covered |= topology.mask_from_nodes(layer)
+        uncovered = topology.full_mask & ~covered
+        parents = sorted(
+            tree.parents_per_layer[level], key=lambda u: (-len(tree.children_of(u)), u)
+        )
+        candidates = [
+            (1 << topology.index_of(u), topology.neighbor_mask(u) & uncovered)
+            for u in parents
+        ]
+        plan.append([topology.nodes_from_mask(color) for color, _ in greedy_masks(candidates)])
     return plan
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "ColorScheme",
     "conflict_graph",
     "frontier_mask",
+    "greedy_masks",
     "lex_order_key",
 ]
 
@@ -113,15 +114,16 @@ def _candidate_masks(
     return weighted
 
 
-def _greedy_masks(weighted: list[tuple[int, int, int]]) -> list[ColorMasks]:
-    """Algorithm 1's packing over candidate masks.
+def greedy_masks(candidates: list[ColorMasks]) -> list[ColorMasks]:
+    """Algorithm 1's first-fit packing of ``(node bit, uncovered neighbours)``.
 
-    A candidate conflicts with a class iff its uncovered neighbours meet
-    the union of the members' uncovered neighbours (the pairwise test of
-    Eq. 1, constraint 3, folded into one AND), and that union is the
-    class's receivers.
+    Candidates are taken in the given order; each joins the first class it
+    does not conflict with.  A candidate conflicts with a class iff its
+    uncovered neighbours meet the union of the members' uncovered
+    neighbours (the pairwise test of Eq. 1, constraint 3, folded into one
+    AND), and that union is the class's receivers.
     """
-    remaining = [(1 << bit, gain) for _, bit, gain in weighted]
+    remaining = candidates
     classes: list[ColorMasks] = []
     while remaining:
         color = receivers = 0
@@ -135,6 +137,11 @@ def _greedy_masks(weighted: list[tuple[int, int, int]]) -> list[ColorMasks]:
         classes.append((color, receivers))
         remaining = deferred
     return classes
+
+
+def _greedy_pack(weighted: list[tuple[int, int, int]]) -> list[ColorMasks]:
+    """:func:`greedy_masks` over :func:`_candidate_masks` output."""
+    return greedy_masks([(1 << bit, gain) for _, bit, gain in weighted])
 
 
 def _conflict_sets(order: Sequence[int], gains: Sequence[int]) -> dict[int, set[int]]:
@@ -172,7 +179,7 @@ def _enumerated_masks(
         colors.append((color, receivers))
     if max_classes is not None:
         seen = {color for color, _ in colors}
-        colors.extend(pair for pair in _greedy_masks(weighted) if pair[0] not in seen)
+        colors.extend(pair for pair in _greedy_pack(weighted) if pair[0] not in seen)
     # Deterministic order: larger classes (more parallel relays) first.
     width = topology.num_nodes
     colors.sort(key=lambda pair: (-pair[0].bit_count(), lex_order_key(pair[0], width)))
@@ -388,7 +395,7 @@ class ColorScheme:
         if not weighted:
             return []
         if self.mode == "greedy":
-            return _greedy_masks(weighted)
+            return _greedy_pack(weighted)
         return _enumerated_masks(topology, weighted, self.max_classes)
 
     def color_classes(

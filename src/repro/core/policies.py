@@ -194,23 +194,23 @@ class _TimeCounterPolicy(SchedulingPolicy):
         assert self._counter is not None
 
         topology = state.topology
-        covered = topology.mask_from_nodes(state.covered)
-        pool = None
-        if state.schedule is not None:
-            window = window_for(state.schedule, bitset_view(topology))
-            pool = covered & window.awake_mask(state.time)
         if self._decision_scheme.mode == "greedy":
             # Decision-level greedy colourings are pure in (topology, W,
             # awake pool), so the policies of one cell, which share a
             # topology, reuse them; the recursive evaluation of M keeps its
-            # own uncached scheme (its state space would swamp the cache).
+            # own per-broadcast memo (its state space would swamp the cache).
+            pool = None
+            if state.schedule is not None:
+                window = window_for(state.schedule, bitset_view(topology))
+                pool = topology.mask_from_nodes(state.covered) & window.awake_mask(state.time)
             colors = cached_greedy_pool_classes(topology, state.covered, pool)
         else:
+            # OPT decides over the recursion's own provider, so the counter's
+            # state memo serves the states its last search already coloured.
+            covered = topology.mask_from_nodes(state.covered)
             colors = [
                 topology.nodes_from_mask(color)
-                for color, _ in self._decision_scheme.color_masks(
-                    topology, covered, covered if pool is None else pool
-                )
+                for color, _ in self._counter.color_masks_at(covered, state.time)
             ]
         if not colors:
             return None

@@ -12,6 +12,11 @@ bound (:meth:`~ExactSearch.lower_bound`), the incumbent
 (:meth:`~ExactSearch.descent`) and the children (distinct coverages, minus
 dominated ones for the unrestricted exhaustive provider); docs/design.md,
 "Exact search", argues why each is sound.
+
+Colourings, frontiers and hop reaches are pure in ``(topology, masks)``, so
+one search keeps them in a bounded state memo (:meth:`~ExactSearch.color_masks`,
+:meth:`~ExactSearch.frontier`, :meth:`~ExactSearch.hop_reach`) that every
+search path of the time counter reads; docs/design.md, "Search state".
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.core.advance import Advance
-from repro.core.coloring import ColorScheme, frontier_mask
+from repro.core.coloring import ColorMasks, ColorScheme, frontier_mask
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
 from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
@@ -40,16 +45,22 @@ class UnreachableNodes(RuntimeError):
 
 @dataclass
 class SearchStats:
-    """Work counters of a search, exposed for tests and the benchmarks."""
+    """Work counters of a search, exposed for tests and the benchmarks.
+
+    ``memo_hits`` counts revisits the exact search pruned; ``state_hits``
+    counts colourings, frontiers and hop reaches served by the state memo.
+    """
 
     expansions: int = 0
     memo_hits: int = 0
     states: int = 0
+    state_hits: int = 0
 
     def reset(self) -> None:
         self.expansions = 0
         self.memo_hits = 0
         self.states = 0
+        self.state_hits = 0
 
 
 class ExactSearch:
@@ -59,6 +70,11 @@ class ExactSearch:
     charged to ``stats`` (fresh by default); one past ``max_states`` in
     their running total raises :class:`SearchBudgetExceeded`, so a caller
     sharing its counters across searches shares the budget too.
+
+    The state memo holds at most ``max_states`` items (a colouring counts
+    one per colour, at least one; a frontier or a hop reach one each).  An
+    entry that would overflow it empties the memo first, and one larger
+    than the whole bound is not kept.  :meth:`clear_memo` empties it.
     """
 
     def __init__(
@@ -79,6 +95,75 @@ class ExactSearch:
         self._full = topology.full_mask
         self.window = None if schedule is None else window_for(schedule, self._view)
         self._dominance = scheme.mode == "exhaustive" and scheme.max_classes is None
+        self._colorings: dict[tuple[int, int], list[ColorMasks]] = {}
+        self._frontiers: dict[int, int] = {}
+        self._reaches: dict[int, tuple[int, bool]] = {}
+        self.memo_size = 0
+
+    def clear_memo(self) -> None:
+        """Drop every memoised colouring, frontier and hop reach."""
+        self._colorings.clear()
+        self._frontiers.clear()
+        self._reaches.clear()
+        self.memo_size = 0
+
+    def _admit(self, cost: int) -> bool:
+        """Make room for ``cost`` memo items; ``False`` if they never fit."""
+        if cost > self.max_states:
+            return False
+        if self.memo_size + cost > self.max_states:
+            self.clear_memo()
+        self.memo_size += cost
+        return True
+
+    def color_masks(self, covered: int, pool: int) -> list[ColorMasks]:
+        """The provider's ``(colour, receivers)`` masks for ``(W, pool)``, memoised.
+
+        Callers must treat the returned list as immutable.
+        """
+        key = (covered, pool)
+        pairs = self._colorings.get(key)
+        if pairs is not None:
+            self.stats.state_hits += 1
+            return pairs
+        pairs = self.scheme.color_masks(self.topology, covered, pool)
+        if self._admit(max(len(pairs), 1)):
+            self._colorings[key] = pairs
+        return pairs
+
+    def frontier(self, covered: int) -> int:
+        """:func:`~repro.core.coloring.frontier_mask` of ``W``, memoised."""
+        frontier = self._frontiers.get(covered)
+        if frontier is not None:
+            self.stats.state_hits += 1
+            return frontier
+        frontier = frontier_mask(self.topology, covered)
+        if self._admit(1):
+            self._frontiers[covered] = frontier
+        return frontier
+
+    def hop_reach(self, covered: int) -> tuple[int, bool]:
+        """``(farthest, complete)`` for ``W``, memoised.
+
+        ``farthest`` is the largest hop distance from ``W`` to a node it
+        reaches (covered nodes read 0, so it is the largest over the
+        uncovered ones; 0 for an empty ``W``), ``complete`` whether ``W``
+        reaches every node.  One column minimum over the covered rows of
+        the hop matrix.
+        """
+        reach = self._reaches.get(covered)
+        if reach is not None:
+            self.stats.state_hits += 1
+            return reach
+        nearest = self._view.nearest_hops(covered)
+        farthest = int(nearest.max(initial=0))
+        if farthest == UNREACHABLE_HOPS:
+            reach = int(nearest[nearest != UNREACHABLE_HOPS].max(initial=0)), False
+        else:
+            reach = farthest, True
+        if self._admit(1):
+            self._reaches[covered] = reach
+        return reach
 
     def decision(self, covered: int, time: int) -> tuple[int, int]:
         """The next decision ``(slot, sender pool)`` at or after ``time``.
@@ -89,7 +174,7 @@ class ExactSearch:
         """
         if self.window is None:
             return time, covered
-        frontier = frontier_mask(self.topology, covered)
+        frontier = self.frontier(covered)
         slot = self.window.next_awake(frontier, time)
         if slot is None:
             raise UnreachableNodes("no frontier node exists although uncovered nodes remain")
@@ -101,8 +186,8 @@ class ExactSearch:
         ``None`` means some node can never receive the message.
         """
         if self.schedule is None:
-            farthest = int(self._view.nearest_hops(covered).max(initial=0))
-            return None if farthest == UNREACHABLE_HOPS else time - 1 + farthest
+            farthest, complete = self.hop_reach(covered)
+            return time - 1 + farthest if complete else None
         topology = self.topology
         best = dict.fromkeys(topology.nodes_from_mask(covered), time - 1)
         heap = sorted((received, u) for u, received in best.items())
@@ -123,7 +208,7 @@ class ExactSearch:
     def colors(self, covered: int, time: int) -> tuple[int, list[tuple[int, int]]]:
         """The next decision slot and the provider's ``(colour, receivers)`` there."""
         slot, pool = self.decision(covered, time)
-        pairs = self.scheme.color_masks(self.topology, covered, pool)
+        pairs = self.color_masks(covered, pool)
         if not pairs:
             raise UnreachableNodes("no admissible colour although uncovered nodes remain")
         return slot, pairs

@@ -30,7 +30,8 @@ the duty-cycle search moves to the next slot at which *some* frontier node
 is awake instead of branching over idle waits.  The beam ranks its states
 by the largest hop distance from ``W`` to an uncovered node, an admissible
 lower bound on the remaining advances read off the topology's cached hop
-matrix.
+matrix.  Every colouring, frontier and hop bound of either search comes
+from the search's state memo, which lives for one broadcast.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
-from repro.core.coloring import ColorScheme, lex_order_key
+from repro.core.coloring import ColorMasks, ColorScheme, lex_order_key
 from repro.core.search import ExactSearch, SearchBudgetExceeded, SearchStats, UnreachableNodes
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
@@ -63,7 +64,8 @@ class SearchConfig:
     max_states:
         State budget of the exact mode, summed over a counter's searches
         until :meth:`TimeCounter.clear_cache`; exceeded ⇒
-        :class:`SearchBudgetExceeded`.
+        :class:`SearchBudgetExceeded`.  Also the bound on the state memo
+        of either mode.
     max_slots:
         Hard horizon for duty-cycle beam searches, expressed as a multiple of
         ``2 r (d + 2)`` (the Theorem-1 bound); a schedule exceeding it
@@ -107,23 +109,30 @@ class TimeCounter:
     Search states are int bitmasks, bit ``i`` standing for
     ``topology.node_ids[i]`` (see docs/design.md, "Search state").  Every
     public method converts ``W`` once at entry; colours come from
-    :meth:`ColorScheme.color_masks` as ``(colour, receivers)`` masks, and
-    each decision's slot and sender pool from
-    :meth:`~repro.core.search.ExactSearch.decision`, which reads the shared
-    :class:`~repro.dutycycle.window.ActivityWindow`.
+    :meth:`~repro.core.search.ExactSearch.color_masks` as
+    ``(colour, receivers)`` masks, and each decision's slot and sender pool
+    from :meth:`~repro.core.search.ExactSearch.decision`, which reads the
+    shared :class:`~repro.dutycycle.window.ActivityWindow`.
 
     Every ``M`` value of the exact mode is one
-    :meth:`~repro.core.search.ExactSearch.minimum` call; nothing is
-    memoised between calls.  Its expansions are charged to :attr:`stats`,
-    so ``config.max_states`` caps the work of a counter until
+    :meth:`~repro.core.search.ExactSearch.minimum` call; its visited set
+    lives for that call.  Its expansions are charged to :attr:`stats`, so
+    ``config.max_states`` caps the work of a counter until
     :meth:`clear_cache` (which the policies' ``prepare`` calls, or builds a
     fresh counter, per broadcast).
 
+    Both modes read one state memo, owned by the
+    :class:`~repro.core.search.ExactSearch`: colourings keyed by
+    ``(W, pool)``, frontiers and hop reaches keyed by ``W``.  They are pure
+    in the masks, so the memo changes no result and no work counter; it
+    holds at most ``config.max_states`` items and :meth:`clear_cache`
+    drops it.
+
     Hop distances come from the topology's cached
     :attr:`~repro.network.topology.WSNTopology.hop_matrix`: the beam's
-    lower bound and the reachability check are column minima over the
-    covered rows (:meth:`~repro.network.bitset.BitsetTopology.nearest_hops`),
-    and the duty horizon's diameter is read once.
+    lower bound and the reachability check read
+    :meth:`~repro.core.search.ExactSearch.hop_reach`, one column minimum
+    over the covered rows, and the duty horizon's diameter is read once.
     """
 
     def __init__(
@@ -183,7 +192,7 @@ class TimeCounter:
         """Pick the colour to launch now, per Eq. (5)-(8).
 
         In ``exact`` mode every candidate colour is evaluated independently
-        with the memoised recursion (identical to :meth:`rank_colors`).  In
+        by the branch-and-bound (identical to :meth:`rank_colors`).  In
         ``beam`` mode a *single* shared beam search is run in which each
         state remembers the first colour it committed to; the first colour
         of the earliest-completing state wins.  This preserves the "judge a
@@ -206,19 +215,33 @@ class TimeCounter:
         slot with no awake frontier node, or ``W`` already complete).
         """
         covered_mask = self._mask_of(covered)
-        pool = covered_mask
-        if self._search.window is not None:
-            pool &= self._search.window.awake_mask(time)
-        pairs = self.color_scheme.color_masks(self.topology, covered_mask, pool)
+        pairs = self.color_masks_at(covered_mask, time)
         if not pairs:
             return None
         view = self._view
         colors = [view.nodes_from_bool(view.bool_from_mask(color)) for color, _ in pairs]
         return self._select_color(covered_mask, time, colors)
 
+    def color_masks_at(self, covered: int, time: int) -> list[ColorMasks]:
+        """The provider's ``(colour, receivers)`` masks at ``(W, t)``, memoised.
+
+        ``covered`` is a mask.  The pool is every covered node in the
+        synchronous system and the frontier nodes awake at ``time`` in the
+        duty-cycle system (empty when none is); either way the colours are
+        those of the covered nodes free to send at ``time``.
+        """
+        search = self._search
+        if search.window is None:
+            return search.color_masks(covered, covered)
+        return search.color_masks(
+            covered, search.frontier(covered) & search.window.awake_mask(time)
+        )
+
     def clear_cache(self) -> None:
-        """Reset the work counters, and with them the exact-mode budget."""
+        """Reset the work counters, and with them the exact-mode budget, and
+        drop the state memo."""
         self.stats.reset()
+        self._search.clear_memo()
 
     # ------------------------------------------------------------------
     # Shared helpers (``covered`` and states are masks from here on)
@@ -268,30 +291,22 @@ class TimeCounter:
         return self._select_color_beam_duty(covered, time, colors)
 
     def _check_reachable(self, covered: int) -> None:
-        if covered == self._full:
+        if covered == self._full or self._search.hop_reach(covered)[1]:
             return
         unreachable = self._view.nearest_hops(covered) == UNREACHABLE_HOPS
-        if unreachable.any():
-            examples = self._view.node_ids[unreachable].tolist()
-            raise UnreachableNodes(
-                f"{len(examples)} nodes can never receive the message "
-                f"(e.g. {examples[:5]}); the topology is disconnected"
-            )
+        examples = self._view.node_ids[unreachable].tolist()
+        raise UnreachableNodes(
+            f"{len(examples)} nodes can never receive the message "
+            f"(e.g. {examples[:5]}); the topology is disconnected"
+        )
 
     def _hop_lower_bound(self, covered: int) -> int:
         """Largest hop distance from ``W`` to an uncovered node (admissible).
 
-        Covered columns read 0, so the maximum over all columns is the
-        maximum over the uncovered ones; nodes ``W`` cannot reach are left
-        out, as a BFS from ``W`` would never visit them.
+        Nodes ``W`` cannot reach are left out, as a BFS from ``W`` would
+        never visit them.
         """
-        if not covered:
-            return 0
-        nearest = self._view.nearest_hops(covered)
-        farthest = int(nearest.max())
-        if farthest == UNREACHABLE_HOPS:
-            farthest = int(nearest[nearest != UNREACHABLE_HOPS].max())
-        return farthest
+        return self._search.hop_reach(covered)[0]
 
     def _state_key(self, state: int) -> tuple[int, int]:
         """``(-|W|, tuple(sorted(W)))`` as ints: see :func:`lex_order_key`."""
@@ -427,7 +442,7 @@ class TimeCounter:
             completed: list[int] = []
             for state, first in beam:
                 self.stats.expansions += 1
-                for _, reached in self.color_scheme.color_masks(self.topology, state, state):
+                for _, reached in self._search.color_masks(state, state):
                     new_covered = state | reached
                     if new_covered == full:
                         completed.append(first)
@@ -483,7 +498,7 @@ class TimeCounter:
                 if decision_slot > horizon or decision_slot >= best_completion:
                     continue
                 self.stats.expansions += 1
-                for _, reached in self.color_scheme.color_masks(self.topology, state, pool):
+                for _, reached in self._search.color_masks(state, pool):
                     new_covered = state | reached
                     if new_covered == full:
                         if decision_slot < best_completion:
@@ -535,7 +550,7 @@ class TimeCounter:
                     continue
                 self.stats.expansions += 1
                 new_slot = decision_slot + 1
-                for _, reached in self.color_scheme.color_masks(self.topology, state, pool):
+                for _, reached in self._search.color_masks(state, pool):
                     new_covered = state | reached
                     if new_covered == full:
                         best_completion = min(best_completion, decision_slot)

@@ -7,7 +7,9 @@ import pytest
 from repro.baselines.approx26 import Approx26Policy, layer_color_plan
 from repro.baselines.bfs_tree import build_broadcast_tree
 from repro.core.advance import BroadcastState
+from repro.core.coloring import conflict_graph
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.interference import conflict_free
 from repro.sim.broadcast import run_broadcast
 
@@ -37,6 +39,44 @@ class TestLayerColorPlan:
         tree = build_broadcast_tree(topo, source)
         plan = layer_color_plan(topo, tree)
         assert plan[-1] == []
+
+
+def _conflict_graph_plan(topology, tree):
+    """The layer plan by first-fit over the frozenset conflict graph: the
+    oracle the mask packing of :func:`layer_color_plan` must reproduce."""
+    plan = []
+    covered: set[int] = set()
+    for level, layer in enumerate(tree.layers):
+        covered |= set(layer)
+        parents = sorted(
+            tree.parents_per_layer[level], key=lambda u: (-len(tree.children_of(u)), u)
+        )
+        conflicts = conflict_graph(topology, parents, frozenset(covered))
+        classes = []
+        remaining = parents
+        while remaining:
+            current: set[int] = set()
+            deferred = []
+            for u in remaining:
+                if conflicts[u] & current:
+                    deferred.append(u)
+                else:
+                    current.add(u)
+            classes.append(frozenset(current))
+            remaining = deferred
+        plan.append(classes)
+    return plan
+
+
+@pytest.mark.parametrize("parent_mode", ["cover", "tree"])
+@pytest.mark.parametrize("num_nodes,seed", [(30, 1), (50, 2), (80, 3), (100, 4), (120, 5)])
+def test_mask_packing_matches_the_conflict_graph_loop(num_nodes, seed, parent_mode):
+    config = DeploymentConfig(
+        num_nodes=num_nodes, area_side=50.0, radius=12.0, source_min_ecc=2, source_max_ecc=None
+    )
+    topo, source = deploy_uniform(config=config, seed=seed)
+    tree = build_broadcast_tree(topo, source, parent_mode=parent_mode)
+    assert layer_color_plan(topo, tree) == _conflict_graph_plan(topo, tree)
 
 
 class TestApprox26Policy:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coloring import ColorScheme, frontier_mask, greedy_color_classes, lex_order_key
+from repro.core.policies import OptPolicy
 from repro.core.search import ExactSearch
 from repro.core.time_counter import (
     SearchBudgetExceeded,
@@ -20,6 +21,8 @@ from repro.network.bitset import bitset_view
 from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.graphs import FIGURE2_DUTY_START
 from repro.network.topology import WSNTopology
+from repro.scenarios import generate_scenario, scenario_names
+from repro.sim.broadcast import run_broadcast
 from repro.utils.rng import make_rng
 
 
@@ -386,3 +389,126 @@ def test_capped_provider_keeps_dominated_children():
     covered = frozenset({7})
     expected = _memoised_reference(topo, None, capped, topo.mask_from_nodes(covered), 1)
     assert TimeCounter(topo, color_scheme=capped).completion_time(covered, 1) == expected
+
+
+def _memo_items(search: ExactSearch) -> int:
+    """Items the state memo holds, counted from its tables."""
+    return (
+        sum(max(len(pairs), 1) for pairs in search._colorings.values())
+        + len(search._frontiers)
+        + len(search._reaches)
+    )
+
+
+class TestStateMemo:
+    def test_clear_cache_empties_the_memo(self, medium_deployment):
+        topo, source = medium_deployment
+        counter = TimeCounter(topo, config=SearchConfig(mode="beam"))
+        counter.completion_time({source}, 1)
+        search = counter._search
+        assert search.memo_size == _memo_items(search) > 0
+        counter.clear_cache()
+        assert search.memo_size == _memo_items(search) == 0
+
+    @pytest.mark.parametrize("rate", [None, 10])
+    def test_reused_counter_matches_a_fresh_one(
+        self, medium_deployment, duty_schedule_factory, rate
+    ):
+        """A counter reused through ``prepare`` replays a broadcast as a fresh
+        counter would: same colours, same completions, same stats."""
+        topo, source = medium_deployment
+        schedule = None if rate is None else duty_schedule_factory(topo, rate=rate)
+        align = schedule is not None
+
+        def policy():
+            return OptPolicy(search=SearchConfig(mode="beam", beam_width=4), max_color_classes=16)
+
+        reused, fresh = policy(), policy()
+        first = run_broadcast(topo, source, reused, schedule=schedule, align_start=align)
+        reused.prepare(topo, schedule, source)
+        fresh.prepare(topo, schedule, source)
+        advance = first.advances[1]
+        covered = frozenset({source}) | first.advances[0].receivers
+        awake = None if schedule is None else schedule.awake_nodes(covered, advance.time)
+        colors = greedy_color_classes(topo, covered, awake)
+        assert reused.counter.select_color(covered, advance.time, colors) == (
+            fresh.counter.select_color(covered, advance.time, colors)
+        )
+        assert reused.counter.stats == fresh.counter.stats
+        reused.prepare(topo, schedule, source)
+        fresh.prepare(topo, schedule, source)
+        again = run_broadcast(topo, source, reused, schedule=schedule, align_start=align)
+        assert again == run_broadcast(topo, source, fresh, schedule=schedule, align_start=align)
+        assert reused.counter.stats == fresh.counter.stats
+
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("max_states", [3, 40])
+    def test_memo_never_exceeds_its_bound(self, medium_deployment, mode, max_states):
+        """On the deployment of ``test_state_budget_enforced``."""
+        topo, source = medium_deployment
+        counter = TimeCounter(topo, config=SearchConfig(mode=mode, max_states=max_states))
+        search = counter._search
+        admit = search._admit
+        sizes = []
+
+        def checked(cost: int) -> bool:
+            kept = admit(cost)
+            sizes.append(search.memo_size)
+            assert _memo_items(search) + (cost if kept else 0) == search.memo_size
+            return kept
+
+        search._admit = checked
+        try:
+            counter.completion_time({source}, 1)
+        except SearchBudgetExceeded:
+            assert mode == "exact"
+        assert sizes and max(sizes) <= max_states
+        assert _memo_items(search) == search.memo_size <= max_states
+
+    def test_memo_serves_the_search_without_changing_it(self, medium_deployment):
+        """Hits happen, and a second identical query repeats the work counters."""
+        topo, source = medium_deployment
+        counter = TimeCounter(topo, config=SearchConfig(mode="beam"))
+        first = counter.completion_time({source}, 1)
+        expansions, states = counter.stats.expansions, counter.stats.states
+        hits = counter.stats.state_hits
+        assert counter.completion_time({source}, 1) == first
+        assert counter.stats.expansions == 2 * expansions
+        assert counter.stats.states == 2 * states
+        assert counter.stats.state_hits > 2 * hits
+
+
+_BEAM_PROVIDERS = {"G-OPT": ColorScheme("greedy"), "OPT": ColorScheme("exhaustive", 64)}
+
+
+def _beam_instances(scenario):
+    """Seeded n = 10..16 deployments of one scenario."""
+    for num_nodes in (10, 12, 14, 16):
+        config = DeploymentConfig(
+            num_nodes=num_nodes,
+            area_side=20.0,
+            radius=6.0,
+            source_min_ecc=2,
+            source_max_ecc=None,
+        )
+        deployment = generate_scenario(scenario, config, seed=num_nodes)
+        yield deployment.topology, deployment.source
+
+
+@pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier", "duty-zipf"])
+@pytest.mark.parametrize("scenario", [name for name in scenario_names() if name != "knn"])
+def test_beam_never_undercuts_exact(scenario, system):
+    """The beam follows real provider schedules, so neither its ``M`` nor
+    its ``select_color`` completion can beat the exact recursion's."""
+    for topo, source in _beam_instances(scenario):
+        schedule = _reference_schedule(topo, system)
+        start = 1 if schedule is None else schedule.next_active_slot(source, 1)
+        ball = frozenset(u for u, d in topo.hop_distances(source).items() if d <= 1)
+        for provider in _BEAM_PROVIDERS.values():
+            exact = TimeCounter(topo, schedule, provider, SearchConfig(mode="exact"))
+            beam = TimeCounter(topo, schedule, provider, SearchConfig(mode="beam"))
+            assert beam.completion_time({source}, start) >= exact.completion_time({source}, start)
+            slot, _ = exact._search.decision(topo.mask_from_nodes(ball), start + 1)
+            _, exact_completion = exact.best_color(ball, slot)
+            _, beam_completion = beam.best_color(ball, slot)
+            assert beam_completion >= exact_completion
