@@ -15,8 +15,8 @@
 from __future__ import annotations
 
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import cached_greedy_color_classes, frontier_candidates
-from repro.core.policies import SchedulingPolicy
+from repro.core.coloring import frontier_candidates
+from repro.core.policies import SchedulingPolicy, greedy_decision_classes
 
 __all__ = ["FloodingPolicy", "LargestFirstPolicy"]
 
@@ -62,10 +62,7 @@ class LargestFirstPolicy(SchedulingPolicy):
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        awake = None
-        if state.schedule is not None:
-            awake = state.schedule.awake_nodes(state.covered, state.time)
-        colors = cached_greedy_color_classes(state.topology, state.covered, awake)
+        colors = greedy_decision_classes(state)
         if not colors:
             return None
         return Advance.from_color(

@@ -269,13 +269,9 @@ def cached_greedy_color_classes(
 ) -> list[frozenset[int]]:
     """Memoized :func:`greedy_color_classes` (identical result, shared work).
 
-    The decision-level colourings of the time-counter and E-model policies
-    are pure in ``(topology, covered, awake)``; caching them lets the
-    policies of one cell, which broadcast over the same topology, reuse
-    each other's colourings.  On the paper duty-cycle cell (r=50, 100
-    nodes, seed 2012, repetition 0) every one of the E-model's 23 lookups
-    hits a colouring G-OPT computed; on the synchronous 300-node cell 2 of
-    its 8 do.  Callers must treat the returned list as immutable.
+    The frozenset front end of :func:`cached_greedy_pool_classes`: the
+    awake set becomes the pool mask of the covered nodes it holds, so it
+    shares that cache.  Callers must treat the returned list as immutable.
     """
     covered = frozenset(covered)
     pool = None if awake is None else topology.mask_from_nodes(covered & frozenset(awake))
@@ -287,10 +283,16 @@ def cached_greedy_pool_classes(
     covered: frozenset[int],
     pool: int | None,
 ) -> list[frozenset[int]]:
-    """:func:`cached_greedy_color_classes` keyed on the awake pool's mask.
+    """Greedy colour classes keyed on ``(topology, covered, pool)``, cached.
 
     ``pool`` is the mask of the covered nodes allowed to send (``None``:
-    all of them, the synchronous system).
+    all of them, the synchronous system).  The decision-level colourings of
+    the greedy-decision policies are pure in this key; caching them lets
+    the policies of one cell, which broadcast over the same topology, reuse
+    each other's colourings.  On the paper duty-cycle cell (r=50, 100
+    nodes, seed 2012, repetition 0) every one of the E-model's 23 lookups
+    hits a colouring G-OPT computed; on the synchronous 300-node cell 2 of
+    its 8 do.  Callers must treat the returned list as immutable.
     """
     per_topology = _GREEDY_CLASS_CACHE.get(topology)
     if per_topology is None:

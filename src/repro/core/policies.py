@@ -22,11 +22,7 @@ from abc import ABC, abstractmethod
 from typing import Literal
 
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import (
-    ColorScheme,
-    cached_greedy_color_classes,
-    cached_greedy_pool_classes,
-)
+from repro.core.coloring import ColorScheme, cached_greedy_pool_classes
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
@@ -39,7 +35,25 @@ __all__ = [
     "OptPolicy",
     "GreedyOptPolicy",
     "EModelPolicy",
+    "greedy_decision_classes",
 ]
+
+
+def greedy_decision_classes(state: BroadcastState) -> list[frozenset[int]]:
+    """The greedy colour classes of ``state`` over its awake pool, cached.
+
+    The pool is the covered nodes awake at ``state.time``, read from the
+    shared :func:`~repro.dutycycle.window.window_for` masks (all covered
+    nodes in the synchronous system).  Every greedy-decision policy keys
+    :func:`~repro.core.coloring.cached_greedy_pool_classes` this way, so
+    the policies of one cell reuse each other's colourings.
+    """
+    topology = state.topology
+    pool = None
+    if state.schedule is not None:
+        window = window_for(state.schedule, bitset_view(topology))
+        pool = topology.mask_from_nodes(state.covered) & window.awake_mask(state.time)
+    return cached_greedy_pool_classes(topology, state.covered, pool)
 
 
 class SchedulingPolicy(ABC):
@@ -199,11 +213,7 @@ class _TimeCounterPolicy(SchedulingPolicy):
             # awake pool), so the policies of one cell, which share a
             # topology, reuse them; the recursive evaluation of M keeps its
             # own per-broadcast memo (its state space would swamp the cache).
-            pool = None
-            if state.schedule is not None:
-                window = window_for(state.schedule, bitset_view(topology))
-                pool = topology.mask_from_nodes(state.covered) & window.awake_mask(state.time)
-            colors = cached_greedy_pool_classes(topology, state.covered, pool)
+            colors = greedy_decision_classes(state)
         else:
             # OPT decides over the recursion's own provider, so the counter's
             # state memo serves the states its last search already coloured.
@@ -343,10 +353,7 @@ class EModelPolicy(SchedulingPolicy):
             self.prepare(state.topology, state.schedule, source=-1)
         assert self._estimate is not None
 
-        awake = None
-        if state.schedule is not None:
-            awake = state.schedule.awake_nodes(state.covered, state.time)
-        colors = cached_greedy_color_classes(state.topology, state.covered, awake)
+        colors = greedy_decision_classes(state)
         if not colors:
             return None
 

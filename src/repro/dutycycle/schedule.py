@@ -10,9 +10,14 @@ seed, any neighbour that learned the seed and the last active slot during
 beaconing can *predict* future wake-ups — which is exactly the API exposed
 here (:meth:`WakeupSchedule.next_active_slot`).
 
-The implementation materialises wake-up slots lazily, cycle by cycle, so a
-schedule can be queried arbitrarily far into the future without
-pre-committing to a horizon.
+Every cycle holds exactly one active slot, so a node's stream is stored as
+one list, ``slots[k]`` being the active slot of cycle ``k``.  Point queries
+are index computations (:meth:`~WakeupSchedule.is_active` reads one cycle,
+:meth:`~WakeupSchedule.next_active_slot` at most two), and the list grows
+on demand in geometric chunks of vectorized draws, so a schedule can be
+queried arbitrarily far into the future without pre-committing to a
+horizon.  :meth:`~WakeupSchedule.activity_window` gathers the cycles of
+every row into one flat array and fills its matrix in one scatter.
 
 Heterogeneous rates
 -------------------
@@ -30,7 +35,11 @@ rate — rather than :attr:`WakeupSchedule.rate`, which stays the base rate.
 
 Determinism contract: a node's wake-up stream depends only on
 ``(seed, node_id, its rate)``, never on the other nodes' rates, so any two
-schedules built from the same seed agree on every node they share.
+schedules built from the same seed agree on every node they share.  The
+chunked draws keep it: numpy's bounded draws consume the generator's
+stream identically as scalars or as arrays, so cycle ``k``'s slot is the
+``k``-th draw of the node's generator however far ahead the list has grown
+and in whatever order the queries arrive.
 """
 
 from __future__ import annotations
@@ -46,47 +55,65 @@ __all__ = ["WakeupSchedule"]
 
 
 class _NodeSequence:
-    """Lazily generated wake-up slots for a single node."""
+    """The pseudo-random wake-up slots of one node, one slot per cycle.
 
-    __slots__ = ("_rate", "_rng", "_slots", "_slot_set", "_cycles_generated")
+    Cycle ``k`` spans slots ``[k*r + 1, (k+1)*r]`` and holds exactly one
+    active slot, ``slots[k]``, so every query is an index computation:
+    :meth:`is_active` reads one cycle, :meth:`next_active` at most two and
+    :meth:`active_slots_until` is a slice.
+
+    The list grows in geometric chunks, each one ``rng.integers(1, r + 1,
+    size=count)`` call.  numpy's bounded draws below ``2**32`` consume the
+    generator's stream identically as scalars or as arrays, and drawing
+    ahead never changes an earlier cycle, so cycle ``k``'s slot is the
+    ``k``-th scalar draw of the node's generator however the queries
+    arrive.
+    """
+
+    __slots__ = ("_rate", "_rng", "_slots")
 
     def __init__(self, rate: int, seed: int) -> None:
         self._rate = rate
         self._rng = make_rng(seed)
         self._slots: list[int] = []
-        self._slot_set: set[int] = set()
-        self._cycles_generated = 0
 
-    def _extend_to_slot(self, slot: int) -> None:
-        """Generate cycles until the sequence covers ``slot``."""
-        needed_cycles = max(self._cycles_generated, (slot // self._rate) + 2)
-        while self._cycles_generated < needed_cycles:
-            cycle_index = self._cycles_generated
-            # Cycle k spans slots [k*r + 1, (k+1)*r]; the active slot is a
-            # uniform draw within the cycle.
-            offset = int(self._rng.integers(1, self._rate + 1))
-            active = cycle_index * self._rate + offset
-            self._slots.append(active)
-            self._slot_set.add(active)
-            self._cycles_generated += 1
+    def _extend_to_cycle(self, cycle: int) -> None:
+        """Draw cycles until ``slots[cycle]`` exists."""
+        have = len(self._slots)
+        if cycle < have:
+            return
+        count = max(cycle + 1 - have, have, 16)
+        offsets = self._rng.integers(1, self._rate + 1, size=count)
+        starts = np.arange(have, have + count, dtype=np.int64) * self._rate
+        self._slots.extend((starts + offsets).tolist())
 
     def is_active(self, slot: int) -> bool:
-        self._extend_to_slot(slot)
-        return slot in self._slot_set
+        cycle = (slot - 1) // self._rate
+        self._extend_to_cycle(cycle)
+        return self._slots[cycle] == slot
 
     def next_active(self, slot: int) -> int:
         """The smallest active slot >= ``slot``."""
-        self._extend_to_slot(slot + 2 * self._rate)
-        for active in self._slots:
-            if active >= slot:
-                return active
-        # The extension above guarantees at least one active slot beyond
-        # ``slot`` exists; this is unreachable but keeps mypy/readers happy.
-        raise AssertionError("wake-up sequence generation fell behind")  # pragma: no cover
+        cycle = (slot - 1) // self._rate
+        self._extend_to_cycle(cycle + 1)
+        active = self._slots[cycle]
+        return active if active >= slot else self._slots[cycle + 1]
 
     def active_slots_until(self, horizon: int) -> list[int]:
-        self._extend_to_slot(horizon)
-        return [s for s in self._slots if s <= horizon]
+        slots = self.cycle_slots(1, horizon)
+        if slots[-1] > horizon:
+            slots.pop()
+        return slots
+
+    def cycle_slots(self, start: int, stop: int) -> list[int]:
+        """The active slots of every cycle that meets ``[start, stop]``.
+
+        The first and last entries may fall outside the window (they share
+        a cycle with its ends); callers filter them.
+        """
+        last = (stop - 1) // self._rate
+        self._extend_to_cycle(last)
+        return self._slots[(start - 1) // self._rate : last + 1]
 
 
 class _ExplicitSequence:
@@ -275,18 +302,36 @@ class WakeupSchedule:
         the vectorized engine passes rows in topology-index order); column
         ``j`` is slot ``start + j``; ``stop`` is inclusive.  Entry
         ``(i, j)`` is ``True`` iff ``start + j`` is in ``T(node_ids[i])``,
-        i.e. exactly :meth:`is_active` evaluated pointwise.  The per-node
-        lazy sequences are materialised (and cached) up to ``stop``.
+        i.e. exactly :meth:`is_active` evaluated pointwise.
+
+        Pseudo-random rows contribute the slots of every cycle meeting the
+        window; all of them land in one flat array and one masked scatter
+        fills the matrix.  Explicit rows (the paper's examples) are set
+        from their own slot lists.
         """
         require(start >= 1, "slots are 1-based")
         width = stop - start + 1
         out = np.zeros((len(node_ids), max(width, 0)), dtype=bool)
         if width <= 0:
             return out
+        flat: list[int] = []
+        lengths: list[int] = []
         for row, node_id in enumerate(node_ids):
-            for slot in self._sequences[node_id].active_slots_until(stop):
-                if slot >= start:
-                    out[row, slot - start] = True
+            sequence = self._sequences[node_id]
+            if isinstance(sequence, _NodeSequence):
+                slots = sequence.cycle_slots(start, stop)
+                flat.extend(slots)
+                lengths.append(len(slots))
+            else:
+                lengths.append(0)
+                for slot in sequence.active_slots_until(stop):
+                    if slot >= start:
+                        out[row, slot - start] = True
+        if flat:
+            rows = np.repeat(np.arange(len(node_ids)), lengths)
+            columns = np.asarray(flat, dtype=np.int64) - start
+            inside = (columns >= 0) & (columns < width)
+            out[rows[inside], columns[inside]] = True
         return out
 
     def iter_active(self, node_id: int, start: int = 1) -> Iterator[int]:

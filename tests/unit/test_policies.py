@@ -5,10 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.advance import BroadcastState
-from repro.core.policies import EModelPolicy, GreedyOptPolicy, OptPolicy
+from repro.core.coloring import cached_greedy_color_classes
+from repro.core.policies import (
+    EModelPolicy,
+    GreedyOptPolicy,
+    OptPolicy,
+    greedy_decision_classes,
+)
 from repro.core.time_counter import SearchConfig
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.deployment import grid_deployment
 from repro.sim.broadcast import run_broadcast
+from repro.utils.rng import make_rng
 
 
 ALL_POLICIES = [OptPolicy, GreedyOptPolicy, EModelPolicy]
@@ -127,3 +135,27 @@ class TestEModelPolicy:
 
     def test_repr_contains_name(self):
         assert "E-model" in repr(EModelPolicy())
+
+
+class TestGreedyDecisionClasses:
+    """The window-read decision pool keys the frozenset wrapper's entries."""
+
+    @pytest.mark.parametrize("rate", [1, 4])
+    def test_hits_the_awake_set_entry(self, rate):
+        topology = grid_deployment(5, 5, spacing=1.0, radius=1.1, seed=3)
+        schedule = WakeupSchedule(topology.node_ids, rate, seed=8)
+        rng = make_rng(rate)
+        ids = list(topology.node_ids)
+        for slot in range(1, 40):
+            size = int(rng.integers(1, len(ids)))
+            covered = frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
+            awake = schedule.awake_nodes(covered, slot)
+            expected = cached_greedy_color_classes(topology, covered, awake)
+            state = BroadcastState(topology, covered, slot, schedule)
+            assert greedy_decision_classes(state) is expected
+
+    def test_synchronous_pool_is_every_covered_node(self, figure1):
+        topo, source = figure1
+        covered = frozenset({source, 0, 1, 2})
+        expected = cached_greedy_color_classes(topo, covered)
+        assert greedy_decision_classes(BroadcastState(topo, covered, 2)) is expected

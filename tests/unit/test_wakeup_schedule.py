@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import math
+
+import numpy as np
 import pytest
 
 from repro.dutycycle.models import build_wakeup_schedule
@@ -10,7 +14,7 @@ from repro.dutycycle.window import window_for
 from repro.network.bitset import bitset_view
 from repro.network.deployment import grid_deployment
 from repro.network.graphs import figure2_duty_schedule, figure2_topology
-from repro.utils.rng import make_rng
+from repro.utils.rng import derive_seed, make_rng
 
 
 class TestConstruction:
@@ -123,6 +127,49 @@ class TestHelpers:
         assert schedule.active_slots_until(0, 0) == []
 
 
+class TestChunkedStream:
+    """Chunked draws reproduce the stream of one scalar draw per cycle."""
+
+    CYCLES = 10_000
+
+    @classmethod
+    def _reference(cls, seed: int, node: int, rate: int) -> list[int]:
+        rng = make_rng(derive_seed(seed, "wakeup", node))
+        return [k * rate + int(rng.integers(1, rate + 1)) for k in range(cls.CYCLES)]
+
+    @classmethod
+    def _check(cls, schedule: WakeupSchedule, seed: int, query_seed: int) -> None:
+        rng = make_rng(query_seed)
+        for node in schedule.node_ids:
+            rate = schedule.rate_of(node)
+            reference = cls._reference(seed, node, rate)
+            active = set(reference)
+            # Log-uniform slots: many small queries land before and between
+            # the large ones, so the chunk boundaries fall anywhere.
+            top = math.log((cls.CYCLES - 2) * rate)
+            for _ in range(400):
+                slot = int(math.exp(rng.uniform(0.0, top)))
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    assert schedule.is_active(node, slot) == (slot in active)
+                elif kind == 1:
+                    expected = reference[bisect.bisect_left(reference, slot)]
+                    assert schedule.next_active_slot(node, slot) == expected
+                else:
+                    expected = reference[: bisect.bisect_right(reference, slot)]
+                    assert schedule.active_slots_until(node, slot) == expected
+
+    @pytest.mark.parametrize("rate", [1, 3, 10, 50])
+    def test_uniform_rate_matches_scalar_reference(self, rate):
+        schedule = WakeupSchedule(range(3), rate, seed=11)
+        self._check(schedule, seed=11, query_seed=rate)
+
+    def test_heterogeneous_rates_match_scalar_reference(self):
+        rates = {0: 1, 1: 3, 2: 10, 3: 50}
+        schedule = WakeupSchedule(range(5), 7, seed=5, rates=rates)
+        self._check(schedule, seed=5, query_seed=99)
+
+
 class TestWakeupIndex:
     """The shared activity window answers exactly the schedule's point queries."""
 
@@ -149,6 +196,37 @@ class TestWakeupIndex:
         topology = grid_deployment(6, 6, spacing=1.0, radius=1.1, seed=2)
         schedule = build_wakeup_schedule(topology.node_ids, 10, seed=7, model=model)
         self._check(topology, schedule, last_slot=6 * schedule.max_rate, seed=1)
+
+    @staticmethod
+    def _mixed_schedule() -> WakeupSchedule:
+        return WakeupSchedule(
+            range(36),
+            10,
+            seed=4,
+            explicit={1: [2, 15], 7: [9], 20: [3, 4, 40]},
+            rates={2: 3, 3: 50, 7: 4, 11: 1, 20: 20},
+        )
+
+    def test_activity_window_matches_point_queries_mid_cycle(self):
+        windowed = self._mixed_schedule()
+        pointwise = self._mixed_schedule()
+        rows = [3, 1, 20, 0, 7, 11, 2, 35, 5]
+        for start, stop in [(4, 37), (13, 13), (28, 263), (95, 1004), (1, 1), (9, 8)]:
+            expected = np.array(
+                [[pointwise.is_active(u, s) for s in range(start, stop + 1)] for u in rows],
+                dtype=bool,
+            ).reshape(len(rows), max(stop - start + 1, 0))
+            assert np.array_equal(windowed.activity_window(rows, start, stop), expected)
+
+    def test_awake_masks_survive_several_doublings(self):
+        topology = grid_deployment(6, 6, spacing=1.0, radius=1.1, seed=2)
+        schedule = self._mixed_schedule()
+        window = window_for(schedule, bitset_view(topology))
+        # The slowest node has r=50, so the window starts at 400 slots and
+        # doubles to 800, 1600, 3200 and 6400 on the way.
+        for slot in range(1, 3300):
+            awake = topology.nodes_from_mask(window.awake_mask(slot))
+            assert awake == schedule.awake_nodes(topology.node_ids, slot)
 
     def test_explicit_figure2e_schedule_past_its_repeat_horizon(self):
         # The explicit slots end at 18; the pattern repeats every 20 slots.
