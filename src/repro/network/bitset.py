@@ -13,8 +13,10 @@ operation.  :meth:`BitsetTopology.bool_from_mask` and
 
 :class:`BitsetTopology` re-expresses the same data as numpy arrays:
 
-* ``adjacency`` — an ``(n, n)`` boolean matrix (``adjacency[i, j]`` iff the
-  ``i``-th and ``j``-th node of ``node_ids`` are neighbours);
+* ``adjacency`` — the topology's read-only ``(n, n)`` boolean
+  :attr:`~repro.network.topology.WSNTopology.adjacency_matrix`
+  (``adjacency[i, j]`` iff the ``i``-th and ``j``-th node of ``node_ids``
+  are neighbours), shared rather than rebuilt;
 * node sets — boolean vectors of length ``n``;
 
 so the interference predicates of :mod:`repro.network.interference` become
@@ -30,8 +32,9 @@ matrix expressions:
   neighbours per pair.
 
 Views are cached per topology (weakly, so dropping the topology frees the
-``n x n`` matrix): construction is ``O(n + m)`` and every simulated policy
-and repetition over the same deployment reuses it.
+``n x n`` copies): construction makes the uint8 and float32 copies of the
+adjacency, and every simulated policy and repetition over the same
+deployment reuses them.
 """
 
 from __future__ import annotations
@@ -84,15 +87,8 @@ class BitsetTopology:
         self.num_nodes = n
         self.node_ids = np.asarray(ids, dtype=np.int64)
         self._index = {u: i for i, u in enumerate(ids)}
-        adjacency = np.zeros((n, n), dtype=bool)
-        edge_list = list(topology.edges())
-        if edge_list:
-            edges = np.asarray(
-                [(self._index[u], self._index[v]) for u, v in edge_list],
-                dtype=np.int64,
-            )
-            adjacency[edges[:, 0], edges[:, 1]] = True
-            adjacency[edges[:, 1], edges[:, 0]] = True
+        # The topology's own read-only matrix, not a copy.
+        adjacency = topology.adjacency_matrix
         self.adjacency = adjacency
         self.adjacency_u8 = adjacency.astype(np.uint8)
         # float32 copy for BLAS matmuls (exact for counts up to 2**24,

@@ -14,10 +14,12 @@ Two construction paths are supported:
   attached, used for the paper's hand-drawn example topologies (Figures 1
   and 2) where the adjacency is dictated by the figure rather than a radius.
 
-Neighbourhoods are precomputed into ``frozenset`` objects at construction so
-the scheduling inner loops (which query ``N(u)`` millions of times) never pay
-for recomputation, following the "compute once, reuse everywhere" guidance of
-the HPC Python guides.
+Every path builds one read-only ``(n, n)`` bool adjacency matrix in node-id
+order (:attr:`WSNTopology.adjacency_matrix`), validates it, and derives
+everything else from it: the ``frozenset`` neighbourhoods, the int neighbour
+masks, the hop matrix and the bitset view.  The derived forms are
+precomputed at construction so the scheduling inner loops (which query
+``N(u)`` millions of times) never pay for recomputation.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ class Node:
         return (self.x, self.y)
 
 
+def _sorted_nodes(nodes: Iterable[Node]) -> list[Node]:
+    """``nodes`` in ascending id order; raises on a repeated id."""
+    node_list = sorted(nodes, key=lambda n: n.node_id)
+    if len({n.node_id for n in node_list}) != len(node_list):
+        raise ValueError("duplicate node identifiers in topology")
+    return node_list
+
+
 class WSNTopology:
     """An immutable WSN topology with precomputed neighbourhoods.
 
@@ -66,7 +76,7 @@ class WSNTopology:
         The sensor nodes.  Identifiers must be unique.
     adjacency:
         Mapping from node id to the set of neighbour ids.  Must be symmetric
-        and irreflexive.
+        and irreflexive, and every key must be a node id.
     radius:
         The communication radius used to build the adjacency, if any.  Kept
         for reporting; ``None`` for hand-specified topologies.
@@ -74,6 +84,7 @@ class WSNTopology:
 
     __slots__ = (
         "_nodes",
+        "_matrix",
         "_adjacency",
         "_radius",
         "_node_ids",
@@ -96,10 +107,39 @@ class WSNTopology:
         adjacency: Mapping[NodeId, Iterable[NodeId]],
         radius: float | None = None,
     ) -> None:
-        node_list = sorted(nodes, key=lambda n: n.node_id)
+        node_list = _sorted_nodes(nodes)
+        index = {n.node_id: i for i, n in enumerate(node_list)}
+        strays = adjacency.keys() - index.keys()
+        if strays:
+            raise ValueError(f"adjacency lists nodes not in the topology: {sorted(strays)}")
+        matrix = np.zeros((len(node_list), len(node_list)), dtype=bool)
+        for i, node in enumerate(node_list):
+            neighbours = set(adjacency.get(node.node_id, ()))
+            unknown = neighbours - index.keys()
+            if unknown:
+                raise ValueError(
+                    f"node {node.node_id} has neighbours not in the topology: {sorted(unknown)}"
+                )
+            matrix[i, [index[v] for v in neighbours]] = True
+        self._build(node_list, matrix, radius)
+
+    def _build(self, node_list: list[Node], matrix: np.ndarray, radius: float | None) -> None:
+        """Validate the adjacency ``matrix`` and derive every other view from it.
+
+        Every construction path ends here.  ``node_list`` comes from
+        :func:`_sorted_nodes`; ``matrix`` is the ``(n, n)`` bool adjacency in
+        that order, and the topology takes ownership of it.
+        """
         ids = [n.node_id for n in node_list]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node identifiers in topology")
+        loops = matrix.diagonal()
+        if loops.any():
+            raise ValueError(f"node {ids[int(loops.argmax())]} listed as its own neighbour")
+        one_way = matrix & ~matrix.T
+        if one_way.any():
+            u, v = (ids[k] for k in np.argwhere(one_way)[0].tolist())
+            raise ValueError(f"adjacency is not symmetric: {u}->{v}")
+        matrix.setflags(write=False)
+        self._matrix = matrix
         self._nodes: dict[NodeId, Node] = {n.node_id: n for n in node_list}
         self._node_ids: tuple[NodeId, ...] = tuple(ids)
         self._node_set: frozenset[NodeId] = frozenset(ids)
@@ -107,39 +147,40 @@ class WSNTopology:
         self._positions = np.array([[n.x, n.y] for n in node_list], dtype=float).reshape(-1, 2)
         self._radius = radius
 
-        frozen: dict[NodeId, frozenset[NodeId]] = {}
-        for node_id in ids:
-            neighbours = frozenset(adjacency.get(node_id, ()))
-            if node_id in neighbours:
-                raise ValueError(f"node {node_id} listed as its own neighbour")
-            unknown = neighbours - self._nodes.keys()
-            if unknown:
-                raise ValueError(
-                    f"node {node_id} has neighbours not in the topology: {sorted(unknown)}"
-                )
-            frozen[node_id] = neighbours
-        for u, neighbours in frozen.items():
-            for v in neighbours:
-                if u not in frozen[v]:
-                    raise ValueError(f"adjacency is not symmetric: {u}->{v}")
-        self._adjacency = frozen
+        # Row-major nonzeros list each row's neighbours in ascending id
+        # order.  Each frozenset is copied from a set filled in that order:
+        # set iteration order depends on the hash-table size, and the copy
+        # gives every path the table (and so the order) of a frozenset of an
+        # incrementally built set, which order-sensitive consumers such as
+        # the ILP's constraint terms follow.
+        _, cols = np.nonzero(matrix)
+        flat = np.asarray(ids, dtype=object)[cols].tolist()
+        ends = np.cumsum(matrix.sum(axis=1)).tolist()
+        self._adjacency: dict[NodeId, frozenset[NodeId]] = {
+            u: frozenset(set(flat[start:end]))
+            for u, start, end in zip(ids, [0, *ends], ends)
+        }
 
         # Bitmask fast path: node sets represented as Python integers with
         # bit ``i`` standing for ``node_ids[i]``.  The scheduling inner loops
         # (conflict tests, coverage unions, frontier extraction) operate on
         # these masks, which is orders of magnitude cheaper than frozenset
         # algebra at the paper's 300-node scale.
-        self._neighbor_masks: dict[NodeId, int] = {}
-        for u, neighbours in frozen.items():
-            mask = 0
-            for v in neighbours:
-                mask |= 1 << self._id_to_index[v]
-            self._neighbor_masks[u] = mask
+        packed = np.packbits(matrix, axis=1, bitorder="little")
         self._index_masks: tuple[int, ...] = tuple(
-            self._neighbor_masks[u] for u in ids
+            int.from_bytes(row, "little") for row in packed
         )
+        self._neighbor_masks: dict[NodeId, int] = dict(zip(ids, self._index_masks))
         self._full_mask = (1 << len(ids)) - 1
         self._hop_matrix: np.ndarray | None = None
+
+    @classmethod
+    def _from_matrix(
+        cls, node_list: list[Node], matrix: np.ndarray, radius: float | None
+    ) -> "WSNTopology":
+        topology = cls.__new__(cls)
+        topology._build(node_list, matrix, radius)
+        return topology
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -159,23 +200,19 @@ class WSNTopology:
         check_positive("radius", radius)
         positions = np.asarray(positions, dtype=float)
         count = positions.shape[0]
-        if node_ids is None:
-            node_ids = list(range(count))
-        if len(node_ids) != count:
+        ids = list(range(count)) if node_ids is None else [int(u) for u in node_ids]
+        if len(ids) != count:
             raise ValueError("node_ids length must match positions length")
 
-        nodes = [
-            Node(node_id=int(node_ids[i]), x=float(positions[i, 0]), y=float(positions[i, 1]))
-            for i in range(count)
-        ]
-        distances = pairwise_distances(positions)
-        within = distances <= radius + 1e-12
+        within = pairwise_distances(positions) <= radius + 1e-12
         np.fill_diagonal(within, False)
-        adjacency = {
-            int(node_ids[i]): {int(node_ids[j]) for j in np.flatnonzero(within[i])}
-            for i in range(count)
-        }
-        return cls(nodes, adjacency, radius=radius)
+        order = sorted(range(count), key=ids.__getitem__)
+        if order != list(range(count)):
+            within = within[np.ix_(order, order)]
+            positions = positions[order]
+            ids = [ids[i] for i in order]
+        nodes = [Node(node_id=u, x=x, y=y) for u, (x, y) in zip(ids, positions.tolist())]
+        return cls._from_matrix(_sorted_nodes(nodes), within, radius)
 
     @classmethod
     def from_edges(
@@ -189,16 +226,23 @@ class WSNTopology:
         Used for the paper's example figures, where the adjacency is part of
         the figure.  Every endpoint must have a position in ``positions``.
         """
-        adjacency: dict[NodeId, set[NodeId]] = {u: set() for u in positions}
+        node_list = _sorted_nodes(
+            Node(node_id=u, x=float(p[0]), y=float(p[1])) for u, p in positions.items()
+        )
+        index = {n.node_id: i for i, n in enumerate(node_list)}
+        rows: list[int] = []
+        cols: list[int] = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            if u not in positions or v not in positions:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}) references a node without a position")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        nodes = [Node(node_id=u, x=float(p[0]), y=float(p[1])) for u, p in positions.items()]
-        return cls(nodes, adjacency, radius=radius)
+            rows.append(index[u])
+            cols.append(index[v])
+        matrix = np.zeros((len(node_list), len(node_list)), dtype=bool)
+        matrix[rows, cols] = True
+        matrix[cols, rows] = True
+        return cls._from_matrix(node_list, matrix, radius)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -216,7 +260,7 @@ class WSNTopology:
     @property
     def num_edges(self) -> int:
         """Number of undirected links."""
-        return sum(len(v) for v in self._adjacency.values()) // 2
+        return int(np.count_nonzero(self._matrix)) // 2
 
     @property
     def node_ids(self) -> tuple[NodeId, ...]:
@@ -255,6 +299,16 @@ class WSNTopology:
         view = self._positions.view()
         view.setflags(write=False)
         return view
+
+    @property
+    def adjacency_matrix(self) -> np.ndarray:
+        """The read-only ``(n, n)`` bool adjacency; row and column order = :attr:`node_ids`.
+
+        Built once at construction on every path.  The neighbour sets, the
+        neighbour masks, the hop matrix and the bitset view all derive from
+        it; the bitset view's ``adjacency`` is this very array.
+        """
+        return self._matrix
 
     def neighbors(self, node_id: NodeId) -> frozenset[NodeId]:
         """The 1-hop neighbourhood ``N(u)`` (excluding ``u`` itself)."""
@@ -353,29 +407,31 @@ class WSNTopology:
     def _build_hop_matrix(self) -> np.ndarray:
         """One BFS from every node at once, as a multi-source wavefront.
 
-        Row ``i`` of ``frontier`` is source ``i``'s BFS frontier; one matrix
-        product with the adjacency advances all ``n`` frontiers by one hop,
-        so the build costs one product per BFS layer instead of ``n``
-        Python queues.
+        Row ``k`` of ``frontier`` is the BFS frontier of source ``live[k]``;
+        one matrix product with the adjacency advances every live frontier
+        by one hop, so the build costs one product per BFS layer instead of
+        ``n`` Python queues.  A source whose frontier empties has finished:
+        its row is dropped, so each product covers only the sources still
+        running.
         """
         n = self.num_nodes
         if n > np.iinfo(np.int16).max:
             raise ValueError(f"hop matrix supports at most 32767 nodes, got {n}")
-        index = self._id_to_index
-        adjacency = np.zeros((n, n), dtype=np.float32)
-        for u, neighbours in self._adjacency.items():
-            adjacency[index[u], [index[v] for v in neighbours]] = 1.0
+        adjacency = self._matrix.astype(np.float32)
         hops = np.full((n, n), -1, dtype=np.int16)
-        reached = np.eye(n, dtype=bool)
-        hops[reached] = 0
-        frontier = reached
+        np.fill_diagonal(hops, 0)
+        live = np.arange(n)
+        frontier = np.eye(n, dtype=bool)
+        reached = frontier.copy()
         depth = 0
-        while True:
+        while live.size:
             depth += 1
             frontier = (frontier.astype(np.float32) @ adjacency > 0) & ~reached
-            if not frontier.any():
-                break
-            hops[frontier] = depth
+            running = frontier.any(axis=1)
+            if not running.all():
+                live, frontier, reached = live[running], frontier[running], reached[running]
+            rows, cols = np.nonzero(frontier)
+            hops[live[rows], cols] = depth
             reached |= frontier
         hops.setflags(write=False)
         return hops

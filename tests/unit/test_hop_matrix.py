@@ -58,18 +58,68 @@ def random_covered_sets(topology: WSNTopology, seed: int, count: int = 25):
 
 def test_the_seeded_graphs_cover_both_cases():
     assert DISCONNECTED and CONNECTED
+    # The wavefront drops a source's row once it finishes; the uneven graphs
+    # finish their sources at very different depths, so surviving rows must
+    # still land in their own rows of the matrix.
+    assert any(not t.is_connected() for t in UNEVEN)
+    for topology in UNEVEN:
+        depths = topology.hop_matrix.max(axis=1)
+        assert depths.max() - depths.min() >= 1
 
 
-@pytest.mark.parametrize("topology", UDGS, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
+def from_edge_list(edges, ids, isolated=()) -> WSNTopology:
+    """A topology over ``ids`` (plus ``isolated`` nodes) with the given edges."""
+    nodes = [*ids, *isolated]
+    return WSNTopology.from_edges(edges, {u: (float(u), 0.0) for u in nodes})
+
+
+def path_joined_to_clique(seed: int) -> WSNTopology:
+    """A clique with a long path hanging off one member, ids shuffled."""
+    rng = make_rng(seed)
+    clique, length = int(rng.integers(4, 9)), int(rng.integers(10, 25))
+    ids = [int(u) for u in 2 * rng.permutation(clique + length) + 1]
+    edges = [(ids[i], ids[j]) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(ids[i], ids[i + 1]) for i in range(clique - 1, clique + length - 1)]
+    return from_edge_list(edges, ids)
+
+
+def star_of_paths(seed: int, isolated=()) -> WSNTopology:
+    """Arms of very different lengths meeting at one hub, ids shuffled."""
+    rng = make_rng(seed)
+    lengths = [int(k) for k in rng.integers(1, 15, size=int(rng.integers(3, 7)))]
+    ids = [int(u) for u in rng.permutation(1 + sum(lengths)) + 10]
+    edges, start = [], 1
+    for length in lengths:
+        arm = [ids[0], *ids[start:start + length]]
+        edges += list(zip(arm, arm[1:]))
+        start += length
+    return from_edge_list(edges, ids, isolated)
+
+
+UNEVEN = [
+    *(path_joined_to_clique(seed) for seed in range(3)),
+    *(star_of_paths(seed) for seed in range(3)),
+    star_of_paths(7, isolated=(1,)),
+    from_edge_list([(0, 1), (1, 2)], [0, 1, 2], isolated=(9,)),
+]
+
+
+def networkx_hops(topology: WSNTopology) -> np.ndarray:
+    expected = np.full((topology.num_nodes,) * 2, -1, dtype=np.int16)
+    for u, lengths in nx.all_pairs_shortest_path_length(topology.to_networkx()):
+        for v, d in lengths.items():
+            expected[topology.index_of(u), topology.index_of(v)] = d
+    return expected
+
+
+@pytest.mark.parametrize(
+    "topology", UDGS + UNEVEN, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}"
+)
 def test_matrix_equals_networkx_all_pairs(topology):
     hops = topology.hop_matrix
     assert hops.shape == (topology.num_nodes, topology.num_nodes)
     assert hops.dtype == np.int16
-    expected = np.full(hops.shape, -1, dtype=np.int16)
-    for u, lengths in nx.all_pairs_shortest_path_length(topology.to_networkx()):
-        for v, d in lengths.items():
-            expected[topology.index_of(u), topology.index_of(v)] = d
-    np.testing.assert_array_equal(hops, expected)
+    np.testing.assert_array_equal(hops, networkx_hops(topology))
     assert (hops == hops.T).all()
 
 

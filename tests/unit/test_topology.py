@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.network.bitset import bitset_view
+from repro.network.deployment import deploy_uniform
 from repro.network.topology import Node, WSNTopology
+from repro.utils.rng import make_rng
 
 
 def triangle_with_tail() -> WSNTopology:
@@ -67,9 +70,117 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not symmetric"):
             WSNTopology([Node(0, 0, 0), Node(1, 1, 1)], {0: {1}, 1: set()})
 
+    def test_adjacency_keys_must_be_nodes(self):
+        # The one-way edge 99 -> 0 must not be dropped silently.
+        with pytest.raises(ValueError, match=r"adjacency lists nodes not in the topology: \[99\]"):
+            WSNTopology([Node(0, 0, 0), Node(1, 1, 0)], {0: {1}, 1: {0}, 99: {0}})
+
     def test_mismatched_node_ids_length(self):
         with pytest.raises(ValueError):
             WSNTopology.from_positions([(0, 0), (1, 1)], radius=1, node_ids=[1])
+
+
+def _three_ways(num_nodes: int, shuffled: bool):
+    """One seeded deployment built by ``from_positions``, the mapping
+    constructor and ``from_edges``."""
+    deployed, _ = deploy_uniform(num_nodes, seed=num_nodes)
+    ids = None
+    if shuffled:
+        ids = [5 + 3 * int(k) for k in make_rng(num_nodes).permutation(num_nodes)]
+    base = WSNTopology.from_positions(deployed.positions, deployed.radius, node_ids=ids)
+    mapped = WSNTopology(
+        [base.node(u) for u in base.node_ids],
+        {u: base.neighbors(u) for u in base.node_ids},
+        radius=base.radius,
+    )
+    edged = WSNTopology.from_edges(
+        base.edges(), {u: base.position(u) for u in base.node_ids}, radius=base.radius
+    )
+    return deployed, ids, (base, mapped, edged)
+
+
+class TestConstructionPaths:
+    """Every construction path yields the same adjacency and derived views."""
+
+    @pytest.mark.parametrize(
+        "num_nodes, shuffled", [(50, False), (150, False), (300, False), (150, True)]
+    )
+    def test_paths_agree(self, num_nodes, shuffled):
+        deployed, ids, topologies = _three_ways(num_nodes, shuffled)
+        base = topologies[0]
+        if ids is not None:
+            # Node ids[i] sits at position i, so sorting the ids permutes
+            # the plain deployment's adjacency.
+            order = np.argsort(ids)
+            np.testing.assert_array_equal(
+                base.adjacency_matrix, deployed.adjacency_matrix[np.ix_(order, order)]
+            )
+            assert base.position(ids[0]) == deployed.position(0)
+        else:
+            np.testing.assert_array_equal(base.adjacency_matrix, deployed.adjacency_matrix)
+        for topology in topologies:
+            matrix = topology.adjacency_matrix
+            assert matrix.dtype == bool and not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 1] = True
+            assert np.shares_memory(matrix, bitset_view(topology).adjacency)
+            assert topology.node_ids == base.node_ids
+            assert all(topology.neighbors(u) == base.neighbors(u) for u in base.node_ids)
+            assert topology.neighbor_masks == base.neighbor_masks
+            assert topology.num_edges == base.num_edges
+            np.testing.assert_array_equal(matrix, base.adjacency_matrix)
+            np.testing.assert_array_equal(topology.hop_matrix, base.hop_matrix)
+            np.testing.assert_array_equal(
+                bitset_view(topology).adjacency, bitset_view(base).adjacency
+            )
+
+    def test_masks_and_sets_read_the_matrix(self):
+        _, _, (base, _, _) = _three_ways(50, True)
+        ids = base.node_ids
+        for i, u in enumerate(ids):
+            row = {ids[j] for j in np.flatnonzero(base.adjacency_matrix[i])}
+            assert base.neighbors(u) == row
+            assert base.nodes_from_mask(base.neighbor_masks[i]) == row
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WSNTopology([Node(0, 0, 0), Node(0, 1, 1)], {0: set()}), "duplicate"),
+            (
+                lambda: WSNTopology.from_positions([(0, 0), (1, 1)], radius=1, node_ids=[4, 4]),
+                "duplicate",
+            ),
+            (lambda: WSNTopology([Node(0, 0, 0)], {0: {0}}), "listed as its own neighbour"),
+            (lambda: WSNTopology.from_edges([(0, 0)], {0: (0.0, 0.0)}), "self-loop on node 0"),
+            (
+                lambda: WSNTopology([Node(0, 0, 0)], {0: {5}}),
+                r"node 0 has neighbours not in the topology: \[5\]",
+            ),
+            (
+                lambda: WSNTopology.from_edges([(0, 5)], {0: (0.0, 0.0)}),
+                r"edge \(0, 5\) references a node without a position",
+            ),
+            (
+                lambda: WSNTopology(
+                    [Node(0, 0, 0), Node(1, 1, 0), Node(2, 2, 0)],
+                    {0: {1, 2}, 1: {0}, 2: set()},
+                ),
+                "adjacency is not symmetric: 0->2",
+            ),
+        ],
+        ids=[
+            "duplicate-mapping",
+            "duplicate-positions",
+            "self-loop-mapping",
+            "self-loop-edges",
+            "unknown-mapping",
+            "unknown-edges",
+            "asymmetric-mapping",
+        ],
+    )
+    def test_errors_fire_on_every_path(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestBasicQueries:
