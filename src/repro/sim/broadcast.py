@@ -11,11 +11,12 @@ full :class:`~repro.sim.trace.BroadcastResult`.
 Passing a *sequence* of sources instead of a single node id selects the
 **multi-source workload**: ``k`` concurrent messages share the timeline
 (and the wake-up schedule) and contend for slots under the paper's
-interference rules — see ``_EngineBase._run_multi`` in
-:mod:`repro.sim.engine` for the contention semantics.  The result is then a
+interference rules — see :mod:`repro.sim.engine` for the contention
+semantics.  The result is then a
 :class:`~repro.sim.trace.MultiBroadcastResult` with one complete
-per-message trace per source; for a one-element sequence it wraps a trace
-bit-identical to the single-source call.
+per-message trace per source.  A single node id is the one-element case:
+it runs through the same engine call and returns that call's only
+message trace.
 
 :data:`ENGINE_BACKENDS` is the *single* registry of engine backends: the
 experiment configuration and the CLI resolve engine classes through it, so
@@ -25,12 +26,13 @@ a new backend plugs in here and is immediately selectable everywhere.
 from __future__ import annotations
 
 import copy
+import operator
 from typing import Sequence
 
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
-from repro.sim.engine import RoundEngine, SlotEngine
+from repro.sim.engine import RoundEngine, SlotEngine, node_id
 from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
 from repro.sim.links import LinkModel, ReliableLinks
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
@@ -39,14 +41,77 @@ from repro.sim.validation import assert_valid, assert_valid_multi
 __all__ = ["run_broadcast", "ENGINE_BACKENDS"]
 
 #: Engine backends selectable via ``run_broadcast(..., engine=...)``:
-#: ``(round_engine_cls, slot_engine_cls)`` per backend name.  Both classes
-#: of a backend accept ``link_model=`` as their last constructor argument
-#: and implement the single-source ``run`` and the multi-source
-#: ``run_multi`` entry points.
+#: ``(round_engine_cls, slot_engine_cls)`` per backend name.  Every class
+#: is (or subclasses) :class:`RoundEngine` / :class:`SlotEngine`, whose
+#: front supplies the constructors and the ``run`` / ``run_multi`` entry
+#: points; a backend brings its own kernel.
 ENGINE_BACKENDS = {
     "reference": (RoundEngine, SlotEngine),
     "vectorized": (FastRoundEngine, FastSlotEngine),
 }
+
+
+def engine_for(
+    engine: str,
+    topology: WSNTopology,
+    schedule: WakeupSchedule | None,
+    link: LinkModel,
+) -> RoundEngine | SlotEngine:
+    """The ``engine`` backend's engine for the system ``schedule`` selects."""
+    try:
+        round_engine_cls, slot_engine_cls = ENGINE_BACKENDS[engine]
+    except KeyError:
+        raise ValueError(
+            f"unknown engine backend {engine!r}; expected one of "
+            f"{sorted(ENGINE_BACKENDS)}"
+        ) from None
+    if schedule is None:
+        return round_engine_cls(topology, link_model=link)
+    return slot_engine_cls(topology, schedule, link_model=link)
+
+
+def require_replanning(policies: Sequence[SchedulingPolicy], link: LinkModel) -> None:
+    """Reject planned policies where deliveries may fail or be deferred.
+
+    Lossy links and multi-source contention both leave a node uncovered
+    where a fixed plan assumed it covered; only policies that re-plan from
+    the actual covered set (:attr:`SchedulingPolicy.loss_tolerant`) cope.
+    """
+    for policy in policies:
+        if getattr(policy, "loss_tolerant", True):
+            continue
+        if not link.lossless:
+            raise ValueError(
+                f"policy {policy.name!r} replays a fixed plan that assumes "
+                "reliable delivery and cannot run over lossy links; pick "
+                "a loss-tolerant tier from the solver registry "
+                "(repro.solvers.SOLVER_TIERS, --list-solvers) or a "
+                "frontier scheduler (OPT, G-OPT, E-model, largest-first) "
+                "for the loss axis"
+            )
+        if len(policies) > 1:
+            raise ValueError(
+                f"policy {policy.name!r} replays a fixed plan and cannot "
+                "share the timeline with concurrent messages: multi-source "
+                "slot contention defers advances, which requires frontier "
+                "re-planning — pick a loss-tolerant tier from the solver "
+                "registry (repro.solvers.SOLVER_TIERS, --list-solvers) or "
+                "a frontier scheduler (OPT, G-OPT, E-model, largest-first)"
+            )
+
+
+def _sources_of(source: object) -> tuple[tuple[int, ...], bool]:
+    """``(sources, is_sequence)``: a node id becomes a 1-tuple."""
+    try:
+        return (operator.index(source),), False
+    except TypeError:
+        pass
+    # A stray string would iterate char-by-char into the multi-source path.
+    if isinstance(source, (str, bytes)) or not hasattr(source, "__iter__"):
+        raise TypeError(
+            f"source must be a node id or a sequence of node ids, got {source!r}"
+        )
+    return tuple(node_id(item) for item in source), True
 
 
 def _resolve_policies(
@@ -96,7 +161,9 @@ def run_broadcast(
         The node that holds the message at ``start_time`` — or a sequence
         of ``k`` distinct nodes for the multi-source workload, in which
         case ``k`` concurrent messages spread on one shared timeline and
-        the return value is a :class:`MultiBroadcastResult`.
+        the return value is a :class:`MultiBroadcastResult`.  Node ids
+        must be integers (NumPy integers included); anything else,
+        floats too, raises :class:`TypeError`.
     policy:
         Any scheduling policy (the paper's OPT / G-OPT / E-model, a baseline,
         or a user-supplied implementation of :class:`SchedulingPolicy`).
@@ -148,99 +215,27 @@ def run_broadcast(
         ``start_time=1`` (for multi-source runs: the makespan of the
         slowest message).
     """
-    try:
-        round_engine_cls, slot_engine_cls = ENGINE_BACKENDS[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine backend {engine!r}; expected one of "
-            f"{sorted(ENGINE_BACKENDS)}"
-        ) from None
     link = ReliableLinks() if link_model is None else link_model
-
-    if isinstance(source, (str, bytes)):
-        # A stray string would iterate char-by-char into the multi-source
-        # path; fail as loudly as an unknown node id always has.
-        raise TypeError(
-            f"source must be a node id or a sequence of node ids, got {source!r}"
-        )
-    if not isinstance(source, (int,)) and not hasattr(source, "__index__"):
-        sources = tuple(int(s) for s in source)
-        policies = _resolve_policies(policy, len(sources))
-        for item in policies:
-            if not link.lossless and not getattr(item, "loss_tolerant", True):
-                raise ValueError(
-                    f"policy {item.name!r} replays a fixed plan that assumes "
-                    "reliable delivery and cannot run over lossy links; pick "
-                    "a loss-tolerant tier from the solver registry "
-                    "(repro.solvers.SOLVER_TIERS, --list-solvers) or a "
-                    "frontier scheduler (OPT, G-OPT, E-model, largest-first) "
-                    "for the loss axis"
-                )
-            if len(sources) > 1 and not getattr(item, "loss_tolerant", True):
-                raise ValueError(
-                    f"policy {item.name!r} replays a fixed plan and cannot "
-                    "share the timeline with concurrent messages: multi-source "
-                    "slot contention defers advances, which requires frontier "
-                    "re-planning — pick a loss-tolerant tier from the solver "
-                    "registry (repro.solvers.SOLVER_TIERS, --list-solvers) or "
-                    "a frontier scheduler (OPT, G-OPT, E-model, largest-first)"
-                )
-        for item, src in zip(policies, sources):
-            item.prepare(topology, schedule, src)
-        if schedule is None:
-            round_engine = round_engine_cls(topology, link_model=link)
-            multi = round_engine.run_multi(
-                policies, sources, start_time=start_time, max_rounds=max_time
-            )
-        else:
-            slot_engine = slot_engine_cls(topology, schedule, link_model=link)
-            multi = slot_engine.run_multi(
-                policies,
-                sources,
-                start_time=start_time,
-                align_start=align_start,
-                max_slots=max_time,
-            )
-        if validate:
-            assert_valid_multi(
-                topology,
-                multi,
-                schedule=schedule,
-                backend=engine,
-                lossy=not link.lossless,
-            )
-        return multi
-
-    if not isinstance(policy, SchedulingPolicy):
+    runner = engine_for(engine, topology, schedule, link)
+    sources, multi = _sources_of(source)
+    if not multi and not isinstance(policy, SchedulingPolicy):
         raise TypeError(
             "a single-source broadcast takes a single SchedulingPolicy; pass "
             "a sequence of sources for the multi-source workload"
         )
-    if not link.lossless and not getattr(policy, "loss_tolerant", True):
-        raise ValueError(
-            f"policy {policy.name!r} replays a fixed plan that assumes reliable "
-            "delivery and cannot run over lossy links; pick a loss-tolerant "
-            "tier from the solver registry (repro.solvers.SOLVER_TIERS, "
-            "--list-solvers) or a frontier scheduler (OPT, G-OPT, E-model, "
-            "largest-first) for the loss axis"
-        )
-    policy.prepare(topology, schedule, source)
-    if schedule is None:
-        round_engine = round_engine_cls(topology, link_model=link)
-        result = round_engine.run(
-            policy, source, start_time=start_time, max_rounds=max_time
-        )
-    else:
-        slot_engine = slot_engine_cls(topology, schedule, link_model=link)
-        result = slot_engine.run(
-            policy,
-            source,
-            start_time=start_time,
-            align_start=align_start,
-            max_slots=max_time,
-        )
+    policies = _resolve_policies(policy, len(sources))
+    require_replanning(policies, link)
+    start_time, steps = runner._open(
+        policies, sources, start_time, align_start, max_time
+    )
+    for item, item_source in zip(policies, sources):
+        item.prepare(topology, schedule, item_source)
+    result = runner._collect(policies, sources, start_time, steps)
+    check = assert_valid_multi
+    if not multi:
+        result, check = result.messages[0], assert_valid
     if validate:
-        assert_valid(
+        check(
             topology,
             result,
             schedule=schedule,

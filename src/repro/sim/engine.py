@@ -1,4 +1,4 @@
-"""Round-based and slot-based broadcast engines (the set-based kernel).
+"""Round-based and slot-based broadcast engines (the set-based reference kernel).
 
 The engines own the simulation loop; every scheduling decision is delegated
 to a :class:`repro.core.policies.SchedulingPolicy`, and every *delivery* to
@@ -17,35 +17,42 @@ model at the boundary:
   of its transmitters; the link model then decides which of them actually
   receive the message (all of them, for :class:`~repro.sim.links.ReliableLinks`).
 
-``_EngineBase._run`` is the shared broadcast kernel: one loop serves the
-reliable and the lossy configurations of both system models, so there is a
-single place where coverage, timing and trace recording are defined (the
-numpy-bitset twin lives in :mod:`repro.sim.fast_engine`).
+Every run is a *multi-source* run: ``k`` concurrent messages share the
+timeline (and, in the slot engine, the wake-up schedule), and a
+single-source ``run`` is the ``k = 1`` case.  So each backend has one
+broadcast loop, the generator ``_steps``; :class:`_EngineBase` is the
+front every backend shares (input checks, default limits, start
+alignment, result assembly), and the vectorized backend of
+:mod:`repro.sim.fast_engine` subclasses these engines to replace only the
+kernel.  Per slot the kernel
 
-``_EngineBase._run_multi`` is the *multi-source* kernel behind
-``run_broadcast(..., k sources)``: ``k`` concurrent wavefronts share the
-timeline (and, in the slot engine, the wake-up schedule) and contend for
-slots under the paper's interference rules.  Each message keeps its own
-covered set and its own policy instance; per slot the messages are offered
-in a rotating priority order (so no message is structurally favoured) and
-an advance is *deferred* — not transmitted, retried at a later slot — when
-it would cross-interfere with an advance already accepted this slot:
+* jumps to the earliest ``next_decision_slot`` over the messages still
+  spreading, provided every one of them promised a slot (``None`` makes
+  no promise), so a ``k = 1`` run honours its policy's hint exactly;
+* offers the messages in a rotating priority order (so no message is
+  structurally favoured), each message with its own covered set and its
+  own policy instance;
+* *defers* an advance — not transmitted, retried at a later slot — when it
+  would cross-interfere with an advance already accepted this slot:
 
-* a node may serve at most one message per slot (transmitter or intended
-  receiver of two messages → the later message waits);
-* an intended receiver of one message must not be in range of another
-  accepted message's transmitter (the collision would destroy both), in
-  either acceptance order.
+  - a node may serve at most one message per slot (transmitter or intended
+    receiver of two messages → the later message waits);
+  - an intended receiver of one message must not be in range of another
+    accepted message's transmitter (the collision would destroy both), in
+    either acceptance order.
 
 Deferral relies on the policies re-planning from their actual covered set
 every slot, which is exactly the :attr:`SchedulingPolicy.loss_tolerant`
-contract; ``run_broadcast`` rejects planned baselines for ``k > 1``.
+contract; ``run_broadcast`` rejects planned baselines for ``k > 1``.  With
+``k = 1`` nothing is ever deferred, and the contention bookkeeping is
+skipped altogether.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
@@ -58,49 +65,170 @@ from repro.utils.validation import require
 
 __all__ = ["SimulationTimeout", "RoundEngine", "SlotEngine"]
 
+#: A kernel: yields ``(message, advance)``, returns covered sets and end times.
+Steps = Iterator[tuple[int, Advance]]
+
 
 class SimulationTimeout(RuntimeError):
     """The broadcast did not complete within the engine's time limit."""
 
 
-def check_multi_inputs(
-    topology: WSNTopology,
-    policies: Sequence[SchedulingPolicy],
-    sources: Sequence[int],
-) -> None:
-    """Validate the (policies, sources) inputs of a multi-source run.
+def node_id(value: object) -> int:
+    """``value`` as a node id: any integer, NumPy's included, never a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"a source must be an integer node id, got {value!r}"
+        ) from None
 
-    Shared by both engine backends — the contract is representation-free
-    (source distinctness/membership, one policy per message), so it lives
-    once at module level instead of being twinned like the kernels.
+
+def promised_slot(
+    hints: Sequence[Callable[[int], int | None]], live: Sequence[int], time: int
+) -> int | None:
+    """The earliest ``next_decision_slot`` over the ``live`` messages.
+
+    ``None`` unless every live message promised a slot: one message that
+    makes no promise may act at ``time``, so the engine must stay there.
     """
-    require(len(sources) >= 1, "a multi-source broadcast needs >= 1 source")
-    require(
-        len(set(sources)) == len(sources),
-        f"duplicate sources: {sorted(sources)}",
+    promised = None
+    for message in live:
+        slot = hints[message](time)
+        if slot is None:
+            return None
+        if promised is None or slot < promised:
+            promised = slot
+    return promised
+
+
+def timeout(limit: int, counts: Sequence[int], num_nodes: int) -> SimulationTimeout:
+    """The one timeout error, naming each unfinished message's coverage."""
+    spreading = ", ".join(
+        f"{count}/{num_nodes}" for count in counts if count != num_nodes
     )
-    for source in sources:
-        require(source in topology, f"unknown source node {source}")
-    require(
-        len(policies) == len(sources),
-        f"need one policy per message: {len(policies)} policies for "
-        f"{len(sources)} sources",
+    return SimulationTimeout(
+        f"broadcast did not complete by time {limit} (covered {spreading} "
+        "nodes); the policies, the wake-up schedule or the slot contention "
+        "is not making progress"
     )
 
 
 class _EngineBase:
-    """Shared bookkeeping of both engines."""
+    """The engine front shared by every backend.
+
+    Checks the inputs, aligns the start, derives the default limit and
+    assembles the results; a backend supplies ``_check_advance`` and the
+    kernel generator ``_steps``.
+    """
+
+    #: The duty-cycle system's wake-up schedule; ``None`` is the
+    #: round-based system.
+    schedule: WakeupSchedule | None = None
 
     def __init__(self, topology: WSNTopology, link_model: LinkModel | None = None) -> None:
         self.topology = topology
         self.link_model = ReliableLinks() if link_model is None else link_model
+
+    def _open(
+        self,
+        policies: Sequence[SchedulingPolicy],
+        sources: Sequence[int],
+        start_time: int,
+        align_start: bool,
+        max_time: int | None,
+    ) -> tuple[int, Steps]:
+        """Check, align and bound a run; return ``(start_time, kernel)``.
+
+        The kernel generator runs nothing before its first ``next``, so a
+        caller may still ``prepare`` the policies in between.  ``max_time``
+        defaults to the worst single-source bound over the sources,
+        stretched by the message count (slot contention can serialise the
+        wavefronts in the worst case).
+        """
+        require(len(sources) >= 1, "a multi-source broadcast needs >= 1 source")
+        require(
+            len(set(sources)) == len(sources),
+            f"duplicate sources: {sorted(sources)}",
+        )
+        for source in sources:
+            require(source in self.topology, f"unknown source node {source}")
+        require(
+            len(policies) == len(sources),
+            f"need one policy per message: {len(policies)} policies for "
+            f"{len(sources)} sources",
+        )
+        if align_start and self.schedule is not None:
+            start_time = min(
+                self.schedule.next_active_slot(source, start_time)
+                for source in sources
+            )
+        require(start_time >= 1, "start_time is 1-based")
+        if max_time is None:
+            max_time = max(
+                self._default_max_time(source) for source in sources
+            ) * len(sources)
+        return start_time, self._steps(
+            policies, sources, start_time, start_time + max_time
+        )
+
+    def _collect(
+        self,
+        policies: Sequence[SchedulingPolicy],
+        sources: Sequence[int],
+        start_time: int,
+        steps: Steps,
+    ) -> MultiBroadcastResult:
+        """Drain a kernel into one trace per message."""
+        advances: list[list[Advance]] = [[] for _ in sources]
+        while True:
+            try:
+                message, advance = next(steps)
+            except StopIteration as done:
+                covered, end_times = done.value
+                break
+            advances[message].append(advance)
+        synchronous = self.schedule is None
+        cycle_rate = 1 if synchronous else self.schedule.rate
+        return MultiBroadcastResult(
+            sources=tuple(sources),
+            start_time=start_time,
+            messages=tuple(
+                BroadcastResult(
+                    policy_name=policies[m].name,
+                    source=sources[m],
+                    start_time=start_time,
+                    end_time=end_times[m],
+                    covered=covered[m],
+                    advances=tuple(advances[m]),
+                    synchronous=synchronous,
+                    cycle_rate=cycle_rate,
+                )
+                for m in range(len(sources))
+            ),
+            synchronous=synchronous,
+            cycle_rate=cycle_rate,
+        )
+
+    def _run_multi(
+        self,
+        policies: Sequence[SchedulingPolicy],
+        sources: Sequence[int],
+        start_time: int,
+        align_start: bool,
+        max_time: int | None,
+    ) -> MultiBroadcastResult:
+        """The one run behind ``run`` and ``run_multi`` of every engine."""
+        sources = tuple(node_id(source) for source in sources)
+        start_time, steps = self._open(
+            policies, sources, start_time, align_start, max_time
+        )
+        return self._collect(policies, sources, start_time, steps)
 
     def _check_advance(
         self,
         advance: Advance,
         covered: frozenset[int],
         time: int,
-        schedule: WakeupSchedule | None,
         *,
         check_conflicts: bool = True,
     ) -> None:
@@ -114,8 +242,8 @@ class _EngineBase:
                 f"policy scheduled transmitters that do not hold the message: "
                 f"{sorted(not_covered)}"
             )
-        if schedule is not None:
-            asleep = [u for u in advance.color if not schedule.is_active(u, time)]
+        if self.schedule is not None:
+            asleep = [u for u in advance.color if not self.schedule.is_active(u, time)]
             if asleep:
                 raise ValueError(
                     f"policy scheduled sleeping transmitters at slot {time}: {sorted(asleep)}"
@@ -133,149 +261,68 @@ class _EngineBase:
                 f"transmitters at time {time}"
             )
 
-    def _run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        start_time: int,
-        limit: int,
-        schedule: WakeupSchedule | None,
-    ) -> BroadcastResult:
-        require(source in self.topology, f"unknown source node {source}")
-        require(start_time >= 1, "start_time is 1-based")
-        link = self.link_model
-        link_state = None if link.lossless else link.make_state()
-        covered: frozenset[int] = frozenset({source})
-        advances: list[Advance] = []
-        time = start_time
-        end_time = start_time - 1
-        full = self.topology.node_set
-
-        while covered != full:
-            # Honour the policy's fast-forward hint before the limit check
-            # (the same order as every other backend): the hint promises
-            # select_advance answers None on the skipped slots, so jumping
-            # is trace-preserving.
-            hinted = policy.next_decision_slot(time)
-            if hinted is not None and hinted > time:
-                time = hinted
-            if time > limit:
-                raise SimulationTimeout(
-                    f"broadcast did not complete by time {limit} "
-                    f"(covered {len(covered)}/{len(full)} nodes); the policy or the "
-                    "wake-up schedule is not making progress"
-                )
-            state = BroadcastState(
-                topology=self.topology,
-                covered=covered,
-                time=time,
-                schedule=schedule,
-            )
-            advance = policy.select_advance(state)
-            if advance is not None:
-                self._check_advance(
-                    advance,
-                    covered,
-                    time,
-                    schedule,
-                    check_conflicts=getattr(policy, "interference_free", True),
-                )
-                if link.lossless:
-                    recorded = advance
-                    delivered = advance.receivers
-                else:
-                    delivered = link.deliver(link_state, self.topology, advance, covered)
-                    recorded = replace(
-                        advance,
-                        receivers=delivered,
-                        intended_receivers=advance.receivers,
-                    )
-                covered = covered | delivered
-                if delivered:
-                    end_time = time
-                advances.append(recorded)
-            time += 1
-
-        return BroadcastResult(
-            policy_name=policy.name,
-            source=source,
-            start_time=start_time,
-            end_time=max(end_time, start_time - 1),
-            covered=covered,
-            advances=tuple(advances),
-            synchronous=schedule is None,
-            cycle_rate=1 if schedule is None else schedule.rate,
-        )
-
-    def _check_multi_inputs(
-        self, policies: Sequence[SchedulingPolicy], sources: Sequence[int]
-    ) -> None:
-        check_multi_inputs(self.topology, policies, sources)
-
-    def _run_multi(
+    def _steps(
         self,
         policies: Sequence[SchedulingPolicy],
         sources: Sequence[int],
         start_time: int,
         limit: int,
-        schedule: WakeupSchedule | None,
-    ) -> MultiBroadcastResult:
-        # Inputs were validated by the public ``run_multi`` entry point
-        # (which needs them checked before its default-limit computation).
-        require(start_time >= 1, "start_time is 1-based")
+    ) -> Steps:
+        """The broadcast loop: yield each recorded advance as it is applied.
+
+        Returns the covered sets and end times per message.  The
+        contention masks are bigints: nodes engaged this slot (transmitting
+        or intended to receive some accepted message), nodes in range of
+        an accepted transmitter, and the accepted intended receivers.
+        """
         topology = self.topology
-        k = len(sources)
+        schedule = self.schedule
         link = self.link_model
         link_state = None if link.lossless else link.make_state()
         full = topology.node_set
-        covered: list[frozenset[int]] = [frozenset({s}) for s in sources]
-        advances: list[list[Advance]] = [[] for _ in range(k)]
+        k = len(sources)
+        hints = [policy.next_decision_slot for policy in policies]
+        check_conflicts = [
+            getattr(policy, "interference_free", True) for policy in policies
+        ]
+        # Offer order per slot: message priority rotates by one each slot.
+        orders = [[(o + j) % k for j in range(k)] for o in range(k)]
+        covered = [frozenset({source}) for source in sources]
         end_times = [start_time - 1] * k
+        live = [m for m in range(k) if covered[m] != full]
         time = start_time
 
-        while any(c != full for c in covered):
+        while live:
+            # The hint promises select_advance answers None on the skipped
+            # slots, so jumping (before the limit check) keeps the trace.
+            hinted = promised_slot(hints, live, time)
+            if hinted is not None and hinted > time:
+                time = hinted
             if time > limit:
-                pending = sum(1 for c in covered if c != full)
-                raise SimulationTimeout(
-                    f"multi-source broadcast did not complete by time {limit} "
-                    f"({pending}/{k} messages still spreading); the policies, "
-                    "the wake-up schedule or the slot contention is not making "
-                    "progress"
-                )
-            # Slot-contention bookkeeping: nodes engaged this slot (either
-            # transmitting or intended to receive some accepted message),
-            # nodes in range of an accepted transmitter, and the accepted
-            # intended receivers — all as bigint masks.
-            busy_mask = 0
-            heard_mask = 0
-            rx_mask = 0
-            offset = (time - start_time) % k
-            for m in ((offset + j) % k for j in range(k)):
+                raise timeout(limit, [len(c) for c in covered], len(full))
+            busy_mask = None
+            for position, m in enumerate(orders[(time - start_time) % k]):
                 if covered[m] == full:
                     continue
-                policy = policies[m]
                 state = BroadcastState(
                     topology=topology,
                     covered=covered[m],
                     time=time,
                     schedule=schedule,
                 )
-                advance = policy.select_advance(state)
+                advance = policies[m].select_advance(state)
                 if advance is None:
                     continue
                 self._check_advance(
-                    advance,
-                    covered[m],
-                    time,
-                    schedule,
-                    check_conflicts=getattr(policy, "interference_free", True),
+                    advance, covered[m], time, check_conflicts=check_conflicts[m]
                 )
-                color_mask = topology.mask_from_nodes(advance.color)
-                recv_mask = topology.mask_from_nodes(advance.receivers)
-                cand_heard = 0
-                for transmitter in advance.color:
-                    cand_heard |= topology.neighbor_mask(transmitter)
-                if (
+                if busy_mask is not None or position + 1 < k:
+                    color_mask = topology.mask_from_nodes(advance.color)
+                    recv_mask = topology.mask_from_nodes(advance.receivers)
+                    cand_heard = 0
+                    for transmitter in advance.color:
+                        cand_heard |= topology.neighbor_mask(transmitter)
+                if busy_mask is not None and (
                     ((color_mask | recv_mask) & busy_mask)
                     or (recv_mask & heard_mask)
                     or (rx_mask & cand_heard)
@@ -293,35 +340,21 @@ class _EngineBase:
                         receivers=delivered,
                         intended_receivers=advance.receivers,
                     )
-                covered[m] = covered[m] | delivered
                 if delivered:
+                    covered[m] = covered[m] | delivered
                     end_times[m] = time
-                advances[m].append(recorded)
-                busy_mask |= color_mask | recv_mask
-                heard_mask |= cand_heard
-                rx_mask |= recv_mask
+                    if covered[m] == full:
+                        live.remove(m)
+                if position + 1 < k:
+                    if busy_mask is None:
+                        busy_mask = heard_mask = rx_mask = 0
+                    busy_mask |= color_mask | recv_mask
+                    heard_mask |= cand_heard
+                    rx_mask |= recv_mask
+                yield m, recorded
             time += 1
 
-        messages = tuple(
-            BroadcastResult(
-                policy_name=policies[i].name,
-                source=sources[i],
-                start_time=start_time,
-                end_time=max(end_times[i], start_time - 1),
-                covered=covered[i],
-                advances=tuple(advances[i]),
-                synchronous=schedule is None,
-                cycle_rate=1 if schedule is None else schedule.rate,
-            )
-            for i in range(k)
-        )
-        return MultiBroadcastResult(
-            sources=tuple(int(s) for s in sources),
-            start_time=start_time,
-            messages=messages,
-            synchronous=schedule is None,
-            cycle_rate=1 if schedule is None else schedule.rate,
-        )
+        return covered, end_times
 
 
 class RoundEngine(_EngineBase):
@@ -335,24 +368,15 @@ class RoundEngine(_EngineBase):
         start_time: int = 1,
         max_rounds: int | None = None,
     ) -> BroadcastResult:
-        """Simulate a broadcast and return its trace.
+        """Simulate a broadcast and return its trace (the ``k = 1`` run).
 
         ``max_rounds`` defaults to a generous bound derived from the
         baseline's worst case (the hop radius times the maximum colour-clique
         size cannot exceed the number of nodes times the hop radius).
         """
-        require(source in self.topology, f"unknown source node {source}")
-        if max_rounds is None:
-            max_rounds = self._default_max_rounds(source)
-        limit = start_time + max_rounds
-        return self._run(policy, source, start_time, limit, schedule=None)
-
-    def _default_max_rounds(self, source: int) -> int:
-        depth = max(self.topology.eccentricity(source), 1)
-        return int(
-            (depth * max(self.topology.max_degree(), 1) + depth + 8)
-            * self.link_model.limit_stretch
-        )
+        return self.run_multi(
+            [policy], [source], start_time=start_time, max_rounds=max_rounds
+        ).messages[0]
 
     def run_multi(
         self,
@@ -368,13 +392,14 @@ class RoundEngine(_EngineBase):
         sources, stretched by the message count (slot contention can
         serialise the wavefronts in the worst case).
         """
-        self._check_multi_inputs(policies, sources)
-        if max_rounds is None:
-            max_rounds = max(
-                self._default_max_rounds(source) for source in sources
-            ) * max(len(sources), 1)
-        limit = start_time + max_rounds
-        return self._run_multi(policies, sources, start_time, limit, schedule=None)
+        return self._run_multi(policies, sources, start_time, False, max_rounds)
+
+    def _default_max_time(self, source: int) -> int:
+        depth = max(self.topology.eccentricity(source), 1)
+        return int(
+            (depth * max(self.topology.max_degree(), 1) + depth + 8)
+            * self.link_model.limit_stretch
+        )
 
 
 class SlotEngine(_EngineBase):
@@ -387,13 +412,14 @@ class SlotEngine(_EngineBase):
         link_model: LinkModel | None = None,
     ) -> None:
         super().__init__(topology, link_model)
-        missing = set(topology.node_ids) - set(schedule.node_ids)
-        if missing:
-            raise ValueError(
-                f"wake-up schedule missing nodes {sorted(missing)[:5]}..."
-                if len(missing) > 5
-                else f"wake-up schedule missing nodes {sorted(missing)}"
-            )
+        if topology.node_ids != schedule.node_ids:
+            missing = set(topology.node_ids) - set(schedule.node_ids)
+            if missing:
+                raise ValueError(
+                    f"wake-up schedule missing nodes {sorted(missing)[:5]}..."
+                    if len(missing) > 5
+                    else f"wake-up schedule missing nodes {sorted(missing)}"
+                )
         self.schedule = schedule
 
     def run(
@@ -405,32 +431,20 @@ class SlotEngine(_EngineBase):
         align_start: bool = False,
         max_slots: int | None = None,
     ) -> BroadcastResult:
-        """Simulate a duty-cycle broadcast.
+        """Simulate a duty-cycle broadcast (the ``k = 1`` run).
 
         ``align_start=True`` moves the start to the source's first wake-up
         slot at or after ``start_time`` (so ``t_s ∈ T(s)`` as in the paper's
         examples).  ``max_slots`` defaults to several times the baseline's
         ``17 k d`` worst case.
         """
-        require(source in self.topology, f"unknown source node {source}")
-        if align_start:
-            start_time = self.schedule.next_active_slot(source, start_time)
-        if max_slots is None:
-            max_slots = self._default_max_slots(source)
-        limit = start_time + max_slots
-        return self._run(policy, source, start_time, limit, schedule=self.schedule)
-
-    def _default_max_slots(self, source: int) -> int:
-        depth = max(self.topology.eccentricity(source), 1)
-        # max_rate, not rate: with heterogeneous duty cycling the cap
-        # must cover the sleepiest node's cycle length.
-        worst_per_layer = 2 * self.schedule.max_rate * (
-            max(self.topology.max_degree(), 1) + 2
-        )
-        return int(
-            (depth * worst_per_layer + 4 * self.schedule.max_rate)
-            * self.link_model.limit_stretch
-        )
+        return self.run_multi(
+            [policy],
+            [source],
+            start_time=start_time,
+            align_start=align_start,
+            max_slots=max_slots,
+        ).messages[0]
 
     def run_multi(
         self,
@@ -449,17 +463,18 @@ class SlotEngine(_EngineBase):
         defaults to the worst single-source bound over the sources,
         stretched by the message count.
         """
-        self._check_multi_inputs(policies, sources)
-        if align_start:
-            start_time = min(
-                self.schedule.next_active_slot(source, start_time)
-                for source in sources
-            )
-        if max_slots is None:
-            max_slots = max(
-                self._default_max_slots(source) for source in sources
-            ) * max(len(sources), 1)
-        limit = start_time + max_slots
         return self._run_multi(
-            policies, sources, start_time, limit, schedule=self.schedule
+            policies, sources, start_time, align_start, max_slots
+        )
+
+    def _default_max_time(self, source: int) -> int:
+        depth = max(self.topology.eccentricity(source), 1)
+        # max_rate, not rate: with heterogeneous duty cycling the cap
+        # must cover the sleepiest node's cycle length.
+        worst_per_layer = 2 * self.schedule.max_rate * (
+            max(self.topology.max_degree(), 1) + 2
+        )
+        return int(
+            (depth * worst_per_layer + 4 * self.schedule.max_rate)
+            * self.link_model.limit_stretch
         )

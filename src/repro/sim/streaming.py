@@ -12,10 +12,11 @@ reference, so a sink that aggregates (counts, histograms, an on-disk
 writer) runs a 100k-node broadcast in memory proportional to the network,
 not to the trace.
 
-The stream is produced by the engine's ``_iter_run`` generator — the same
-code path ``run_broadcast`` materializes — so the sequence of advances (and
-the returned :class:`StreamSummary`'s metrics) is bit-identical to the
-materialized trace's.  The memory-regression test in
+The stream is the vectorized engine's kernel generator ``_steps`` run with
+one message — the same code path ``run_broadcast`` materializes, after the
+same input checks, start alignment and default limit — so the sequence of
+advances (and the returned :class:`StreamSummary`'s metrics) is
+bit-identical to the materialized trace's.  The memory-regression test in
 ``tests/unit/test_streaming.py`` pins the no-materialization property with
 weak references: after each sink call returns, the advance must be
 collectable.
@@ -35,9 +36,9 @@ from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
-from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
+from repro.sim.broadcast import engine_for, require_replanning
+from repro.sim.engine import node_id
 from repro.sim.links import LinkModel, ReliableLinks
-from repro.utils.validation import require
 
 __all__ = ["StreamSummary", "StreamSinkError", "stream_broadcast"]
 
@@ -136,39 +137,22 @@ def stream_broadcast(
             "traces — it is the oracle the streaming kernel is tested against)"
         )
     link = ReliableLinks() if link_model is None else link_model
-    if not link.lossless and not getattr(policy, "loss_tolerant", True):
-        raise ValueError(
-            f"policy {policy.name!r} replays a fixed plan that assumes reliable "
-            "delivery and cannot run over lossy links; pick a loss-tolerant "
-            "tier from the solver registry (repro.solvers.SOLVER_TIERS, "
-            "--list-solvers) or a frontier scheduler (OPT, G-OPT, E-model, "
-            "largest-first) for the loss axis"
-        )
-    require(source in topology, f"unknown source node {source}")
+    runner = engine_for(engine, topology, schedule, link)
+    source = node_id(source)
+    require_replanning([policy], link)
+    start_time, steps = runner._open(
+        [policy], (source,), start_time, align_start, max_time
+    )
     policy.prepare(topology, schedule, source)
-    if schedule is None:
-        round_engine = FastRoundEngine(topology, link_model=link)
-        limit = start_time + (
-            round_engine._default_max_rounds(source) if max_time is None else max_time
-        )
-        stepper = round_engine._iter_run(policy, source, start_time, limit, None)
-    else:
-        slot_engine = FastSlotEngine(topology, schedule, link_model=link)
-        if align_start:
-            start_time = schedule.next_active_slot(source, start_time)
-        limit = start_time + (
-            slot_engine._default_max_slots(source) if max_time is None else max_time
-        )
-        stepper = slot_engine._iter_run(policy, source, start_time, limit, schedule)
 
     num_advances = 0
     total_transmissions = 0
     failed_deliveries = 0
     while True:
         try:
-            advance = next(stepper)
+            _, advance = next(steps)
         except StopIteration as done:
-            covered, end_time = done.value
+            (covered,), (end_time,) = done.value
             break
         num_advances += 1
         total_transmissions += len(advance.color)
@@ -192,7 +176,7 @@ def stream_broadcast(
         policy_name=policy.name,
         source=source,
         start_time=start_time,
-        end_time=max(end_time, start_time - 1),
+        end_time=end_time,
         covered_count=len(covered),
         num_advances=num_advances,
         total_transmissions=total_transmissions,

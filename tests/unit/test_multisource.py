@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
 from repro.core.advance import Advance
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
+from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.topology import WSNTopology
-from repro.sim.broadcast import run_broadcast
+from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
 from repro.sim.engine import RoundEngine
+from repro.sim.replay import ReplayPolicy
 from repro.sim.metrics import MultiBroadcastMetrics
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.validation import (
@@ -94,6 +98,26 @@ class TestRunMulti:
         with pytest.raises(TypeError, match="node id"):
             run_broadcast(path5, "12", EModelPolicy())
 
+    def test_float_sources_rejected_by_value(self, path5):
+        # int() would truncate these into the valid sources 1 and 3.
+        with pytest.raises(TypeError, match="1.9"):
+            run_broadcast(path5, [1.9, 3.7], EModelPolicy())
+
+    def test_float_scalar_source_rejected_by_value(self, path5):
+        with pytest.raises(TypeError, match="2.0"):
+            run_broadcast(path5, 2.0, EModelPolicy())
+
+    def test_float_source_rejected_by_the_engine(self, path5):
+        with pytest.raises(TypeError, match="integer node id, got 1.0"):
+            RoundEngine(path5).run(EModelPolicy(), 1.0)
+
+    def test_numpy_integer_sources_accepted(self, path5):
+        single = run_broadcast(path5, np.int64(0), EModelPolicy())
+        assert single == run_broadcast(path5, 0, EModelPolicy())
+        multi = run_broadcast(path5, np.array([0, 4]), EModelPolicy())
+        assert multi.sources == (0, 4)
+        assert multi == run_broadcast(path5, [0, 4], EModelPolicy())
+
     def test_planned_baselines_rejected_for_multi_source(self, path5):
         with pytest.raises(ValueError, match="multi-source"):
             run_broadcast(path5, [0, 4], Approx26Policy())
@@ -123,6 +147,84 @@ class TestRunMulti:
         )
         assert result.start_time == expected
         assert result.is_complete(path5)
+
+
+class _CountingReplay(ReplayPolicy):
+    """A replay that records every slot it is offered.
+
+    It declares no frontier promise, like the 17-approximation, so only
+    its ``next_decision_slot`` hint lets an engine skip a slot.
+    """
+
+    def __init__(self, trace: BroadcastResult) -> None:
+        super().__init__(trace)
+        self.frontier_driven = False
+        self.offered: list[int] = []
+
+    def select_advance(self, state):
+        self.offered.append(state.time)
+        return super().select_advance(state)
+
+
+class TestMultiSourceHints:
+    """The kernel jumps to the earliest slot every spreading message promised."""
+
+    @pytest.fixture
+    def recorded(self):
+        config = DeploymentConfig(
+            num_nodes=30,
+            area_side=26.0,
+            radius=9.0,
+            source_min_ecc=2,
+            source_max_ecc=None,
+        )
+        topology, source = deploy_uniform(config=config, seed=3)
+        hops = topology.hop_distances(source)
+        other = max(topology.node_ids, key=lambda u: (hops[u], u))
+        schedule = build_wakeup_schedule(topology.node_ids, rate=6, seed=11)
+        sources = [source, other]
+        result = run_broadcast(
+            topology, sources, EModelPolicy(), schedule=schedule, align_start=True
+        )
+        return topology, sources, schedule, result
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_BACKENDS))
+    def test_replays_are_offered_only_at_recorded_slots(self, recorded, engine):
+        topology, sources, schedule, result = recorded
+        replays = [_CountingReplay(message) for message in result.messages]
+        replayed = run_broadcast(
+            topology,
+            sources,
+            replays,
+            schedule=schedule,
+            align_start=True,
+            engine=engine,
+        )
+        assert replayed == result
+        recorded_slots = {
+            advance.time for message in result.messages for advance in message.advances
+        }
+        # Idle slots exist, so offering every (frontier) slot would show.
+        assert len(recorded_slots) < result.latency
+        for replay in replays:
+            assert set(replay.offered) <= recorded_slots
+        assert set(replays[0].offered) | set(replays[1].offered) == recorded_slots
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_BACKENDS))
+    def test_one_policy_without_a_promise_blocks_the_jump(self, recorded, engine):
+        topology, sources, schedule, result = recorded
+        replay = _CountingReplay(result.messages[0])
+        replayed = run_broadcast(
+            topology,
+            sources,
+            [replay, EModelPolicy()],
+            schedule=schedule,
+            align_start=True,
+            engine=engine,
+        )
+        assert replayed == result
+        own_slots = {advance.time for advance in result.messages[0].advances}
+        assert set(replay.offered) > own_slots
 
 
 class TestMultiBroadcastResult:

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy
 from repro.dutycycle.models import build_wakeup_schedule
@@ -42,14 +43,16 @@ def _assert_summary_matches(summary: StreamSummary, result) -> None:
     assert summary.cycle_rate == result.cycle_rate
 
 
+# The 17-approximation drives the kernel's next_decision_slot jump.
+@pytest.mark.parametrize("make_policy", [EModelPolicy, Approx17Policy])
 @pytest.mark.parametrize("engine", sorted(STREAMING_BACKENDS))
-def test_streamed_advances_equal_materialized_trace(engine) -> None:
+def test_streamed_advances_equal_materialized_trace(engine, make_policy) -> None:
     topology, source = _deployment()
     schedule = build_wakeup_schedule(topology.node_ids, rate=5, seed=11)
     result = run_broadcast(
         topology,
         source,
-        EModelPolicy(),
+        make_policy(),
         schedule=schedule,
         align_start=True,
         engine="vectorized",
@@ -58,7 +61,7 @@ def test_streamed_advances_equal_materialized_trace(engine) -> None:
     summary = stream_broadcast(
         topology,
         source,
-        EModelPolicy(),
+        make_policy(),
         schedule=schedule,
         align_start=True,
         engine=engine,
