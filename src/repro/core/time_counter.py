@@ -27,19 +27,23 @@ Both searches jump from one decision to the next with the same helper,
 :meth:`~repro.core.search.ExactSearch.decision`: by coverage monotonicity
 (a larger covered set never completes later) transmitting never hurts, so
 the duty-cycle search moves to the next slot at which *some* frontier node
-is awake instead of branching over idle waits.  The beam ranks its states
-by the largest hop distance from ``W`` to an uncovered node, an admissible
-lower bound on the remaining advances read off the topology's cached hop
-matrix.  Every colouring, frontier and hop bound of either search comes
-from the search's state memo, which lives for one broadcast.
+is awake instead of branching over idle waits.  In the synchronous system
+the helper returns the slot it is given, so the beam is one loop,
+:meth:`TimeCounter._beam`, for ``M`` and first-colour selection in both
+systems; they differ in their seeds, their pruning rule and how they read
+the completions it returns.  The beam ranks its states by the largest hop
+distance from ``W`` to an uncovered node, an admissible lower bound on the
+remaining advances read off the topology's cached hop matrix.  Every
+colouring, frontier and hop bound of either search comes from the search's
+state memo, which lives for one broadcast.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Literal
+from functools import cached_property, partial
+from typing import Callable, Iterable, Literal
 
 from repro.core.coloring import ColorMasks, ColorScheme, lex_order_key
 from repro.core.search import ExactSearch, SearchBudgetExceeded, SearchStats, UnreachableNodes
@@ -48,6 +52,10 @@ from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = ["SearchConfig", "TimeCounter", "SearchBudgetExceeded", "UnreachableNodes"]
+
+#: A beam state: covered mask, earliest slot of its next decision, first-colour tag.
+BeamState = tuple[int, int, int]
+Prune = Callable[[list[BeamState]], list[BeamState]]
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,9 @@ class TimeCounter:
     -----
     Search states are int bitmasks, bit ``i`` standing for
     ``topology.node_ids[i]`` (see docs/design.md, "Search state").  Every
-    public method converts ``W`` once at entry; colours come from
+    public method that takes node ids checks ``time >= 1``, a non-empty
+    ``W`` and known node ids (``ValueError`` otherwise) and converts ``W``
+    once at entry; colours come from
     :meth:`~repro.core.search.ExactSearch.color_masks` as
     ``(colour, receivers)`` masks, and each decision's slot and sender pool
     from :meth:`~repro.core.search.ExactSearch.decision`, which reads the
@@ -166,7 +176,8 @@ class TimeCounter:
         For a complete ``W`` this is ``t - 1`` (the broadcast already ended
         before ``t``), matching the terminal case of Eq. (4).
         """
-        return self._completion_time(self._mask_of(covered), time)
+        _check_time(time)
+        return self._completion_time(self._covered_mask(covered), time)
 
     def rank_colors(
         self,
@@ -177,11 +188,12 @@ class TimeCounter:
         """Evaluate candidate colours by ``M(W + C_i, t + 1)``.
 
         Returns ``(color, completion_time)`` pairs sorted by completion
-        time, breaking ties in favour of larger coverage and then the
-        lexicographically smallest colour (for determinism).
+        time, breaking ties in favour of the larger colour (more senders)
+        and then the lexicographically smallest colour (for determinism).
         """
-        covered_mask = self._mask_of(covered)
-        return self._rank_colors(covered_mask, time, [frozenset(c) for c in colors])
+        _check_time(time)
+        covered_mask = self._covered_mask(covered)
+        return self._rank_colors(covered_mask, time, self._candidates(colors))
 
     def select_color(
         self,
@@ -201,10 +213,12 @@ class TimeCounter:
         ``λ(W)`` searches — the approximation documented in docs/design.md
         ("Beam approximation").
         """
-        colors = [frozenset(c) for c in colors]
+        _check_time(time)
+        covered_mask = self._covered_mask(covered)
+        colors = self._candidates(colors)
         if not colors:
             raise ValueError("select_color needs at least one candidate colour")
-        return self._select_color(self._mask_of(covered), time, colors)
+        return self._select_color(covered_mask, time, colors)
 
     def best_color(
         self, covered: Iterable[int], time: int
@@ -214,7 +228,8 @@ class TimeCounter:
         Returns ``None`` when no colour is available at ``time`` (duty-cycle
         slot with no awake frontier node, or ``W`` already complete).
         """
-        covered_mask = self._mask_of(covered)
+        _check_time(time)
+        covered_mask = self._covered_mask(covered)
         pairs = self.color_masks_at(covered_mask, time)
         if not pairs:
             return None
@@ -246,19 +261,29 @@ class TimeCounter:
     # ------------------------------------------------------------------
     # Shared helpers (``covered`` and states are masks from here on)
     # ------------------------------------------------------------------
-    def _mask_of(self, covered: Iterable[int]) -> int:
+    def _check_known(self, nodes: frozenset[int], what: str) -> None:
+        unknown = nodes - self.topology.node_set
+        if unknown:
+            raise ValueError(f"{what} holds node ids not in the topology: {sorted(unknown)}")
+
+    def _covered_mask(self, covered: Iterable[int]) -> int:
+        covered = frozenset(covered)
+        if not covered:
+            raise ValueError("covered is empty; it must hold at least the source")
+        self._check_known(covered, "covered")
         view = self._view
         return view.mask_from_bool(view.bool_from_nodes(covered))
 
+    def _candidates(self, colors: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+        colors = [frozenset(c) for c in colors]
+        self._check_known(frozenset().union(*colors), "a candidate colour")
+        return colors
+
     def _completion_time(self, covered: int, time: int) -> int:
-        if time < 1:
-            raise ValueError(f"time is 1-based, got {time}")
         self._check_reachable(covered)
         if self.config.mode == "exact":
             return self._search.minimum(covered, time)
-        if self.schedule is None:
-            return time - 1 + self._remaining_sync_beam(covered)
-        return self._completion_duty_beam(covered, time)
+        return self._completion_beam(covered, time)
 
     def _receivers(self, color: frozenset[int], covered: int) -> int:
         """Uncovered nodes reached by the colour ``color`` (a mask)."""
@@ -286,9 +311,7 @@ class TimeCounter:
             return colors[0], self._completion_time(covered | reached, time + 1)
         if self.config.mode == "exact":
             return self._rank_colors(covered, time, colors)[0]
-        if self.schedule is None:
-            return self._select_color_beam_sync(covered, time, colors)
-        return self._select_color_beam_duty(covered, time, colors)
+        return self._select_color_beam(covered, time, colors)
 
     def _check_reachable(self, covered: int) -> None:
         if covered == self._full or self._search.hop_reach(covered)[1]:
@@ -320,8 +343,10 @@ class TimeCounter:
         except ValueError:  # pragma: no cover - disconnected handled earlier
             return self.topology.num_nodes
 
-    def _duty_horizon(self, time: int) -> int:
-        assert self.schedule is not None
+    def _horizon(self, time: int) -> float:
+        """The beam's last decision slot: none in the synchronous system."""
+        if self.schedule is None:
+            return math.inf
         # The horizon must cover the sleepiest node's cycle, not the base rate.
         rate = self.schedule.max_rate
         # d+2 measured from scratch is a safe over-estimate of the remaining
@@ -330,53 +355,119 @@ class TimeCounter:
         return time + int(self.config.max_slots * 2 * rate * (depth + 2)) + 2 * rate
 
     # ------------------------------------------------------------------
-    # Beam search of the synchronous M
+    # Beam mode: one level kernel and its two drivers
     # ------------------------------------------------------------------
-    def _remaining_sync_beam(self, covered: int) -> int:
-        full = self._full
-        if covered == full:
-            return 0
-        beam: list[int] = [covered]
-        rounds = 0
-        visited: set[int] = {covered}
-        while beam:
-            rounds += 1
-            successors: set[int] = set()
-            for state in beam:
-                self.stats.expansions += 1
-                _, pairs = self._search.colors(state, rounds)
-                successors.update(state | reached for _, reached in pairs)
-            if full in successors:
-                return rounds
-            fresh = [s for s in successors if s not in visited]
-            if not fresh:
-                # Every successor was already explored with fewer rounds; the
-                # remaining beam cannot improve, fall back to the best
-                # successor anyway to guarantee progress.
-                fresh = list(successors)
-            fresh.sort(key=lambda s: (self._hop_lower_bound(s), *self._state_key(s)))
-            beam = fresh[: self.config.beam_width]
-            visited.update(beam)
-            self.stats.states += len(beam)
-            if rounds > self.topology.num_nodes + 2:
-                raise RuntimeError(
-                    "beam search failed to converge; this indicates a bug in "
-                    "the colour provider (coverage must grow every round)"
-                )
-        raise UnreachableNodes("beam search exhausted without completing coverage")
+    def _beam(self, beam: list[BeamState], horizon: float, prune: Prune) -> tuple[float, list[int]]:
+        """Search level by level from ``beam``; ``(best, firsts)``.
 
-    # ------------------------------------------------------------------
-    # Shared-beam colour selection (beam mode decision making)
-    # ------------------------------------------------------------------
+        A state ``(W, slot, first)`` is a covered set, the earliest slot of
+        its next decision and the tag of the first colour it committed to.
+        Each level expands every state through
+        :meth:`~repro.core.search.ExactSearch.decision` (in the synchronous
+        system ``(slot, W)``, so the sync search is this duty loop), and
+        ``prune`` keeps the next level out of the successors that could
+        still beat ``best``.  ``best`` is the earliest completion slot found
+        (``inf`` if none), ``firsts`` the tags completing there in
+        discovery order.
+
+        A state is skipped if ``slot > best`` or if its decision slot is
+        past ``horizon`` or past ``best``.  A state whose decision slot
+        ties ``best`` when it is expanded adds its completions to
+        ``firsts`` but records no successors.  Those would decide at
+        ``best + 1`` or later, so the ``slot < best`` filter drops them
+        before ``prune`` anyway; but a dropped entry still holds its place
+        in ``successors``, and a later state reaching the same ``W`` at an
+        earlier slot would take over that place.  Keeping them out leaves
+        the insertion order to the states that can still improve ``best``,
+        and the stable sort under the non-total duty-selection key falls
+        back on that order.  A successor reached by several states keeps
+        the earliest slot and, on equal slots, the first state's tag.
+        """
+        full = self._full
+        search = self._search
+        stats = self.stats
+        best: float = math.inf
+        firsts: list[int] = []
+        for _ in range(4 * self.topology.num_nodes + 8):
+            if not beam:
+                break
+            successors: dict[int, tuple[int, int]] = {}
+            for state, slot, first in beam:
+                if slot > best:
+                    continue
+                decision_slot, pool = search.decision(state, slot)
+                if decision_slot > horizon or decision_slot > best:
+                    continue
+                stats.expansions += 1
+                ties_best = decision_slot == best
+                next_slot = decision_slot + 1
+                for _, reached in search.color_masks(state, pool):
+                    covered = state | reached
+                    if covered == full:
+                        if decision_slot < best:
+                            best, firsts = decision_slot, [first]
+                        else:
+                            firsts.append(first)
+                    elif not ties_best:
+                        previous = successors.get(covered)
+                        if previous is None or next_slot < previous[0]:
+                            successors[covered] = (next_slot, first)
+            beam = prune(
+                [(state, slot, first) for state, (slot, first) in successors.items() if slot < best]
+            )
+            stats.states += len(beam)
+        return best, firsts
+
+    def _top(self, states: list[BeamState], key: Callable[[BeamState], tuple]) -> list[BeamState]:
+        """The first ``beam_width`` states under ``key`` (a stable sort)."""
+        states.sort(key=key)
+        return states[: self.config.beam_width]
+
+    def _completion_beam(self, covered: int, time: int) -> int:
+        """``M(W, t)``: the earliest completion the beam finds.
+
+        States rank by ``slot + hop bound``, then larger and then
+        lexicographically smaller ``W``.  The synchronous search first
+        drops states an earlier level kept, unless that leaves none.
+        """
+        if covered == self._full:
+            return time - 1
+        hop = self._hop_lower_bound
+        state_key = self._state_key
+
+        def key(item: BeamState) -> tuple:
+            return item[1] + hop(item[0]), *state_key(item[0])
+
+        if self.schedule is None:
+            visited = {covered}
+
+            def prune(states: list[BeamState]) -> list[BeamState]:
+                fresh = [item for item in states if item[0] not in visited] or states
+                beam = self._top(fresh, key)
+                visited.update(state for state, _, _ in beam)
+                return beam
+
+        else:
+            prune = partial(self._top, key=key)
+        best, _ = self._beam([(covered, time, 0)], self._horizon(time), prune)
+        if math.isinf(best):
+            raise RuntimeError(
+                "beam search found no completing schedule; the colour provider "
+                "stopped making progress, or (duty cycle) the horizon is too "
+                "short: increase SearchConfig.max_slots"
+            )
+        return int(best)
+
     def _first_colors(
         self, colors: list[frozenset[int]], covered: int
     ) -> tuple[list[frozenset[int]], list[int], list[int]]:
         """The candidate colours in launch order, with receivers and tie keys.
 
         Launch order is (most receivers, lexicographically smallest colour).
-        A beam state remembers its first colour by position in that order;
-        ``ties[position]`` is the colour's rank under ``tuple(sorted(colour))``,
-        the tie-break the beam applies to first colours.
+        A selection state's ``first`` tag is its first colour's position in
+        that order; ``ties[first]`` is the colour's rank under
+        ``tuple(sorted(colour))``, the tie-break the pruning keys apply to
+        first colours.
         """
         reached = [self._receivers(color, covered) for color in colors]
         keys = [tuple(sorted(color)) for color in colors]
@@ -388,192 +479,66 @@ class TimeCounter:
             [rank[keys[k]] for k in order],
         )
 
-    def _prune_states(
-        self, states: list[tuple[int, int]], ties: list[int]
-    ) -> list[tuple[int, int]]:
-        """Keep the ``beam_width`` most promising (coverage, first-colour) states.
+    def _prune_states(self, states: list[BeamState], ties: list[int]) -> list[BeamState]:
+        """The synchronous selection's pruning: a popcount shortlist.
 
-        States are first ordered by covered-set size (cheap), then the top
-        few are re-ranked with the admissible hop lower bound (a gather
-        over the hop matrix each, so only computed for the short list).
+        At most ``beam_width`` states pass unchanged, in their given order.
+        Otherwise states are ordered by covered-set size (cheap), and the
+        top ``3 × beam_width`` are re-ranked with the admissible hop lower
+        bound (a gather over the hop matrix each, so only computed for the
+        shortlist); both orders end in the first colour's tie rank.
         """
-        if len(states) <= self.config.beam_width:
+        width = self.config.beam_width
+        if len(states) <= width:
             return states
-        states.sort(key=lambda item: (-item[0].bit_count(), ties[item[1]]))
-        shortlist = states[: max(3 * self.config.beam_width, self.config.beam_width)]
-        shortlist.sort(
-            key=lambda item: (
-                self._hop_lower_bound(item[0]),
-                -item[0].bit_count(),
-                ties[item[1]],
-            )
-        )
-        return shortlist[: self.config.beam_width]
+        hop = self._hop_lower_bound
+        states.sort(key=lambda item: (-item[0].bit_count(), ties[item[2]]))
+        shortlist = states[: 3 * width]
+        shortlist.sort(key=lambda item: (hop(item[0]), -item[0].bit_count(), ties[item[2]]))
+        return shortlist[:width]
 
-    def _select_color_beam_sync(
-        self,
-        covered: int,
-        time: int,
-        colors: list[frozenset[int]],
+    def _select_color_beam(
+        self, covered: int, time: int, colors: list[frozenset[int]]
     ) -> tuple[frozenset[int], int]:
-        full = self._full
-        ordered, first_reached, ties = self._first_colors(colors, covered)
-        # states: (covered mask, position of the first colour committed to)
-        beam: list[tuple[int, int]] = []
-        seen: dict[int, int] = {}
-        for first, reached in enumerate(first_reached):
-            new_covered = covered | reached
-            if new_covered == full:
-                return ordered[first], time
-            if new_covered not in seen:
-                seen[new_covered] = first
-                beam.append((new_covered, first))
-        beam = self._prune_states(beam, ties)
+        """First-colour selection by one shared beam.
 
-        rounds = 1
-        while beam:
-            rounds += 1
-            if rounds > self.topology.num_nodes + 2:
-                raise RuntimeError(
-                    "beam colour selection failed to converge; the colour "
-                    "provider stopped making progress"
-                )
-            successors: dict[int, int] = {}
-            completed: list[int] = []
-            for state, first in beam:
-                self.stats.expansions += 1
-                for _, reached in self._search.color_masks(state, state):
-                    new_covered = state | reached
-                    if new_covered == full:
-                        completed.append(first)
-                        continue
-                    if new_covered not in successors:
-                        successors[new_covered] = first
-            if completed:
-                # All completions happen at the same round; the first colour
-                # earliest in launch order wins, for determinism.
-                return ordered[min(completed)], time + rounds - 1
-            beam = self._prune_states(list(successors.items()), ties)
-            self.stats.states += len(beam)
-        raise UnreachableNodes("beam colour selection exhausted without completing")
-
-    def _select_color_beam_duty(
-        self,
-        covered: int,
-        time: int,
-        colors: list[frozenset[int]],
-    ) -> tuple[frozenset[int], int]:
-        assert self.schedule is not None
-        full = self._full
-        horizon = self._duty_horizon(time)
+        Each candidate seeds a state tagged with its launch position; one
+        that completes at once wins, the earliest in launch order.  The
+        synchronous system prunes its seeds too and takes the earliest
+        launch position among the completions at ``best``; the duty-cycle
+        system takes the first one found, and without any completion
+        inside the horizon falls back to the colour launched first.
+        """
         ordered, first_reached, ties = self._first_colors(colors, covered)
-        # states: (coverage, slot of next decision, first colour's position)
-        beam: list[tuple[int, int, int]] = []
-        best_completion = math.inf
-        best_first: int | None = None
+        seeds: list[BeamState] = []
         seen: set[int] = set()
         for first, reached in enumerate(first_reached):
-            new_covered = covered | reached
-            if new_covered == full:
-                if time < best_completion:
-                    best_completion = time
-                    best_first = first
-                continue
-            if new_covered not in seen:
-                seen.add(new_covered)
-                beam.append((new_covered, time + 1, first))
-        if best_first is not None:
-            return ordered[best_first], int(best_completion)
+            state = covered | reached
+            if state == self._full:
+                return ordered[first], time
+            if state not in seen:
+                seen.add(state)
+                seeds.append((state, time + 1, first))
+        horizon = self._horizon(time)
+        if self.schedule is None:
+            prune = partial(self._prune_states, ties=ties)
+            best, firsts = self._beam(prune(seeds), horizon, prune)
+            if not firsts:
+                raise UnreachableNodes("beam colour selection exhausted without completing")
+            return ordered[min(firsts)], int(best)
+        hop = self._hop_lower_bound
 
-        iterations = 0
-        while beam:
-            iterations += 1
-            if iterations > 4 * self.topology.num_nodes + 8:
-                break
-            successors: dict[int, tuple[int, int]] = {}
-            for state, slot, first in beam:
-                if slot >= best_completion:
-                    continue
-                decision_slot, pool = self._search.decision(state, slot)
-                if decision_slot > horizon or decision_slot >= best_completion:
-                    continue
-                self.stats.expansions += 1
-                for _, reached in self._search.color_masks(state, pool):
-                    new_covered = state | reached
-                    if new_covered == full:
-                        if decision_slot < best_completion:
-                            best_completion = decision_slot
-                            best_first = first
-                        continue
-                    previous = successors.get(new_covered)
-                    if previous is None or decision_slot + 1 < previous[0]:
-                        successors[new_covered] = (decision_slot + 1, first)
-            candidates = [
-                (state, slot, first)
-                for state, (slot, first) in successors.items()
-                if slot < best_completion
-            ]
-            candidates.sort(
-                key=lambda item: (
-                    item[1] + self._hop_lower_bound(item[0]),
-                    -item[0].bit_count(),
-                    ties[item[2]],
-                )
-            )
-            beam = candidates[: self.config.beam_width]
-            self.stats.states += len(beam)
-        if best_first is None:
-            # No completion found inside the horizon: fall back to the colour
-            # with the largest immediate coverage (still a valid relay).
+        def key(item: BeamState) -> tuple:
+            return item[1] + hop(item[0]), -item[0].bit_count(), ties[item[2]]
+
+        best, firsts = self._beam(seeds, horizon, partial(self._top, key=key))
+        if not firsts:
+            # No completion inside the horizon: fall back to the colour with
+            # the largest immediate coverage (still a valid relay).
             return ordered[0], int(horizon)
-        return ordered[best_first], int(best_completion)
+        return ordered[firsts[0]], int(best)
 
-    def _completion_duty_beam(self, covered: int, slot: int) -> int:
-        assert self.schedule is not None
-        full = self._full
-        if covered == full:
-            return slot - 1
-        horizon = self._duty_horizon(slot)
-        beam: list[tuple[int, int]] = [(covered, slot)]
-        best_completion = math.inf
-        iterations = 0
-        while beam:
-            iterations += 1
-            if iterations > 4 * self.topology.num_nodes + 8:
-                break
-            successors: dict[int, int] = {}
-            for state, state_slot in beam:
-                if state_slot >= best_completion:
-                    continue
-                decision_slot, pool = self._search.decision(state, state_slot)
-                if decision_slot > horizon:
-                    continue
-                self.stats.expansions += 1
-                new_slot = decision_slot + 1
-                for _, reached in self._search.color_masks(state, pool):
-                    new_covered = state | reached
-                    if new_covered == full:
-                        best_completion = min(best_completion, decision_slot)
-                        continue
-                    previous = successors.get(new_covered)
-                    if previous is None or new_slot < previous:
-                        successors[new_covered] = new_slot
-            candidates = [
-                (state, state_slot)
-                for state, state_slot in successors.items()
-                if state_slot < best_completion
-            ]
-            candidates.sort(
-                key=lambda item: (
-                    item[1] + self._hop_lower_bound(item[0]),
-                    *self._state_key(item[0]),
-                )
-            )
-            beam = candidates[: self.config.beam_width]
-            self.stats.states += len(beam)
-        if math.isinf(best_completion):
-            raise RuntimeError(
-                "duty-cycle beam search found no completing schedule within "
-                "its horizon; increase SearchConfig.max_slots"
-            )
-        return int(best_completion)
+
+def _check_time(time: int) -> None:
+    if time < 1:
+        raise ValueError(f"time is 1-based, got {time}")
