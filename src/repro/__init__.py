@@ -39,8 +39,8 @@ Sub-packages
     Round-based and slot-based broadcast simulators, trace recording,
     schedule validation and metrics.
 ``repro.solvers``
-    The solver-tier catalog: exact minimum-latency schedulers
-    (branch-and-bound; an opt-in ILP) behind the same policy interface,
+    The solver-tier catalog: the exact minimum-latency scheduler
+    (branch-and-bound) behind the same policy interface,
     plus the registry (:data:`repro.solvers.SOLVER_TIERS`) grading every
     scheduler by its optimality guarantee.
 ``repro.experiments``
@@ -82,7 +82,6 @@ from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 from repro.sim.unreliable import run_lossy_broadcast
 from repro.solvers import (
     SOLVER_TIERS,
-    BranchAndBoundPolicy,
     ExactPolicy,
     SolverPlan,
     SolverTier,
@@ -96,7 +95,6 @@ __all__ = [
     "Advance",
     "Approx17Policy",
     "Approx26Policy",
-    "BranchAndBoundPolicy",
     "BroadcastMetrics",
     "BroadcastResult",
     "BroadcastState",

@@ -117,7 +117,7 @@ class SchedulingPolicy(ABC):
         without offering the intermediate slots.  Returning ``None``
         (the default) makes no promise — every slot is offered as usual.
         Policies that precompute their transmission times (replays, the
-        exact tiers, the 17-approximation's layer schedule) override this.
+        exact tier, the 17-approximation's layer schedule) override this.
         """
         return None
 

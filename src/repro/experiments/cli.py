@@ -50,7 +50,7 @@ exact solver's certified optimum on small instances, checked against the
 proved bounds (exit code 1 if any ratio claim fails)::
 
     mlbs-experiments ratio
-    mlbs-experiments ratio --system sync --solver branch-and-bound
+    mlbs-experiments ratio --system sync --solver exact
 
 Distribute a sweep over a worker fleet with the ``fabric`` target: one
 coordinator leases the grid's missing cells out over HTTP, any number of
@@ -730,10 +730,11 @@ def main(argv: list[str] | None = None) -> int:
         "monitor",
     )
     if non_paper and args.target not in workload_targets:
+        *head, last = (repr(target) for target in workload_targets)
+        targets = f"{', '.join(head)} and {last}"
         parser.error(
-            f"{'/'.join(non_paper)} only applies to the 'sweep', 'scenarios', "
-            f"'reliability' and 'multisource' targets; {args.target!r} "
-            "reproduces the paper's reliable uniform workload"
+            f"{'/'.join(non_paper)} only applies to the {targets} targets; "
+            f"{args.target!r} reproduces the paper's reliable uniform workload"
         )
     if (
         args.loss is not None

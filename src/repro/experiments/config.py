@@ -130,8 +130,8 @@ class SweepConfig:
         policy line-up of every sweep (``--list-solvers`` on the CLI prints
         the catalog).  ``"heuristic"`` — the paper's E-model, already part
         of every default line-up — keeps the sweep bit-identical to
-        pre-solver records.  The exact tiers carry an instance-size cap
-        (``max_nodes``) and, like the 17/26-approximation baselines, replay
+        pre-solver records.  The exact tier carries an instance-size cap
+        (``max_nodes``); it and the 17/26-approximation baselines replay
         fixed plans, so they require reliable links and a single source;
         both constraints are enforced here, at configuration time.  The
         solver is *workload* configuration (it changes which records a cell

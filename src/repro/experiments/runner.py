@@ -65,7 +65,7 @@ from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy, OptPolicy, SchedulingPolicy
 from repro.dutycycle.models import build_wakeup_schedule
 from repro.experiments.config import SweepConfig
-from repro.network.deployment import DeploymentConfig, deploy_uniform
+from repro.network.deployment import DeploymentConfig
 from repro.network.sources import select_sources
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
@@ -388,13 +388,8 @@ def _prepare_cell(cell: SweepCell) -> _CellSetup:
         source_min_ecc=config.source_min_ecc,
         source_max_ecc=config.source_max_ecc,
     )
-    if config.scenario == "uniform":
-        # The paper's generator, kept on its original code path so uniform
-        # sweeps stay bit-compatible with pre-scenario records.
-        topology, source = deploy_uniform(config=deployment_config, seed=seed)
-    else:
-        deployment = generate_scenario(config.scenario, deployment_config, seed=seed)
-        topology, source = deployment.topology, deployment.source
+    deployment = generate_scenario(config.scenario, deployment_config, seed=seed)
+    topology, source = deployment.topology, deployment.source
     schedule = None
     if cell.system == "duty":
         schedule = build_wakeup_schedule(
@@ -416,7 +411,7 @@ def _prepare_cell(cell: SweepCell) -> _CellSetup:
     # The multi-source axis: k - 1 extra sources placed around the vetted
     # deployment source by the configured strategy, seeded per cell (the
     # "multi-source" split) so records stay bit-identical for any worker
-    # count and engine.  k = 1 keeps the original single-source code path.
+    # count and engine.
     n_sources = config.n_sources
     sources = (source,)
     if n_sources > 1:
@@ -445,11 +440,11 @@ def _cell_record(
     setup: _CellSetup,
     name: str,
     trace,
-    message_latencies: Sequence[int],
 ) -> RunRecord:
     """Build the :class:`RunRecord` of one (cell, policy) broadcast."""
     config = cell.config
     energy = energy_of_broadcast(setup.topology, trace)
+    message_latencies = trace.per_message_latency
     return RunRecord(
         policy=name,
         system=cell.system,
@@ -486,34 +481,19 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
         EVENT_BUS.emit(
             _events.CellStarted(cell.system, cell.rate, cell.num_nodes, cell.repetition)
         )
-    config = cell.config
     setup = _prepare_cell(cell)
-    n_sources = config.n_sources
     records: list[RunRecord] = []
     for name, factory in setup.policies:
-        if n_sources == 1:
-            trace = run_broadcast(
-                setup.topology,
-                setup.source,
-                factory(),
-                schedule=setup.schedule,
-                align_start=cell.system == "duty",
-                engine=cell.engine,
-                link_model=setup.link_model,
-            )
-            message_latencies: tuple[int, ...] = (trace.latency,)
-        else:
-            trace = run_broadcast(
-                setup.topology,
-                list(setup.sources),
-                [factory() for _ in range(n_sources)],
-                schedule=setup.schedule,
-                align_start=cell.system == "duty",
-                engine=cell.engine,
-                link_model=setup.link_model,
-            )
-            message_latencies = trace.per_message_latency
-        records.append(_cell_record(cell, setup, name, trace, message_latencies))
+        trace = run_broadcast(
+            setup.topology,
+            list(setup.sources),
+            [factory() for _ in setup.sources],
+            schedule=setup.schedule,
+            align_start=cell.system == "duty",
+            engine=cell.engine,
+            link_model=setup.link_model,
+        )
+        records.append(_cell_record(cell, setup, name, trace))
     return records
 
 

@@ -40,7 +40,7 @@ def _udg(positions: np.ndarray, config: DeploymentConfig) -> WSNTopology:
 
 
 # ----------------------------------------------------------------------
-# uniform — the paper's Section V-A generator, registered for completeness
+# uniform — the paper's Section V-A generator (same stream as deploy_uniform)
 # ----------------------------------------------------------------------
 def build_uniform(config: DeploymentConfig, rng: np.random.Generator) -> WSNTopology:
     """Positions i.i.d. uniform over the square (the paper's workload)."""

@@ -21,10 +21,7 @@ from repro.sim.render import render_schedule_timeline, render_topology_ascii
 from repro.sim.replay import ReplayPolicy
 from repro.sim.streaming import StreamSummary, stream_broadcast
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.sim.unreliable import (
-    reliability_sweep,
-    run_lossy_broadcast,
-)
+from repro.sim.unreliable import run_lossy_broadcast
 from repro.sim.validation import (
     ScheduleViolation,
     assert_valid,
@@ -59,7 +56,6 @@ __all__ = [
     "energy_of_broadcast",
     "link_model_names",
     "improvement_percent",
-    "reliability_sweep",
     "render_schedule_timeline",
     "render_topology_ascii",
     "run_broadcast",

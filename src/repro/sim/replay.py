@@ -11,11 +11,17 @@ network model, which makes it useful for
   uses it to time the engines' own machinery in isolation), and
 * re-rendering or re-measuring a stored schedule without re-running the
   scheduler that produced it.
+
+The exact solver tier's :class:`~repro.solvers.ExactPolicy` subclasses it:
+it solves at its first decision and replays the optimal plan through the
+same index (:meth:`ReplayPolicy._load`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Sequence
+
 from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.sim.trace import BroadcastResult
@@ -29,14 +35,18 @@ class ReplayPolicy(SchedulingPolicy):
     def __init__(self, trace: BroadcastResult) -> None:
         self.name = trace.policy_name
         self.trace = trace
-        self._by_time: dict[int, Advance] = {a.time: a for a in trace.advances}
-        if len(self._by_time) != len(trace.advances):
-            raise ValueError("trace contains two advances at the same time")
-        self._times = sorted(self._by_time)
+        self._load(trace.advances)
         # A recorded advance with no receivers may sit at a slot with no
         # awake frontier node, which the idle-slot skip would jump over;
         # such traces must be replayed slot by slot.
         self.frontier_driven = all(a.receivers for a in trace.advances)
+
+    def _load(self, advances: Sequence[Advance]) -> None:
+        """Index ``advances`` by their time (at most one per slot)."""
+        self._by_time: dict[int, Advance] = {a.time: a for a in advances}
+        if len(self._by_time) != len(advances):
+            raise ValueError("trace contains two advances at the same time")
+        self._times = sorted(self._by_time)
 
     def select_advance(self, state: BroadcastState) -> Advance | None:
         return self._by_time.get(state.time)

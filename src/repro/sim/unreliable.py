@@ -12,12 +12,11 @@ This module owns no engine loop: the loss model lives in
 kernels of *both* backends, so
 ``run_broadcast(..., link_model=..., engine=...)`` is the canonical entry
 point and the loss axis composes with every scenario, duty model, engine
-and worker count (see :mod:`repro.experiments.runner`).  This module adds:
-
-* :func:`run_lossy_broadcast` — a convenience wrapper over
-  :func:`~repro.sim.broadcast.run_broadcast` for one lossy run;
-* :func:`reliability_sweep` — the small latency-inflation helper used by
-  the robustness example and the reliability ablation bench.
+and worker count (see :mod:`repro.experiments.runner`).  This module adds
+:func:`run_lossy_broadcast`, a convenience wrapper over
+:func:`~repro.sim.broadcast.run_broadcast` for one lossy run (the
+robustness example's entry point).  Latency-vs-loss curves come from the
+sweep runner: ``repro.experiments.figures.figure_reliability``.
 
 Note on traces: a lossy advance records the *delivered* receivers in
 ``Advance.receivers`` and the uncovered neighbours the advance would have
@@ -29,17 +28,15 @@ retransmissions correctly and ``BroadcastResult.retransmissions`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import IndependentLossLinks
 from repro.sim.trace import BroadcastResult
-from repro.utils.rng import derive_seed
 
-__all__ = ["run_lossy_broadcast", "LossySweepPoint"]
+__all__ = ["run_lossy_broadcast"]
+
 
 def run_lossy_broadcast(
     topology: WSNTopology,
@@ -84,60 +81,3 @@ def run_lossy_broadcast(
         engine=engine,
         link_model=IndependentLossLinks(loss_probability, seed=seed),
     )
-
-
-@dataclass(frozen=True)
-class LossySweepPoint:
-    """One point of a reliability sweep: loss probability vs mean latency."""
-
-    loss_probability: float
-    mean_latency: float
-    mean_extra_rounds: float
-    completed: int
-    attempts: int
-
-
-def reliability_sweep(
-    topology: WSNTopology,
-    source: int,
-    policy_factory,
-    *,
-    loss_probabilities=(0.0, 0.1, 0.2, 0.3),
-    repetitions: int = 3,
-    base_seed: int = 0,
-    engine: str = "reference",
-) -> list[LossySweepPoint]:
-    """Sweep the loss probability and report latency inflation.
-
-    ``policy_factory`` is called once per run (policies may be stateful).
-    The zero-loss latency of the first point is used as the baseline for the
-    ``mean_extra_rounds`` column.
-    """
-    points: list[LossySweepPoint] = []
-    baseline: float | None = None
-    for probability in loss_probabilities:
-        latencies = []
-        for repetition in range(repetitions):
-            seed = derive_seed(base_seed, "loss", probability, repetition)
-            result = run_lossy_broadcast(
-                topology,
-                source,
-                policy_factory(),
-                loss_probability=probability,
-                seed=seed,
-                engine=engine,
-            )
-            latencies.append(result.latency)
-        mean_latency = sum(latencies) / len(latencies)
-        if baseline is None:
-            baseline = mean_latency
-        points.append(
-            LossySweepPoint(
-                loss_probability=probability,
-                mean_latency=mean_latency,
-                mean_extra_rounds=mean_latency - baseline,
-                completed=len(latencies),
-                attempts=repetitions,
-            )
-        )
-    return points

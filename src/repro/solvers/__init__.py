@@ -2,10 +2,11 @@
 
 The packages below this one *run* the paper's algorithm; this package
 *audits* it.  :data:`SOLVER_TIERS` catalogs every guarantee level — from
-the exact branch-and-bound (an opt-in scipy/HiGHS ILP can supply the value
-instead) down to the paper's E-model heuristic — behind one registry,
-and :func:`solve_broadcast` computes certified optimal schedules that
-replay through the ordinary simulation engines.  The observed-vs-proved
+the exact branch-and-bound down to the paper's E-model heuristic — behind
+one registry, and :func:`solve_broadcast` computes certified optimal
+schedules that replay through the ordinary simulation engines.  Two
+independent value voters check the exact tier: the brute-force oracle and
+a scipy/HiGHS ILP (:func:`minimum_completion_ilp`).  The observed-vs-proved
 approximation-ratio study (``figures.figure_ratio`` /
 ``report.ratio_claims``, CLI target ``ratio``) is built on top; see
 ``docs/solvers.md`` for the catalog and the exact-solver determinism
@@ -21,11 +22,11 @@ from repro.solvers.branch_bound import (
     flood_completion_bound,
     greedy_completion,
     minimum_completion,
+    solve_broadcast,
 )
 from repro.solvers.bruteforce import brute_force_completion
-from repro.solvers.exact import SOLVER_BACKENDS, solve_broadcast
 from repro.solvers.ilp import ilp_available, minimum_completion_ilp
-from repro.solvers.policies import BranchAndBoundPolicy, ExactPolicy
+from repro.solvers.policies import ExactPolicy
 from repro.solvers.registry import (
     SOLVER_TIERS,
     SolverTier,
@@ -39,12 +40,10 @@ __all__ = [
     "solver_names",
     "solver_catalog",
     "solve_broadcast",
-    "SOLVER_BACKENDS",
     "SolverPlan",
     "SolverError",
     "SolverLimitExceeded",
     "ExactPolicy",
-    "BranchAndBoundPolicy",
     "minimum_completion",
     "extract_plan",
     "flood_completion_bound",

@@ -1,7 +1,9 @@
 """Exact minimum-latency broadcast by deterministic branch-and-bound.
 
-This is the always-available exact backend of the solver tiers
-(:mod:`repro.solvers`): pure python, no solver library required.  The search
+This is the exact solver tier (:mod:`repro.solvers`): pure python, no
+solver library required.  :func:`solve_broadcast` is its front door: the
+optimal value from :func:`minimum_completion`, then the canonical optimal
+plan from :func:`extract_plan`.  The search
 walks schedules depth-first over states ``(W, t)`` and is exact thanks to
 two dominance properties of the paper's model (both hinge on coverage
 monotonicity: every constraint of Eq. 1/3 only *relaxes* as ``W`` grows, so
@@ -36,10 +38,9 @@ Given ``(topology, source, schedule, start_time)`` the functions here are
 pure: branching order is the sorted order of
 ``enumerate_color_classes`` (larger colours first, then lexicographic), so
 :func:`extract_plan` returns the **canonical optimal plan** — the first
-optimum-achieving leaf in that fixed depth-first order.  The ILP backend
-(:mod:`repro.solvers.ilp`) only ever supplies the optimal *value*; the plan
-is always extracted here, which is what makes exact-tier records
-bit-identical whichever value backend ran.
+optimum-achieving leaf in that fixed depth-first order.  The ILP of
+:mod:`repro.solvers.ilp` is an independent check of the *value* only
+(tests and benchmarks call it directly); it never feeds a plan.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ __all__ = [
     "greedy_completion",
     "minimum_completion",
     "extract_plan",
+    "solve_broadcast",
     "DEFAULT_MAX_STATES",
 ]
 
 #: Search-state budget of the branch-and-bound (states *expanded*; the
 #: value search and the plan extraction each get one).  Generous for the
-#: small-``n`` instances the exact tiers accept; exceeding it raises
+#: small-``n`` instances the exact tier accepts; exceeding it raises
 #: :class:`SolverLimitExceeded` instead of hanging.
 DEFAULT_MAX_STATES = 500_000
 
@@ -106,7 +108,6 @@ class SolverPlan:
     optimum: int
     lower_bound: int
     advances: tuple[Advance, ...]
-    backend: str
     explored: int
 
     @property
@@ -225,9 +226,7 @@ def extract_plan(
     """The canonical optimal plan: first ``optimum``-achieving DFS leaf.
 
     ``optimum`` must be the optimal completion slot (from
-    :func:`minimum_completion` or the ILP backend — both exact, so the
-    deadline is the same either way and the extracted plan is identical).
-    Returns ``(advances, explored_states)``.
+    :func:`minimum_completion`).  Returns ``(advances, explored_states)``.
     """
     check_instance(topology, covered, schedule, start_time)
     search = _search(topology, schedule, max_states)
@@ -246,3 +245,45 @@ def extract_plan(
             f"claimed optimum {optimum}; the deadline is below optimal"
         )
     return advances, search.stats.expansions
+
+
+def solve_broadcast(
+    topology: WSNTopology,
+    source: int,
+    *,
+    schedule: WakeupSchedule | None = None,
+    start_time: int = 1,
+    max_states: int = DEFAULT_MAX_STATES,
+    covered: frozenset[int] | None = None,
+) -> SolverPlan:
+    """Optimal broadcast schedule from ``source`` (or from ``covered``).
+
+    Parameters mirror :func:`repro.sim.broadcast.run_broadcast` where they
+    overlap; ``covered`` generalises the initial state for callers resuming
+    a partially covered broadcast (defaults to ``{source}``).  The returned
+    :class:`SolverPlan` replays through any engine backend unchanged.
+    """
+    initial = frozenset({source}) if covered is None else frozenset(covered)
+    optimum, lower_bound, explored = minimum_completion(
+        topology,
+        initial,
+        schedule=schedule,
+        start_time=start_time,
+        max_states=max_states,
+    )
+    advances, extract_explored = extract_plan(
+        topology,
+        initial,
+        optimum,
+        schedule=schedule,
+        start_time=start_time,
+        max_states=max_states,
+    )
+    return SolverPlan(
+        source=source,
+        start_time=start_time,
+        optimum=optimum,
+        lower_bound=lower_bound,
+        advances=advances,
+        explored=explored + extract_explored,
+    )

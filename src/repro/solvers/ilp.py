@@ -1,14 +1,13 @@
-"""Time-indexed ILP backend for the exact solver tier (scipy/HiGHS).
+"""Time-indexed ILP for the exact solver tier's value (scipy/HiGHS).
 
-The opt-in ``backend="ilp"`` of :func:`repro.solvers.solve_broadcast`
-obtains the optimal completion *value* from a mixed-integer program solved
-by HiGHS (``scipy.optimize.milp``) instead of the pure-python
-branch-and-bound; the canonical *plan* is still extracted by
-:func:`repro.solvers.branch_bound.extract_plan`, so records never depend on
-which backend produced the value (the exact-solver determinism contract of
-``docs/solvers.md``); the tests also use it as an independent voter.  scipy
-is imported only when a MILP is built, never by ``import repro``, and is
-never installed on demand.
+:func:`minimum_completion_ilp` obtains the optimal completion *value* from
+a mixed-integer program solved by HiGHS (``scipy.optimize.milp``).  It is
+not a solve path: the exact tier always takes its value and plan from the
+pure-python branch-and-bound (:func:`repro.solvers.solve_broadcast`), which
+is faster at every instance size measured.  The ILP is an independent
+voter beside the brute-force oracle in the tests and the comparator of
+``benchmarks/test_solvers.py``.  scipy is imported only when a MILP is
+built, never by ``import repro``, and is never installed on demand.
 
 Formulation (decision slots ``s_0 < … < s_{K-1}`` are the slots in
 ``[start_time, horizon]`` with at least one awake node):
@@ -49,7 +48,7 @@ __all__ = ["ilp_available", "minimum_completion_ilp"]
 
 
 def ilp_available() -> bool:
-    """Whether the scipy/HiGHS MILP backend is importable (without importing it)."""
+    """Whether the scipy/HiGHS MILP is importable (without importing it)."""
     return find_spec("scipy") is not None
 
 
@@ -73,7 +72,7 @@ def minimum_completion_ilp(
     check_instance(topology, covered, schedule, start_time)
     if not ilp_available():
         raise SolverError(
-            "the ILP backend needs scipy (HiGHS); use the branch-and-bound tier"
+            "the ILP voter needs scipy (HiGHS); the exact tier itself does not"
         )
     from scipy import sparse  # gated: importing scipy costs more than the package
     from scipy.optimize import Bounds, LinearConstraint, milp

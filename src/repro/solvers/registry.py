@@ -21,7 +21,7 @@ from typing import Callable
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy, SchedulingPolicy
-from repro.solvers.policies import BranchAndBoundPolicy, ExactPolicy
+from repro.solvers.policies import ExactPolicy
 
 __all__ = ["SolverTier", "SOLVER_TIERS", "solver_names", "solver_catalog"]
 
@@ -75,16 +75,6 @@ SOLVER_TIERS: dict[str, SolverTier] = {
             systems=("sync", "duty"),
             loss_tolerant=False,
             factory=ExactPolicy,
-        ),
-        SolverTier(
-            name="branch-and-bound",
-            summary="optimal schedule; the exact tier under its explicit "
-            "branch-and-bound backend name (admissible flooding bounds)",
-            guarantee="optimal",
-            max_nodes=16,
-            systems=("sync", "duty"),
-            loss_tolerant=False,
-            factory=BranchAndBoundPolicy,
         ),
         SolverTier(
             name="17-approx",

@@ -94,9 +94,10 @@ class TestRatioClaims:
 
 
 class TestSolverAxisConfig:
-    def test_unknown_tier_is_rejected(self):
+    @pytest.mark.parametrize("solver", ["simplex", "branch-and-bound"])
+    def test_unknown_tier_is_rejected(self, solver):
         with pytest.raises(ValueError, match="unknown solver tier"):
-            dataclasses.replace(TINY, solver="simplex")
+            dataclasses.replace(TINY, solver=solver)
 
     def test_instance_limit_is_enforced_at_config_time(self):
         with pytest.raises(ValueError, match="at most 16 nodes"):
@@ -122,10 +123,10 @@ class TestSolverAxisConfig:
             run_sweep(config, system="duty", rate=10)
 
     def test_selected_tier_leads_the_line_up(self):
-        config = dataclasses.replace(TINY, solver="branch-and-bound", repetitions=1)
+        config = dataclasses.replace(TINY, solver="exact", repetitions=1)
         sweep = run_sweep(config, system="duty", rate=10)
-        assert sweep.policies[0] == "branch-and-bound"
-        assert sweep.records_for("branch-and-bound")
+        assert sweep.policies[0] == "exact"
+        assert sweep.records_for("exact")
 
     def test_heuristic_tier_leaves_the_line_up_unchanged(self):
         config = dataclasses.replace(TINY, solver="heuristic", repetitions=1)
@@ -156,12 +157,13 @@ class TestRatioStoreIntegration:
             assert across.series == cold.series
 
     def test_changing_the_tier_re_simulates(self, tmp_path):
-        kwargs = dict(scenarios=("uniform",), duty_models=("uniform",))
         with ExperimentStore(tmp_path / "store") as store:
-            figure_ratio(TINY, system="duty", store=store, **kwargs)
-            retier = dataclasses.replace(TINY, solver="branch-and-bound")
-            refreshed = figure_ratio(retier, system="duty", store=store, **kwargs)
-            assert refreshed.sweep.cache_misses > 0
+            exact = run_sweep(TINY, system="duty", rate=10, store=store)
+            assert exact.cache_misses > 0
+            retier = dataclasses.replace(TINY, solver="heuristic")
+            refreshed = run_sweep(retier, system="duty", rate=10, store=store)
+            assert refreshed.cache_misses == exact.cache_misses
+            assert refreshed.cache_hits == 0
 
 
 class TestRatioCli:
@@ -182,9 +184,10 @@ class TestRatioCli:
         assert "claims hold (solver=exact system=duty)" in out
         assert f"17-approx{BOUND_SUFFIX}" in out
 
-    def test_solver_flag_is_workload_only(self):
+    def test_solver_flag_is_workload_only(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["figure3", "--solver", "exact"])
+        assert "'ratio'" in capsys.readouterr().err
 
     def test_ratio_rejects_oversized_grids(self):
         with pytest.raises(ValueError, match="at most 16 nodes"):

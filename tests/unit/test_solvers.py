@@ -2,11 +2,10 @@
 
 The load-bearing checks: the branch-and-bound matches the exhaustive
 brute-force oracle on every small instance of the grid (which
-independently verifies its two dominance arguments), the ILP backend —
+independently verifies its two dominance arguments), the ILP voter —
 when scipy is importable — agrees with both, and the extracted plan
-replays bit-identically through both simulation engines regardless of
-which value backend produced the optimum (the determinism contract of
-``docs/solvers.md``).
+replays bit-identically through both simulation engines (the determinism
+contract of ``docs/solvers.md``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.sim.links import IndependentLossLinks
 from repro.utils.rng import make_rng
 from repro.solvers import (
     SOLVER_TIERS,
-    BranchAndBoundPolicy,
     ExactPolicy,
     SolverError,
     SolverLimitExceeded,
@@ -135,21 +133,9 @@ class TestExactValueMatchesOracle:
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("name,topology,source", GRID, ids=GRID_IDS)
 class TestDeterminismContract:
-    def test_plan_is_backend_independent(self, name, topology, source, system):
-        """Any exact value backend yields the identical canonical plan."""
-        schedule = _schedule_for(topology, system)
-        plan_bb = solve_broadcast(
-            topology, source, schedule=schedule, backend="branch-and-bound"
-        )
-        assert plan_bb.backend == "branch-and-bound"
-        assert plan_bb.lower_bound <= plan_bb.optimum
-        if ilp_available():
-            plan_ilp = solve_broadcast(
-                topology, source, schedule=schedule, backend="ilp"
-            )
-            assert plan_ilp.backend == "ilp"
-            assert plan_ilp.optimum == plan_bb.optimum
-            assert plan_ilp.advances == plan_bb.advances
+    def test_plan_lower_bound_is_admissible(self, name, topology, source, system):
+        plan = solve_broadcast(topology, source, schedule=_schedule_for(topology, system))
+        assert plan.lower_bound <= plan.optimum
 
     def test_plan_replays_bit_identically_on_both_engines(
         self, name, topology, source, system
@@ -174,26 +160,20 @@ class TestDeterminismContract:
         assert reference == vectorized
         assert reference.covered == topology.node_set
 
-    def test_exact_and_pinned_fallback_produce_equal_traces(
-        self, name, topology, source, system
-    ):
+    def test_policy_replays_the_solved_plan(self, name, topology, source, system):
         schedule = _schedule_for(topology, system)
-        auto = run_broadcast(
+        trace = run_broadcast(
             topology,
             source,
             ExactPolicy(),
             schedule=schedule,
             align_start=schedule is not None,
         )
-        pinned = run_broadcast(
-            topology,
-            source,
-            BranchAndBoundPolicy(),
-            schedule=schedule,
-            align_start=schedule is not None,
+        plan = solve_broadcast(
+            topology, source, schedule=schedule, start_time=trace.start_time
         )
-        assert auto.advances == pinned.advances
-        assert auto.latency == pinned.latency
+        assert trace.advances == plan.advances
+        assert trace.end_time == plan.optimum
 
     def test_replayed_latency_never_beaten_by_heuristics(
         self, name, topology, source, system
@@ -308,15 +288,6 @@ class TestSolverEdges:
         with pytest.raises(SolverError, match="deadline"):
             extract_plan(topology, frozenset({0}), optimum - 1)
 
-    def test_unknown_backend_is_rejected(self):
-        topology = _line(4)
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            solve_broadcast(topology, 0, backend="simplex")
-
-    def test_auto_backend_is_the_branch_and_bound(self):
-        plan = solve_broadcast(_line(5), 0)
-        assert plan.backend == "branch-and-bound"
-
     def test_importing_the_package_leaves_scipy_unloaded(self):
         """The ILP imports scipy only when it builds a MILP."""
         code = "import sys, repro; print('scipy.optimize' in sys.modules)"
@@ -393,7 +364,7 @@ def test_exact_opt_ends_at_the_certified_optimum(system, scenario, duty_model):
         system=system,
         rate=4,
         policies={
-            "certified": BranchAndBoundPolicy,
+            "certified": ExactPolicy,
             "OPT": functools.partial(
                 OptPolicy, search=SearchConfig(mode="exact"), max_color_classes=None
             ),
@@ -417,42 +388,60 @@ class TestSolverPolicies:
 
     def test_plan_exposed_after_first_decision(self):
         topology = _line(5)
-        policy = BranchAndBoundPolicy()
+        policy = ExactPolicy()
         assert policy.plan is None
         result = run_broadcast(topology, 0, policy)
         assert policy.plan is not None
-        assert policy.plan.backend == "branch-and-bound"
         assert result.latency == policy.plan.latency
 
-    @pytest.mark.parametrize("make_policy", [ExactPolicy, BranchAndBoundPolicy])
-    def test_rejected_for_lossy_links(self, make_policy):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_reused_policy_re_solves_through_prepare(self, system, engine):
+        """One instance over many broadcasts traces like a fresh one each time."""
+        reused = ExactPolicy()
+        for num_nodes, seed in ((6, 11), (8, 12), (10, 3), (12, 5)):
+            config = DeploymentConfig(
+                num_nodes=num_nodes,
+                area_side=16.0 if num_nodes <= 8 else 22.0,
+                radius=6.0,
+                source_min_ecc=2,
+                source_max_ecc=None,
+            )
+            topology, source = deploy_uniform(config=config, seed=seed)
+            kwargs = dict(
+                schedule=_schedule_for(topology, system),
+                align_start=system == "duty",
+                engine=engine,
+            )
+            fresh = run_broadcast(topology, source, ExactPolicy(), **kwargs)
+            assert run_broadcast(topology, source, reused, **kwargs) == fresh
+            assert reused.plan.advances == fresh.advances
+
+    def test_rejected_for_lossy_links(self):
         topology = _line(5)
         with pytest.raises(ValueError, match="cannot run over lossy links"):
             run_broadcast(
                 topology,
                 0,
-                make_policy(),
+                ExactPolicy(),
                 link_model=IndependentLossLinks(0.2, seed=1),
             )
 
-    @pytest.mark.parametrize("make_policy", [ExactPolicy, BranchAndBoundPolicy])
-    def test_rejected_for_multi_source(self, make_policy):
+    def test_rejected_for_multi_source(self):
         topology = _line(6)
         with pytest.raises(ValueError, match="solver registry"):
-            run_broadcast(topology, [0, 5], make_policy())
+            run_broadcast(topology, [0, 5], ExactPolicy())
 
 
 class TestSolverRegistry:
     def test_names_match_catalog_and_registry(self):
         assert solver_names() == tuple(SOLVER_TIERS)
         assert [name for name, _ in solver_catalog()] == list(solver_names())
-        assert set(solver_names()) == {
-            "exact", "branch-and-bound", "17-approx", "26-approx", "heuristic"
-        }
+        assert solver_names() == ("exact", "17-approx", "26-approx", "heuristic")
 
     def test_strongest_guarantee_first(self):
         guarantees = [tier.guarantee for tier in SOLVER_TIERS.values()]
-        assert guarantees[:2] == ["optimal", "optimal"]
+        assert guarantees[0] == "optimal"
         assert guarantees[-1] == "heuristic"
 
     def test_exact_tiers_carry_an_instance_limit(self):
@@ -478,5 +467,5 @@ class TestSolverRegistry:
     def test_system_support_matches_the_baselines(self):
         assert SOLVER_TIERS["17-approx"].systems == ("duty",)
         assert SOLVER_TIERS["26-approx"].systems == ("sync",)
-        for name in ("exact", "branch-and-bound", "heuristic"):
+        for name in ("exact", "heuristic"):
             assert SOLVER_TIERS[name].systems == ("sync", "duty")

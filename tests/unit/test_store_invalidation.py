@@ -63,7 +63,7 @@ _INVALIDATING_CHANGES = {
     "search beam": dict(search=SearchConfig(mode="beam", beam_width=3)),
     "colour cap": dict(max_color_classes=8),
     # The solver tier changes the policy line-up (17-approx fits this
-    # config's 24-node grid; the exact tiers would reject it at 16).
+    # config's 24-node grid; the exact tier would reject it at 16).
     "solver tier": dict(solver="17-approx"),
 }
 

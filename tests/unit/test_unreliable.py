@@ -8,10 +8,7 @@ from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy, GreedyOptPolicy
 from repro.core.time_counter import SearchConfig
 from repro.sim.broadcast import run_broadcast
-from repro.sim.unreliable import (
-    reliability_sweep,
-    run_lossy_broadcast,
-)
+from repro.sim.unreliable import run_lossy_broadcast
 
 
 class TestLossFreeEquivalence:
@@ -107,21 +104,3 @@ class TestLossyBehaviour:
         assert [a.receivers for a in first.advances] == [
             a.receivers for a in second.advances
         ]
-
-
-class TestReliabilitySweep:
-    def test_sweep_structure_and_monotone_baseline(self, small_deployment):
-        topo, source = small_deployment
-        points = reliability_sweep(
-            topo,
-            source,
-            EModelPolicy,
-            loss_probabilities=(0.0, 0.2, 0.4),
-            repetitions=2,
-            base_seed=1,
-        )
-        assert [p.loss_probability for p in points] == [0.0, 0.2, 0.4]
-        assert points[0].mean_extra_rounds == 0.0
-        assert all(p.completed == p.attempts == 2 for p in points)
-        # Latency under losses is never better than the loss-free latency.
-        assert all(p.mean_latency >= points[0].mean_latency for p in points)
