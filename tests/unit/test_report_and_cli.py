@@ -139,6 +139,35 @@ class TestScenarioCli:
         with pytest.raises(SystemExit):
             main(["claims", "--duty-model", "zipf"])
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--scenario", "ring"],
+            ["--duty-model", "zipf"],
+            ["--loss", "0.1"],
+            ["--link-model", "independent-loss"],
+            ["--sources", "2"],
+            ["--source-placement", "corner"],
+            ["--solver", "exact"],
+        ],
+        ids=lambda flag: flag[0].lstrip("-"),
+    )
+    def test_non_paper_flag_error_names_every_workload_target(self, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["figure3", *flag])
+        error = capsys.readouterr().err
+        assert f"{flag[0]} only applies to the " in error
+        for target in (
+            "sweep",
+            "scenarios",
+            "reliability",
+            "multisource",
+            "ratio",
+            "fabric",
+            "monitor",
+        ):
+            assert repr(target) in error
+
     def test_explicit_uniform_allowed_for_paper_targets(self):
         args = build_parser().parse_args(["table2", "--scenario", "uniform"])
         assert main(["table2", "--scenario", "uniform"]) == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.deployment import Deployment, DeploymentConfig
+from repro.network.deployment import Deployment, DeploymentConfig, deploy_uniform
 from repro.scenarios import (
     SCENARIOS,
     generate_scenario,
@@ -146,3 +146,17 @@ class TestScenarioGeometry:
         deployment = generate_scenario("uniform", config, seed=1)
         ecc = deployment.topology.eccentricity(deployment.source)
         assert 5 <= ecc <= 8
+
+    @pytest.mark.parametrize("num_nodes", [50, 100, 200, 300])
+    def test_uniform_scenario_draws_the_paper_generator_stream(self, num_nodes):
+        # The sweep runner deploys every scenario, uniform included, through
+        # generate_scenario; uniform records rest on this equality.
+        config = DeploymentConfig(num_nodes=num_nodes)
+        for seed in range(4):
+            deployment = generate_scenario("uniform", config, seed=seed)
+            topology, source = deploy_uniform(config=config, seed=seed)
+            assert deployment.topology.node_ids == topology.node_ids
+            np.testing.assert_array_equal(
+                deployment.topology.positions, topology.positions
+            )
+            assert deployment.source == source
