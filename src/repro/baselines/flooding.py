@@ -62,15 +62,15 @@ class LargestFirstPolicy(SchedulingPolicy):
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        colors = greedy_decision_classes(state)
-        if not colors:
+        pairs = greedy_decision_classes(state)
+        if not pairs:
             return None
         return Advance.from_color(
             state.topology,
             state.covered,
-            colors[0],
+            state.topology.nodes_from_mask(pairs[0][0]),
             state.time,
             color_index=1,
-            num_colors=len(colors),
+            num_colors=len(pairs),
             note=self.name,
         )

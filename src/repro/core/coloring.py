@@ -22,23 +22,22 @@ awake at the current slot via ``awake``.
 Both providers are thin frozenset wrappers over one mask-native core,
 :meth:`ColorScheme.color_masks`, which takes ``(covered, pool)`` as int
 bitmasks (bit ``i`` is ``topology.node_ids[i]``) and returns
-``(colour, receivers)`` mask pairs; the time counter's search calls it
-directly (docs/design.md, "Search state").
+``(colour, receivers)`` mask pairs.  The time counter's search calls it
+through its per-broadcast state memo (docs/design.md, "Search state"); the
+E-model and largest-first call it directly, once per decision.  Nothing in
+this module caches a colouring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.network.topology import WSNTopology
 
 __all__ = [
     "frontier_candidates",
     "greedy_color_classes",
-    "cached_greedy_color_classes",
-    "cached_greedy_pool_classes",
     "enumerate_color_classes",
     "ColorScheme",
     "conflict_graph",
@@ -253,64 +252,6 @@ def greedy_color_classes(
     return ColorScheme("greedy").color_classes(topology, covered, awake)
 
 
-# Greedy classes keyed on (covered, awake pool) per topology; the classes
-# depend on nothing else.  The WeakKeyDictionary drops a topology's entries
-# with the topology itself; the per-topology cap bounds the worst case
-# (every slot a distinct awake set) without evicting the hot single-topology
-# reuse.
-_GREEDY_CLASS_CACHE: WeakKeyDictionary[WSNTopology, dict] = WeakKeyDictionary()
-_GREEDY_CLASS_CACHE_CAP = 4096
-
-
-def cached_greedy_color_classes(
-    topology: WSNTopology,
-    covered: frozenset[int] | set[int],
-    awake: Iterable[int] | None = None,
-) -> list[frozenset[int]]:
-    """Memoized :func:`greedy_color_classes` (identical result, shared work).
-
-    The frozenset front end of :func:`cached_greedy_pool_classes`: the
-    awake set becomes the pool mask of the covered nodes it holds, so it
-    shares that cache.  Callers must treat the returned list as immutable.
-    """
-    covered = frozenset(covered)
-    pool = None if awake is None else topology.mask_from_nodes(covered & frozenset(awake))
-    return cached_greedy_pool_classes(topology, covered, pool)
-
-
-def cached_greedy_pool_classes(
-    topology: WSNTopology,
-    covered: frozenset[int],
-    pool: int | None,
-) -> list[frozenset[int]]:
-    """Greedy colour classes keyed on ``(topology, covered, pool)``, cached.
-
-    ``pool`` is the mask of the covered nodes allowed to send (``None``:
-    all of them, the synchronous system).  The decision-level colourings of
-    the greedy-decision policies are pure in this key; caching them lets
-    the policies of one cell, which broadcast over the same topology, reuse
-    each other's colourings.  On the paper duty-cycle cell (r=50, 100
-    nodes, seed 2012, repetition 0) every one of the E-model's 23 lookups
-    hits a colouring G-OPT computed; on the synchronous 300-node cell 2 of
-    its 8 do.  Callers must treat the returned list as immutable.
-    """
-    per_topology = _GREEDY_CLASS_CACHE.get(topology)
-    if per_topology is None:
-        per_topology = _GREEDY_CLASS_CACHE[topology] = {}
-    key = (covered, pool)
-    classes = per_topology.get(key)
-    if classes is None:
-        covered_mask = topology.mask_from_nodes(covered)
-        masks = ColorScheme().color_masks(
-            topology, covered_mask, covered_mask if pool is None else pool
-        )
-        classes = [topology.nodes_from_mask(color) for color, _ in masks]
-        if len(per_topology) >= _GREEDY_CLASS_CACHE_CAP:
-            per_topology.clear()
-        per_topology[key] = classes
-    return classes
-
-
 def _bron_kerbosch_independent_sets(
     vertices: Sequence[int],
     conflicts: dict[int, set[int]],
@@ -416,5 +357,6 @@ class ColorScheme:
         covered: frozenset[int] | set[int],
         awake: Iterable[int] | None = None,
     ) -> int:
-        """``λ(W)`` (or ``λ(W, t)``) for reporting purposes."""
-        return len(greedy_color_classes(topology, covered, awake))
+        """How many colours this scheme offers at ``W`` (``λ(W)`` or
+        ``λ(W, t)`` for the greedy scheme), for reporting purposes."""
+        return len(self.color_masks(topology, *_pool_masks(topology, covered, awake)))

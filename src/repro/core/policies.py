@@ -14,6 +14,11 @@ exercised through identical machinery.
   classes of Algorithm 1, still evaluated with ``M`` (Eq. 7 / Eq. 8).
 * :class:`EModelPolicy` — the practical protocol: greedy classes scored by
   the proactive 4-tuple ``E`` (Eq. 10); no recursive search at run time.
+
+OPT and G-OPT decide over the colours their time counter's recursion uses,
+read through its per-broadcast state memo (``TimeCounter.color_masks_at``).
+The E-model (and the largest-first baseline) colour each decision's awake
+pool afresh with :func:`greedy_decision_classes`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from abc import ABC, abstractmethod
 from typing import Literal
 
 from repro.core.advance import Advance, BroadcastState
-from repro.core.coloring import ColorScheme, cached_greedy_pool_classes
+from repro.core.coloring import ColorMasks, ColorScheme
 from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
@@ -39,21 +44,21 @@ __all__ = [
 ]
 
 
-def greedy_decision_classes(state: BroadcastState) -> list[frozenset[int]]:
-    """The greedy colour classes of ``state`` over its awake pool, cached.
+def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
+    """The greedy ``(colour, receivers)`` masks of ``state`` over its awake pool.
 
     The pool is the covered nodes awake at ``state.time``, read from the
     shared :func:`~repro.dutycycle.window.window_for` masks (all covered
-    nodes in the synchronous system).  Every greedy-decision policy keys
-    :func:`~repro.core.coloring.cached_greedy_pool_classes` this way, so
-    the policies of one cell reuse each other's colourings.
+    nodes in the synchronous system).  Uncached: each call colours the
+    pool afresh with :meth:`~repro.core.coloring.ColorScheme.color_masks`.
     """
     topology = state.topology
-    pool = None
+    covered = topology.mask_from_nodes(state.covered)
+    pool = covered
     if state.schedule is not None:
         window = window_for(state.schedule, bitset_view(topology))
-        pool = topology.mask_from_nodes(state.covered) & window.awake_mask(state.time)
-    return cached_greedy_pool_classes(topology, state.covered, pool)
+        pool &= window.awake_mask(state.time)
+    return ColorScheme().color_masks(topology, covered, pool)
 
 
 class SchedulingPolicy(ABC):
@@ -141,18 +146,17 @@ class _TimeCounterPolicy(SchedulingPolicy):
     #: always yields ``None`` with no state change.
     frontier_driven = True
 
-    #: Colour provider used at the decision point (top level of Eq. 5/7).
-    _decision_scheme: ColorScheme
-    #: Colour provider used inside the recursive evaluation of ``M``.
-    _recursion_scheme: ColorScheme
-
     def __init__(
         self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
+        topology: WSNTopology | None,
+        schedule: WakeupSchedule | None,
         *,
-        search: SearchConfig | None = None,
+        scheme: ColorScheme,
+        search: SearchConfig | None,
     ) -> None:
+        #: Colour provider of the decision and of the recursive evaluation
+        #: of ``M`` alike.
+        self._scheme = scheme
         self._search = search or SearchConfig()
         self._topology = topology
         self._schedule = schedule
@@ -166,7 +170,7 @@ class _TimeCounterPolicy(SchedulingPolicy):
         return TimeCounter(
             topology,
             schedule=schedule,
-            color_scheme=self._recursion_scheme,
+            color_scheme=self._scheme,
             config=self._search,
         )
 
@@ -202,33 +206,29 @@ class _TimeCounterPolicy(SchedulingPolicy):
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        if self._counter is None or self._topology is not state.topology:
-            # Lazy preparation for callers that drive the policy directly.
+        if (
+            self._counter is None
+            or self._topology is not state.topology
+            or self._schedule is not state.schedule
+        ):
+            # Lazy preparation for callers that drive the policy directly:
+            # the counter's schedule sets the decision's awake pool.
             self.prepare(state.topology, state.schedule, source=-1)
         assert self._counter is not None
 
+        # The decision colours the counter's own provider through its state
+        # memo, which serves the states its last search already coloured.
         topology = state.topology
-        if self._decision_scheme.mode == "greedy":
-            # Decision-level greedy colourings are pure in (topology, W,
-            # awake pool), so the policies of one cell, which share a
-            # topology, reuse them; the recursive evaluation of M keeps its
-            # own per-broadcast memo (its state space would swamp the cache).
-            colors = greedy_decision_classes(state)
-        else:
-            # OPT decides over the recursion's own provider, so the counter's
-            # state memo serves the states its last search already coloured.
-            covered = topology.mask_from_nodes(state.covered)
-            colors = [
-                topology.nodes_from_mask(color)
-                for color, _ in self._counter.color_masks_at(covered, state.time)
-            ]
+        covered = topology.mask_from_nodes(state.covered)
+        colors = [
+            topology.nodes_from_mask(color)
+            for color, _ in self._counter.color_masks_at(covered, state.time)
+        ]
         if not colors:
             return None
         best_color, _ = self._counter.select_color(state.covered, state.time, colors)
         num_colors = len(colors)
-        color_index = next(
-            (i + 1 for i, c in enumerate(colors) if c == best_color), 0
-        )
+        color_index = colors.index(best_color) + 1
         return Advance.from_color(
             state.topology,
             state.covered,
@@ -266,10 +266,12 @@ class OptPolicy(_TimeCounterPolicy):
         search: SearchConfig | None = None,
         max_color_classes: int | None = 64,
     ) -> None:
-        scheme = ColorScheme(mode="exhaustive", max_classes=max_color_classes)
-        self._decision_scheme = scheme
-        self._recursion_scheme = scheme
-        super().__init__(topology, schedule, search=search)
+        super().__init__(
+            topology,
+            schedule,
+            scheme=ColorScheme(mode="exhaustive", max_classes=max_color_classes),
+            search=search,
+        )
 
 
 class GreedyOptPolicy(_TimeCounterPolicy):
@@ -284,10 +286,7 @@ class GreedyOptPolicy(_TimeCounterPolicy):
         *,
         search: SearchConfig | None = None,
     ) -> None:
-        scheme = ColorScheme(mode="greedy")
-        self._decision_scheme = scheme
-        self._recursion_scheme = scheme
-        super().__init__(topology, schedule, search=search)
+        super().__init__(topology, schedule, scheme=ColorScheme(), search=search)
 
 
 class EModelPolicy(SchedulingPolicy):
@@ -353,23 +352,24 @@ class EModelPolicy(SchedulingPolicy):
             self.prepare(state.topology, state.schedule, source=-1)
         assert self._estimate is not None
 
-        colors = greedy_decision_classes(state)
-        if not colors:
+        pairs = greedy_decision_classes(state)
+        if not pairs:
             return None
 
-        covered_mask = state.topology.mask_from_nodes(state.covered)
-        scored: list[tuple[float, int, int, frozenset[int]]] = []
-        for index, color in enumerate(colors):
-            score = self._estimate.color_score(state.topology, color, covered_mask)
-            advance = Advance.from_color(
-                state.topology, state.covered, color, state.time
+        # Highest score, then more receivers, then the lower colour index.
+        topology = state.topology
+        covered_mask = topology.mask_from_nodes(state.covered)
+        colors = [topology.nodes_from_mask(color) for color, _ in pairs]
+        _, _, negated_index = max(
+            (
+                self._estimate.color_score(topology, color, covered_mask),
+                receivers.bit_count(),
+                -index,
             )
-            scored.append((score, len(advance.receivers), -index, color))
-        scored.sort(key=lambda item: (item[0], item[1], item[2]), reverse=True)
-        best_color = scored[0][3]
-        color_index = next(
-            (i + 1 for i, c in enumerate(colors) if c == best_color), 0
+            for index, (color, (_, receivers)) in enumerate(zip(colors, pairs))
         )
+        best_color = colors[-negated_index]
+        color_index = 1 - negated_index
         return Advance.from_color(
             state.topology,
             state.covered,

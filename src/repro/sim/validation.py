@@ -170,8 +170,8 @@ def _validate_vectorized(
     touches no per-advance Python loop; when any constraint fails, the
     reference validator re-runs to produce its exact violation messages.
     """
-    advances = result.advances
-    if not advances:
+
+    def fail() -> list[str]:
         return validate_broadcast(
             topology,
             result,
@@ -179,6 +179,10 @@ def _validate_vectorized(
             require_complete=require_complete,
             lossy=lossy,
         )
+
+    advances = result.advances
+    if not advances:
+        return fail()
     view = bitset_view(topology)
     index = view._index  # noqa: SLF001 - sibling module of the same backend
     known = index.keys()
@@ -196,22 +200,7 @@ def _validate_vectorized(
     ):
         # Traces referencing unknown nodes cannot be mapped onto the array
         # view; the reference validator reports them node by node.
-        return validate_broadcast(
-            topology,
-            result,
-            schedule=schedule,
-            require_complete=require_complete,
-            lossy=lossy,
-        )
-
-    def fail() -> list[str]:
-        return validate_broadcast(
-            topology,
-            result,
-            schedule=schedule,
-            require_complete=require_complete,
-            lossy=lossy,
-        )
+        return fail()
 
     num_advances = len(advances)
     num_nodes = view.num_nodes
@@ -369,6 +358,8 @@ def validate_multi_broadcast(
             lossy=lossy,
         ):
             violations.append(f"message {index} (source {message.source}): {violation}")
+    if len(result.messages) < 2:
+        return violations
 
     # Cross-message checks per shared round/slot, on the intended receivers.
     by_time: dict[int, list[tuple[int, frozenset[int], frozenset[int]]]] = defaultdict(list)

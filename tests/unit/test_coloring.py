@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.advance import BroadcastState
 from repro.core.coloring import (
     ColorScheme,
     _bron_kerbosch_independent_sets,
-    cached_greedy_color_classes,
-    cached_greedy_pool_classes,
     conflict_graph,
     enumerate_color_classes,
     frontier_candidates,
     frontier_mask,
     greedy_color_classes,
 )
+from repro.core.policies import greedy_decision_classes
+from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.interference import conflict_free, has_conflict, receivers_of
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
@@ -202,30 +203,18 @@ class TestColorScheme:
         covered = frozenset({source, 0, 1, 2})
         assert ColorScheme().num_colors(topo, covered) == 3
 
-
-class TestCachedGreedyColorClasses:
-    def test_matches_uncached_result(self, figure1):
-        topo, source = figure1
-        covered = frozenset({source, 0})
-        assert cached_greedy_color_classes(topo, covered) == greedy_color_classes(
-            topo, covered
-        )
-
-    def test_repeat_call_returns_cached_object(self, figure1):
-        topo, source = figure1
-        covered = frozenset({source, 1})
-        first = cached_greedy_color_classes(topo, covered)
-        assert cached_greedy_color_classes(topo, covered) is first
-        # A mutable covered set hits the same entry as its frozen twin.
-        assert cached_greedy_color_classes(topo, set(covered)) is first
-
-    def test_awake_restriction_is_part_of_the_key(self, figure1):
-        topo, source = figure1
-        covered = frozenset({source, 0, 1})
-        unrestricted = cached_greedy_color_classes(topo, covered)
-        restricted = cached_greedy_color_classes(topo, covered, awake={source})
-        assert restricted == greedy_color_classes(topo, covered, awake={source})
-        assert cached_greedy_color_classes(topo, covered) is unrestricted
+    def test_num_colors_counts_the_schemes_own_colours(self):
+        # Covered a..d (0-3), uncovered x, y, z (4-6): a-b share x, b-c share
+        # y and c-d share z, so the conflict graph is the path a-b-c-d.
+        edges = [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]
+        topo = WSNTopology.from_edges(edges, {u: (float(u), 0.0) for u in range(7)})
+        covered = frozenset({0, 1, 2, 3})
+        assert ColorScheme("greedy").num_colors(topo, covered) == 2
+        assert ColorScheme("exhaustive").num_colors(topo, covered) == 3
+        for scheme in (ColorScheme("exhaustive", 1), ColorScheme("exhaustive", 2)):
+            assert scheme.num_colors(topo, covered) == len(
+                scheme.color_classes(topo, covered)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +248,15 @@ def _random_states(topology: WSNTopology, seed: int, count: int = 12):
             size = int(rng.integers(0, len(ids) + 1))
             awake = frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
         yield covered, awake
+
+
+def _state_awake_at_slot_one(topology, covered, awake) -> BroadcastState:
+    """``(W, 1)`` under a schedule whose slot 1 wakes exactly ``awake``
+    (synchronous when ``awake`` is None)."""
+    if awake is None:
+        return BroadcastState(topology, covered, 1)
+    slots = {u: [1] if u in awake else [2] for u in topology.node_ids}
+    return BroadcastState(topology, covered, 1, WakeupSchedule.from_explicit(slots, rate=2))
 
 
 def _oracle_candidates(topology, covered, awake=None) -> list[int]:
@@ -320,8 +318,10 @@ class TestMaskCoreDifferential:
         for covered, awake in _random_states(topology, seed=topology.num_nodes + 1):
             expected = _oracle_greedy(topology, covered, awake)
             assert greedy_color_classes(topology, covered, awake) == expected
-            pool = None if awake is None else topology.mask_from_nodes(covered & awake)
-            assert cached_greedy_pool_classes(topology, covered, pool) == expected
+            state = _state_awake_at_slot_one(topology, covered, awake)
+            assert [
+                topology.nodes_from_mask(color) for color, _ in greedy_decision_classes(state)
+            ] == greedy_color_classes(topology, covered, awake)
 
     @pytest.mark.parametrize("max_classes", [None, 1, 4, 32])
     def test_enumeration_equals_the_frozenset_output(self, topology, max_classes):

@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.advance import BroadcastState
-from repro.core.coloring import cached_greedy_color_classes
+from repro.core.coloring import ColorScheme, greedy_color_classes
 from repro.core.policies import (
     EModelPolicy,
     GreedyOptPolicy,
     OptPolicy,
     greedy_decision_classes,
 )
-from repro.core.time_counter import SearchConfig
+from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.deployment import grid_deployment
+from repro.network.interference import receivers_of
 from repro.sim.broadcast import run_broadcast
 from repro.utils.rng import make_rng
 
@@ -61,6 +62,22 @@ class TestTimeCounterPolicies:
         assert advance is not None and advance.color == frozenset({source})
         assert policy.counter is not None
 
+    @pytest.mark.parametrize("policy_cls", [OptPolicy, GreedyOptPolicy])
+    def test_state_schedule_rebinds_the_counter(self, figure2_duty, policy_cls):
+        """A policy bound to the synchronous system, handed a duty-cycle
+        state, decides over that state's awake pool."""
+        topo, _, schedule = figure2_duty
+        chosen = []
+        for slot in range(1, 12):
+            policy = policy_cls(topo)
+            state = BroadcastState(topo, frozenset({1, 2, 3}), slot, schedule)
+            advance = policy.select_advance(state)
+            assert policy.counter.schedule is schedule
+            if advance is not None:
+                assert all(schedule.is_active(u, slot) for u in advance.color)
+                chosen.append(slot)
+        assert 4 in chosen
+
     def test_prepare_rebuilds_on_new_topology(self, figure1, figure2):
         topo1, source1 = figure1
         topo2, source2 = figure2
@@ -83,8 +100,8 @@ class TestTimeCounterPolicies:
         gopt = GreedyOptPolicy(topo)
         assert opt.name == "OPT"
         assert gopt.name == "G-OPT"
-        assert opt._decision_scheme.mode == "exhaustive"
-        assert gopt._decision_scheme.mode == "greedy"
+        assert opt.counter.color_scheme == ColorScheme("exhaustive", max_classes=64)
+        assert gopt.counter.color_scheme == ColorScheme("greedy")
 
     def test_opt_never_worse_than_gopt_on_examples(self, figure1, figure2, small_deployment):
         for topo, source in (figure1, figure2, small_deployment):
@@ -138,10 +155,10 @@ class TestEModelPolicy:
 
 
 class TestGreedyDecisionClasses:
-    """The window-read decision pool keys the frozenset wrapper's entries."""
+    """The window-read decision pool colours like Algorithm 1 over the awake set."""
 
     @pytest.mark.parametrize("rate", [1, 4])
-    def test_hits_the_awake_set_entry(self, rate):
+    def test_equals_the_awake_set_classes(self, rate):
         topology = grid_deployment(5, 5, spacing=1.0, radius=1.1, seed=3)
         schedule = WakeupSchedule(topology.node_ids, rate, seed=8)
         rng = make_rng(rate)
@@ -150,12 +167,57 @@ class TestGreedyDecisionClasses:
             size = int(rng.integers(1, len(ids)))
             covered = frozenset(int(u) for u in rng.choice(ids, size=size, replace=False))
             awake = schedule.awake_nodes(covered, slot)
-            expected = cached_greedy_color_classes(topology, covered, awake)
             state = BroadcastState(topology, covered, slot, schedule)
-            assert greedy_decision_classes(state) is expected
+            pairs = greedy_decision_classes(state)
+            assert [topology.nodes_from_mask(color) for color, _ in pairs] == (
+                greedy_color_classes(topology, covered, awake)
+            )
+            for color, receivers in pairs:
+                expected = receivers_of(topology, topology.nodes_from_mask(color), covered)
+                assert receivers == topology.mask_from_nodes(expected)
 
     def test_synchronous_pool_is_every_covered_node(self, figure1):
         topo, source = figure1
         covered = frozenset({source, 0, 1, 2})
-        expected = cached_greedy_color_classes(topo, covered)
-        assert greedy_decision_classes(BroadcastState(topo, covered, 2)) is expected
+        pairs = greedy_decision_classes(BroadcastState(topo, covered, 2))
+        assert [topo.nodes_from_mask(color) for color, _ in pairs] == (
+            greedy_color_classes(topo, covered)
+        )
+
+
+class TestDecisionColours:
+    """OPT and G-OPT hand the time counter their own scheme's colours."""
+
+    @pytest.mark.parametrize("rate", [None, 4], ids=["sync", "duty-r4"])
+    @pytest.mark.parametrize(
+        "policy, scheme",
+        [
+            (OptPolicy, ColorScheme("exhaustive", max_classes=64)),
+            (GreedyOptPolicy, ColorScheme("greedy")),
+        ],
+        ids=["OPT", "G-OPT"],
+    )
+    def test_select_color_gets_the_schemes_classes(
+        self, policy, scheme, rate, small_deployment, monkeypatch
+    ):
+        topology, source = small_deployment
+        schedule = None if rate is None else WakeupSchedule(topology.node_ids, rate, seed=5)
+        calls = []
+        select_color = TimeCounter.select_color
+
+        def recording(counter, covered, time, colors):
+            colors = list(colors)
+            calls.append((frozenset(covered), time, colors))
+            return select_color(counter, covered, time, colors)
+
+        monkeypatch.setattr(TimeCounter, "select_color", recording)
+        result = run_broadcast(
+            topology,
+            source,
+            policy(search=SearchConfig(mode="beam")),
+            schedule=schedule,
+        )
+        assert len(calls) == len(result.advances) > 0
+        for covered, time, colors in calls:
+            awake = None if schedule is None else schedule.awake_nodes(covered, time)
+            assert colors == scheme.color_classes(topology, covered, awake)
