@@ -76,6 +76,10 @@ def frontier_mask(topology: WSNTopology, covered: int) -> int:
     return frontier
 
 
+#: ``_BIT_REVERSED_BYTES[b]`` is the byte ``b`` with its eight bits reversed.
+_BIT_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def lex_order_key(mask: int, width: int) -> int:
     """Sort key ordering equal-popcount masks as ``tuple(sorted(ids))`` does.
 
@@ -84,8 +88,13 @@ def lex_order_key(mask: int, width: int) -> int:
     Reversing ``width`` bits makes that lowest differing bit the highest,
     so the negated reversal orders the masks the same way.  Sets of
     different sizes are not ordered as tuples: callers sort by size first.
+    The reversal reverses each little-endian byte through a table and reads
+    the bytes back big-endian, which reverses ``8 * ceil(width / 8)`` bits;
+    the shift drops the padding.
     """
-    return -int(format(mask, f"0{width}b")[::-1], 2)
+    size = (width + 7) // 8
+    reversed_bytes = mask.to_bytes(size, "little").translate(_BIT_REVERSED_BYTES)
+    return -(int.from_bytes(reversed_bytes, "big") >> (8 * size - width))
 
 
 def _candidate_masks(

@@ -348,7 +348,11 @@ class EModelPolicy(SchedulingPolicy):
     def select_advance(self, state: BroadcastState) -> Advance | None:
         if state.is_complete:
             return None
-        if self._estimate is None or self._topology is not state.topology:
+        if (
+            self._estimate is None
+            or self._topology is not state.topology
+            or self._schedule is not state.schedule
+        ):
             self.prepare(state.topology, state.schedule, source=-1)
         assert self._estimate is not None
 

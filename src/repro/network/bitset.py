@@ -291,9 +291,19 @@ class BitsetTopology:
         :data:`UNREACHABLE_HOPS` where no node of the set reaches (every
         column, for an empty set).  Covered columns read 0.
         """
+        return self._hop_rows()[self.bool_from_mask(mask)].min(
+            axis=0, initial=UNREACHABLE_HOPS
+        )
+
+    def ball_mask(self, index: int, radius: int) -> int:
+        """Bitmask of the nodes within ``radius`` hops of row ``index``."""
+        return self.mask_from_bool(self._hop_rows()[index] <= radius)
+
+    def _hop_rows(self) -> np.ndarray:
+        """The hop matrix through its unsigned view, built on first use."""
         if self._hops is None:
             self._hops = self.topology.hop_matrix.view(np.uint16)
-        return self._hops[self.bool_from_mask(mask)].min(axis=0, initial=UNREACHABLE_HOPS)
+        return self._hops
 
     def eccentricity(self, source: int) -> int:
         """Hop distance to the farthest node, mirroring the reference method.

@@ -150,6 +150,16 @@ class TestEModelPolicy:
         assert advance is not None
         assert all(schedule.is_active(u, 4) for u in advance.color)
 
+    def test_state_schedule_rebuilds_the_estimate(self, figure2_duty):
+        """A policy bound to the synchronous system, handed a duty-cycle
+        state, scores that decision with the duty estimate (Eq. 11)."""
+        topo, _, schedule = figure2_duty
+        policy = EModelPolicy(topo)
+        assert policy.estimate.mode == "sync"
+        state = BroadcastState(topo, frozenset({1, 2, 3}), time=4, schedule=schedule)
+        policy.select_advance(state)
+        assert policy.estimate.mode == "duty"
+
     def test_repr_contains_name(self):
         assert "E-model" in repr(EModelPolicy())
 

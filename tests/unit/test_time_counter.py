@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,15 @@ from repro.core.time_counter import (
 )
 from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.window import window_for
+from repro.experiments.config import SweepConfig
+from repro.experiments.runner import default_policies
 from repro.network.bitset import bitset_view
 from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.graphs import FIGURE2_DUTY_START
 from repro.network.topology import WSNTopology
 from repro.scenarios import generate_scenario, scenario_names
 from repro.sim.broadcast import run_broadcast
-from repro.utils.rng import make_rng
+from repro.utils.rng import derive_seed, make_rng
 
 
 class TestSearchConfig:
@@ -298,6 +301,19 @@ class TestBitmaskSearchState:
         assert (key_a < key_b) == (tuple_a < tuple_b)
         assert (key_a == key_b) == (tuple_a == tuple_b)
 
+    @pytest.mark.parametrize("width", [*range(1, 18), 299, 300, 301])
+    def test_tie_break_key_equals_the_reversed_bit_string(self, width):
+        """The byte-table key equals its bit-string definition: every mask up
+        to 12 bits, and the extremes plus 300 random masks above that."""
+        if width <= 12:
+            masks = range(1 << width)
+        else:
+            rng = random.Random(width)
+            masks = [0, 1, 1 << (width - 1), (1 << width) - 1]
+            masks += [rng.getrandbits(width) for _ in range(300)]
+        for mask in masks:
+            assert lex_order_key(mask, width) == -int(format(mask, f"0{width}b")[::-1], 2)
+
     def test_state_key_sorts_states_like_the_frozenset_key(self, medium_deployment):
         topo, _ = medium_deployment
         counter = TimeCounter(topo)
@@ -458,6 +474,9 @@ def _memo_items(search: ExactSearch) -> int:
         sum(max(len(pairs), 1) for pairs in search._colorings.values())
         + len(search._frontiers)
         + len(search._reaches)
+        + len(search._far_sets)
+        + len(search._balls)
+        + len(search._parents)
     )
 
 
@@ -641,3 +660,37 @@ def test_beam_outputs_are_pinned():
     assert len(rows) == 960
     canonical = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == _BEAM_PIN
+
+
+def test_paper_sync_work_counters_are_pinned():
+    """OPT and G-OPT ``states``, ``expansions`` and ``memo_hits``, summed over
+    the paper-sync grid's 50-150-node cells at sweep seed 2012, as the
+    runner deploys them.  The state memo (and the hop bounds it derives)
+    may change how a bound is computed, never which states are searched."""
+    config = SweepConfig(node_counts=(50, 100, 150), repetitions=1, seed=2012)
+    line_up = default_policies(config, "sync")
+    totals = {}
+    for num_nodes in config.node_counts:
+        deployment = DeploymentConfig(
+            num_nodes=num_nodes,
+            area_side=config.area_side,
+            radius=config.radius,
+            source_min_ecc=config.source_min_ecc,
+            source_max_ecc=config.source_max_ecc,
+        )
+        seed = derive_seed(config.seed, "sync", 1, num_nodes, 0)
+        topo, source = deploy_uniform(config=deployment, seed=seed)
+        for name in ("OPT", "G-OPT"):
+            policy = line_up[name]()
+            run_broadcast(topo, source, policy, engine="vectorized")
+            stats = policy.counter.stats
+            for field in ("states", "expansions", "memo_hits"):
+                totals[name, field] = totals.get((name, field), 0) + getattr(stats, field)
+    assert totals == {
+        ("OPT", "states"): 267,
+        ("OPT", "expansions"): 360,
+        ("OPT", "memo_hits"): 0,
+        ("G-OPT", "states"): 340,
+        ("G-OPT", "expansions"): 425,
+        ("G-OPT", "memo_hits"): 0,
+    }
