@@ -16,7 +16,7 @@ The public API is re-exported here so that a downstream user can write::
     )
 
     topo, source = deploy_uniform(num_nodes=150, seed=7)
-    result = run_broadcast(topo, source, EModelPolicy(topo))
+    result = run_broadcast(topo, source, EModelPolicy())
     print(result.latency)
 
 Sub-packages

@@ -42,16 +42,10 @@ class Approx17Policy(SchedulingPolicy):
     #: of schedulers relying on healthy links), so the engines reject it.
     loss_tolerant = False
 
-    def __init__(
-        self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
-        *,
-        parent_mode: str = "cover",
-    ) -> None:
+    def __init__(self, *, parent_mode: str = "cover") -> None:
         self._parent_mode = parent_mode
-        self._topology = topology
-        self._schedule = schedule
+        self._topology: WSNTopology | None = None
+        self._schedule: WakeupSchedule | None = None
         self._tree: BroadcastTree | None = None
         #: Parents of each layer with their colour priority (lower = earlier).
         self._layer_parents: list[list[tuple[int, int]]] = []

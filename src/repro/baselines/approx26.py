@@ -73,11 +73,9 @@ class Approx26Policy(SchedulingPolicy):
     #: reject it.
     loss_tolerant = False
 
-    def __init__(
-        self, topology: WSNTopology | None = None, *, parent_mode: str = "cover"
-    ) -> None:
+    def __init__(self, *, parent_mode: str = "cover") -> None:
         self._parent_mode = parent_mode
-        self._topology = topology
+        self._topology: WSNTopology | None = None
         self._tree: BroadcastTree | None = None
         self._queue: list[frozenset[int]] = []
         self._cursor = 0

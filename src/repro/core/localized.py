@@ -35,13 +35,10 @@ the localized-vs-centralised ablation benchmark quantifies that trade-off.
 
 from __future__ import annotations
 
-from typing import Literal
-
 from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import frontier_candidates
-from repro.core.estimation import EdgeEstimate, build_edge_estimate
-from repro.core.policies import SchedulingPolicy
-from repro.dutycycle.schedule import WakeupSchedule
+from repro.core.estimation import EdgeEstimate
+from repro.core.policies import EModelPolicy
 from repro.network.interference import has_conflict
 from repro.network.topology import WSNTopology
 
@@ -81,79 +78,31 @@ def local_contention_winners(
     return frozenset(winners)
 
 
-class LocalizedEModelPolicy(SchedulingPolicy):
+class LocalizedEModelPolicy(EModelPolicy):
     """Distributed E-model scheduling via 2-hop local contention.
 
-    Parameters
-    ----------
-    topology, schedule:
-        Optional early binding, as for the centralised policies.
-    weight:
-        Weighting of the asynchronous E-tuples (``"expected"`` or ``"unit"``),
-        forwarded to :func:`repro.core.estimation.build_edge_estimate`.
+    Takes the E-model's ``weight`` option: the weighting of the asynchronous
+    E-tuples (``"expected"`` or ``"unit"``), forwarded to
+    :func:`repro.core.estimation.build_edge_estimate`.
 
     Notes
     -----
-    The policy intentionally reuses the same proactive E-tuples as
-    :class:`repro.core.policies.EModelPolicy`; only the *selection* differs
-    (local contention instead of picking one global colour), so comparing
-    the two isolates the cost of decentralisation.
+    The policy intentionally reuses the same proactive E-tuples (and their
+    binding) as :class:`repro.core.policies.EModelPolicy`; only the
+    *selection* differs (local contention instead of picking one global
+    colour), so comparing the two isolates the cost of decentralisation.
     """
 
     name = "localized-E"
-    frontier_driven = True
 
-    def __init__(
-        self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
-        *,
-        weight: Literal["expected", "unit"] = "expected",
-    ) -> None:
-        self._weight = weight
-        self._topology = topology
-        self._schedule = schedule
-        self._estimate: EdgeEstimate | None = None
-        if topology is not None:
-            self._estimate = build_edge_estimate(topology, schedule, weight=weight)
-
-    @property
-    def estimate(self) -> EdgeEstimate | None:
-        """The proactively constructed E-tuples (``None`` until prepared)."""
-        return self._estimate
-
-    def prepare(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule | None,
-        source: int,
-    ) -> None:
-        rebuild = (
-            self._estimate is None
-            or self._topology is not topology
-            or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
-
-    def select_advance(self, state: BroadcastState) -> Advance | None:
-        if state.is_complete:
-            return None
-        if self._estimate is None or self._topology is not state.topology:
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._estimate is not None
-
+    def _select(self, state: BroadcastState, estimate: EdgeEstimate) -> Advance | None:
         awake = None
         if state.schedule is not None:
             awake = state.schedule.awake_nodes(state.covered, state.time)
         candidates = frontier_candidates(state.topology, state.covered, awake)
         if not candidates:
             return None
-        winners = local_contention_winners(
-            state.topology, state.covered, candidates, self._estimate
-        )
+        winners = local_contention_winners(state.topology, state.covered, candidates, estimate)
         return Advance.from_color(
             state.topology,
             state.covered,

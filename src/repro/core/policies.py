@@ -24,7 +24,7 @@ pool afresh with :func:`greedy_decision_classes`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Literal
+from typing import Generic, Literal, TypeVar
 
 from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import ColorMasks, ColorScheme
@@ -42,6 +42,8 @@ __all__ = [
     "EModelPolicy",
     "greedy_decision_classes",
 ]
+
+_Bound = TypeVar("_Bound")
 
 
 def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
@@ -64,11 +66,15 @@ def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
 class SchedulingPolicy(ABC):
     """Interface shared by every scheduler in the evaluation.
 
-    Subclasses implement :meth:`select_advance`; the optional
-    :meth:`prepare` hook is invoked by :func:`repro.sim.broadcast.run_broadcast`
-    once per broadcast with the topology, schedule and source, letting
-    policies precompute per-broadcast structures (BFS trees, E-tuples,
-    search caches).
+    Lifecycle: :func:`repro.sim.broadcast.run_broadcast` calls
+    :meth:`prepare` once per broadcast with the topology, schedule and
+    source, then :meth:`select_advance` at each round/slot it offers.
+    Frontier policies that precompute per-binding structures (OPT, G-OPT,
+    the E-model and its localized variant) also bind lazily: a state whose
+    topology or schedule is not the bound one re-prepares them, so they can
+    be driven directly.  Planned policies (the 17/26-approximations, the
+    exact tier) require :meth:`prepare` and raise :class:`RuntimeError`
+    without it.
     """
 
     #: Human-readable name used in traces, metrics and experiment reports.
@@ -139,39 +145,40 @@ class SchedulingPolicy(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class _TimeCounterPolicy(SchedulingPolicy):
-    """Shared implementation of the two ``M``-driven schedulers."""
+class _BoundPolicy(SchedulingPolicy, Generic[_Bound]):
+    """A frontier policy that decides over one structure per binding.
+
+    :meth:`prepare` builds the structure for ``(topology, schedule)`` with
+    :meth:`_build`, or hands it to :meth:`_reset` when the binding is
+    unchanged; :meth:`select_advance` re-prepares whenever the state's
+    topology or schedule is not the bound one, then decides in
+    :meth:`_select`.
+    """
 
     #: Colours come from the (awake) frontier only, so an idle frontier slot
     #: always yields ``None`` with no state change.
     frontier_driven = True
 
-    def __init__(
-        self,
-        topology: WSNTopology | None,
-        schedule: WakeupSchedule | None,
-        *,
-        scheme: ColorScheme,
-        search: SearchConfig | None,
-    ) -> None:
-        #: Colour provider of the decision and of the recursive evaluation
-        #: of ``M`` alike.
-        self._scheme = scheme
-        self._search = search or SearchConfig()
-        self._topology = topology
-        self._schedule = schedule
-        self._counter: TimeCounter | None = None
-        if topology is not None:
-            self._counter = self._build_counter(topology, schedule)
+    _topology: WSNTopology | None = None
+    _schedule: WakeupSchedule | None = None
+    _bound: _Bound | None = None
 
-    def _build_counter(
-        self, topology: WSNTopology, schedule: WakeupSchedule | None
-    ) -> TimeCounter:
-        return TimeCounter(
-            topology,
-            schedule=schedule,
-            color_scheme=self._scheme,
-            config=self._search,
+    @abstractmethod
+    def _build(self, topology: WSNTopology, schedule: WakeupSchedule | None) -> _Bound:
+        """The structure decisions over ``(topology, schedule)`` read."""
+
+    def _reset(self, bound: _Bound) -> None:
+        """Ready ``bound`` for another broadcast (default: reuse it as is)."""
+
+    @abstractmethod
+    def _select(self, state: BroadcastState, bound: _Bound) -> Advance | None:
+        """The advance at ``state`` (not complete), decided over ``bound``."""
+
+    def _is_bound_to(self, topology: WSNTopology, schedule: WakeupSchedule | None) -> bool:
+        return (
+            self._bound is not None
+            and self._topology is topology
+            and self._schedule is schedule
         )
 
     def prepare(
@@ -180,18 +187,33 @@ class _TimeCounterPolicy(SchedulingPolicy):
         schedule: WakeupSchedule | None,
         source: int,
     ) -> None:
-        rebuild = (
-            self._counter is None
-            or self._topology is not topology
-            or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._counter = self._build_counter(topology, schedule)
+        if self._is_bound_to(topology, schedule):
+            self._reset(self._bound)
         else:
-            assert self._counter is not None
-            self._counter.clear_cache()
+            self._topology, self._schedule = topology, schedule
+            self._bound = self._build(topology, schedule)
+
+    def select_advance(self, state: BroadcastState) -> Advance | None:
+        if state.is_complete:
+            return None
+        if not self._is_bound_to(state.topology, state.schedule):
+            # Lazy binding for callers that drive the policy directly: the
+            # state's schedule sets the decision's awake pool.
+            self.prepare(state.topology, state.schedule, source=-1)
+        return self._select(state, self._bound)
+
+
+class _TimeCounterPolicy(_BoundPolicy[TimeCounter]):
+    """Shared implementation of the two ``M``-driven schedulers.
+
+    The bound structure is a :class:`TimeCounter` over the policy's colour
+    scheme, the provider of the decision and of the recursive evaluation of
+    ``M`` alike; preparing the same binding again clears its cache.
+    """
+
+    def __init__(self, scheme: ColorScheme, search: SearchConfig | None) -> None:
+        self._scheme = scheme
+        self._search = search or SearchConfig()
 
     @property
     def search_config(self) -> SearchConfig:
@@ -201,32 +223,31 @@ class _TimeCounterPolicy(SchedulingPolicy):
     @property
     def counter(self) -> TimeCounter | None:
         """The underlying time counter (``None`` until prepared)."""
-        return self._counter
+        return self._bound
 
-    def select_advance(self, state: BroadcastState) -> Advance | None:
-        if state.is_complete:
-            return None
-        if (
-            self._counter is None
-            or self._topology is not state.topology
-            or self._schedule is not state.schedule
-        ):
-            # Lazy preparation for callers that drive the policy directly:
-            # the counter's schedule sets the decision's awake pool.
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._counter is not None
+    def _build(self, topology: WSNTopology, schedule: WakeupSchedule | None) -> TimeCounter:
+        return TimeCounter(
+            topology,
+            schedule=schedule,
+            color_scheme=self._scheme,
+            config=self._search,
+        )
 
+    def _reset(self, counter: TimeCounter) -> None:
+        counter.clear_cache()
+
+    def _select(self, state: BroadcastState, counter: TimeCounter) -> Advance | None:
         # The decision colours the counter's own provider through its state
         # memo, which serves the states its last search already coloured.
         topology = state.topology
         covered = topology.mask_from_nodes(state.covered)
         colors = [
             topology.nodes_from_mask(color)
-            for color, _ in self._counter.color_masks_at(covered, state.time)
+            for color, _ in counter.color_masks_at(covered, state.time)
         ]
         if not colors:
             return None
-        best_color, _ = self._counter.select_color(state.covered, state.time, colors)
+        best_color, _ = counter.select_color(state.covered, state.time, colors)
         num_colors = len(colors)
         color_index = colors.index(best_color) + 1
         return Advance.from_color(
@@ -245,8 +266,6 @@ class OptPolicy(_TimeCounterPolicy):
 
     Parameters
     ----------
-    topology, schedule:
-        Optional early binding (otherwise taken from the first state seen).
     search:
         Search configuration for the ``M`` evaluation; exact search is the
         default and appropriate for the worked examples and tests, beam
@@ -259,19 +278,9 @@ class OptPolicy(_TimeCounterPolicy):
     name = "OPT"
 
     def __init__(
-        self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
-        *,
-        search: SearchConfig | None = None,
-        max_color_classes: int | None = 64,
+        self, *, search: SearchConfig | None = None, max_color_classes: int | None = 64
     ) -> None:
-        super().__init__(
-            topology,
-            schedule,
-            scheme=ColorScheme(mode="exhaustive", max_classes=max_color_classes),
-            search=search,
-        )
+        super().__init__(ColorScheme(mode="exhaustive", max_classes=max_color_classes), search)
 
 
 class GreedyOptPolicy(_TimeCounterPolicy):
@@ -279,17 +288,11 @@ class GreedyOptPolicy(_TimeCounterPolicy):
 
     name = "G-OPT"
 
-    def __init__(
-        self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
-        *,
-        search: SearchConfig | None = None,
-    ) -> None:
-        super().__init__(topology, schedule, scheme=ColorScheme(), search=search)
+    def __init__(self, *, search: SearchConfig | None = None) -> None:
+        super().__init__(ColorScheme(), search)
 
 
-class EModelPolicy(SchedulingPolicy):
+class EModelPolicy(_BoundPolicy[EdgeEstimate]):
     """The practical E-model scheduler (Algorithm 3, item 3; Eq. 10).
 
     Greedy colour classes are computed for the current frontier and the
@@ -299,63 +302,25 @@ class EModelPolicy(SchedulingPolicy):
 
     Parameters
     ----------
-    topology, schedule:
-        Optional early binding; the estimate is (re)built in
-        :meth:`prepare` for the topology/schedule actually simulated.
     weight:
         ``"expected"`` (default) or ``"unit"`` — the Eq. (11) weight used in
         the duty-cycle system; ignored in the synchronous system.
     """
 
     name = "E-model"
-    frontier_driven = True
 
-    def __init__(
-        self,
-        topology: WSNTopology | None = None,
-        schedule: WakeupSchedule | None = None,
-        *,
-        weight: Literal["expected", "unit"] = "expected",
-    ) -> None:
+    def __init__(self, *, weight: Literal["expected", "unit"] = "expected") -> None:
         self._weight = weight
-        self._topology = topology
-        self._schedule = schedule
-        self._estimate: EdgeEstimate | None = None
-        if topology is not None:
-            self._estimate = build_edge_estimate(topology, schedule, weight=weight)
 
     @property
     def estimate(self) -> EdgeEstimate | None:
         """The proactively constructed 4-tuples (``None`` until prepared)."""
-        return self._estimate
+        return self._bound
 
-    def prepare(
-        self,
-        topology: WSNTopology,
-        schedule: WakeupSchedule | None,
-        source: int,
-    ) -> None:
-        rebuild = (
-            self._estimate is None
-            or self._topology is not topology
-            or self._schedule is not schedule
-        )
-        if rebuild:
-            self._topology = topology
-            self._schedule = schedule
-            self._estimate = build_edge_estimate(topology, schedule, weight=self._weight)
+    def _build(self, topology: WSNTopology, schedule: WakeupSchedule | None) -> EdgeEstimate:
+        return build_edge_estimate(topology, schedule, weight=self._weight)
 
-    def select_advance(self, state: BroadcastState) -> Advance | None:
-        if state.is_complete:
-            return None
-        if (
-            self._estimate is None
-            or self._topology is not state.topology
-            or self._schedule is not state.schedule
-        ):
-            self.prepare(state.topology, state.schedule, source=-1)
-        assert self._estimate is not None
-
+    def _select(self, state: BroadcastState, estimate: EdgeEstimate) -> Advance | None:
         pairs = greedy_decision_classes(state)
         if not pairs:
             return None
@@ -366,7 +331,7 @@ class EModelPolicy(SchedulingPolicy):
         colors = [topology.nodes_from_mask(color) for color, _ in pairs]
         _, _, negated_index = max(
             (
-                self._estimate.color_score(topology, color, covered_mask),
+                estimate.color_score(topology, color, covered_mask),
                 receivers.bit_count(),
                 -index,
             )

@@ -120,8 +120,9 @@ class TimeCounter:
     Search states are int bitmasks, bit ``i`` standing for
     ``topology.node_ids[i]`` (see docs/design.md, "Search state").  Every
     public method that takes node ids checks ``time >= 1``, a non-empty
-    ``W`` and known node ids (``ValueError`` otherwise) and converts ``W``
-    once at entry; colours come from
+    ``W``, known node ids and candidate colours whose senders are all in
+    ``W`` (``ValueError`` otherwise) and converts ``W`` once at entry;
+    colours come from
     :meth:`~repro.core.search.ExactSearch.color_masks` as
     ``(colour, receivers)`` masks, and each decision's slot and sender pool
     from :meth:`~repro.core.search.ExactSearch.decision`, which reads the
@@ -200,7 +201,7 @@ class TimeCounter:
         """
         _check_time(time)
         covered_mask = self._covered_mask(covered)
-        return self._rank_colors(covered_mask, time, self._candidates(colors))
+        return self._rank_colors(covered_mask, time, self._candidates(covered_mask, colors))
 
     def select_color(
         self,
@@ -222,7 +223,7 @@ class TimeCounter:
         """
         _check_time(time)
         covered_mask = self._covered_mask(covered)
-        colors = self._candidates(colors)
+        colors = self._candidates(covered_mask, colors)
         if not colors:
             raise ValueError("select_color needs at least one candidate colour")
         return self._select_color(covered_mask, time, colors)
@@ -281,9 +282,18 @@ class TimeCounter:
         view = self._view
         return view.mask_from_bool(view.bool_from_nodes(covered))
 
-    def _candidates(self, colors: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    def _candidates(
+        self, covered: int, colors: Iterable[frozenset[int]]
+    ) -> list[frozenset[int]]:
         colors = [frozenset(c) for c in colors]
-        self._check_known(frozenset().union(*colors), "a candidate colour")
+        senders = frozenset().union(*colors)
+        self._check_known(senders, "a candidate colour")
+        uncovered = self.topology.mask_from_nodes(senders) & ~covered
+        if uncovered:
+            raise ValueError(
+                "a candidate colour holds senders not in covered: "
+                f"{sorted(self.topology.nodes_from_mask(uncovered))}"
+            )
         return colors
 
     def _completion_time(self, covered: int, time: int) -> int:

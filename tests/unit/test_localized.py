@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.advance import BroadcastState
 from repro.core.coloring import frontier_candidates
 from repro.core.estimation import build_edge_estimate
@@ -99,9 +97,21 @@ class TestLocalizedEModelPolicy:
         assert advance is not None
         assert policy.estimate is not None
 
+    def test_state_schedule_rebuilds_the_estimate(self, figure2_duty):
+        """A policy bound to the synchronous system, handed a duty-cycle
+        state, elects with the duty estimate (Eq. 11)."""
+        topo, source, schedule = figure2_duty
+        policy = LocalizedEModelPolicy()
+        policy.prepare(topo, None, source)
+        assert policy.estimate.mode == "sync"
+        state = BroadcastState(topo, frozenset({1, 2, 3}), time=4, schedule=schedule)
+        assert policy.select_advance(state) is not None
+        assert policy.estimate.mode == "duty"
+
     def test_none_when_complete_or_asleep(self, figure2_duty):
         topo, source, schedule = figure2_duty
-        policy = LocalizedEModelPolicy(topo, schedule)
+        policy = LocalizedEModelPolicy()
+        policy.prepare(topo, schedule, source)
         complete = BroadcastState(topo, topo.node_set, time=5, schedule=schedule)
         assert policy.select_advance(complete) is None
         asleep = BroadcastState(topo, frozenset({source}), time=3, schedule=schedule)

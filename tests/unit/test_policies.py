@@ -66,10 +66,11 @@ class TestTimeCounterPolicies:
     def test_state_schedule_rebinds_the_counter(self, figure2_duty, policy_cls):
         """A policy bound to the synchronous system, handed a duty-cycle
         state, decides over that state's awake pool."""
-        topo, _, schedule = figure2_duty
+        topo, source, schedule = figure2_duty
         chosen = []
         for slot in range(1, 12):
-            policy = policy_cls(topo)
+            policy = policy_cls()
+            policy.prepare(topo, None, source)
             state = BroadcastState(topo, frozenset({1, 2, 3}), slot, schedule)
             advance = policy.select_advance(state)
             assert policy.counter.schedule is schedule
@@ -81,13 +82,15 @@ class TestTimeCounterPolicies:
     def test_prepare_rebuilds_on_new_topology(self, figure1, figure2):
         topo1, source1 = figure1
         topo2, source2 = figure2
-        policy = GreedyOptPolicy(topo1)
+        policy = GreedyOptPolicy()
+        policy.prepare(topo1, None, source1)
         first_counter = policy.counter
         policy.prepare(topo2, None, source2)
-        assert policy.counter is not first_counter
+        second_counter = policy.counter
+        assert second_counter is not first_counter
         policy.prepare(topo2, None, source2)
         # Same topology and schedule: the counter is kept (cache cleared).
-        assert policy.counter is policy.counter
+        assert policy.counter is second_counter
 
     def test_search_config_exposed(self):
         config = SearchConfig(mode="beam", beam_width=3)
@@ -96,8 +99,10 @@ class TestTimeCounterPolicies:
 
     def test_opt_uses_exhaustive_colors(self, figure1):
         topo, source = figure1
-        opt = OptPolicy(topo)
-        gopt = GreedyOptPolicy(topo)
+        opt = OptPolicy()
+        gopt = GreedyOptPolicy()
+        opt.prepare(topo, None, source)
+        gopt.prepare(topo, None, source)
         assert opt.name == "OPT"
         assert gopt.name == "G-OPT"
         assert opt.counter.color_scheme == ColorScheme("exhaustive", max_classes=64)
@@ -122,7 +127,8 @@ class TestEModelPolicy:
     def test_estimate_rebuilt_for_duty_schedule(self, figure1):
         topo, source = figure1
         schedule = WakeupSchedule(topo.node_ids, rate=10, seed=0)
-        policy = EModelPolicy(topo)
+        policy = EModelPolicy()
+        policy.prepare(topo, None, source)
         sync_estimate = policy.estimate
         policy.prepare(topo, schedule, source)
         assert policy.estimate is not sync_estimate
@@ -138,13 +144,15 @@ class TestEModelPolicy:
 
     def test_returns_none_when_no_awake_candidate(self, figure2_duty):
         topo, source, schedule = figure2_duty
-        policy = EModelPolicy(topo, schedule)
+        policy = EModelPolicy()
+        policy.prepare(topo, schedule, source)
         state = BroadcastState(topo, frozenset({source}), time=3, schedule=schedule)
         assert policy.select_advance(state) is None
 
     def test_duty_advance_only_uses_awake_transmitters(self, figure2_duty):
         topo, source, schedule = figure2_duty
-        policy = EModelPolicy(topo, schedule)
+        policy = EModelPolicy()
+        policy.prepare(topo, schedule, source)
         state = BroadcastState(topo, frozenset({1, 2, 3}), time=4, schedule=schedule)
         advance = policy.select_advance(state)
         assert advance is not None
@@ -153,8 +161,9 @@ class TestEModelPolicy:
     def test_state_schedule_rebuilds_the_estimate(self, figure2_duty):
         """A policy bound to the synchronous system, handed a duty-cycle
         state, scores that decision with the duty estimate (Eq. 11)."""
-        topo, _, schedule = figure2_duty
-        policy = EModelPolicy(topo)
+        topo, source, schedule = figure2_duty
+        policy = EModelPolicy()
+        policy.prepare(topo, None, source)
         assert policy.estimate.mode == "sync"
         state = BroadcastState(topo, frozenset({1, 2, 3}), time=4, schedule=schedule)
         policy.select_advance(state)

@@ -211,6 +211,16 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="covered is empty"):
             _entry_call(counter, method, set(), 1, frozenset({source}))
 
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("method", ["rank_colors", "select_color"])
+    def test_uncovered_color_senders(self, figure1, method, mode):
+        """Only covered nodes may send: on Figure 1 with ``W = {11}``, node 3
+        has not received the message, so the colour ``{3}`` is rejected."""
+        topo, source = figure1
+        counter = TimeCounter(topo, config=SearchConfig(mode=mode, beam_width=4))
+        with pytest.raises(ValueError, match=r"senders not in covered: \[3\]$"):
+            getattr(counter, method)({source}, 1, [{3}, {source}])
+
 
 class TestSynchronousBeam:
     def test_beam_matches_exact_on_paper_examples(self, figure1, figure2):
