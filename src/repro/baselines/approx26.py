@@ -18,13 +18,13 @@ times the hop radius, which is the curve the paper plots as
 from __future__ import annotations
 
 from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
-from repro.core.advance import Advance, BroadcastState
+from repro.core.advance import Advance
 from repro.core.coloring import greedy_masks
-from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.topology import WSNTopology
+from repro.sim.replay import PlannedPolicy
 
-__all__ = ["Approx26Policy", "layer_color_plan"]
+__all__ = ["Approx26Policy", "LayeredPolicy", "layer_color_plan"]
 
 
 def layer_color_plan(
@@ -56,39 +56,23 @@ def layer_color_plan(
     return plan
 
 
-class Approx26Policy(SchedulingPolicy):
-    """Layer-synchronised conflict-aware BFS scheduling (round-based system).
+class LayeredPolicy(PlannedPolicy):
+    """A planned policy over the colour classes of a BFS tree's layers.
 
-    The policy is *planned*: :meth:`prepare` builds the BFS tree and the
-    per-layer colour classes, and :meth:`select_advance` simply replays the
-    plan one colour class per round.  The plan never pipelines across
-    layers, reproducing the baseline behaviour the paper improves on.
+    :meth:`prepare` builds the tree (``parent_mode`` as in
+    :func:`~repro.baselines.bfs_tree.build_broadcast_tree`); the subclass's
+    plan runs :func:`layer_color_plan` layer by layer, never pipelining
+    across layers.
     """
-
-    name = "26-approx"
-
-    #: The replayed plan assumes every delivery succeeds; over lossy links
-    #: it would schedule senders that never received the message (the §VI
-    #: critique of schedulers relying on healthy links), so the engines
-    #: reject it.
-    loss_tolerant = False
 
     def __init__(self, *, parent_mode: str = "cover") -> None:
         self._parent_mode = parent_mode
-        self._topology: WSNTopology | None = None
         self._tree: BroadcastTree | None = None
-        self._queue: list[frozenset[int]] = []
-        self._cursor = 0
 
     @property
     def tree(self) -> BroadcastTree | None:
         """The BFS broadcast tree of the current plan (``None`` until prepared)."""
         return self._tree
-
-    @property
-    def planned_rounds(self) -> int:
-        """Total number of transmission rounds the current plan uses."""
-        return len(self._queue)
 
     def prepare(
         self,
@@ -96,41 +80,51 @@ class Approx26Policy(SchedulingPolicy):
         schedule: WakeupSchedule | None,
         source: int,
     ) -> None:
-        if schedule is not None:
-            raise ValueError(
-                "Approx26Policy schedules the round-based synchronous system; "
-                "the solver registry maps each system to its tiers "
-                "(repro.solvers.SOLVER_TIERS, --list-solvers): the duty-cycle "
-                "baseline is the '17-approx' tier"
-            )
-        self._topology = topology
+        super().prepare(topology, schedule, source)
         self._tree = build_broadcast_tree(topology, source, parent_mode=self._parent_mode)
-        plan = layer_color_plan(topology, self._tree)
-        # Flatten: the source's own transmission is the single colour class
-        # of layer 0; every layer's classes run back-to-back before the next
-        # layer starts.
-        self._queue = [color for layer_classes in plan for color in layer_classes]
-        self._cursor = 0
 
-    def select_advance(self, state: BroadcastState) -> Advance | None:
-        if state.is_complete:
-            return None
-        if self._tree is None or self._topology is not state.topology:
-            raise RuntimeError(
-                "Approx26Policy.prepare(topology, None, source) must run before use"
+
+class Approx26Policy(LayeredPolicy):
+    """Layer-synchronised conflict-aware BFS scheduling (round-based system).
+
+    The plan transmits the per-layer colour classes one per round, every
+    class of a layer before the next layer starts: the baseline behaviour
+    the paper improves on.
+    """
+
+    name = "26-approx"
+    systems = ("sync",)
+
+    @property
+    def planned_rounds(self) -> int:
+        """Total number of transmission rounds the current plan uses."""
+        return len(self._times)
+
+    def _plan(
+        self,
+        topology: WSNTopology,
+        schedule: WakeupSchedule | None,
+        source: int,
+        covered: frozenset[int],
+        time: int,
+    ) -> list[Advance]:
+        assert self._tree is not None
+        # Flatten: the source's own transmission is the single colour class
+        # of layer 0; every layer's classes run back-to-back.
+        queue = [color for classes in layer_color_plan(topology, self._tree) for color in classes]
+        advances: list[Advance] = []
+        for index, color in enumerate(queue):
+            if len(covered) == topology.num_nodes:
+                break
+            advance = Advance.from_color(
+                topology,
+                covered,
+                color,
+                time + index,
+                color_index=index + 1,
+                num_colors=len(queue),
+                note=self.name,
             )
-        if self._cursor >= len(self._queue):
-            raise RuntimeError(
-                "plan exhausted before full coverage; the BFS plan is inconsistent"
-            )
-        color = self._queue[self._cursor]
-        self._cursor += 1
-        return Advance.from_color(
-            state.topology,
-            state.covered,
-            color,
-            state.time,
-            color_index=self._cursor,
-            num_colors=len(self._queue),
-            note=self.name,
-        )
+            advances.append(advance)
+            covered |= advance.receivers
+        return advances

@@ -73,8 +73,11 @@ class SchedulingPolicy(ABC):
     the E-model and its localized variant) also bind lazily: a state whose
     topology or schedule is not the bound one re-prepares them, so they can
     be driven directly.  Planned policies (the 17/26-approximations, the
-    exact tier) require :meth:`prepare` and raise :class:`RuntimeError`
-    without it.
+    exact tier; :class:`~repro.sim.replay.PlannedPolicy`) bind in
+    :meth:`prepare`, build their plan at the first slot they are asked
+    about and replay it; they refuse a system outside :attr:`systems` in
+    :meth:`prepare`, and a state whose topology or schedule is not the
+    bound one with :class:`RuntimeError`.
     """
 
     #: Human-readable name used in traces, metrics and experiment reports.
@@ -87,15 +90,19 @@ class SchedulingPolicy(ABC):
     #: schedule).
     interference_free: bool = True
 
+    #: The system models the policy schedules for: ``"sync"`` (round-based)
+    #: and ``"duty"`` (duty-cycle).  The solver registry reads it too.
+    systems: tuple[str, ...] = ("sync", "duty")
+
     #: Whether the policy keeps working when deliveries may fail.  Frontier
     #: schedulers re-plan from the *actual* covered set every round/slot, so
     #: a node whose delivery failed simply stays in the frontier and is
     #: re-served later — the paper's §VI graceful-degradation argument.
-    #: *Planned* policies (the layered 17/26-approximations) precompute a
-    #: fixed schedule assuming reliable delivery and either live-lock or
-    #: schedule senders that never got the message once links drop packets;
-    #: they set this to False and ``run_broadcast`` rejects them for lossy
-    #: link models instead of timing out minutes later.
+    #: *Planned* policies (the layered 17/26-approximations, the exact
+    #: tier) replay a fixed schedule assuming reliable delivery and either
+    #: live-lock or schedule senders that never got the message once links
+    #: drop packets; they set this to False and ``run_broadcast`` rejects
+    #: them for lossy link models instead of timing out minutes later.
     loss_tolerant: bool = True
 
     #: Whether the policy is *frontier-driven*: it returns ``None`` (with no
@@ -127,8 +134,8 @@ class SchedulingPolicy(ABC):
         every slot in ``[time, s)``, so an engine may jump straight to ``s``
         without offering the intermediate slots.  Returning ``None``
         (the default) makes no promise — every slot is offered as usual.
-        Policies that precompute their transmission times (replays, the
-        exact tier, the 17-approximation's layer schedule) override this.
+        Policies that know their transmission times (trace replays and
+        planned policies) override this.
         """
         return None
 

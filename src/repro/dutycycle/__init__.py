@@ -1,6 +1,5 @@
 """Asynchronous duty-cycle substrate: wake-up schedules, rate models, CWT."""
 
-from repro.dutycycle.clock import SlotClock
 from repro.dutycycle.cwt import cycle_waiting_time, expected_cwt, max_cwt
 from repro.dutycycle.models import (
     DUTY_MODELS,
@@ -16,7 +15,6 @@ from repro.dutycycle.schedule import WakeupSchedule
 __all__ = [
     "DUTY_MODELS",
     "DutyModelSpec",
-    "SlotClock",
     "WakeupSchedule",
     "assign_rates",
     "build_wakeup_schedule",

@@ -76,11 +76,6 @@ class ActivityWindow:
         self.ensure(slot)
         return self._matrix[rows, slot - 1]
 
-    def any_active(self, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Per-slot "some selected row is awake" over ``[start, stop]``."""
-        self.ensure(stop)
-        return self._matrix[rows, start - 1 : stop].any(axis=0)
-
     def active_pairs(self, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Element-wise activity of ``(rows[i], slots[i])`` pairs."""
         if len(slots) == 0:

@@ -263,27 +263,9 @@ class BitsetTopology:
             return np.zeros(self.num_nodes, dtype=bool)
         return self.adjacency[tx_idx].any(axis=0)
 
-    def collision_victims_bool(
-        self, tx_idx: np.ndarray, covered_bool: np.ndarray
-    ) -> np.ndarray:
-        """Uncovered nodes hearing two or more of the transmitters.
-
-        The array analogue of
-        :func:`repro.network.interference.collision_victims`.
-        """
-        return (self.hear_counts(tx_idx) >= 2) & ~covered_bool
-
     # ------------------------------------------------------------------
     # Vectorized graph-wide queries
     # ------------------------------------------------------------------
-    def hop_distances_bool(self, source: int) -> np.ndarray:
-        """Hop distances from ``source`` (``-1`` for unreachable nodes).
-
-        A read-only row of the topology's
-        :attr:`~repro.network.topology.WSNTopology.hop_matrix`.
-        """
-        return self.topology.hop_matrix[self._index[source]]
-
     def nearest_hops(self, mask: int) -> np.ndarray:
         """Hop distance from the node set ``mask`` to every node, as uint16.
 

@@ -1,4 +1,4 @@
-"""Replay a recorded broadcast trace through any engine.
+"""Replay a recorded broadcast trace, or a planned schedule, through any engine.
 
 :class:`ReplayPolicy` answers ``select_advance`` from a recorded
 :class:`~repro.sim.trace.BroadcastResult` instead of computing a schedule.
@@ -12,21 +12,28 @@ network model, which makes it useful for
 * re-rendering or re-measuring a stored schedule without re-running the
   scheduler that produced it.
 
-The exact solver tier's :class:`~repro.solvers.ExactPolicy` subclasses it:
-it solves at its first decision and replays the optimal plan through the
-same index (:meth:`ReplayPolicy._load`).
+:class:`PlannedPolicy` is the replay of a schedule computed once per
+broadcast: the 17/26-approximation baselines and the exact solver tier's
+:class:`~repro.solvers.ExactPolicy` build their plan at the first slot they
+are asked about and replay it through the same index
+(:meth:`ReplayPolicy._load`).
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from bisect import bisect_left
 from typing import Sequence
 
 from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
+from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.topology import WSNTopology
 from repro.sim.trace import BroadcastResult
 
-__all__ = ["ReplayPolicy"]
+__all__ = ["ReplayPolicy", "PlannedPolicy"]
+
+_SYSTEM_NAMES = {"sync": "round-based synchronous", "duty": "duty-cycle"}
 
 
 class ReplayPolicy(SchedulingPolicy):
@@ -60,3 +67,84 @@ class ReplayPolicy(SchedulingPolicy):
             # engine would.
             return None if not self._times else self._times[-1] + 1_000_000_000
         return self._times[index]
+
+
+class PlannedPolicy(ReplayPolicy):
+    """A scheduler that builds one plan per broadcast and replays it.
+
+    :meth:`prepare` binds the topology, schedule and source.  The plan is
+    built by :meth:`_plan` at the first slot the policy is asked about (by
+    :meth:`next_decision_slot` or :meth:`select_advance`), because the start
+    slot is only known then, and replayed from then on.  Replaying assumes
+    reliable delivery and a timeline of its own, so planned policies are
+    not ``loss_tolerant``.
+    """
+
+    loss_tolerant = False
+
+    _topology: WSNTopology | None = None
+    _schedule: WakeupSchedule | None = None
+    _source: int
+    _planned = False
+    _times: Sequence[int] = ()
+
+    @abstractmethod
+    def _plan(
+        self,
+        topology: WSNTopology,
+        schedule: WakeupSchedule | None,
+        source: int,
+        covered: frozenset[int],
+        time: int,
+    ) -> Sequence[Advance]:
+        """The broadcast's advances from ``covered`` at slot ``time``."""
+
+    def prepare(
+        self,
+        topology: WSNTopology,
+        schedule: WakeupSchedule | None,
+        source: int,
+    ) -> None:
+        system = "sync" if schedule is None else "duty"
+        if system not in self.systems:
+            raise ValueError(
+                f"{type(self).__name__} schedules the "
+                f"{' and '.join(_SYSTEM_NAMES[s] for s in self.systems)} system, "
+                f"not the {_SYSTEM_NAMES[system]} one; the solver registry maps "
+                "each system to its tiers (repro.solvers.SOLVER_TIERS, --list-solvers)"
+            )
+        self._topology, self._schedule, self._source = topology, schedule, source
+        self._planned = False
+
+    def _ensure_plan(self, covered: frozenset[int], time: int) -> None:
+        """Build the plan from ``(covered, time)`` unless it is built."""
+        if self._planned:
+            return
+        assert self._topology is not None
+        advances = self._plan(self._topology, self._schedule, self._source, covered, time)
+        if len(covered.union(*(a.receivers for a in advances))) < self._topology.num_nodes:
+            raise RuntimeError(f"{type(self).__name__}'s plan ends before full coverage")
+        self._load(advances)
+        self._planned = True
+
+    def next_decision_slot(self, time: int) -> int | None:
+        """The plan's next transmission slot (no promise before :meth:`prepare`).
+
+        Asked first, the hint plans from the broadcast's start state, the
+        source alone at slot ``time``.
+        """
+        if self._topology is None:
+            return None
+        self._ensure_plan(frozenset({self._source}), time)
+        return super().next_decision_slot(time)
+
+    def select_advance(self, state: BroadcastState) -> Advance | None:
+        if self._topology is not state.topology or self._schedule is not state.schedule:
+            raise RuntimeError(
+                f"{type(self).__name__}.prepare(topology, schedule, source) must "
+                "run for the state's topology and schedule before select_advance"
+            )
+        if state.is_complete:
+            return None
+        self._ensure_plan(state.covered, state.time)
+        return super().select_advance(state)

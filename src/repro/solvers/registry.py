@@ -16,7 +16,6 @@ everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
@@ -42,24 +41,29 @@ class SolverTier:
         Largest instance the tier accepts (``None`` = unbounded).  Enforced
         by ``SweepConfig`` so an exact sweep fails at configuration time,
         not hours into a search.
-    systems:
-        System models the tier schedules for (``"sync"``, ``"duty"``).
-    loss_tolerant:
-        Whether the tier keeps working over lossy links *and* under
-        multi-source slot contention (planned tiers replay a fixed schedule
-        and support neither).
     factory:
         Zero-argument policy factory (a class), picklable into sweep
-        workers.
+        workers.  Its class attributes declare the tier's :attr:`systems`
+        and whether it is :attr:`loss_tolerant`.
     """
 
     name: str
     summary: str
     guarantee: str
     max_nodes: int | None
-    systems: tuple[str, ...]
-    loss_tolerant: bool
-    factory: Callable[[], SchedulingPolicy]
+    factory: type[SchedulingPolicy]
+
+    @property
+    def systems(self) -> tuple[str, ...]:
+        """System models the tier schedules for (``"sync"``, ``"duty"``)."""
+        return self.factory.systems
+
+    @property
+    def loss_tolerant(self) -> bool:
+        """Whether the tier keeps working over lossy links *and* under
+        multi-source slot contention (planned tiers replay a fixed schedule
+        and support neither)."""
+        return self.factory.loss_tolerant
 
 
 #: Every selectable solver tier, strongest guarantee first.
@@ -72,8 +76,6 @@ SOLVER_TIERS: dict[str, SolverTier] = {
             "pure-python branch-and-bound",
             guarantee="optimal",
             max_nodes=16,
-            systems=("sync", "duty"),
-            loss_tolerant=False,
             factory=ExactPolicy,
         ),
         SolverTier(
@@ -82,8 +84,6 @@ SOLVER_TIERS: dict[str, SolverTier] = {
             "(17·k·d proved bound)",
             guarantee="17-approximation",
             max_nodes=None,
-            systems=("duty",),
-            loss_tolerant=False,
             factory=Approx17Policy,
         ),
         SolverTier(
@@ -92,8 +92,6 @@ SOLVER_TIERS: dict[str, SolverTier] = {
             "(26-approximation proved bound)",
             guarantee="26-approximation",
             max_nodes=None,
-            systems=("sync",),
-            loss_tolerant=False,
             factory=Approx26Policy,
         ),
         SolverTier(
@@ -102,8 +100,6 @@ SOLVER_TIERS: dict[str, SolverTier] = {
             "default tier of every sweep)",
             guarantee="heuristic",
             max_nodes=None,
-            systems=("sync", "duty"),
-            loss_tolerant=True,
             factory=EModelPolicy,
         ),
     )
