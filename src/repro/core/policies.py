@@ -248,22 +248,17 @@ class _TimeCounterPolicy(_BoundPolicy[TimeCounter]):
         # memo, which serves the states its last search already coloured.
         topology = state.topology
         covered = topology.mask_from_nodes(state.covered)
-        colors = [
-            topology.nodes_from_mask(color)
-            for color, _ in counter.color_masks_at(covered, state.time)
-        ]
-        if not colors:
+        index = counter.decide(covered, state.time)
+        if index is None:
             return None
-        best_color, _ = counter.select_color(state.covered, state.time, colors)
-        num_colors = len(colors)
-        color_index = colors.index(best_color) + 1
+        pairs = counter.color_masks_at(covered, state.time)
         return Advance.from_color(
-            state.topology,
+            topology,
             state.covered,
-            best_color,
+            topology.nodes_from_mask(pairs[index][0]),
             state.time,
-            color_index=color_index,
-            num_colors=num_colors,
+            color_index=index + 1,
+            num_colors=len(pairs),
             note=self.name,
         )
 
@@ -332,26 +327,27 @@ class EModelPolicy(_BoundPolicy[EdgeEstimate]):
         if not pairs:
             return None
 
-        # Highest score, then more receivers, then the lower colour index.
+        # Highest score, then more receivers, then the lower colour index;
+        # a lone colour is taken unscored.
         topology = state.topology
-        covered_mask = topology.mask_from_nodes(state.covered)
-        colors = [topology.nodes_from_mask(color) for color, _ in pairs]
-        _, _, negated_index = max(
-            (
-                estimate.color_score(topology, color, covered_mask),
-                receivers.bit_count(),
-                -index,
+        index = 0
+        if len(pairs) > 1:
+            covered_mask = topology.mask_from_nodes(state.covered)
+            _, _, negated_index = max(
+                (
+                    estimate.color_score(topology, topology.nodes_from_mask(color), covered_mask),
+                    receivers.bit_count(),
+                    -k,
+                )
+                for k, (color, receivers) in enumerate(pairs)
             )
-            for index, (color, (_, receivers)) in enumerate(zip(colors, pairs))
-        )
-        best_color = colors[-negated_index]
-        color_index = 1 - negated_index
+            index = -negated_index
         return Advance.from_color(
-            state.topology,
+            topology,
             state.covered,
-            best_color,
+            topology.nodes_from_mask(pairs[index][0]),
             state.time,
-            color_index=color_index,
-            num_colors=len(colors),
+            color_index=index + 1,
+            num_colors=len(pairs),
             note=self.name,
         )

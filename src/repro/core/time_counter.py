@@ -39,6 +39,10 @@ hop closer, so the bound stays or drops by one, decided by the parent's
 farthest uncovered nodes alone (docs/design.md, "Lower bound").  Every
 colouring, frontier and hop bound of either search comes from the search's
 state memo, which lives for one broadcast.
+
+A decision with one colour is forced: :meth:`TimeCounter.decide`, the
+policies' entry, launches it without any search (docs/design.md, "Beam
+approximation").
 """
 
 from __future__ import annotations
@@ -126,7 +130,10 @@ class TimeCounter:
     :meth:`~repro.core.search.ExactSearch.color_masks` as
     ``(colour, receivers)`` masks, and each decision's slot and sender pool
     from :meth:`~repro.core.search.ExactSearch.decision`, which reads the
-    shared :class:`~repro.dutycycle.window.ActivityWindow`.
+    shared :class:`~repro.dutycycle.window.ActivityWindow`.  :meth:`decide`,
+    the policies' entry, takes ``W`` as a mask, as :meth:`color_masks_at`
+    does; it and the frozenset entries share one selection core over
+    those masks.
 
     Every ``M`` value of the exact mode is one
     :meth:`~repro.core.search.ExactSearch.minimum` call; its visited set
@@ -201,7 +208,8 @@ class TimeCounter:
         """
         _check_time(time)
         covered_mask = self._covered_mask(covered)
-        return self._rank_colors(covered_mask, time, self._candidates(covered_mask, colors))
+        colors, pairs = self._candidates(covered_mask, colors)
+        return [(colors[k], completion) for k, completion in self._rank(covered_mask, time, pairs)]
 
     def select_color(
         self,
@@ -219,14 +227,16 @@ class TimeCounter:
         colour by the best schedule that starts with it" semantics of the
         time counter while doing the work of one search instead of
         ``λ(W)`` searches — the approximation documented in docs/design.md
-        ("Beam approximation").
+        ("Beam approximation").  A single candidate is still evaluated, so
+        its completion time is ``M(W + C, t + 1)``.
         """
         _check_time(time)
         covered_mask = self._covered_mask(covered)
-        colors = self._candidates(covered_mask, colors)
+        colors, pairs = self._candidates(covered_mask, colors)
         if not colors:
             raise ValueError("select_color needs at least one candidate colour")
-        return self._select_color(covered_mask, time, colors)
+        index, completion = self._select(covered_mask, time, pairs)
+        return colors[index], completion
 
     def best_color(
         self, covered: Iterable[int], time: int
@@ -241,9 +251,28 @@ class TimeCounter:
         pairs = self.color_masks_at(covered_mask, time)
         if not pairs:
             return None
-        view = self._view
-        colors = [view.nodes_from_bool(view.bool_from_mask(color)) for color, _ in pairs]
-        return self._select_color(covered_mask, time, colors)
+        index, completion = self._select(covered_mask, time, pairs)
+        return self.topology.nodes_from_mask(pairs[index][0]), completion
+
+    def decide(self, covered: int, time: int) -> int | None:
+        """The position of the colour to launch in ``color_masks_at(covered, time)``.
+
+        ``covered`` is a mask.  Returns ``None`` when that list is empty.
+        A forced decision (one colour) is taken without a search: the only
+        colour is launched whatever ``M`` it leads to.  It still raises
+        :class:`UnreachableNodes` on a disconnected topology when ``W``
+        cannot reach every node.  Several colours are selected as
+        :meth:`select_color` selects them, over the provider's masks.
+        """
+        _check_time(time)
+        pairs = self.color_masks_at(covered, time)
+        if len(pairs) > 1:
+            return self._select(covered, time, pairs)[0]
+        if not pairs:
+            return None
+        if not self._connected:
+            self._check_reachable(covered)
+        return 0
 
     def color_masks_at(self, covered: int, time: int) -> list[ColorMasks]:
         """The provider's ``(colour, receivers)`` masks at ``(W, t)``, memoised.
@@ -284,17 +313,28 @@ class TimeCounter:
 
     def _candidates(
         self, covered: int, colors: Iterable[frozenset[int]]
-    ) -> list[frozenset[int]]:
+    ) -> tuple[list[frozenset[int]], list[ColorMasks]]:
+        """The candidate colours and their ``(colour, receivers)`` masks."""
         colors = [frozenset(c) for c in colors]
-        senders = frozenset().union(*colors)
-        self._check_known(senders, "a candidate colour")
-        uncovered = self.topology.mask_from_nodes(senders) & ~covered
+        self._check_known(frozenset().union(*colors), "a candidate colour")
+        mask_from_nodes = self.topology.mask_from_nodes
+        neighbor_mask = self.topology.neighbor_mask
+        pairs: list[ColorMasks] = []
+        senders = 0
+        for color in colors:
+            reached = 0
+            for u in color:
+                reached |= neighbor_mask(u)
+            color_mask = mask_from_nodes(color)
+            senders |= color_mask
+            pairs.append((color_mask, reached & ~covered))
+        uncovered = senders & ~covered
         if uncovered:
             raise ValueError(
                 "a candidate colour holds senders not in covered: "
                 f"{sorted(self.topology.nodes_from_mask(uncovered))}"
             )
-        return colors
+        return colors, pairs
 
     def _completion_time(self, covered: int, time: int) -> int:
         self._check_reachable(covered)
@@ -302,33 +342,33 @@ class TimeCounter:
             return self._search.minimum(covered, time)
         return self._completion_beam(covered, time)
 
-    def _receivers(self, color: frozenset[int], covered: int) -> int:
-        """Uncovered nodes reached by the colour ``color`` (a mask)."""
-        neighbor_mask = self.topology.neighbor_mask
-        reached = 0
-        for u in color:
-            reached |= neighbor_mask(u)
-        return reached & ~covered
-
-    def _rank_colors(
-        self, covered: int, time: int, colors: list[frozenset[int]]
-    ) -> list[tuple[frozenset[int], int]]:
+    def _rank(self, covered: int, time: int, pairs: list[ColorMasks]) -> list[tuple[int, int]]:
+        """``(position, M(W + C, t + 1))`` of every pair, in ``rank_colors`` order."""
+        width = self._view.num_nodes
         ranked = [
-            (color, self._completion_time(covered | self._receivers(color, covered), time + 1))
-            for color in colors
+            (k, self._completion_time(covered | reached, time + 1))
+            for k, (_, reached) in enumerate(pairs)
         ]
-        ranked.sort(key=lambda item: (item[1], -len(item[0]), tuple(sorted(item[0]))))
+
+        def key(item: tuple[int, int]) -> tuple[int, int, int]:
+            color = pairs[item[0]][0]
+            return item[1], -color.bit_count(), lex_order_key(color, width)
+
+        ranked.sort(key=key)
         return ranked
 
-    def _select_color(
-        self, covered: int, time: int, colors: list[frozenset[int]]
-    ) -> tuple[frozenset[int], int]:
-        if len(colors) == 1:
-            reached = self._receivers(colors[0], covered)
-            return colors[0], self._completion_time(covered | reached, time + 1)
+    def _select(self, covered: int, time: int, pairs: list[ColorMasks]) -> tuple[int, int]:
+        """The selection core: the chosen pair's position and completion time."""
+        if len(pairs) == 1:
+            return 0, self._completion_time(covered | pairs[0][1], time + 1)
         if self.config.mode == "exact":
-            return self._rank_colors(covered, time, colors)[0]
-        return self._select_color_beam(covered, time, colors)
+            return self._rank(covered, time, pairs)[0]
+        return self._select_beam(covered, time, pairs)
+
+    @cached_property
+    def _connected(self) -> bool:
+        """Whether every node reaches every other, read once."""
+        return self.topology.is_connected()
 
     def _check_reachable(self, covered: int) -> None:
         if covered == self._full or self._search.hop_reach(covered)[1]:
@@ -482,26 +522,20 @@ class TimeCounter:
             )
         return int(best)
 
-    def _first_colors(
-        self, colors: list[frozenset[int]], covered: int
-    ) -> tuple[list[frozenset[int]], list[int], list[int]]:
-        """The candidate colours in launch order, with receivers and tie keys.
+    def _launch_order(self, pairs: list[ColorMasks]) -> tuple[list[int], list[int]]:
+        """The pairs' positions in launch order, and each one's tie rank.
 
         Launch order is (most receivers, lexicographically smallest colour).
-        A selection state's ``first`` tag is its first colour's position in
+        A selection state's ``first`` tag is its first colour's place in
         that order; ``ties[first]`` is the colour's rank under
         ``tuple(sorted(colour))``, the tie-break the pruning keys apply to
-        first colours.
+        first colours.  Bit order is node-id order, so the sorted bit
+        positions of a colour order it as its sorted ids do.
         """
-        reached = [self._receivers(color, covered) for color in colors]
-        keys = [tuple(sorted(color)) for color in colors]
-        order = sorted(range(len(colors)), key=lambda k: (-reached[k].bit_count(), keys[k]))
+        keys = [_bit_positions(color) for color, _ in pairs]
+        order = sorted(range(len(pairs)), key=lambda k: (-pairs[k][1].bit_count(), keys[k]))
         rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        return (
-            [colors[k] for k in order],
-            [reached[k] for k in order],
-            [rank[keys[k]] for k in order],
-        )
+        return order, [rank[keys[k]] for k in order]
 
     def _prune_states(self, states: list[BeamState], ties: list[int]) -> list[BeamState]:
         """The synchronous selection's pruning: a popcount shortlist.
@@ -521,9 +555,9 @@ class TimeCounter:
         shortlist.sort(key=lambda item: (hop(item[0]), -item[0].bit_count(), ties[item[2]]))
         return shortlist[:width]
 
-    def _select_color_beam(
-        self, covered: int, time: int, colors: list[frozenset[int]]
-    ) -> tuple[frozenset[int], int]:
+    def _select_beam(
+        self, covered: int, time: int, pairs: list[ColorMasks]
+    ) -> tuple[int, int]:
         """First-colour selection by one shared beam.
 
         Each candidate seeds a state tagged with its launch position; one
@@ -533,20 +567,19 @@ class TimeCounter:
         system takes the first one found, and without any completion
         inside the horizon falls back to the colour launched first.
         """
-        ordered, first_reached, ties = self._first_colors(colors, covered)
-        mask_from_nodes = self.topology.mask_from_nodes
+        order, ties = self._launch_order(pairs)
         synchronous = self.schedule is None
         seeds: list[BeamState] = []
         seen: set[int] = set()
-        for first, reached in enumerate(first_reached):
-            state = covered | reached
+        for first, k in enumerate(order):
+            state = covered | pairs[k][1]
             if state == self._full:
-                return ordered[first], time
+                return k, time
             if state not in seen:
                 seen.add(state)
                 seeds.append((state, time + 1, first))
-                if synchronous and not mask_from_nodes(ordered[first]) & ~covered:
-                    self._search._hint(state, covered)  # a colour of covered senders
+                if synchronous:
+                    self._search._hint(state, covered)  # every sender is in covered
         horizon = self._horizon(time)
         if synchronous:
             prune = partial(self._prune_states, ties=ties)
@@ -555,7 +588,7 @@ class TimeCounter:
             best, firsts = self._beam(beam, horizon, prune)
             if not firsts:
                 raise UnreachableNodes("beam colour selection exhausted without completing")
-            return ordered[min(firsts)], int(best)
+            return order[min(firsts)], int(best)
         hop = self._hop_lower_bound
 
         def key(item: BeamState) -> tuple:
@@ -565,8 +598,18 @@ class TimeCounter:
         if not firsts:
             # No completion inside the horizon: fall back to the colour with
             # the largest immediate coverage (still a valid relay).
-            return ordered[0], int(horizon)
-        return ordered[firsts[0]], int(best)
+            return order[0], int(horizon)
+        return order[firsts[0]], int(best)
+
+
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
 
 
 def _check_time(time: int) -> None:

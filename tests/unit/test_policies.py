@@ -216,20 +216,23 @@ class TestDecisionColours:
         ],
         ids=["OPT", "G-OPT"],
     )
-    def test_select_color_gets_the_schemes_classes(
+    def test_decide_gets_the_schemes_classes(
         self, policy, scheme, rate, small_deployment, monkeypatch
     ):
         topology, source = small_deployment
         schedule = None if rate is None else WakeupSchedule(topology.node_ids, rate, seed=5)
         calls = []
-        select_color = TimeCounter.select_color
+        decide = TimeCounter.decide
 
-        def recording(counter, covered, time, colors):
-            colors = list(colors)
-            calls.append((frozenset(covered), time, colors))
-            return select_color(counter, covered, time, colors)
+        def recording(counter, covered, time):
+            index = decide(counter, covered, time)
+            if index is not None:
+                pairs = counter.color_masks_at(covered, time)
+                colors = [topology.nodes_from_mask(color) for color, _ in pairs]
+                calls.append((topology.nodes_from_mask(covered), time, colors, colors[index]))
+            return index
 
-        monkeypatch.setattr(TimeCounter, "select_color", recording)
+        monkeypatch.setattr(TimeCounter, "decide", recording)
         result = run_broadcast(
             topology,
             source,
@@ -237,6 +240,7 @@ class TestDecisionColours:
             schedule=schedule,
         )
         assert len(calls) == len(result.advances) > 0
-        for covered, time, colors in calls:
+        for (covered, time, colors, chosen), advance in zip(calls, result.advances):
             awake = None if schedule is None else schedule.awake_nodes(covered, time)
             assert colors == scheme.color_classes(topology, covered, awake)
+            assert (time, chosen) == (advance.time, advance.color)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coloring import ColorScheme, frontier_mask, greedy_color_classes, lex_order_key
-from repro.core.policies import OptPolicy
+from repro.core.advance import BroadcastState
+from repro.core.policies import GreedyOptPolicy, OptPolicy
 from repro.core.search import ExactSearch
 from repro.core.time_counter import (
     SearchBudgetExceeded,
@@ -20,6 +21,7 @@ from repro.core.time_counter import (
     UnreachableNodes,
 )
 from repro.dutycycle.models import build_wakeup_schedule
+from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import default_policies
@@ -672,13 +674,12 @@ def test_beam_outputs_are_pinned():
     assert hashlib.sha256(canonical.encode()).hexdigest() == _BEAM_PIN
 
 
-def test_paper_sync_work_counters_are_pinned():
+def _paper_cell_work(system, rate):
     """OPT and G-OPT ``states``, ``expansions`` and ``memo_hits``, summed over
-    the paper-sync grid's 50-150-node cells at sweep seed 2012, as the
-    runner deploys them.  The state memo (and the hop bounds it derives)
-    may change how a bound is computed, never which states are searched."""
+    the 50-150-node cells of a paper grid at sweep seed 2012, with each cell
+    deployed (and, in the duty-cycle system, scheduled) as the runner does."""
     config = SweepConfig(node_counts=(50, 100, 150), repetitions=1, seed=2012)
-    line_up = default_policies(config, "sync")
+    line_up = default_policies(config, system)
     totals = {}
     for num_nodes in config.node_counts:
         deployment = DeploymentConfig(
@@ -688,19 +689,135 @@ def test_paper_sync_work_counters_are_pinned():
             source_min_ecc=config.source_min_ecc,
             source_max_ecc=config.source_max_ecc,
         )
-        seed = derive_seed(config.seed, "sync", 1, num_nodes, 0)
+        seed = derive_seed(config.seed, system, rate, num_nodes, 0)
         topo, source = deploy_uniform(config=deployment, seed=seed)
+        schedule = None
+        if system == "duty":
+            schedule = build_wakeup_schedule(
+                topo.node_ids,
+                rate=rate,
+                seed=derive_seed(seed, "wakeup-schedule"),
+                model=config.duty_model,
+                model_seed=derive_seed(seed, "duty-model"),
+            )
         for name in ("OPT", "G-OPT"):
             policy = line_up[name]()
-            run_broadcast(topo, source, policy, engine="vectorized")
+            run_broadcast(
+                topo,
+                source,
+                policy,
+                schedule=schedule,
+                align_start=schedule is not None,
+                engine="vectorized",
+            )
             stats = policy.counter.stats
             for field in ("states", "expansions", "memo_hits"):
                 totals[name, field] = totals.get((name, field), 0) + getattr(stats, field)
-    assert totals == {
-        ("OPT", "states"): 267,
-        ("OPT", "expansions"): 360,
+    return totals
+
+
+def test_paper_sync_work_counters_are_pinned():
+    """The paper-sync grid's search work.  The state memo (and the hop
+    bounds it derives) may change how a bound is computed, not the work;
+    a forced decision (one colour) searches nothing."""
+    assert _paper_cell_work("sync", 1) == {
+        ("OPT", "states"): 152,
+        ("OPT", "expansions"): 241,
         ("OPT", "memo_hits"): 0,
-        ("G-OPT", "states"): 340,
-        ("G-OPT", "expansions"): 425,
+        ("G-OPT", "states"): 222,
+        ("G-OPT", "expansions"): 303,
         ("G-OPT", "memo_hits"): 0,
     }
+
+
+def test_paper_duty50_work_counters_are_pinned():
+    """The duty r=50 grid's search work, where most decisions are forced:
+    one frontier node awake in a slot leaves one colour, taken unsearched."""
+    assert _paper_cell_work("duty", 50) == {
+        ("OPT", "states"): 271,
+        ("OPT", "expansions"): 285,
+        ("OPT", "memo_hits"): 0,
+        ("G-OPT", "states"): 263,
+        ("G-OPT", "expansions"): 274,
+        ("G-OPT", "memo_hits"): 0,
+    }
+
+
+class TestForcedDecision:
+    """``decide`` takes a lone colour without searching, and still fails
+    loudly when the message cannot reach every node."""
+
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
+    def test_sync_source_round_searches_nothing(self, medium_deployment, name, mode):
+        topo, source = medium_deployment
+        provider = _BEAM_PROVIDERS[name]
+        counter = TimeCounter(topo, None, provider, SearchConfig(mode=mode))
+        assert counter.decide(topo.mask_from_nodes({source}), 1) == 0
+        assert counter.stats.expansions == counter.stats.states == 0
+        reference = TimeCounter(topo, None, provider, SearchConfig(mode=mode))
+        colors = provider.color_classes(topo, {source})
+        assert reference.select_color({source}, 1, colors)[0] == frozenset({source})
+
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
+    def test_duty_slot_with_one_awake_frontier_node(self, small_deployment, name, mode):
+        topo, source = small_deployment
+        provider = _BEAM_PROVIDERS[name]
+        schedule = WakeupSchedule(topo.node_ids, 4, seed=5)
+        ball = frozenset(u for u, d in topo.hop_distances(source).items() if d <= 1)
+        covered = topo.mask_from_nodes(ball)
+        frontier = frontier_mask(topo, covered)
+        window = window_for(schedule, bitset_view(topo))
+        slot = next(
+            t for t in range(1, 9) if (frontier & window.awake_mask(t)).bit_count() == 1
+        )
+        counter = TimeCounter(topo, schedule, provider, SearchConfig(mode=mode))
+        assert counter.decide(covered, slot) == 0
+        assert counter.stats.expansions == counter.stats.states == 0
+        (color,) = [topo.nodes_from_mask(c) for c, _ in counter.color_masks_at(covered, slot)]
+        reference = TimeCounter(topo, schedule, provider, SearchConfig(mode=mode))
+        colors = provider.color_classes(topo, ball, schedule.awake_nodes(ball, slot))
+        assert reference.select_color(ball, slot, colors)[0] == color
+
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    def test_disconnected_topology_still_raises(self, mode):
+        topo = WSNTopology.from_positions([(0, 0), (1, 0), (50, 50)], radius=2.0)
+        policy = OptPolicy(search=SearchConfig(mode=mode))
+        policy.prepare(topo, None, 0)
+        with pytest.raises(UnreachableNodes):
+            policy.select_advance(BroadcastState(topo, frozenset({0}), 1))
+
+
+@pytest.mark.parametrize("system", ["sync", "duty-uniform"])
+@pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
+def test_decide_matches_select_color_on_every_broadcast_state(name, system):
+    """On every decision of an OPT/G-OPT broadcast over the pin instances,
+    ``decide``'s colour is the one the frozenset ``select_color`` picks
+    from the provider's classes, handed over in reverse order so that the
+    launch order alone breaks ties."""
+    policy_cls = OptPolicy if name == "OPT" else GreedyOptPolicy
+    provider = _BEAM_PROVIDERS[name]
+    config = SearchConfig(mode="beam")
+    several = 0
+    for topo, source in _pin_instances():
+        schedule = None
+        if system != "sync":
+            schedule = build_wakeup_schedule(topo.node_ids, 6, seed=11, model="uniform")
+        policy = policy_cls(search=config)
+        result = run_broadcast(topo, source, policy, schedule=schedule)
+        counter = TimeCounter(topo, schedule, provider, config)
+        reference = TimeCounter(topo, schedule, provider, config)
+        covered = frozenset({source})
+        for advance in result.advances:
+            mask = topo.mask_from_nodes(covered)
+            pairs = counter.color_masks_at(mask, advance.time)
+            chosen = topo.nodes_from_mask(pairs[counter.decide(mask, advance.time)][0])
+            assert chosen == advance.color
+            awake = None if schedule is None else schedule.awake_nodes(covered, advance.time)
+            colors = provider.color_classes(topo, covered, awake)
+            selected, _ = reference.select_color(covered, advance.time, colors[::-1])
+            assert selected == chosen
+            several += len(colors) > 1
+            covered |= advance.receivers
+    assert several > 0
