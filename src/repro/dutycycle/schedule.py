@@ -10,14 +10,18 @@ seed, any neighbour that learned the seed and the last active slot during
 beaconing can *predict* future wake-ups — which is exactly the API exposed
 here (:meth:`WakeupSchedule.next_active_slot`).
 
-Every cycle holds exactly one active slot, so a node's stream is stored as
-one list, ``slots[k]`` being the active slot of cycle ``k``.  Point queries
-are index computations (:meth:`~WakeupSchedule.is_active` reads one cycle,
-:meth:`~WakeupSchedule.next_active_slot` at most two), and the list grows
-on demand in geometric chunks of vectorized draws, so a schedule can be
-queried arbitrarily far into the future without pre-committing to a
-horizon.  :meth:`~WakeupSchedule.activity_window` gathers the cycles of
-every row into one flat array and fills its matrix in one scatter.
+Every cycle holds exactly one active slot, so a node's stream is one row
+of slots, ``slots[k]`` being the active slot of cycle ``k``.  All the
+pseudo-random nodes of a schedule share one
+:class:`~repro.dutycycle.streams.WakeupStreams` block: point queries are
+index computations (:meth:`~WakeupSchedule.is_active` reads one cycle,
+:meth:`~WakeupSchedule.next_active_slot` at most two), and the block grows
+on demand in geometric chunks, every row at once in one pass of array
+operations, so a schedule can be queried arbitrarily far into the future
+without pre-committing to a horizon.
+:meth:`~WakeupSchedule.activity_window` reads the cycles of every row in
+one gather and fills its matrix in one scatter.  Nodes of rate 1 are
+active in every slot and draw nothing.
 
 Heterogeneous rates
 -------------------
@@ -35,11 +39,13 @@ rate — rather than :attr:`WakeupSchedule.rate`, which stays the base rate.
 
 Determinism contract: a node's wake-up stream depends only on
 ``(seed, node_id, its rate)``, never on the other nodes' rates, so any two
-schedules built from the same seed agree on every node they share.  The
-chunked draws keep it: numpy's bounded draws consume the generator's
-stream identically as scalars or as arrays, so cycle ``k``'s slot is the
-``k``-th draw of the node's generator however far ahead the list has grown
-and in whatever order the queries arrive.
+schedules built from the same seed agree on every node they share.  Cycle
+``k``'s slot is ``k*r + rng.integers(1, r + 1)`` for the ``k``-th scalar
+draw of ``rng = np.random.default_rng(derive_seed(seed, "wakeup", node))``.
+The stream block reproduces numpy's seeding and draws bit for bit without
+building that generator, and drawing ahead never changes an earlier cycle,
+so the slots are the same however far ahead the block has grown and in
+whatever order the queries arrive.
 """
 
 from __future__ import annotations
@@ -48,72 +54,29 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.utils.rng import derive_seed, make_rng
+from repro.dutycycle.streams import WakeupStreams
+from repro.utils.rng import derive_seeds
 from repro.utils.validation import require
 
 __all__ = ["WakeupSchedule"]
 
 
-class _NodeSequence:
-    """The pseudo-random wake-up slots of one node, one slot per cycle.
+class _EverySlot:
+    """A node of cycle rate 1: active in every slot, with no draws."""
 
-    Cycle ``k`` spans slots ``[k*r + 1, (k+1)*r]`` and holds exactly one
-    active slot, ``slots[k]``, so every query is an index computation:
-    :meth:`is_active` reads one cycle, :meth:`next_active` at most two and
-    :meth:`active_slots_until` is a slice.
-
-    The list grows in geometric chunks, each one ``rng.integers(1, r + 1,
-    size=count)`` call.  numpy's bounded draws below ``2**32`` consume the
-    generator's stream identically as scalars or as arrays, and drawing
-    ahead never changes an earlier cycle, so cycle ``k``'s slot is the
-    ``k``-th scalar draw of the node's generator however the queries
-    arrive.
-    """
-
-    __slots__ = ("_rate", "_rng", "_slots")
-
-    def __init__(self, rate: int, seed: int) -> None:
-        self._rate = rate
-        self._rng = make_rng(seed)
-        self._slots: list[int] = []
-
-    def _extend_to_cycle(self, cycle: int) -> None:
-        """Draw cycles until ``slots[cycle]`` exists."""
-        have = len(self._slots)
-        if cycle < have:
-            return
-        count = max(cycle + 1 - have, have, 16)
-        offsets = self._rng.integers(1, self._rate + 1, size=count)
-        starts = np.arange(have, have + count, dtype=np.int64) * self._rate
-        self._slots.extend((starts + offsets).tolist())
+    __slots__ = ()
 
     def is_active(self, slot: int) -> bool:
-        cycle = (slot - 1) // self._rate
-        self._extend_to_cycle(cycle)
-        return self._slots[cycle] == slot
+        return True
 
     def next_active(self, slot: int) -> int:
-        """The smallest active slot >= ``slot``."""
-        cycle = (slot - 1) // self._rate
-        self._extend_to_cycle(cycle + 1)
-        active = self._slots[cycle]
-        return active if active >= slot else self._slots[cycle + 1]
+        return slot
 
     def active_slots_until(self, horizon: int) -> list[int]:
-        slots = self.cycle_slots(1, horizon)
-        if slots[-1] > horizon:
-            slots.pop()
-        return slots
+        return list(range(1, horizon + 1))
 
-    def cycle_slots(self, start: int, stop: int) -> list[int]:
-        """The active slots of every cycle that meets ``[start, stop]``.
 
-        The first and last entries may fall outside the window (they share
-        a cycle with its ends); callers filter them.
-        """
-        last = (stop - 1) // self._rate
-        self._extend_to_cycle(last)
-        return self._slots[(start - 1) // self._rate : last + 1]
+_EVERY_SLOT = _EverySlot()
 
 
 class _ExplicitSequence:
@@ -164,6 +127,10 @@ class _ExplicitSequence:
 class WakeupSchedule:
     """Wake-up schedules for every node of a topology.
 
+    Pseudo-random nodes of rate ``r > 1`` are rows of one
+    :class:`~repro.dutycycle.streams.WakeupStreams` block, drawn lazily;
+    nodes of rate 1 wake every slot; explicit nodes follow their slot lists.
+
     Parameters
     ----------
     node_ids:
@@ -173,7 +140,9 @@ class WakeupSchedule:
         opportunity every ``r`` slots.  ``rate=1`` degenerates to the
         synchronous system (every node can send every slot).
     seed:
-        Base seed; each node derives an independent stream.
+        Base seed; each node derives an independent stream from it.
+        ``None`` means base seed 0 (a fixed schedule, unlike
+        :func:`repro.utils.rng.make_rng`, where ``None`` draws OS entropy).
     explicit:
         Optional mapping ``node_id -> sequence of active slots`` overriding
         the pseudo-random generation for those nodes (used to reproduce the
@@ -207,22 +176,27 @@ class WakeupSchedule:
         if unknown_rates:
             raise ValueError(f"rates for unknown nodes: {sorted(unknown_rates)}")
         for node_id, node_rate in overrides.items():
-            require(
-                node_rate >= 1,
-                f"cycle rate must be >= 1, got {node_rate} for node {node_id}",
-            )
+            if node_rate < 1:
+                raise ValueError(f"cycle rate must be >= 1, got {node_rate} for node {node_id}")
         self._rates: dict[int, int] = {
             u: overrides.get(u, self._rate) for u in self._node_ids
         }
-        self._sequences: dict[int, _NodeSequence | _ExplicitSequence] = {}
+        # Rows of the stream block for the drawn nodes; explicit and rate-1
+        # nodes answer from their own sequence.
+        self._sequences: dict[int, _ExplicitSequence | _EverySlot] = {}
+        self._rows: dict[int, int] = {}
         for node_id in self._node_ids:
             node_rate = self._rates[node_id]
             if node_id in explicit:
                 self._sequences[node_id] = _ExplicitSequence(node_rate, explicit[node_id])
+            elif node_rate == 1:
+                self._sequences[node_id] = _EVERY_SLOT
             else:
-                self._sequences[node_id] = _NodeSequence(
-                    node_rate, derive_seed(base_seed, "wakeup", node_id)
-                )
+                self._rows[node_id] = len(self._rows)
+        self._streams = WakeupStreams(
+            derive_seeds(base_seed, self._rows, "wakeup"),
+            [self._rates[u] for u in self._rows],
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -255,19 +229,25 @@ class WakeupSchedule:
         return self._node_ids
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._sequences
+        return node_id in self._rates
 
     def is_active(self, node_id: int, slot: int) -> bool:
         """True iff ``slot`` ∈ ``T(node_id)`` (the node may send then)."""
         if slot < 1:
             raise ValueError(f"slots are 1-based, got {slot}")
-        return self._sequences[node_id].is_active(slot)
+        row = self._rows.get(node_id)
+        if row is None:
+            return self._sequences[node_id].is_active(slot)
+        return self._streams.is_active(row, slot)
 
     def next_active_slot(self, node_id: int, slot: int) -> int:
         """The earliest slot >= ``slot`` at which ``node_id`` may send."""
         if slot < 1:
             raise ValueError(f"slots are 1-based, got {slot}")
-        return self._sequences[node_id].next_active(slot)
+        row = self._rows.get(node_id)
+        if row is None:
+            return self._sequences[node_id].next_active(slot)
+        return self._streams.next_active(row, slot)
 
     def awake_nodes(self, candidates: Iterable[int], slot: int) -> frozenset[int]:
         """Subset of ``candidates`` whose sending channel is on at ``slot``."""
@@ -291,7 +271,10 @@ class WakeupSchedule:
         """All active slots of ``node_id`` up to and including ``horizon``."""
         if horizon < 1:
             return []
-        return self._sequences[node_id].active_slots_until(horizon)
+        row = self._rows.get(node_id)
+        if row is None:
+            return self._sequences[node_id].active_slots_until(horizon)
+        return self._streams.active_slots_until(row, horizon)
 
     def activity_window(
         self, node_ids: Sequence[int], start: int, stop: int
@@ -304,34 +287,34 @@ class WakeupSchedule:
         ``(i, j)`` is ``True`` iff ``start + j`` is in ``T(node_ids[i])``,
         i.e. exactly :meth:`is_active` evaluated pointwise.
 
-        Pseudo-random rows contribute the slots of every cycle meeting the
-        window; all of them land in one flat array and one masked scatter
-        fills the matrix.  Explicit rows (the paper's examples) are set
-        from their own slot lists.
+        Drawn rows read the slots of every cycle meeting the window from
+        the stream block in one gather and land in the matrix in one
+        scatter.  Rate-1 rows are all ``True``; explicit rows (the paper's
+        examples) are set from their own slot lists.
         """
         require(start >= 1, "slots are 1-based")
         width = stop - start + 1
         out = np.zeros((len(node_ids), max(width, 0)), dtype=bool)
         if width <= 0:
             return out
-        flat: list[int] = []
-        lengths: list[int] = []
-        for row, node_id in enumerate(node_ids):
+        positions: list[int] = []
+        rows: list[int] = []
+        for position, node_id in enumerate(node_ids):
+            row = self._rows.get(node_id)
+            if row is not None:
+                positions.append(position)
+                rows.append(row)
+                continue
             sequence = self._sequences[node_id]
-            if isinstance(sequence, _NodeSequence):
-                slots = sequence.cycle_slots(start, stop)
-                flat.extend(slots)
-                lengths.append(len(slots))
-            else:
-                lengths.append(0)
-                for slot in sequence.active_slots_until(stop):
-                    if slot >= start:
-                        out[row, slot - start] = True
-        if flat:
-            rows = np.repeat(np.arange(len(node_ids)), lengths)
-            columns = np.asarray(flat, dtype=np.int64) - start
-            inside = (columns >= 0) & (columns < width)
-            out[rows[inside], columns[inside]] = True
+            if sequence is _EVERY_SLOT:
+                out[position] = True
+                continue
+            for slot in sequence.active_slots_until(stop):
+                if slot >= start:
+                    out[position, slot - start] = True
+        if rows:
+            hits, slots = self._streams.window_hits(np.array(rows), start, stop)
+            out[np.array(positions)[hits], slots - start] = True
         return out
 
     def iter_active(self, node_id: int, start: int = 1) -> Iterator[int]:

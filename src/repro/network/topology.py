@@ -389,7 +389,7 @@ class WSNTopology:
         return frozenset(result)
 
     # ------------------------------------------------------------------
-    # Graph-wide queries (all read the hop matrix)
+    # Graph-wide queries (all but is_connected read the hop matrix)
     # ------------------------------------------------------------------
     @property
     def hop_matrix(self) -> np.ndarray:
@@ -475,19 +475,37 @@ class WSNTopology:
         Raises the :meth:`eccentricity` ``ValueError`` if the network is
         disconnected.
         """
+        hops = self.hop_matrix
         if not self.is_connected():
             self.eccentricity(self._node_ids[0])  # raises: the first row has a gap
-        return self.hop_matrix.max(axis=1)
+        return hops.max(axis=1)
 
     def diameter(self) -> int:
         """The largest eccentricity over all nodes (hop diameter)."""
         return int(self.eccentricities().max())
 
     def is_connected(self) -> bool:
-        """True iff every node is reachable from every other node."""
+        """True iff every node is reachable from every other node.
+
+        Reads the hop matrix when it is already built; otherwise one BFS
+        over :attr:`neighbor_masks` answers, so a deployment rejected as
+        disconnected never pays for the all-pairs build.
+        """
         if self.num_nodes == 0:
             return True
-        return bool((self.hop_matrix[0] >= 0).all())
+        if self._hop_matrix is not None:
+            return bool((self._hop_matrix[0] >= 0).all())
+        masks = self._index_masks
+        reached = frontier = 1
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~reached
+            reached |= frontier
+        return reached == self._full_mask
 
     # ------------------------------------------------------------------
     # Interop / reporting

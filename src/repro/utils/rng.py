@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first cell
 
-__all__ = ["make_rng", "derive_seed", "spawn_seeds"]
+__all__ = ["make_rng", "derive_seed", "derive_seeds", "spawn_seeds"]
 
 _MASK_63 = (1 << 63) - 1
 
@@ -30,6 +30,21 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     integer yields a deterministic PCG64 stream.
     """
     return np.random.default_rng(seed)
+
+
+def _component(component: object) -> bytes:
+    return b"\x1f" + repr(component).encode("utf-8")
+
+
+def _path_digest(base_seed: int, components: Iterable[object]):
+    digest = hashlib.sha256(str(int(base_seed)).encode("utf-8"))
+    for component in components:
+        digest.update(_component(component))
+    return digest
+
+
+def _seed_of(digest) -> int:
+    return int.from_bytes(digest.digest()[:8], "big") & _MASK_63
 
 
 def derive_seed(base_seed: int, *components: object) -> int:
@@ -51,19 +66,30 @@ def derive_seed(base_seed: int, *components: object) -> int:
     int
         A non-negative 63-bit integer usable as a numpy seed.
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(base_seed)).encode("utf-8"))
-    for component in components:
-        digest.update(b"\x1f")
-        digest.update(repr(component).encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") & _MASK_63
+    return _seed_of(_path_digest(base_seed, components))
+
+
+def derive_seeds(base_seed: int, leaves: Iterable[object], *path: object) -> list[int]:
+    """``[derive_seed(base_seed, *path, leaf) for leaf in leaves]``.
+
+    The shared prefix ``(base_seed, *path)`` is hashed once and copied per
+    leaf, which roughly halves the cost of deriving many sibling seeds
+    (e.g. one wake-up stream per node).
+    """
+    prefix = _path_digest(base_seed, path)
+    seeds = []
+    for leaf in leaves:
+        digest = prefix.copy()
+        digest.update(_component(leaf))
+        seeds.append(_seed_of(digest))
+    return seeds
 
 
 def spawn_seeds(base_seed: int, count: int, *path: object) -> list[int]:
     """Return ``count`` derived seeds for the given path prefix."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return [derive_seed(base_seed, *path, index) for index in range(count)]
+    return derive_seeds(base_seed, range(count), *path)
 
 
 def shuffled(items: Iterable, rng: np.random.Generator) -> list:

@@ -182,6 +182,23 @@ def test_edge_cases():
     assert WSNTopology.from_edges([], {}).is_connected()
 
 
+def test_is_connected_on_a_disconnected_graph_builds_no_hop_matrix():
+    topology = random_udg(0, radius=5.0)
+    assert not topology.is_connected()
+    assert topology._hop_matrix is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_is_connected_agrees_with_networkx(seed):
+    # Radii around the connectivity threshold of 40 nodes on a 30 x 30 area.
+    for radius in (4.0, 6.0, 8.0, 10.0, 12.0):
+        topology = random_udg(100 + seed, radius=radius)
+        expected = nx.is_connected(topology.to_networkx())
+        assert topology.is_connected() == expected  # neighbour-mask BFS
+        topology.hop_matrix
+        assert topology.is_connected() == expected  # the built matrix's row 0
+
+
 @pytest.mark.parametrize("topology", UDGS, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
 def test_time_counter_queries_match_a_plain_bfs(topology):
     counter = TimeCounter(topology)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, make_rng, shuffled, spawn_seeds
+from repro.utils.rng import derive_seed, derive_seeds, make_rng, shuffled, spawn_seeds
 
 
 class TestMakeRng:
@@ -69,3 +69,13 @@ class TestShuffled:
         original = list(items)
         shuffled(items, make_rng(0))
         assert items == original
+
+
+class TestDeriveSeeds:
+    def test_equals_one_derive_seed_per_leaf(self):
+        leaves = [0, 1, 17, "x", (2, 3)]
+        assert derive_seeds(7, leaves, "wakeup") == [
+            derive_seed(7, "wakeup", leaf) for leaf in leaves
+        ]
+        assert derive_seeds(7, leaves) == [derive_seed(7, leaf) for leaf in leaves]
+        assert derive_seeds(7, []) == []

@@ -10,6 +10,7 @@ import pytest
 
 from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.dutycycle.streams import pcg64_states
 from repro.dutycycle.window import window_for
 from repro.network.bitset import bitset_view
 from repro.network.deployment import grid_deployment
@@ -246,3 +247,84 @@ class TestWakeupIndex:
         view = bitset_view(topology)
         assert window_for(schedule, view) is window_for(schedule, view)
         assert window_for(figure2_duty_schedule(), view) is not window_for(schedule, view)
+
+
+class TestStreamBlock:
+    """Every drawn stream equals numpy's own per-node generator, bit for bit."""
+
+    @staticmethod
+    def _oracle(seed: int, node: int, rate: int, cycles: int) -> list[int]:
+        rng = np.random.default_rng(derive_seed(seed, "wakeup", node))
+        return (np.arange(cycles) * rate + rng.integers(1, rate + 1, size=cycles)).tolist()
+
+    @classmethod
+    def _check(cls, schedule: WakeupSchedule, seed: int, cycles: int) -> None:
+        nodes = list(schedule.node_ids)
+        horizon = cycles * schedule.max_rate
+        window = schedule.activity_window(nodes, 1, horizon)
+        for row, node in enumerate(nodes):
+            rate = schedule.rate_of(node)
+            expected = cls._oracle(seed, node, rate, cycles)
+            assert schedule.active_slots_until(node, cycles * rate) == expected
+            reach = [s for s in cls._oracle(seed, node, rate, horizon // rate + 1) if s <= horizon]
+            assert (np.flatnonzero(window[row]) + 1).tolist() == reach
+
+    @pytest.mark.parametrize("rate", [1, 2, 3, 10, 50])
+    def test_uniform_rates_match_numpy(self, rate):
+        schedule = WakeupSchedule(range(210), rate, seed=2012)
+        self._check(schedule, seed=2012, cycles=40)
+
+    def test_heterogeneous_rates_match_numpy(self):
+        rng = make_rng(3)
+        rates = {u: int(rng.choice([1, 2, 3, 7, 10, 50, 97])) for u in range(240)}
+        schedule = WakeupSchedule(range(240), 10, seed=99, rates=rates)
+        self._check(schedule, seed=99, cycles=24)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_seeding_matches_pcg64(self, seed):
+        # One entropy word below 2**32, two from 2**32 on.
+        state_lo, state_hi, inc_lo, inc_hi = pcg64_states(np.array([seed], dtype=np.uint64))
+        expected = np.random.PCG64(seed).state["state"]
+        assert (int(state_hi[0]) << 64) | int(state_lo[0]) == expected["state"]
+        assert (int(inc_hi[0]) << 64) | int(inc_lo[0]) == expected["inc"]
+
+    @pytest.mark.parametrize("rate", [3_000_000_000, 2**32 - 2**26])
+    def test_lemire_rejections_fall_back_to_numpy(self, rate):
+        # 2**32 mod r is ~1.29e9 for r = 3e9 (most rows reject in their
+        # first chunk) and 2**26 for r = 2**32 - 2**26 (one draw in 64, so
+        # many rows reject only in a later chunk).  Half the nodes run at
+        # r = 10 beside them and must stay on the vectorized path.
+        rates = {u: rate for u in range(0, 200, 2)}
+        schedule = WakeupSchedule(range(200), 10, seed=5, rates=rates)
+        for cycles in (16, 40, 100):
+            for node in range(200):
+                node_rate = schedule.rate_of(node)
+                expected = self._oracle(5, node, node_rate, cycles)
+                assert schedule.active_slots_until(node, cycles * node_rate) == expected
+        assert schedule._streams._numpy  # the fallback ran
+        assert not any(row % 2 for row in schedule._streams._numpy)
+
+    def test_rates_above_two_to_the_32(self):
+        rates = {0: 2**32, 1: 2**32 + 7, 2: 10**12, 3: 10}
+        schedule = WakeupSchedule(range(4), 10, seed=8, rates=rates)
+        for node, rate in rates.items():
+            expected = self._oracle(8, node, rate, 20)
+            assert schedule.active_slots_until(node, 20 * rate) == expected
+            assert schedule.next_active_slot(node, 5 * rate + 1) == expected[5]
+
+    def test_far_queries_first_grow_the_block_out_of_order(self):
+        schedule = WakeupSchedule(range(220), 10, seed=13, rates={7: 3, 8: 50})
+        oracle = {u: self._oracle(13, u, schedule.rate_of(u), 6000) for u in (0, 7, 8, 219)}
+        for node in (219, 0, 8, 7):
+            rate = schedule.rate_of(node)
+            far = oracle[node][5000]
+            assert schedule.is_active(node, far)
+            assert schedule.next_active_slot(node, 4999 * rate + 1) == oracle[node][4999]
+        for node, slots in oracle.items():
+            for cycle in (0, 1, 17, 640, 5999):
+                slot = slots[cycle]
+                assert schedule.is_active(node, slot)
+                earlier = max(1, slot - schedule.rate_of(node) + 1)
+                expected = slots[bisect.bisect_left(slots, earlier)]
+                assert schedule.next_active_slot(node, earlier) == expected
+            assert schedule.active_slots_until(node, 100 * schedule.rate_of(node)) == slots[:100]
