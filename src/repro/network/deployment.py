@@ -117,11 +117,7 @@ class Deployment:
 
 def _candidate_sources(topology: WSNTopology, config: DeploymentConfig) -> list[int]:
     """Node ids whose eccentricity lies in the configured range."""
-    eccentricities = topology.eccentricities()
-    eligible = eccentricities >= config.source_min_ecc
-    if config.source_max_ecc is not None:
-        eligible &= eccentricities <= config.source_max_ecc
-    return [u for u, ok in zip(topology.node_ids, eligible.tolist()) if ok]
+    return topology.nodes_with_eccentricity(config.source_min_ecc, config.source_max_ecc)
 
 
 def deploy_uniform(

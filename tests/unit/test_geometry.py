@@ -89,3 +89,42 @@ class TestPairwiseDistances:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((3, 3)))
+
+
+def einsum_distances(positions: np.ndarray) -> np.ndarray:
+    """The reference formula: squared deltas summed over the coordinate axis."""
+    deltas = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
+
+
+class TestPairwiseDistancesBits:
+    @pytest.mark.parametrize("num_nodes", [0, 1, 2, 50, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_positions(self, num_nodes, seed):
+        rng = np.random.default_rng(seed)
+        for positions in (
+            rng.uniform(0.0, 50.0, size=(num_nodes, 2)),
+            rng.normal(0.0, 3.0, size=(num_nodes, 2)),
+        ):
+            assert np.array_equal(pairwise_distances(positions), einsum_distances(positions))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_points(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0.0, 10.0, size=(20, 2))
+        positions = points[rng.integers(0, 20, size=120)]
+        distances = pairwise_distances(positions)
+        assert np.array_equal(distances, einsum_distances(positions))
+        assert (distances == 0.0).sum() > positions.shape[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coordinates_near_one_million(self, seed):
+        rng = np.random.default_rng(seed)
+        positions = 1e6 + rng.uniform(-5.0, 5.0, size=(200, 2))
+        positions[::7] *= -1.0
+        assert np.array_equal(pairwise_distances(positions), einsum_distances(positions))
+
+    def test_integer_positions(self):
+        positions = np.array([[0, 0], [3, 4], [6, 8]])
+        expected = einsum_distances(positions.astype(float))
+        assert np.array_equal(pairwise_distances(positions), expected)

@@ -217,3 +217,78 @@ def test_time_counter_queries_match_a_plain_bfs(topology):
     assert reachable(frozenset()) == frozenset()
     assert counter._hop_lower_bound(0) == 0
     assert counter._hop_lower_bound(topology.full_mask) == 0
+
+
+# ----------------------------------------------------------------------
+# Rows on demand: a single-source query builds only its own row
+# ----------------------------------------------------------------------
+def fresh(topology: WSNTopology) -> WSNTopology:
+    """An equal topology with no hop row built yet."""
+    return WSNTopology.from_edges(
+        topology.edges(), {u: topology.position(u) for u in topology.node_ids}
+    )
+
+
+@pytest.mark.parametrize("topology", UDGS + UNEVEN, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
+def test_row_queries_before_the_matrix_agree_with_networkx(topology):
+    topology = fresh(topology)
+    graph = topology.to_networkx()
+    for u in topology.node_ids:
+        lengths = nx.single_source_shortest_path_length(graph, u)
+        assert topology.hop_distances(u) == lengths
+        layers = topology.bfs_layers(u)
+        assert {v: d for d, layer in enumerate(layers) for v in layer} == lengths
+        if len(lengths) == topology.num_nodes:
+            assert topology.eccentricity(u) == nx.eccentricity(graph, u)
+        else:
+            with pytest.raises(ValueError, match="disconnected"):
+                topology.eccentricity(u)
+    assert topology._hop_matrix is None
+
+
+def test_a_duty_emodel_cell_never_builds_the_matrix():
+    from repro.baselines.approx17 import Approx17Policy
+    from repro.core.policies import EModelPolicy
+    from repro.dutycycle.models import build_wakeup_schedule
+    from repro.network.deployment import DeploymentConfig
+    from repro.scenarios import generate_scenario
+    from repro.sim import run_broadcast
+
+    deployment = generate_scenario("uniform", DeploymentConfig(num_nodes=50), seed=2012)
+    topology, source = deployment.topology, deployment.source
+    schedule = build_wakeup_schedule(topology.node_ids, 10, seed=3)
+    for policy in (Approx17Policy(), EModelPolicy()):
+        for engine in ("reference", "vectorized"):
+            result = run_broadcast(
+                topology, source, policy, schedule=schedule, engine=engine, align_start=True
+            )
+            assert result.covered == topology.node_set
+    assert topology._hop_matrix is None
+    assert topology._hop_built.sum() < topology.num_nodes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_after_some_rows_equals_a_fresh_build(seed):
+    topology = random_udg(200 + seed, radius=[5.0, 9.0][seed % 2])
+    rng = make_rng(seed)
+    for u in rng.choice(topology.node_ids, size=7, replace=False).tolist():
+        topology.eccentricity(u) if topology.is_connected() else topology.hop_distances(u)
+    if topology.is_connected():
+        topology.nodes_with_eccentricity(3, 6)
+    assert topology._hop_matrix is None
+    np.testing.assert_array_equal(topology.hop_matrix, fresh(topology).hop_matrix)
+    np.testing.assert_array_equal(topology.hop_matrix, networkx_hops(topology))
+
+
+def test_rows_and_matrix_are_read_only():
+    topology = fresh(UDGS[1])
+    u = topology.node_ids[3]
+    row = topology._hop_row(u)
+    with pytest.raises(ValueError):
+        row[0] = 5
+    matrix = topology.hop_matrix
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 5
+    with pytest.raises(ValueError):
+        topology._hop_row(u)[0] = 5
+    assert topology._hop_row(u).tolist() == matrix[topology.index_of(u)].tolist()
