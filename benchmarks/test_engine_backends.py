@@ -9,12 +9,12 @@ the parity guarantee):
 * **parity** — both engines replay every trace bit-identically and both
   validator backends return a clean bill (this is the part the CI smoke job
   runs; it is assertion-only and timing-free);
-* **kernel throughput** — the interference kernels themselves
-  (``conflicting_pairs`` + ``receivers_of`` per advance versus the bitset
-  view's fused ``check_and_receivers``), replayed over every advance of the
-  sweep.  This isolates exactly the set-algebra the vectorized backend
-  replaces with matrix ops; the paper-scale run asserts the >= 5x speedup
-  target (measured ~7x on the reference machine);
+* **kernel throughput** — the per-advance check itself
+  (``conflicting_pairs`` + ``receivers_of`` per advance versus the mask
+  step check ``repro.sim.step.check_step`` the vectorized engine runs),
+  replayed over every advance of the sweep.  This isolates exactly the
+  set-algebra the vectorized backend replaces with int-mask operations;
+  the paper-scale run asserts the >= 5x speedup target;
 * **end-to-end replay latency** — ``run_broadcast`` + trace validation per
   backend.  Engine-side machinery only; reported and gated loosely (the
   sequential policy protocol bounds this at a smaller factor than the
@@ -31,18 +31,17 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.flooding import LargestFirstPolicy
 from repro.core.policies import EModelPolicy
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import bitset_view
 from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.interference import conflicting_pairs, receivers_of
 from repro.sim.broadcast import run_broadcast
 from repro.sim.replay import ReplayPolicy
+from repro.sim.step import check_step
 from repro.sim.validation import validate_broadcast
 
 from _bench_utils import emit, paper_scale as _paper_scale, time_per_call as _time_per_call
@@ -131,15 +130,15 @@ def test_backend_parity_on_500_node_sweep(sweep_workload):
 
 @pytest.mark.ablation
 def test_interference_kernel_speedup(sweep_workload, results_sink):
-    """The vectorized interference kernels beat the reference by >= 5x.
+    """The mask step check beats the set-based interference check by >= 5x.
 
     One *pass* replays coverage through every advance of every trace of the
     sweep, computing the conflict check and the receiver set per advance —
-    the backend work the tentpole vectorized.  Quick scale records the
-    numbers; paper scale enforces the target.
+    the per-advance work of the vectorized engine, which runs
+    :func:`~repro.sim.step.check_step` on every advance.  Quick scale
+    records the numbers; paper scale enforces the target.
     """
     topology, _, entries = sweep_workload
-    view = bitset_view(topology)
 
     def reference_pass() -> None:
         for _, _, _, trace in entries:
@@ -152,14 +151,11 @@ def test_interference_kernel_speedup(sweep_workload, results_sink):
 
     def vectorized_pass() -> None:
         for _, _, _, trace in entries:
-            covered_bool = np.zeros(view.num_nodes, dtype=bool)
-            covered_bool[view.index_of(trace.source)] = True
+            covered = 1 << topology.index_of(trace.source)
             for advance in trace.advances:
-                tx_idx = view.indices(advance.color)
-                conflict, received_bool = view.check_and_receivers(tx_idx, covered_bool)
-                assert not conflict
-                assert int(received_bool.sum()) == len(advance.receivers)
-                covered_bool |= received_bool
+                masks = check_step(topology, advance, covered, -1)
+                assert masks is not None
+                covered |= masks[2]
 
     reps = 20 if _paper_scale() else 5
     reference_s = _time_per_call(reference_pass, min_reps=reps)
@@ -172,14 +168,14 @@ def test_interference_kernel_speedup(sweep_workload, results_sink):
         "target": SPEEDUP_TARGET,
     }
     emit(
-        "Interference-kernel throughput (500-node duty-cycle sweep)",
+        "Per-advance check throughput (500-node duty-cycle sweep)",
         f"reference:  {reference_s * 1e3:8.3f} ms/pass\n"
-        f"vectorized: {vectorized_s * 1e3:8.3f} ms/pass\n"
+        f"mask step:  {vectorized_s * 1e3:8.3f} ms/pass\n"
         f"speedup:    {speedup:8.2f}x  (target >= {SPEEDUP_TARGET}x at paper scale)",
     )
     if _paper_scale():
         assert speedup >= SPEEDUP_TARGET, (
-            f"vectorized interference kernels only {speedup:.2f}x faster; "
+            f"mask step check only {speedup:.2f}x faster; "
             f"expected >= {SPEEDUP_TARGET}x"
         )
 

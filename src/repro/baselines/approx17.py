@@ -21,10 +21,11 @@ this baseline and plots in Figures 4-7.
 
 from __future__ import annotations
 
-from repro.baselines.approx26 import LayeredPolicy, layer_color_plan
+from repro.baselines.approx26 import LayeredPolicy, layer_color_masks
 from repro.core.advance import Advance
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.interference import has_conflict
+from repro.dutycycle.window import window_for
+from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = ["Approx17Policy"]
@@ -45,43 +46,54 @@ class Approx17Policy(LayeredPolicy):
         time: int,
     ) -> list[Advance]:
         assert self._tree is not None and schedule is not None
-        # Parents of each layer with their colour priority (lower = earlier).
-        layers = [
-            {node: priority for priority, color in enumerate(classes) for node in sorted(color)}
-            for classes in layer_color_plan(topology, self._tree)
-        ]
+        window = window_for(schedule, bitset_view(topology))
+        neighbors = topology.neighbor_masks
+        full = topology.full_mask
+        layers = layer_color_masks(topology, self._tree)
         advances: list[Advance] = []
+        covered_mask = topology.mask_from_nodes(covered)
         layer = -1
-        pending: dict[int, int] = {}  # the open layer's parents still to transmit
-        while len(covered) < topology.num_nodes:
-            while not pending and layer + 1 < len(layers):
+        # The open layer's parents still to transmit, one mask per colour
+        # class in priority order (lower = earlier).
+        pending: list[int] = []
+        while covered_mask != full:
+            while not any(pending) and layer + 1 < len(layers):
                 layer += 1
-                pending = layers[layer]
-            ready = [node for node in pending if node in covered]
+                pending = list(layers[layer])
+            ready = 0
+            for parents in pending:
+                ready |= parents
+            ready &= covered_mask
             if not ready:
                 break  # the plan ends short, which PlannedPolicy reports
-            time = min(schedule.next_active_slot(node, time) for node in ready)
-            # Transmit awake parents in colour-priority order, backing off
-            # any parent that would conflict with an already admitted one.
-            admitted: list[int] = []
-            for node in sorted(
-                (node for node in ready if schedule.is_active(node, time)),
-                key=lambda node: (pending[node], node),
-            ):
-                if all(not has_conflict(topology, node, other, covered) for other in admitted):
-                    admitted.append(node)
-            for node in admitted:
-                del pending[node]
-            advance = Advance.from_color(
-                topology,
-                covered,
-                frozenset(admitted),
-                time,
-                color_index=layer + 1,
-                num_colors=len(layers),
-                note=self.name,
+            time = window.next_awake(ready, time)
+            awake = ready & window.awake_mask(time)
+            # Transmit awake parents in colour-priority order, then by id,
+            # backing off any parent that would conflict with an already
+            # admitted one: one whose uncovered neighbours meet theirs.
+            uncovered = full & ~covered_mask
+            color = receivers = 0
+            for priority, parents in enumerate(pending):
+                rest = parents & awake
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    gain = neighbors[low.bit_length() - 1] & uncovered
+                    if not gain & receivers:
+                        color |= low
+                        receivers |= gain
+                pending[priority] = parents & ~color
+            advances.append(
+                Advance.from_masks(
+                    topology,
+                    color,
+                    receivers,
+                    time,
+                    color_index=layer + 1,
+                    num_colors=len(layers),
+                    note=self.name,
+                )
             )
-            advances.append(advance)
-            covered |= advance.receivers
+            covered_mask |= receivers
             time += 1
         return advances

@@ -21,10 +21,11 @@ from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
 from repro.core.advance import Advance
 from repro.core.coloring import greedy_masks
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.interference import neighborhood_mask
 from repro.network.topology import WSNTopology
 from repro.sim.replay import PlannedPolicy
 
-__all__ = ["Approx26Policy", "LayeredPolicy", "layer_color_plan"]
+__all__ = ["Approx26Policy", "LayeredPolicy", "layer_color_plan", "layer_color_masks"]
 
 
 def layer_color_plan(
@@ -40,7 +41,16 @@ def layer_color_plan(
     over their uncovered-neighbour masks, most assigned children first (the
     greedy "most receivers first" rule of the referenced construction).
     """
-    plan: list[list[frozenset[int]]] = []
+    return [
+        [topology.nodes_from_mask(color) for color in classes]
+        for classes in layer_color_masks(topology, tree)
+    ]
+
+
+def layer_color_masks(topology: WSNTopology, tree: BroadcastTree) -> list[list[int]]:
+    """:func:`layer_color_plan` with each colour as a bitmask (bit ``i`` is
+    ``topology.node_ids[i]``), the form the plans schedule from."""
+    plan: list[list[int]] = []
     covered = 0
     for level, layer in enumerate(tree.layers):
         covered |= topology.mask_from_nodes(layer)
@@ -52,7 +62,7 @@ def layer_color_plan(
             (1 << topology.index_of(u), topology.neighbor_mask(u) & uncovered)
             for u in parents
         ]
-        plan.append([topology.nodes_from_mask(color) for color, _ in greedy_masks(candidates)])
+        plan.append([color for color, _ in greedy_masks(candidates)])
     return plan
 
 
@@ -111,20 +121,24 @@ class Approx26Policy(LayeredPolicy):
         assert self._tree is not None
         # Flatten: the source's own transmission is the single colour class
         # of layer 0; every layer's classes run back-to-back.
-        queue = [color for classes in layer_color_plan(topology, self._tree) for color in classes]
+        queue = [color for classes in layer_color_masks(topology, self._tree) for color in classes]
+        full = topology.full_mask
+        covered_mask = topology.mask_from_nodes(covered)
         advances: list[Advance] = []
         for index, color in enumerate(queue):
-            if len(covered) == topology.num_nodes:
+            if covered_mask == full:
                 break
-            advance = Advance.from_color(
-                topology,
-                covered,
-                color,
-                time + index,
-                color_index=index + 1,
-                num_colors=len(queue),
-                note=self.name,
+            receivers = neighborhood_mask(topology, color) & ~covered_mask
+            advances.append(
+                Advance.from_masks(
+                    topology,
+                    color,
+                    receivers,
+                    time + index,
+                    color_index=index + 1,
+                    num_colors=len(queue),
+                    note=self.name,
+                )
             )
-            advances.append(advance)
-            covered |= advance.receivers
+            covered_mask |= receivers
         return advances

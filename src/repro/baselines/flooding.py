@@ -65,10 +65,11 @@ class LargestFirstPolicy(SchedulingPolicy):
         pairs = greedy_decision_classes(state)
         if not pairs:
             return None
-        return Advance.from_color(
+        color, receivers = pairs[0]
+        return Advance.from_masks(
             state.topology,
-            state.covered,
-            state.topology.nodes_from_mask(pairs[0][0]),
+            color,
+            receivers,
             state.time,
             color_index=1,
             num_colors=len(pairs),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.interference import receivers_of
+from repro.network.interference import neighborhood_mask
 from repro.network.topology import WSNTopology
 
 __all__ = ["BroadcastState", "Advance"]
@@ -36,19 +36,28 @@ class BroadcastState:
     schedule:
         The wake-up schedule for the duty-cycle system, or ``None`` for the
         round-based synchronous system (every node may send every round).
+    covered_mask:
+        ``W`` as a bitmask (bit ``i`` is ``topology.node_ids[i]``), the form
+        the policies decide on.  Derived, not a constructor argument: the
+        constructor computes it from ``covered`` once, and the engines hand
+        in the mask they already hold through :meth:`for_engine`.
     """
 
     topology: WSNTopology
     covered: frozenset[int]
     time: int
     schedule: WakeupSchedule | None = None
+    covered_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        unknown = self.covered - self.topology.node_set
-        if unknown:
-            raise ValueError(f"covered contains unknown nodes: {sorted(unknown)}")
+        try:
+            mask = self.topology.mask_from_nodes(self.covered)
+        except KeyError:
+            unknown = self.covered - self.topology.node_set
+            raise ValueError(f"covered contains unknown nodes: {sorted(unknown)}") from None
         if self.time < 1:
             raise ValueError(f"time is 1-based, got {self.time}")
+        object.__setattr__(self, "covered_mask", mask)
 
     @classmethod
     def for_engine(
@@ -57,20 +66,23 @@ class BroadcastState:
         covered: frozenset[int],
         time: int,
         schedule: WakeupSchedule | None,
+        covered_mask: int,
     ) -> "BroadcastState":
         """Internal fast constructor for the simulation engines.
 
-        Skips the membership re-validation of ``__post_init__``: the engines
-        construct one state per simulated round/slot and their covered sets
-        are valid by construction (they only grow by checked receiver
-        sets), so the ``O(|W|)`` subset check would dominate the per-slot
-        cost at scale.  External callers should use the normal constructor.
+        Skips the membership check and the mask conversion of
+        ``__post_init__``: the engines construct one state per simulated
+        round/slot, their covered sets are valid by construction (they only
+        grow by checked receiver sets) and they carry ``covered_mask``
+        beside ``covered``, so neither ``O(|W|)`` pass is needed.  External
+        callers should use the normal constructor.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "topology", topology)
         object.__setattr__(state, "covered", covered)
         object.__setattr__(state, "time", time)
         object.__setattr__(state, "schedule", schedule)
+        object.__setattr__(state, "covered_mask", covered_mask)
         return state
 
     @property
@@ -171,6 +183,34 @@ class Advance:
         return len(self.intended) - len(self.receivers)
 
     @classmethod
+    def from_masks(
+        cls,
+        topology: WSNTopology,
+        color: int,
+        receivers: int,
+        time: int,
+        *,
+        color_index: int = 0,
+        num_colors: int = 0,
+        note: str = "",
+    ) -> "Advance":
+        """Build an advance from a colour mask and its receivers mask.
+
+        ``receivers`` must be ``N(C) \\ W`` for the state the colour is
+        chosen at, which is the pair a mask-native producer already holds
+        (the engines reject any other set).  Bit ``i`` is
+        ``topology.node_ids[i]``.
+        """
+        return cls(
+            time=time,
+            color=topology.nodes_from_mask(color),
+            receivers=topology.nodes_from_mask(receivers),
+            color_index=color_index,
+            num_colors=num_colors,
+            note=note,
+        )
+
+    @classmethod
     def from_color(
         cls,
         topology: WSNTopology,
@@ -183,10 +223,12 @@ class Advance:
         note: str = "",
     ) -> "Advance":
         """Build an advance from a colour, computing its receivers."""
-        return cls(
-            time=time,
-            color=frozenset(color),
-            receivers=receivers_of(topology, color, covered),
+        color_mask = topology.mask_from_nodes(color)
+        return cls.from_masks(
+            topology,
+            color_mask,
+            neighborhood_mask(topology, color_mask) & ~topology.mask_from_nodes(covered),
+            time,
             color_index=color_index,
             num_colors=num_colors,
             note=note,

@@ -55,8 +55,7 @@ def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
     pool afresh with :meth:`~repro.core.coloring.ColorScheme.color_masks`.
     """
     topology = state.topology
-    covered = topology.mask_from_nodes(state.covered)
-    pool = covered
+    covered = pool = state.covered_mask
     if state.schedule is not None:
         window = window_for(state.schedule, bitset_view(topology))
         pool &= window.awake_mask(state.time)
@@ -246,16 +245,16 @@ class _TimeCounterPolicy(_BoundPolicy[TimeCounter]):
     def _select(self, state: BroadcastState, counter: TimeCounter) -> Advance | None:
         # The decision colours the counter's own provider through its state
         # memo, which serves the states its last search already coloured.
-        topology = state.topology
-        covered = topology.mask_from_nodes(state.covered)
+        covered = state.covered_mask
         index = counter.decide(covered, state.time)
         if index is None:
             return None
         pairs = counter.color_masks_at(covered, state.time)
-        return Advance.from_color(
-            topology,
-            state.covered,
-            topology.nodes_from_mask(pairs[index][0]),
+        color, receivers = pairs[index]
+        return Advance.from_masks(
+            state.topology,
+            color,
+            receivers,
             state.time,
             color_index=index + 1,
             num_colors=len(pairs),
@@ -332,7 +331,7 @@ class EModelPolicy(_BoundPolicy[EdgeEstimate]):
         topology = state.topology
         index = 0
         if len(pairs) > 1:
-            covered_mask = topology.mask_from_nodes(state.covered)
+            covered_mask = state.covered_mask
             _, _, negated_index = max(
                 (
                     estimate.color_score(topology, topology.nodes_from_mask(color), covered_mask),
@@ -342,10 +341,11 @@ class EModelPolicy(_BoundPolicy[EdgeEstimate]):
                 for k, (color, receivers) in enumerate(pairs)
             )
             index = -negated_index
-        return Advance.from_color(
+        color, receivers = pairs[index]
+        return Advance.from_masks(
             topology,
-            state.covered,
-            topology.nodes_from_mask(pairs[index][0]),
+            color,
+            receivers,
             state.time,
             color_index=index + 1,
             num_colors=len(pairs),

@@ -34,7 +34,7 @@ contract has three legs:
 
 ``run_sweep(..., workers=N)`` fans the cells out over a process pool
 (``workers=0`` means one per CPU); ``engine="vectorized"`` switches every
-broadcast (and its validation) to the numpy bitset backend, which is
+broadcast (and its validation) to the int-mask backend, which is
 trace-identical to the reference engine — including over lossy links.
 Any combination of ``(scenario, duty_model, link_model, engine, workers)``
 therefore changes *what* is simulated or *how fast*, never the records'

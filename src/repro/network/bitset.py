@@ -1,40 +1,31 @@
-"""Dense numpy bitset view of a topology (the vectorized backend's substrate).
+"""Dense numpy view of a topology: the array side of the node-set masks.
 
 Node sets have three representations, all in one bit/row order (node-id
 order): ``frozenset`` objects at the public API and in the reference
-engine; arbitrary-precision int bitmasks in the schedulers' search state
-(see docs/design.md, "Search state"), where a coverage union or a conflict
-test is one integer operation; and the boolean vectors of this view.  The
-*engine-side* work — interference checking, receiver computation,
-coverage replay — touches whole-network sets every round/slot, so it uses
-the vectors and avoids Python-loop costs proportional to ``n`` per
-operation.  :meth:`BitsetTopology.bool_from_mask` and
-:meth:`BitsetTopology.mask_from_bool` convert between masks and vectors.
+engine; arbitrary-precision int bitmasks in the schedulers' search state,
+the vectorized engine and its trace validator (see docs/design.md,
+"Search state"), where a coverage union, a conflict test or an advance
+check is a handful of integer operations; and the boolean vectors of this
+view, for the work that is whole-matrix by nature:
 
-:class:`BitsetTopology` re-expresses the same data as numpy arrays:
+* column minima over the hop matrix (:meth:`BitsetTopology.nearest_hops`,
+  :meth:`BitsetTopology.ball_mask`), which the time counter's bounds read;
+* the lossy link model's canonical delivery pairs
+  (:meth:`BitsetTopology.delivery_candidates`), drawn as one vectorized
+  block;
+* the wake-up index's rows (:func:`repro.dutycycle.window.window_for` is
+  keyed by the view).
 
-* ``adjacency`` — the topology's read-only ``(n, n)`` boolean
-  :attr:`~repro.network.topology.WSNTopology.adjacency_matrix`
-  (``adjacency[i, j]`` iff the ``i``-th and ``j``-th node of ``node_ids``
-  are neighbours), shared rather than rebuilt;
-* node sets — boolean vectors of length ``n``;
+:meth:`BitsetTopology.bool_from_mask` and :meth:`BitsetTopology.mask_from_bool`
+convert between masks and vectors.  ``adjacency`` is the topology's
+read-only ``(n, n)`` boolean
+:attr:`~repro.network.topology.WSNTopology.adjacency_matrix`
+(``adjacency[i, j]`` iff the ``i``-th and ``j``-th node of ``node_ids``
+are neighbours), shared rather than rebuilt.
 
-so the interference predicates of :mod:`repro.network.interference` become
-matrix expressions:
-
-* receivers of a transmitter set ``T``:  ``adjacency[T].any(axis=0) & ~covered``;
-* conflict existence: some uncovered node hears two or more transmitters,
-  i.e. ``(adjacency[T].sum(axis=0) >= 2)`` restricted to ``~covered`` —
-  which is *equivalent* to the paper's pairwise definition (a node hearing
-  ``>= 2`` transmitters is a common uncovered neighbour of some pair);
-* conflicting pairs (diagnostics): the Gram matrix
-  ``A @ A.T`` of ``A = adjacency[T][:, ~covered]`` counts common uncovered
-  neighbours per pair.
-
-Views are cached per topology (weakly, so dropping the topology frees the
-``n x n`` copies): construction makes the uint8 and float32 copies of the
-adjacency, and every simulated policy and repetition over the same
-deployment reuses them.
+Views are cached per topology (weakly, so dropping the topology frees
+them), so every simulated policy and repetition over the same deployment
+reuses one view and its hop rows.
 """
 
 from __future__ import annotations
@@ -67,12 +58,7 @@ class BitsetTopology:
         "node_ids",
         "num_nodes",
         "adjacency",
-        "adjacency_u8",
-        "adjacency_f32",
-        "degrees",
-        "id_lookup",
         "_index",
-        "_max_degree",
         "_hops",
         "__weakref__",
     )
@@ -88,23 +74,7 @@ class BitsetTopology:
         self.node_ids = np.asarray(ids, dtype=np.int64)
         self._index = {u: i for i, u in enumerate(ids)}
         # The topology's own read-only matrix, not a copy.
-        adjacency = topology.adjacency_matrix
-        self.adjacency = adjacency
-        self.adjacency_u8 = adjacency.astype(np.uint8)
-        # float32 copy for BLAS matmuls (exact for counts up to 2**24,
-        # far beyond any node degree).
-        self.adjacency_f32 = adjacency.astype(np.float32)
-        self.degrees = adjacency.sum(axis=1)
-        # Dense id -> row lookup table (node ids are small non-negative ints
-        # in every supported construction path); -1 marks unknown ids.
-        self.id_lookup: np.ndarray | None = None
-        if n and int(self.node_ids.min(initial=0)) >= 0:
-            max_id = int(self.node_ids.max(initial=0))
-            if max_id <= 4 * n + 1024:
-                lookup = np.full(max_id + 1, -1, dtype=np.int64)
-                lookup[self.node_ids] = np.arange(n, dtype=np.int64)
-                self.id_lookup = lookup
-        self._max_degree: int | None = None
+        self.adjacency = topology.adjacency_matrix
         self._hops: np.ndarray | None = None
 
     @property
@@ -124,17 +94,6 @@ class BitsetTopology:
 
     def indices(self, nodes: Iterable[int]) -> np.ndarray:
         """Sorted row indices of ``nodes`` (ascending, i.e. node-id order)."""
-        lookup = self.id_lookup
-        if lookup is not None and isinstance(nodes, (set, frozenset)) and len(nodes) > 16:
-            # Large sets: one plain fromiter plus a table gather beats a
-            # per-element dict lookup.  KeyError parity for unknown ids.
-            ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-            if ids.size and 0 <= int(ids.min()) and int(ids.max()) < len(lookup):
-                out = lookup[ids]
-                if not (out < 0).any():
-                    out.sort()
-                    return out
-            raise KeyError(next(u for u in nodes if u not in self._index))
         index = self._index
         out = np.fromiter((index[u] for u in nodes), dtype=np.int64)
         out.sort()
@@ -164,74 +123,8 @@ class BitsetTopology:
         return int.from_bytes(np.packbits(vector, bitorder="little").tobytes(), "little")
 
     # ------------------------------------------------------------------
-    # Vectorized interference kernels
+    # Lossy delivery
     # ------------------------------------------------------------------
-    def receivers_bool(self, tx_idx: np.ndarray, covered_bool: np.ndarray) -> np.ndarray:
-        """Uncovered nodes reached by the transmitter rows ``tx_idx``.
-
-        The array analogue of :func:`repro.network.interference.receivers_of`.
-        """
-        if len(tx_idx) == 0:
-            return np.zeros(self.num_nodes, dtype=bool)
-        return self.adjacency[tx_idx].any(axis=0) & ~covered_bool
-
-    def hear_counts(self, tx_idx: np.ndarray) -> np.ndarray:
-        """Per-node count of transmissions heard from the rows ``tx_idx``."""
-        if len(tx_idx) == 0:
-            return np.zeros(self.num_nodes, dtype=np.int64)
-        return self.adjacency_u8[tx_idx].sum(axis=0, dtype=np.int64)
-
-    def has_conflict(self, tx_idx: np.ndarray, covered_bool: np.ndarray) -> bool:
-        """True iff some pair of transmitters shares an uncovered neighbour.
-
-        Equivalent to ``bool(conflicting_pairs(...))`` without materialising
-        the pairs: a conflict exists iff an uncovered node hears >= 2 of the
-        transmitters.
-        """
-        if len(tx_idx) < 2:
-            return False
-        counts = self.hear_counts(tx_idx)
-        return bool(np.any((counts >= 2) & ~covered_bool))
-
-    def conflicting_pairs(
-        self, tx_idx: np.ndarray, covered_bool: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """Every conflicting transmitter pair as node ids, ``(smaller, larger)``.
-
-        Matches :func:`repro.network.interference.conflicting_pairs` exactly
-        (including ordering) — ``tx_idx`` must be sorted ascending, which
-        :meth:`indices` guarantees and which coincides with node-id order.
-        """
-        if len(tx_idx) < 2:
-            return []
-        exposed = self.adjacency_u8[tx_idx][:, ~covered_bool]
-        common = exposed @ exposed.T
-        rows, cols = np.nonzero(np.triu(common, k=1))
-        ids = self.node_ids
-        return [
-            (int(ids[tx_idx[i]]), int(ids[tx_idx[j]]))
-            for i, j in zip(rows.tolist(), cols.tolist())
-        ]
-
-    def check_and_receivers(
-        self, tx_idx: np.ndarray, covered_bool: np.ndarray
-    ) -> tuple[bool, np.ndarray]:
-        """Fused conflict test + receiver computation for one advance.
-
-        Returns ``(has_conflict, receivers_bool)`` from a single pass over
-        the transmitters' adjacency rows: the hear-count vector yields both
-        the conflict predicate (some uncovered node hears >= 2) and the
-        receivers (uncovered nodes hearing >= 1).
-        """
-        if len(tx_idx) == 0:
-            return False, np.zeros(self.num_nodes, dtype=bool)
-        uncovered = ~covered_bool
-        if len(tx_idx) == 1:
-            return False, self.adjacency[tx_idx[0]] & uncovered
-        counts = self.adjacency_u8[tx_idx].sum(axis=0, dtype=np.int64)
-        conflict = bool(np.any((counts >= 2) & uncovered))
-        return conflict, (counts > 0) & uncovered
-
     def delivery_candidates(
         self, tx_idx: np.ndarray, covered_bool: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -250,18 +143,6 @@ class BitsetTopology:
             return empty, empty
         candidates = self.adjacency[tx_idx] & ~covered_bool
         return np.nonzero(candidates)
-
-    def hears_any(self, tx_idx: np.ndarray) -> np.ndarray:
-        """Boolean vector of nodes in range of >= 1 of the rows ``tx_idx``.
-
-        The multi-frontier kernel of the vectorized multi-source engine:
-        cross-message slot contention reduces to "does an intended receiver
-        of one message hear a transmitter of another", which is one row
-        slice + OR-reduction per candidate advance.
-        """
-        if len(tx_idx) == 0:
-            return np.zeros(self.num_nodes, dtype=bool)
-        return self.adjacency[tx_idx].any(axis=0)
 
     # ------------------------------------------------------------------
     # Vectorized graph-wide queries
@@ -295,12 +176,6 @@ class BitsetTopology:
         from ``source``.
         """
         return self.topology.eccentricity(source)
-
-    def max_degree(self) -> int:
-        """The maximum node degree (precomputed)."""
-        if self._max_degree is None:
-            self._max_degree = int(self.degrees.max(initial=0))
-        return self._max_degree
 
 
 _VIEW_CACHE: "weakref.WeakKeyDictionary[WSNTopology, BitsetTopology]" = (

@@ -26,6 +26,7 @@ __all__ = [
     "conflict_free",
     "conflicting_pairs",
     "receivers_of",
+    "neighborhood_mask",
     "collision_victims",
 ]
 
@@ -91,6 +92,21 @@ def receivers_of(
         reached_mask |= topology.neighbor_mask(u)
     reached_mask &= ~topology.mask_from_nodes(covered)
     return topology.nodes_from_mask(reached_mask)
+
+
+def neighborhood_mask(topology: WSNTopology, nodes: int) -> int:
+    """``N(C)``, the union of the neighbourhoods of the mask ``nodes``, as a mask.
+
+    The mask form of :func:`receivers_of`: ``neighborhood_mask(C) & ~W``
+    is the advance ``A(W, t)`` of the colour ``C``.
+    """
+    neighbors = topology.neighbor_masks
+    reached = 0
+    while nodes:
+        low = nodes & -nodes
+        reached |= neighbors[low.bit_length() - 1]
+        nodes ^= low
+    return reached
 
 
 def collision_victims(

@@ -16,11 +16,12 @@ Two construction paths are supported:
 
 Every path builds one read-only ``(n, n)`` bool adjacency matrix in node-id
 order (:attr:`WSNTopology.adjacency_matrix`), validates it, and derives
-everything else from it: the ``frozenset`` neighbourhoods, the int neighbour
-masks, the hop rows and the bitset view.  The neighbourhoods and masks are
+everything else from it: the int neighbour masks, the ``frozenset``
+neighbourhoods, the hop rows and the bitset view.  The masks are
 precomputed at construction so the scheduling inner loops (which query
-``N(u)`` millions of times) never pay for recomputation; hop rows are built
-on demand, each once.
+``N(u)`` millions of times) never pay for recomputation; the neighbourhoods,
+the :class:`Node` records and the hop rows are built on demand, each once,
+so a deployment attempt rejected as disconnected pays for none of them.
 """
 
 from __future__ import annotations
@@ -138,16 +139,33 @@ class WSNTopology:
                     f"node {node.node_id} has neighbours not in the topology: {sorted(unknown)}"
                 )
             matrix[i, [index[v] for v in neighbours]] = True
-        self._build(node_list, matrix, radius)
+        self._build_from_nodes(node_list, matrix, radius)
 
-    def _build(self, node_list: list[Node], matrix: np.ndarray, radius: float | None) -> None:
+    def _build_from_nodes(
+        self, node_list: list[Node], matrix: np.ndarray, radius: float | None
+    ) -> None:
+        """:meth:`_build` for a node list from :func:`_sorted_nodes`, kept as given."""
+        self._build(
+            [n.node_id for n in node_list],
+            np.array([[n.x, n.y] for n in node_list], dtype=float).reshape(-1, 2),
+            matrix,
+            radius,
+        )
+        self._nodes = {n.node_id: n for n in node_list}
+
+    def _build(
+        self, ids: list[NodeId], positions: np.ndarray, matrix: np.ndarray, radius: float | None
+    ) -> None:
         """Validate the adjacency ``matrix`` and derive every other view from it.
 
-        Every construction path ends here.  ``node_list`` comes from
-        :func:`_sorted_nodes`; ``matrix`` is the ``(n, n)`` bool adjacency in
-        that order, and the topology takes ownership of it.
+        Every construction path ends here.  ``ids`` are unique and
+        ascending, ``positions`` is their ``(n, 2)`` float array and
+        ``matrix`` the ``(n, n)`` bool adjacency in that order; the topology
+        takes ownership of both arrays.  The :class:`Node` records and the
+        ``frozenset`` neighbourhoods are built on first use
+        (:meth:`_node_map`, :meth:`_neighbour_sets`): a deployment attempt
+        rejected as disconnected reads neither.
         """
-        ids = [n.node_id for n in node_list]
         loops = matrix.diagonal()
         if loops.any():
             raise ValueError(f"node {ids[int(loops.argmax())]} listed as its own neighbour")
@@ -157,26 +175,13 @@ class WSNTopology:
             raise ValueError(f"adjacency is not symmetric: {u}->{v}")
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._nodes: dict[NodeId, Node] = {n.node_id: n for n in node_list}
+        self._nodes: dict[NodeId, Node] | None = None
+        self._adjacency: dict[NodeId, frozenset[NodeId]] | None = None
         self._node_ids: tuple[NodeId, ...] = tuple(ids)
         self._node_set: frozenset[NodeId] = frozenset(ids)
         self._id_to_index: dict[NodeId, int] = {u: i for i, u in enumerate(ids)}
-        self._positions = np.array([[n.x, n.y] for n in node_list], dtype=float).reshape(-1, 2)
+        self._positions = positions
         self._radius = radius
-
-        # Row-major nonzeros list each row's neighbours in ascending id
-        # order.  Each frozenset is copied from a set filled in that order:
-        # set iteration order depends on the hash-table size, and the copy
-        # gives every path the table (and so the order) of a frozenset of an
-        # incrementally built set, which order-sensitive consumers such as
-        # the ILP's constraint terms follow.
-        _, cols = np.nonzero(matrix)
-        flat = np.asarray(ids, dtype=object)[cols].tolist()
-        ends = np.cumsum(matrix.sum(axis=1)).tolist()
-        self._adjacency: dict[NodeId, frozenset[NodeId]] = {
-            u: frozenset(set(flat[start:end]))
-            for u, start, end in zip(ids, [0, *ends], ends)
-        }
 
         # Bitmask fast path: node sets represented as Python integers with
         # bit ``i`` standing for ``node_ids[i]``.  The scheduling inner loops
@@ -195,12 +200,42 @@ class WSNTopology:
         self._hop_built: np.ndarray | None = None
         self._hop_matrix: np.ndarray | None = None
 
+    def _node_map(self) -> dict[NodeId, Node]:
+        """The :class:`Node` of every id, built on first use."""
+        if self._nodes is None:
+            self._nodes = {
+                u: Node(node_id=u, x=x, y=y)
+                for u, (x, y) in zip(self._node_ids, self._positions.tolist())
+            }
+        return self._nodes
+
+    def _neighbour_sets(self) -> dict[NodeId, frozenset[NodeId]]:
+        """``N(u)`` as a ``frozenset`` for every id, built on first use.
+
+        Row-major nonzeros list each row's neighbours in ascending id
+        order.  Each frozenset is copied from a set filled in that order:
+        set iteration order depends on the hash-table size, and the copy
+        gives every path the table (and so the order) of a frozenset of an
+        incrementally built set, which order-sensitive consumers such as
+        the ILP's constraint terms follow.
+        """
+        if self._adjacency is None:
+            matrix = self._matrix
+            _, cols = np.nonzero(matrix)
+            flat = np.asarray(self._node_ids, dtype=object)[cols].tolist()
+            ends = np.cumsum(matrix.sum(axis=1)).tolist()
+            self._adjacency = {
+                u: frozenset(set(flat[start:end]))
+                for u, start, end in zip(self._node_ids, [0, *ends], ends)
+            }
+        return self._adjacency
+
     @classmethod
-    def _from_matrix(
+    def _from_nodes(
         cls, node_list: list[Node], matrix: np.ndarray, radius: float | None
     ) -> "WSNTopology":
         topology = cls.__new__(cls)
-        topology._build(node_list, matrix, radius)
+        topology._build_from_nodes(node_list, matrix, radius)
         return topology
 
     # ------------------------------------------------------------------
@@ -232,8 +267,11 @@ class WSNTopology:
             within = within[np.ix_(order, order)]
             positions = positions[order]
             ids = [ids[i] for i in order]
-        nodes = [Node(node_id=u, x=x, y=y) for u, (x, y) in zip(ids, positions.tolist())]
-        return cls._from_matrix(_sorted_nodes(nodes), within, radius)
+        if len(set(ids)) != count:
+            raise ValueError("duplicate node identifiers in topology")
+        topology = cls.__new__(cls)
+        topology._build(ids, np.array(positions, dtype=float).reshape(-1, 2), within, radius)
+        return topology
 
     @classmethod
     def from_edges(
@@ -263,7 +301,7 @@ class WSNTopology:
         matrix = np.zeros((len(node_list), len(node_list)), dtype=bool)
         matrix[rows, cols] = True
         matrix[cols, rows] = True
-        return cls._from_matrix(node_list, matrix, radius)
+        return cls._from_nodes(node_list, matrix, radius)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -304,15 +342,15 @@ class WSNTopology:
         return iter(self._node_ids)
 
     def __contains__(self, node_id: Hashable) -> bool:
-        return node_id in self._nodes
+        return node_id in self._id_to_index
 
     def node(self, node_id: NodeId) -> Node:
         """Return the :class:`Node` for ``node_id``."""
-        return self._nodes[node_id]
+        return self._node_map()[node_id]
 
     def position(self, node_id: NodeId) -> tuple[float, float]:
         """Return the (x, y) position of ``node_id``."""
-        return self._nodes[node_id].position
+        return self._node_map()[node_id].position
 
     @property
     def positions(self) -> np.ndarray:
@@ -333,34 +371,35 @@ class WSNTopology:
 
     def neighbors(self, node_id: NodeId) -> frozenset[NodeId]:
         """The 1-hop neighbourhood ``N(u)`` (excluding ``u`` itself)."""
-        return self._adjacency[node_id]
+        return self._neighbour_sets()[node_id]
 
     def closed_neighbors(self, node_id: NodeId) -> frozenset[NodeId]:
         """``N(u) ∪ {u}``."""
-        return self._adjacency[node_id] | {node_id}
+        return self._neighbour_sets()[node_id] | {node_id}
 
     def degree(self, node_id: NodeId) -> int:
         """The number of neighbours of ``node_id``."""
-        return len(self._adjacency[node_id])
+        return self._neighbor_masks[node_id].bit_count()
 
     def max_degree(self) -> int:
         """The maximum node degree of the network."""
-        return max((len(v) for v in self._adjacency.values()), default=0)
+        return max((mask.bit_count() for mask in self._index_masks), default=0)
 
     def average_degree(self) -> float:
         """The mean node degree of the network."""
         if not self._node_ids:
             return 0.0
-        return sum(len(v) for v in self._adjacency.values()) / self.num_nodes
+        return 2 * self.num_edges / self.num_nodes
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """True iff ``u`` and ``v`` are within communication range."""
-        return v in self._adjacency[u]
+        return v in self._neighbour_sets()[u]
 
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Iterate over each undirected link once, as (smaller, larger)."""
+        adjacency = self._neighbour_sets()
         for u in self._node_ids:
-            for v in self._adjacency[u]:
+            for v in adjacency[u]:
                 if u < v:
                     yield (u, v)
 
@@ -368,7 +407,7 @@ class WSNTopology:
         self, node_id: NodeId, covered: frozenset[NodeId] | set[NodeId]
     ) -> frozenset[NodeId]:
         """``N(u) ∩ W̄``: the neighbours of ``u`` still missing the message."""
-        return self._adjacency[node_id] - covered
+        return self._neighbour_sets()[node_id] - covered
 
     # ------------------------------------------------------------------
     # Bitmask fast path (used by the scheduling inner loops)
@@ -475,7 +514,7 @@ class WSNTopology:
         self._hop_built[built] = True
 
     def _hop_row(self, source: NodeId) -> np.ndarray:
-        if source not in self._nodes:
+        if source not in self._id_to_index:
             raise KeyError(f"unknown source node {source}")
         index = self._id_to_index[source]
         if self._hop_matrix is None:
@@ -599,8 +638,9 @@ class WSNTopology:
         import networkx as nx
 
         graph = nx.Graph()
+        nodes = self._node_map()
         for node_id in self._node_ids:
-            node = self._nodes[node_id]
+            node = nodes[node_id]
             graph.add_node(node_id, pos=(node.x, node.y))
         graph.add_edges_from(self.edges())
         return graph

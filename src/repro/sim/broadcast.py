@@ -196,10 +196,12 @@ def run_broadcast(
         rules.
     engine:
         ``"reference"`` (the frozenset/bigint engines, the correctness
-        oracle) or ``"vectorized"`` (the numpy bitset backend of
-        :mod:`repro.sim.fast_engine`).  Both produce bit-identical traces
-        for any link model and any number of sources; the vectorized
-        backend is the fast path for large sweeps.
+        oracle) or ``"vectorized"`` (the int-mask backend of
+        :mod:`repro.sim.fast_engine`, which checks every advance with the
+        mask step check of :mod:`repro.sim.step` and validates the trace by
+        replaying it through the same check).  Both produce bit-identical
+        traces for any link model and any number of sources; the
+        vectorized backend is the fast path for large sweeps.
     link_model:
         Delivery semantics: ``None`` / :class:`~repro.sim.links.ReliableLinks`
         for the paper's model, or

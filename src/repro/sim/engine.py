@@ -117,8 +117,8 @@ class _EngineBase:
     """The engine front shared by every backend.
 
     Checks the inputs, aligns the start, derives the default limit and
-    assembles the results; a backend supplies ``_check_advance`` and the
-    kernel generator ``_steps``.
+    assembles the results.  The set-based reference kernel ``_steps`` and
+    its ``_check_advance`` live here too; a backend overrides ``_steps``.
     """
 
     #: The duty-cycle system's wake-up schedule; ``None`` is the
@@ -288,6 +288,7 @@ class _EngineBase:
         # Offer order per slot: message priority rotates by one each slot.
         orders = [[(o + j) % k for j in range(k)] for o in range(k)]
         covered = [frozenset({source}) for source in sources]
+        covered_masks = [topology.mask_from_nodes(c) for c in covered]
         end_times = [start_time - 1] * k
         live = [m for m in range(k) if covered[m] != full]
         time = start_time
@@ -304,11 +305,8 @@ class _EngineBase:
             for position, m in enumerate(orders[(time - start_time) % k]):
                 if covered[m] == full:
                     continue
-                state = BroadcastState(
-                    topology=topology,
-                    covered=covered[m],
-                    time=time,
-                    schedule=schedule,
+                state = BroadcastState.for_engine(
+                    topology, covered[m], time, schedule, covered_masks[m]
                 )
                 advance = policies[m].select_advance(state)
                 if advance is None:
@@ -342,6 +340,7 @@ class _EngineBase:
                     )
                 if delivered:
                     covered[m] = covered[m] | delivered
+                    covered_masks[m] |= topology.mask_from_nodes(delivered)
                     end_times[m] = time
                     if covered[m] == full:
                         live.remove(m)

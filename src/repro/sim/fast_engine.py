@@ -12,14 +12,24 @@ benchmarks in ``benchmarks/test_engine_backends.py`` /
 ``benchmarks/test_lossy_engines.py`` enforce this).  What changes is how
 the engine-side work is carried out:
 
-* coverage and receiver sets are boolean vectors over the
-  :class:`~repro.network.bitset.BitsetTopology` view, so interference
-  checking, advance validation and the cross-message deferral predicate
-  are matrix slices instead of Python set loops;
+* each message's ``W`` is an int mask (bit ``i`` is
+  ``topology.node_ids[i]``) kept beside its frozenset, and the policies
+  receive it as :attr:`~repro.core.advance.BroadcastState.covered_mask`,
+  so a decision never rebuilds it;
+* every advance is checked by one mask pass,
+  :func:`~repro.sim.step.check_step` (senders covered and awake, no
+  uncovered node hearing two senders, receivers exactly ``N(C) \\ W``);
+  only a failing advance reaches the reference ``_check_advance``, which
+  raises its exact error.  The cross-message deferral predicate runs on
+  the same bigint masks as the reference kernel's;
 * wake-up schedules are read through the shared wake-up index
-  (:class:`~repro.dutycycle.window.ActivityWindow`, the lazily grown
-  activity matrix the time counter's search also uses), so "when does the
-  next frontier node wake up?" is a scan over per-slot awake masks;
+  (:class:`~repro.dutycycle.window.ActivityWindow`, the per-slot awake
+  masks the time counter's search also uses), so "when does the next
+  frontier node wake up?" is a scan over those masks;
+* numpy vectors appear only on lossy links, where
+  :meth:`~repro.sim.links.LinkModel.deliver_bool` draws an advance's
+  deliveries as one block, consuming the loss RNG exactly as the
+  set-based delivery does;
 * when every policy declares itself frontier-driven (OPT, G-OPT,
   E-model, flooding, largest-first — see
   :attr:`~repro.core.policies.SchedulingPolicy.frontier_driven`) the slot
@@ -34,15 +44,13 @@ the engine-side work is carried out:
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.advance import Advance, BroadcastState
+from repro.core.coloring import frontier_mask
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.window import ActivityWindow, window_for
-from repro.network.bitset import BitsetTopology, bitset_view
+from repro.network.bitset import bitset_view
 from repro.sim.engine import (
     RoundEngine,
     SlotEngine,
@@ -51,6 +59,7 @@ from repro.sim.engine import (
     promised_slot,
     timeout,
 )
+from repro.sim.step import StepMasks, check_step
 
 __all__ = ["FastRoundEngine", "FastSlotEngine"]
 
@@ -62,70 +71,35 @@ def _next_frontier_slot(window: ActivityWindow, frontier: int, time: int, limit:
 
 
 class _VectorizedKernel(_EngineBase):
-    """The numpy-bitset kernel of both vectorized engines."""
+    """The int-mask kernel of both vectorized engines."""
 
-    @cached_property
-    def _view(self) -> BitsetTopology:
-        return bitset_view(self.topology)
-
-    def _check_advance(
+    def _check_step(
         self,
         advance: Advance,
         covered: frozenset[int],
-        covered_bool: np.ndarray,
+        covered_mask: int,
         time: int,
-        window: ActivityWindow | None,
-        *,
-        check_conflicts: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validate ``advance``; return (transmitter rows, receivers bool, receiver rows).
+        awake: int,
+        check_conflicts: bool,
+    ) -> StepMasks:
+        """Validate ``advance``; return its ``(colour, heard, receivers)`` masks.
 
-        Raises exactly the errors (and messages) of the reference engine's
-        ``_check_advance``; the transmitter/receiver representations are
-        returned so the caller can apply the link model and the coverage
-        union without re-deriving them.
+        One :func:`~repro.sim.step.check_step` pass decides.  Only on a
+        failure does the reference engine's ``_check_advance`` run, to raise
+        exactly its error and message.
         """
-        view = self._view
-        if advance.time != time:
-            raise ValueError(
-                f"policy returned an advance for time {advance.time}, expected {time}"
+        masks = None
+        if advance.time == time:
+            masks = check_step(
+                self.topology, advance, covered_mask, awake, conflicts=check_conflicts
             )
-        not_covered = advance.color - covered
-        if not_covered:
-            raise ValueError(
-                f"policy scheduled transmitters that do not hold the message: "
-                f"{sorted(not_covered)}"
+        if masks is None:
+            self._check_advance(advance, covered, time, check_conflicts=check_conflicts)
+            raise AssertionError(
+                f"the mask step check rejected an advance at time {time} "
+                "that the reference check accepts"
             )
-        tx_idx = view.indices(advance.color)
-        if window is not None:
-            awake = window.active_rows(tx_idx, time)
-            if not awake.all():
-                asleep = [int(u) for u in view.node_ids[tx_idx[~awake]]]
-                raise ValueError(
-                    f"policy scheduled sleeping transmitters at slot {time}: {sorted(asleep)}"
-                )
-        conflict, expected_bool = view.check_and_receivers(tx_idx, covered_bool)
-        if check_conflicts and conflict:
-            conflicts = view.conflicting_pairs(tx_idx, covered_bool)
-            raise ValueError(
-                f"policy scheduled conflicting transmitters at time {time}: {conflicts}"
-            )
-        # Set equality without materialising the expected frozenset: the
-        # recorded receivers are a set, so "same cardinality and every
-        # member expected" is equivalence.  Unknown node ids cannot match
-        # anything, so they raise the same mismatch error as the reference.
-        try:
-            recorded_idx = view.indices(advance.receivers)
-        except KeyError:
-            recorded_idx = None
-        if recorded_idx is None or len(recorded_idx) != int(
-            np.count_nonzero(expected_bool)
-        ) or not expected_bool[recorded_idx].all():
-            raise ValueError(
-                "advance.receivers does not match the uncovered neighbours of its "
-                f"transmitters at time {time}"
-            )
-        return tx_idx, expected_bool, recorded_idx
+        return masks
 
     def _steps(
         self,
@@ -134,19 +108,19 @@ class _VectorizedKernel(_EngineBase):
         start_time: int,
         limit: int,
     ) -> Steps:
-        """Vectorized twin of :meth:`repro.sim.engine._EngineBase._steps`.
+        """Int-mask twin of :meth:`repro.sim.engine._EngineBase._steps`.
 
         Same hint rule, same rotating priority order, same deferral
-        predicate (on boolean vectors instead of bigint masks), same
-        link-RNG consumption order.  A generator, so the streaming driver
+        predicate on the same bigint masks, same link-RNG consumption order.
+        Each message's ``W`` is held as a mask beside its frozenset, and
+        the policies receive both.  A generator, so the streaming driver
         (:mod:`repro.sim.streaming`) holds no advance list: a consumer that
         does not keep the yielded advances runs in memory independent of
         the trace length.
         """
         topology = self.topology
         schedule = self.schedule
-        view = self._view
-        num_nodes = view.num_nodes
+        full = topology.full_mask
         link = self.link_model
         link_state = None if link.lossless else link.make_state()
         k = len(sources)
@@ -157,28 +131,19 @@ class _VectorizedKernel(_EngineBase):
         skip_idle = schedule is not None and all(
             getattr(policy, "frontier_driven", False) for policy in policies
         )
+        view = bitset_view(topology)
         window = None if schedule is None else window_for(schedule, view)
         orders = [[(o + j) % k for j in range(k)] for o in range(k)]
 
         covered = [frozenset({source}) for source in sources]
-        rows = [view.index_of(source) for source in sources]
-        covered_bool = [np.zeros(num_nodes, dtype=bool) for _ in sources]
-        for m, row in enumerate(rows):
-            covered_bool[m][row] = True
-        covered_count = [1] * k
-        # The idle-slot skip's frontier (covered nodes with >= 1 uncovered
-        # neighbour) is tracked incrementally: the per-node count of
-        # uncovered neighbours only decreases, by the adjacency columns of
-        # each advance's receivers.  One 1-D array per message.
-        uncovered_degree = [
-            view.degrees.astype(np.int64)
-            - view.hear_counts(np.asarray([row], dtype=np.int64))
-            for row in rows
-        ] if skip_idle else []
+        covered_mask = [1 << topology.index_of(source) for source in sources]
+        # The idle-slot skip's frontier: covered nodes with an uncovered
+        # neighbour, over every spreading message; recomputed after a
+        # delivery.
         frontier: int | None = None
 
         end_times = [start_time - 1] * k
-        live = [m for m in range(k) if covered_count[m] != num_nodes]
+        live = [m for m in range(k) if covered_mask[m] != full]
         time = start_time
 
         while live:
@@ -191,80 +156,66 @@ class _VectorizedKernel(_EngineBase):
             if skip_idle and hinted != time and time <= limit:
                 assert window is not None
                 if frontier is None:
-                    awake = None
+                    frontier = 0
                     for m in live:
-                        spread = covered_bool[m] & (uncovered_degree[m] > 0)
-                        awake = spread if awake is None else awake | spread
-                    frontier = view.mask_from_bool(awake)
+                        frontier |= frontier_mask(topology, covered_mask[m])
                 time = _next_frontier_slot(window, frontier, time, limit)
             if time > limit:
-                raise timeout(limit, covered_count, num_nodes)
-            busy = None
+                raise timeout(limit, [len(c) for c in covered], topology.num_nodes)
+            awake = -1 if window is None else window.awake_mask(time)
+            busy_mask = None
             for position, m in enumerate(orders[(time - start_time) % k]):
-                if covered_count[m] == num_nodes:
+                if covered_mask[m] == full:
                     continue
-                state = BroadcastState.for_engine(topology, covered[m], time, schedule)
+                state = BroadcastState.for_engine(
+                    topology, covered[m], time, schedule, covered_mask[m]
+                )
                 advance = policies[m].select_advance(state)
                 if advance is None:
                     continue
-                tx_idx, receivers_bool, receivers_idx = self._check_advance(
-                    advance,
-                    covered[m],
-                    covered_bool[m],
-                    time,
-                    window,
-                    check_conflicts=check_conflicts[m],
+                color_mask, cand_heard, recv_mask = self._check_step(
+                    advance, covered[m], covered_mask[m], time, awake, check_conflicts[m]
                 )
-                cand_heard = None
-                if busy is not None:
-                    cand_heard = view.hears_any(tx_idx)
-                    if (
-                        busy[tx_idx].any()
-                        or (receivers_bool & (busy | heard)).any()
-                        or (rx & cand_heard).any()
-                    ):
-                        # Cross-message contention: defer this message; its
-                        # frontier is unchanged, so the policy re-plans later.
-                        continue
+                if busy_mask is not None and (
+                    ((color_mask | recv_mask) & busy_mask)
+                    or (recv_mask & heard_mask)
+                    or (rx_mask & cand_heard)
+                ):
+                    # Cross-message contention: defer this message; its
+                    # frontier is unchanged, so the policy re-plans later.
+                    continue
                 if link.lossless:
                     recorded = advance
                     delivered = advance.receivers
-                    delivered_bool = receivers_bool
-                    delivered_idx = receivers_idx
+                    delivered_mask = recv_mask
                 else:
                     delivered_bool = link.deliver_bool(
-                        link_state, view, tx_idx, receivers_bool, covered_bool[m]
+                        link_state,
+                        view,
+                        view.indices(advance.color),
+                        view.bool_from_mask(recv_mask),
+                        view.bool_from_mask(covered_mask[m]),
                     )
                     delivered = view.nodes_from_bool(delivered_bool)
-                    delivered_idx = np.flatnonzero(delivered_bool)
+                    delivered_mask = view.mask_from_bool(delivered_bool)
                     recorded = dataclasses.replace(
                         advance,
                         receivers=delivered,
                         intended_receivers=advance.receivers,
                     )
-                if delivered:
+                if delivered_mask:
+                    frontier = None
                     covered[m] = covered[m] | delivered
-                    covered_bool[m] |= delivered_bool
-                    covered_count[m] += len(delivered)
-                    if skip_idle:
-                        uncovered_degree[m] -= view.adjacency_u8[
-                            :, delivered_idx
-                        ].sum(axis=1, dtype=np.int64)
-                        frontier = None
+                    covered_mask[m] |= delivered_mask
                     end_times[m] = time
-                    if covered_count[m] == num_nodes:
+                    if covered_mask[m] == full:
                         live.remove(m)
                 if position + 1 < k:
-                    if busy is None:
-                        busy = np.zeros(num_nodes, dtype=bool)
-                        heard = np.zeros(num_nodes, dtype=bool)
-                        rx = np.zeros(num_nodes, dtype=bool)
-                    if cand_heard is None:
-                        cand_heard = view.hears_any(tx_idx)
-                    busy[tx_idx] = True
-                    busy |= receivers_bool
-                    heard |= cand_heard
-                    rx |= receivers_bool
+                    if busy_mask is None:
+                        busy_mask = heard_mask = rx_mask = 0
+                    busy_mask |= color_mask | recv_mask
+                    heard_mask |= cand_heard
+                    rx_mask |= recv_mask
                 yield m, recorded
             time += 1
 

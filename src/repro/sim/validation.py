@@ -23,6 +23,12 @@ Lossy traces (produced by ``run_broadcast(..., link_model=...)`` with a
 lossy :class:`~repro.sim.links.LinkModel`) are validated against the
 *delivered* receivers on both backends: every constraint above still holds,
 only the receiver-equality of check 4 relaxes to subset-plus-intent.
+
+Two backends give one verdict.  ``"reference"`` checks the trace with
+frozensets and names every violation.  ``"vectorized"`` replays coverage
+as an int mask through :func:`~repro.sim.step.check_step`, the check the
+vectorized engine runs on each advance; on any failure it re-runs the
+reference validator, so the violation list is the reference's own.
 """
 
 from __future__ import annotations
@@ -30,13 +36,12 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-import numpy as np
-
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
 from repro.network.bitset import bitset_view
 from repro.network.interference import conflicting_pairs, receivers_of
 from repro.network.topology import WSNTopology
+from repro.sim.step import check_step
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
 
 __all__ = [
@@ -63,11 +68,12 @@ def validate_broadcast(
 ) -> list[str]:
     """Return a list of violation descriptions (empty when the trace is valid).
 
-    ``backend="vectorized"`` runs the same checks over the numpy bitset view
-    (:mod:`repro.network.bitset`) and produces the identical violation list;
-    it is what ``run_broadcast(engine="vectorized")`` uses so that validation
-    does not hand the hot path back to Python set loops.  The reference
-    backend remains the oracle the vectorized one is tested against.
+    ``backend="vectorized"`` replays the trace through the mask step check
+    (:func:`~repro.sim.step.check_step`) and produces the identical
+    violation list, re-running the reference checks only when it finds a
+    violation; it is what ``run_broadcast(engine="vectorized")`` uses.  The
+    reference backend remains the oracle the vectorized one is tested
+    against.
 
     ``lossy=True`` validates a trace produced over a lossy link model: the
     recorded receivers must be a subset of the model's expected receivers
@@ -75,7 +81,7 @@ def validate_broadcast(
     equal the expected receivers exactly.
     """
     if backend == "vectorized":
-        return _validate_vectorized(topology, result, schedule, require_complete, lossy)
+        return _validate_masks(topology, result, schedule, require_complete, lossy)
     if backend != "reference":
         raise ValueError(
             f"unknown validation backend {backend!r}; expected 'reference' or 'vectorized'"
@@ -98,17 +104,19 @@ def validate_broadcast(
             violations.append(
                 f"{prefix}: transmitters without the message {sorted(not_holding)}"
             )
+        # The model rules read the known nodes only: an unknown transmitter
+        # is reported above, an unknown receiver below.
+        color = topology.node_set.intersection(advance.color)
+        known = topology.node_set.intersection(covered)
         if schedule is not None:
-            asleep = [
-                u for u in advance.color if not schedule.is_active(u, advance.time)
-            ]
+            asleep = [u for u in color if not schedule.is_active(u, advance.time)]
             if asleep:
                 violations.append(f"{prefix}: sleeping transmitters {sorted(asleep)}")
-        conflicts = conflicting_pairs(topology, advance.color, frozenset(covered))
+        conflicts = conflicting_pairs(topology, color, known)
         if conflicts:
             violations.append(f"{prefix}: conflicting transmitter pairs {conflicts}")
 
-        expected = receivers_of(topology, advance.color, frozenset(covered))
+        expected = receivers_of(topology, color, known)
         if lossy:
             if advance.intended_receivers is not None and (
                 advance.intended_receivers != expected
@@ -152,23 +160,22 @@ def validate_broadcast(
     return violations
 
 
-def _validate_vectorized(
+def _validate_masks(
     topology: WSNTopology,
     result: BroadcastResult,
     schedule: WakeupSchedule | None,
     require_complete: bool,
-    lossy: bool = False,
+    lossy: bool,
 ) -> list[str]:
-    """Array-based twin of the reference validator (identical output).
+    """The reference validator's verdict, from one mask replay of the trace.
 
-    Unlike the engine (which must check advances one at a time, with the
-    policy in the loop), post-hoc validation sees the whole trace at once,
-    so every model constraint is evaluated for *all* advances in a handful
-    of whole-trace array operations: membership matrices for colours and
-    receivers, a cumulative-OR coverage prefix, and one matrix product for
-    the hear counts.  The happy path — the only one that matters for speed —
-    touches no per-advance Python loop; when any constraint fails, the
-    reference validator re-runs to produce its exact violation messages.
+    Replays coverage as an int mask through :func:`~repro.sim.step.check_step`,
+    the check the vectorized engine runs on every advance, plus the
+    trace-level checks (times, final coverage, completeness, end time).
+    The passing path builds no violation text; on any failure the
+    reference validator re-runs to produce its exact violation list.
+    Duplicate deliveries need no test of their own: the recorded receivers
+    lie in ``N(C) \\ W``, so none was covered before.
     """
 
     def fail() -> list[str]:
@@ -181,129 +188,32 @@ def _validate_vectorized(
         )
 
     advances = result.advances
-    if not advances:
+    if not advances or result.source not in topology:
         return fail()
-    view = bitset_view(topology)
-    index = view._index  # noqa: SLF001 - sibling module of the same backend
-    known = index.keys()
-    if (
-        result.source not in known
-        or not result.covered <= known
-        or any(
-            not (
-                advance.color <= known
-                and advance.receivers <= known
-                and advance.intended <= known
-            )
-            for advance in advances
-        )
-    ):
-        # Traces referencing unknown nodes cannot be mapped onto the array
-        # view; the reference validator reports them node by node.
-        return fail()
-
-    num_advances = len(advances)
-    num_nodes = view.num_nodes
-    times = np.fromiter((a.time for a in advances), dtype=np.int64, count=num_advances)
-    if np.any(np.diff(times, prepend=result.start_time - 1) <= 0):
-        return fail()
-    if times[0] < result.start_time or times[-1] != result.end_time:
-        return fail()
-
-    # Membership matrices: row i describes advance i.
-    arange = np.arange(num_advances, dtype=np.int64)
-    color_rows = np.repeat(arange, [len(a.color) for a in advances])
-    recv_rows = np.repeat(arange, [len(a.receivers) for a in advances])
-    lookup = view.id_lookup
-    if lookup is not None:
-        # Membership was verified above, so a plain flatten plus one table
-        # gather suffices (no per-element dict lookups).
-        color_cols = lookup[
-            np.fromiter((u for a in advances for u in a.color), dtype=np.int64)
-        ]
-        recv_cols = lookup[
-            np.fromiter((u for a in advances for u in a.receivers), dtype=np.int64)
-        ]
-    else:
-        color_cols = np.fromiter(
-            (index[u] for a in advances for u in a.color), dtype=np.int64
-        )
-        recv_cols = np.fromiter(
-            (index[u] for a in advances for u in a.receivers), dtype=np.int64
-        )
-    color_mat = np.zeros((num_advances, num_nodes), dtype=np.float32)
-    color_mat[color_rows, color_cols] = 1.0
-    recv_mat = np.zeros((num_advances, num_nodes), dtype=bool)
-    recv_mat[recv_rows, recv_cols] = True
-
-    # Coverage before each advance: source plus the cumulative OR of the
-    # recorded receivers of all earlier advances.
-    covered_before = np.zeros((num_advances, num_nodes), dtype=bool)
-    covered_before[0, index[result.source]] = True
-    if num_advances > 1:
-        np.logical_or.accumulate(recv_mat[:-1], axis=0, out=covered_before[1:, :])
-        covered_before[1:, :] |= covered_before[0]
-
-    # 1. Every transmitter already held the message (gather, not a full
-    # matrix product: the transmitter count is tiny next to A x n).
-    if not covered_before[color_rows, color_cols].all():
-        return fail()
-    # 2. (duty-cycle) every transmitter was awake in its slot.
-    if schedule is not None:
-        window = window_for(schedule, view)
-        if not window.active_pairs(color_cols, times[color_rows]).all():
+    window = None if schedule is None else window_for(schedule, bitset_view(topology))
+    covered = 1 << topology.index_of(result.source)
+    previous = result.start_time - 1
+    for advance in advances:
+        time = advance.time
+        if time <= previous or time < 1:
             return fail()
-    # 3+4. Hear counts give both the conflict test (an uncovered node hearing
-    # >= 2 transmitters is a common uncovered neighbour of some pair) and the
-    # expected receivers (uncovered nodes hearing >= 1).  float32 matmul hits
-    # BLAS and is exact for counts far beyond any node degree.
-    hear = color_mat @ view.adjacency_f32
-    uncovered_before = ~covered_before
-    if np.any((hear >= 2.0) & uncovered_before):
-        return fail()
-    expected_mat = (hear >= 1.0) & uncovered_before
-    if lossy:
-        # Delivered receivers must be a subset of the expected ones, and any
-        # recorded intent must match the model exactly.  Advances without a
-        # recorded intent (reliable advances inside a lossy validation) fall
-        # back to their receivers, for which equality is the subset check.
-        if np.any(recv_mat & ~expected_mat):
+        previous = time
+        awake = -1 if window is None else window.awake_mask(time)
+        masks = check_step(topology, advance, covered, awake, lossy=lossy)
+        if masks is None:
             return fail()
-        intended_rows = np.repeat(arange, [len(a.intended) for a in advances])
-        if lookup is not None:
-            intended_cols = lookup[
-                np.fromiter((u for a in advances for u in a.intended), dtype=np.int64)
-            ]
-        else:
-            intended_cols = np.fromiter(
-                (index[u] for a in advances for u in a.intended), dtype=np.int64
-            )
-        intended_mat = np.zeros((num_advances, num_nodes), dtype=bool)
-        intended_mat[intended_rows, intended_cols] = True
-        has_intent = np.fromiter(
-            (a.intended_receivers is not None for a in advances),
-            dtype=bool,
-            count=num_advances,
-        )
-        if not np.array_equal(
-            intended_mat[has_intent], expected_mat[has_intent]
-        ):
-            return fail()
-    elif not np.array_equal(expected_mat, recv_mat):
+        covered |= masks[2]
+    if previous != result.end_time:
         return fail()
-    # 5. No duplicate delivery is implied by check 4: recorded receivers
-    # equal (or, lossy, are a subset of) the expected ones, which are
-    # restricted to ~covered_before (the complement of source + everything
-    # delivered earlier), so a duplicate necessarily fails the check above
-    # and takes the fail() path.
-
-    covered_final = covered_before[-1] | recv_mat[-1]
+    full = topology.full_mask
     if result.covered == topology.node_set:
-        if not covered_final.all():
+        if covered != full:
             return fail()
-    elif not np.array_equal(covered_final, view.bool_from_nodes(result.covered)):
+    elif result.covered - topology.node_set or (
+        topology.mask_from_nodes(result.covered) != covered
+    ):
         return fail()
-    if require_complete and not covered_final.all():
+    if require_complete and covered != full:
         return fail()
     return []
 

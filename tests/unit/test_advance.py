@@ -5,7 +5,30 @@ from __future__ import annotations
 import pytest
 
 from repro.core.advance import Advance, BroadcastState
+from repro.core.policies import EModelPolicy
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.network.interference import receivers_of
+from repro.sim.engine import SlotEngine
+from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
+from repro.utils.rng import make_rng
+
+
+def _random_states(topology, seed, count=30):
+    """``count`` random ``(covered, colour)`` pairs, the colour inside ``covered``."""
+    rng = make_rng(seed)
+    ids = list(topology.node_ids)
+    for _ in range(count):
+        covered = frozenset(
+            int(u) for u in rng.choice(ids, size=int(rng.integers(1, len(ids))), replace=False)
+        )
+        members = sorted(covered)
+        color = frozenset(
+            int(u)
+            for u in rng.choice(
+                members, size=int(rng.integers(1, len(members) + 1)), replace=False
+            )
+        )
+        yield covered, color
 
 
 class TestBroadcastState:
@@ -44,6 +67,45 @@ class TestBroadcastState:
         assert not state.is_synchronous
         assert state.awake(topo.node_set) == frozenset({1})
 
+    def test_covered_mask_of_the_public_constructor(self, small_deployment):
+        topo, _ = small_deployment
+        for covered, _ in _random_states(topo, seed=3):
+            state = BroadcastState(topo, covered, time=1)
+            assert state.covered_mask == topo.mask_from_nodes(covered)
+        successor = state.advanced(
+            Advance.from_color(topo, covered, frozenset(covered), time=1), new_time=2
+        )
+        assert successor.covered_mask == topo.mask_from_nodes(successor.covered)
+
+    def test_covered_mask_is_derived_not_compared(self, figure2):
+        topo, source = figure2
+        state = BroadcastState(topo, frozenset({source}), time=1)
+        engine_state = BroadcastState.for_engine(
+            topo, frozenset({source}), 1, None, state.covered_mask
+        )
+        assert engine_state == state
+        assert "covered_mask" not in repr(state)
+
+    @pytest.mark.parametrize("engine_cls", [FastRoundEngine, FastSlotEngine, SlotEngine])
+    def test_engine_states_carry_the_mask_of_covered(self, small_deployment, engine_cls):
+        topo, source = small_deployment
+        seen = []
+
+        class Recording(EModelPolicy):
+            def select_advance(self, state):
+                assert state.covered_mask == topo.mask_from_nodes(state.covered)
+                seen.append(state.covered_mask)
+                return super().select_advance(state)
+
+        if engine_cls is FastRoundEngine:
+            engine = engine_cls(topo)
+        else:
+            engine = engine_cls(topo, WakeupSchedule(topo.node_ids, rate=4, seed=1))
+        policy = Recording()
+        policy.prepare(topo, engine.schedule, source)
+        engine.run(policy, source)
+        assert len(set(seen)) > 1
+
     def test_advanced_produces_successor(self, figure2):
         topo, source = figure2
         state = BroadcastState(topo, frozenset({source}), time=1)
@@ -68,6 +130,29 @@ class TestAdvance:
         advance = Advance.from_color(topo, covered, frozenset({0, 4}), time=3)
         assert advance.receivers == frozenset({5, 6, 7, 8, 9})
         assert advance.utilization == pytest.approx(2.5)
+
+    def test_from_masks_equals_from_color_on_random_colours(self, small_deployment):
+        topo, _ = small_deployment
+        for covered, color in _random_states(topo, seed=11):
+            expected = Advance.from_color(
+                topo, covered, color, time=4, color_index=2, num_colors=5, note="n"
+            )
+            color_mask = topo.mask_from_nodes(color)
+            reached = 0
+            for u in color:
+                reached |= topo.neighbor_mask(u)
+            built = Advance.from_masks(
+                topo,
+                color_mask,
+                reached & ~topo.mask_from_nodes(covered),
+                time=4,
+                color_index=2,
+                num_colors=5,
+                note="n",
+            )
+            assert built == expected
+            assert (built.color_index, built.num_colors, built.note) == (2, 5, "n")
+            assert built.receivers == receivers_of(topo, color, covered)
 
     def test_empty_color_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.interference import (
     conflicting_pairs,
     has_conflict,
+    neighborhood_mask,
     receivers_of,
 )
 from repro.network.topology import WSNTopology
@@ -23,6 +24,7 @@ from repro.sim.broadcast import run_broadcast
 from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
 from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
 from repro.sim.replay import ReplayPolicy
+from repro.sim.step import check_step
 from repro.sim.validation import validate_broadcast
 from repro.solvers import ExactPolicy
 from repro.utils.rng import make_rng
@@ -58,7 +60,6 @@ class TestBitsetKernels:
         for i, u in enumerate(topology.node_ids):
             neighbours = {topology.node_ids[j] for j in np.flatnonzero(view.adjacency[i])}
             assert neighbours == set(topology.neighbors(u))
-        assert view.max_degree() == topology.max_degree()
 
     def test_view_is_cached_per_topology(self, random_deployment):
         topology, _ = random_deployment
@@ -66,29 +67,26 @@ class TestBitsetKernels:
         assert isinstance(bitset_view(topology), BitsetTopology)
 
     def test_receivers_and_conflicts_match_reference(self, random_deployment):
+        """The mask step check agrees with the set-based predicates."""
         topology, _ = random_deployment
-        view = bitset_view(topology)
         for transmitters, covered in _random_subsets(topology, seed=5):
-            covered_bool = view.bool_from_nodes(covered)
-            tx_idx = view.indices(transmitters)
-
+            covered_mask = topology.mask_from_nodes(covered)
             expected_receivers = receivers_of(topology, transmitters, covered)
-            assert view.nodes_from_bool(
-                view.receivers_bool(tx_idx, covered_bool)
-            ) == expected_receivers
-
             expected_pairs = conflicting_pairs(topology, transmitters, covered)
-            assert view.conflicting_pairs(tx_idx, covered_bool) == expected_pairs
-            assert view.has_conflict(tx_idx, covered_bool) == bool(expected_pairs)
-            assert view.has_conflict(tx_idx, covered_bool) == any(
+            assert bool(expected_pairs) == any(
                 has_conflict(topology, u, v, covered)
                 for u in transmitters
                 for v in transmitters
             )
-
-            conflict, receivers_bool = view.check_and_receivers(tx_idx, covered_bool)
-            assert conflict == bool(expected_pairs)
-            assert view.nodes_from_bool(receivers_bool) == expected_receivers
+            advance = Advance(time=1, color=transmitters, receivers=expected_receivers)
+            masks = check_step(topology, advance, covered_mask, -1)
+            if expected_pairs:
+                assert masks is None
+                masks = check_step(topology, advance, covered_mask, -1, conflicts=False)
+            color, heard, receivers = masks
+            assert color == topology.mask_from_nodes(transmitters)
+            assert heard == neighborhood_mask(topology, color)
+            assert topology.nodes_from_mask(receivers) == expected_receivers
 
     def test_bfs_matches_reference(self, random_deployment):
         topology, source = random_deployment
