@@ -37,7 +37,7 @@ def time_per_call(fn, *, min_reps: int, budget_s: float = 1.0) -> float:
     true cost.  Six rounds make a single interference burst very unlikely
     to pollute every round; ``budget_s`` caps the total measurement time.
     """
-    fn()  # warm caches: bitset views, activity windows, BFS distances
+    fn()  # warm caches: activity windows, hop rows, quadrant indexes
     best = float("inf")
     total = 0.0
     for _ in range(6):

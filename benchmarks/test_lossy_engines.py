@@ -1,9 +1,9 @@
 """Lossy-backend microbenchmark: reference vs vectorized engines at loss=0.1.
 
 The composable-core refactor lets the vectorized backend run the §VI lossy
-link model inside its bitset kernel — previously the loss axis was welded to
-the reference engine.  This bench measures what that buys on a paper-shaped
-500-node synchronous deployment:
+link model inside its int-mask kernel — previously the loss axis was welded
+to the reference engine.  This bench measures what that buys on a
+paper-shaped 500-node synchronous deployment:
 
 * **parity** — the lossy traces of both backends compare *equal* for the
   same (probability, seed), and both validator backends accept them as
@@ -13,8 +13,13 @@ the reference engine.  This bench measures what that buys on a paper-shaped
   :class:`~repro.sim.replay.ReplayPolicy` over the *intended* advances so
   zero policy cost pollutes the comparison.  The reference path draws one
   scalar uniform per candidate delivery pair inside Python set loops; the
-  vectorized path draws the identical stream as one array per advance.
-  The acceptance target is a >= 3x speedup at 500 nodes.
+  vectorized path (``LinkModel.deliver_mask``) draws the identical stream
+  as one array per advance over the colour and ``W`` masks.  The
+  acceptance target is a >= 3x speedup at 500 nodes.  On a 1-CPU Linux
+  container (Python 3.11, numpy 2) three runs measured 2.58-2.80x at the
+  default scale and 2.55-2.78x with ``REPRO_BENCH_SCALE=paper``, so the
+  paper-scale target is not met: the replayed broadcast is 9 advances of
+  about 0.5-0.9 ms in all, and per-run fixed costs weigh on the ratio.
 
 Results are written as JSON to ``$REPRO_BENCH_LOSSY_JSON`` (default
 ``BENCH_lossy_engines.json`` in the working directory) so CI can upload
@@ -48,8 +53,8 @@ POLICIES = {
 }
 SPEEDUP_TARGET = 3.0
 #: Loose floor enforced even at quick scale on noisy CI runners (the measured
-#: margin is ~3.7x on a quiet machine; the full target is asserted at paper
-#: scale, mirroring benchmarks/test_engine_backends.py).
+#: ratio is 2.6-2.8x, see the module docstring; the full target is asserted
+#: at paper scale, mirroring benchmarks/test_engine_backends.py).
 QUICK_SPEEDUP_FLOOR = 1.5
 
 

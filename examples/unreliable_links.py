@@ -15,8 +15,8 @@ stays in the uncovered set and is served by a later advance.  This example
 
 Losses run through the composable simulation core
 (``run_broadcast(..., link_model=IndependentLossLinks(p, seed=s))``), so
-``--engine vectorized`` runs the same sweep on the numpy bitset backend
-with bit-identical results.
+``--engine vectorized`` runs the same sweep on the int-mask backend (one
+block draw per advance) with bit-identical results.
 
 Run it with::
 

@@ -25,7 +25,6 @@ from repro.baselines.approx26 import LayeredPolicy, layer_color_masks
 from repro.core.advance import Advance
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
-from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = ["Approx17Policy"]
@@ -46,7 +45,7 @@ class Approx17Policy(LayeredPolicy):
         time: int,
     ) -> list[Advance]:
         assert self._tree is not None and schedule is not None
-        window = window_for(schedule, bitset_view(topology))
+        window = window_for(schedule, topology)
         neighbors = topology.neighbor_masks
         full = topology.full_mask
         layers = layer_color_masks(topology, self._tree)

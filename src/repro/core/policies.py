@@ -32,7 +32,6 @@ from repro.core.estimation import EdgeEstimate, build_edge_estimate
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
-from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = [
@@ -57,7 +56,7 @@ def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
     topology = state.topology
     covered = pool = state.covered_mask
     if state.schedule is not None:
-        window = window_for(state.schedule, bitset_view(topology))
+        window = window_for(state.schedule, topology)
         pool &= window.awake_mask(state.time)
     return ColorScheme().color_masks(topology, covered, pool)
 

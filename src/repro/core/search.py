@@ -33,8 +33,7 @@ from repro.core.advance import Advance
 from repro.core.coloring import ColorMasks, ColorScheme, frontier_mask
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
-from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
-from repro.network.topology import WSNTopology
+from repro.network.topology import UNREACHABLE_HOPS, WSNTopology
 
 __all__ = ["ExactSearch", "SearchBudgetExceeded", "SearchStats", "UnreachableNodes"]
 
@@ -102,9 +101,8 @@ class ExactSearch:
         self.scheme = scheme
         self.max_states = max_states
         self.stats = stats if stats is not None else SearchStats()
-        self._view = bitset_view(topology)
         self._full = topology.full_mask
-        self.window = None if schedule is None else window_for(schedule, self._view)
+        self.window = None if schedule is None else window_for(schedule, topology)
         self._dominance = scheme.mode == "exhaustive" and scheme.max_classes is None
         self._colorings: dict[tuple[int, int], list[ColorMasks]] = {}
         self._frontiers: dict[int, int] = {}
@@ -212,14 +210,14 @@ class ExactSearch:
         The far set is the uncovered nodes at the farthest hop; it is
         memoised beside the reach for a ``W`` that reaches every node.
         """
-        nearest = self._view.nearest_hops(covered)
+        nearest = self.topology.nearest_hops(covered)
         farthest = int(nearest.max(initial=0))
         if farthest == UNREACHABLE_HOPS:
             reach = int(nearest[nearest != UNREACHABLE_HOPS].max(initial=0)), False
             far = 0
         else:
             reach = farthest, True
-            far = self._view.mask_from_bool(nearest == farthest) & ~covered
+            far = self.topology.mask_from_bool(nearest == farthest) & ~covered
             if self._admit(1):
                 self._far_sets[covered] = far
         if covered not in self._reaches and self._admit(1):
@@ -253,7 +251,7 @@ class ExactSearch:
             received = child & ~parent
             radius = farthest - 1
             balls = self._balls
-            base = radius * self._view.num_nodes
+            base = radius * self.topology.num_nodes
             missed = 0
             while far:
                 low = far & -far
@@ -277,9 +275,9 @@ class ExactSearch:
     def _ball(self, index: int, radius: int) -> int:
         """Nodes within ``radius`` hops of bit ``index``, memoised under
         ``radius * n + index``."""
-        ball = self._view.ball_mask(index, radius)
+        ball = self.topology.ball_mask(index, radius)
         if self._admit(1):
-            self._balls[radius * self._view.num_nodes + index] = ball
+            self._balls[radius * self.topology.num_nodes + index] = ball
         return ball
 
     def decision(self, covered: int, time: int) -> tuple[int, int]:

@@ -55,8 +55,7 @@ from typing import Callable, Iterable, Literal
 from repro.core.coloring import ColorMasks, ColorScheme, lex_order_key
 from repro.core.search import ExactSearch, SearchBudgetExceeded, SearchStats, UnreachableNodes
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
-from repro.network.topology import WSNTopology
+from repro.network.topology import UNREACHABLE_HOPS, WSNTopology
 
 __all__ = ["SearchConfig", "TimeCounter", "SearchBudgetExceeded", "UnreachableNodes"]
 
@@ -179,7 +178,6 @@ class TimeCounter:
             max_states=self.config.max_states,
             stats=self.stats,
         )
-        self._view = bitset_view(topology)
         self._full = topology.full_mask
 
     # ------------------------------------------------------------------
@@ -308,8 +306,7 @@ class TimeCounter:
         if not covered:
             raise ValueError("covered is empty; it must hold at least the source")
         self._check_known(covered, "covered")
-        view = self._view
-        return view.mask_from_bool(view.bool_from_nodes(covered))
+        return self.topology.mask_from_nodes(covered)
 
     def _candidates(
         self, covered: int, colors: Iterable[frozenset[int]]
@@ -344,7 +341,7 @@ class TimeCounter:
 
     def _rank(self, covered: int, time: int, pairs: list[ColorMasks]) -> list[tuple[int, int]]:
         """``(position, M(W + C, t + 1))`` of every pair, in ``rank_colors`` order."""
-        width = self._view.num_nodes
+        width = self.topology.num_nodes
         ranked = [
             (k, self._completion_time(covered | reached, time + 1))
             for k, (_, reached) in enumerate(pairs)
@@ -373,8 +370,9 @@ class TimeCounter:
     def _check_reachable(self, covered: int) -> None:
         if covered == self._full or self._search.hop_reach(covered)[1]:
             return
-        unreachable = self._view.nearest_hops(covered) == UNREACHABLE_HOPS
-        examples = self._view.node_ids[unreachable].tolist()
+        topology = self.topology
+        unreachable = topology.nearest_hops(covered) == UNREACHABLE_HOPS
+        examples = sorted(topology.nodes_from_mask(topology.mask_from_bool(unreachable)))
         raise UnreachableNodes(
             f"{len(examples)} nodes can never receive the message "
             f"(e.g. {examples[:5]}); the topology is disconnected"
@@ -390,7 +388,7 @@ class TimeCounter:
 
     def _state_key(self, state: int) -> tuple[int, int]:
         """``(-|W|, tuple(sorted(W)))`` as ints: see :func:`lex_order_key`."""
-        return -state.bit_count(), lex_order_key(state, self._view.num_nodes)
+        return -state.bit_count(), lex_order_key(state, self.topology.num_nodes)
 
     @cached_property
     def _horizon_depth(self) -> int:

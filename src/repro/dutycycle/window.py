@@ -5,7 +5,7 @@
 validator, the 17-approximation's plan and the time counter's search all
 ask the same questions over whole node sets instead — "which frontier
 nodes are awake now?", "when does the next frontier node wake up?" — so
-they share one index per (schedule, topology view) pair, built by
+they share one index per (schedule, topology) pair, built by
 :func:`window_for`: per-slot awake masks (bit ``i`` is ``node_ids[i]``,
 the bit order of
 :attr:`~repro.network.topology.WSNTopology.neighbor_masks`).
@@ -25,7 +25,7 @@ import numpy as np
 from repro.dutycycle.schedule import WakeupSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.bitset import BitsetTopology
+    from repro.network.topology import WSNTopology
 
 __all__ = ["ActivityWindow", "window_for"]
 
@@ -33,18 +33,18 @@ __all__ = ["ActivityWindow", "window_for"]
 class ActivityWindow:
     """Lazily grown per-slot awake masks of one schedule.
 
-    Bits follow the bitset view's node order; ``awake_mask(s)`` is slot
+    Bits follow the topology's node-id order; ``awake_mask(s)`` is slot
     ``s``.
     """
 
     __slots__ = ("_schedule_ref", "_node_ids", "_masks", "_horizon", "rate")
 
-    def __init__(self, schedule: WakeupSchedule, view: BitsetTopology) -> None:
+    def __init__(self, schedule: WakeupSchedule, topology: WSNTopology) -> None:
         # Weak back-reference: windows are cached per schedule in a
         # WeakKeyDictionary, so a strong reference here would pin the key
         # forever and leak the awake masks.
         self._schedule_ref = weakref.ref(schedule)
-        self._node_ids = [int(u) for u in view.node_ids]
+        self._node_ids = [int(u) for u in topology.node_ids]
         # Chunk sizing tracks the slowest node so one extension always
         # covers at least a few cycles of every node.
         self.rate = schedule.max_rate
@@ -97,20 +97,21 @@ _WINDOW_CACHE: (
 ) = weakref.WeakKeyDictionary()
 
 
-def window_for(schedule: WakeupSchedule, view: BitsetTopology) -> ActivityWindow:
-    """The cached activity window for a (schedule, topology-view) pair.
+def window_for(schedule: WakeupSchedule, topology: WSNTopology) -> ActivityWindow:
+    """The cached activity window for a (schedule, topology) pair.
 
-    Views are matched by identity through weak references (not ``id()``,
-    which the allocator may recycle after a view is collected).
+    Topologies are matched by identity through weak references (not
+    ``id()``, which the allocator may recycle after a topology is
+    collected).
     """
     per_schedule = _WINDOW_CACHE.get(schedule)
     if per_schedule is None:
         per_schedule = []
         _WINDOW_CACHE[schedule] = per_schedule
-    for view_ref, window in per_schedule:
-        if view_ref() is view:
+    for topology_ref, window in per_schedule:
+        if topology_ref() is topology:
             return window
-    window = ActivityWindow(schedule, view)
+    window = ActivityWindow(schedule, topology)
     per_schedule[:] = [(r, w) for r, w in per_schedule if r() is not None]
-    per_schedule.append((weakref.ref(view), window))
+    per_schedule.append((weakref.ref(topology), window))
     return window

@@ -89,8 +89,8 @@ class SweepConfig:
         Cycle rates used by the duty-cycle figures (10 = heavy, 50 = light).
     engine:
         Simulation backend from :data:`repro.sim.ENGINE_BACKENDS`:
-        ``"reference"`` (frozenset/bigint oracle) or ``"vectorized"`` (numpy
-        bitset fast path).  Both backends produce bit-identical traces.
+        ``"reference"`` (frozenset/bigint oracle) or ``"vectorized"`` (int-mask
+        fast path).  Both backends produce bit-identical traces.
     workers:
         Worker processes for the sweep runner; 1 runs in-process, 0 means
         "one per CPU".

@@ -1,6 +1,5 @@
 """WSN topology substrate: unit-disc graphs, deployments, quadrants, boundary."""
 
-from repro.network.bitset import BitsetTopology, bitset_view
 from repro.network.boundary import boundary_nodes, hull_nodes
 from repro.network.deployment import (
     Deployment,
@@ -25,14 +24,12 @@ from repro.network.sources import SOURCE_PLACEMENTS, placement_names, select_sou
 from repro.network.topology import Node, WSNTopology
 
 __all__ = [
-    "BitsetTopology",
     "Deployment",
     "DeploymentConfig",
     "Node",
     "QUADRANTS",
     "SOURCE_PLACEMENTS",
     "WSNTopology",
-    "bitset_view",
     "boundary_nodes",
     "conflict_free",
     "conflicting_pairs",

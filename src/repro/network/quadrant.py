@@ -29,7 +29,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.network.bitset import bitset_view
 from repro.network.topology import WSNTopology
 
 __all__ = [
@@ -92,7 +91,7 @@ class QuadrantIndex:
     __slots__ = ("masks", "rows", "empty")
 
     def __init__(self, topology: WSNTopology) -> None:
-        adjacency = bitset_view(topology).adjacency
+        adjacency = topology.adjacency_matrix
         positions = topology.positions
         # dx[r, c] is the offset of row c's position seen from row r.
         dx = positions[None, :, 0] - positions[:, None, 0]

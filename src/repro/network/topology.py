@@ -17,11 +17,20 @@ Two construction paths are supported:
 Every path builds one read-only ``(n, n)`` bool adjacency matrix in node-id
 order (:attr:`WSNTopology.adjacency_matrix`), validates it, and derives
 everything else from it: the int neighbour masks, the ``frozenset``
-neighbourhoods, the hop rows and the bitset view.  The masks are
-precomputed at construction so the scheduling inner loops (which query
-``N(u)`` millions of times) never pay for recomputation; the neighbourhoods,
-the :class:`Node` records and the hop rows are built on demand, each once,
-so a deployment attempt rejected as disconnected pays for none of them.
+neighbourhoods and the hop rows.  The masks are precomputed at
+construction so the scheduling inner loops (which query ``N(u)`` millions
+of times) never pay for recomputation; the neighbourhoods, the
+:class:`Node` records and the hop rows are built on demand, each once, so
+a deployment attempt rejected as disconnected pays for none of them.
+
+Node sets have two representations, in one bit order (node-id order):
+``frozenset`` objects at the public API and in the reference engine, and
+int bitmasks (bit ``i`` is ``node_ids[i]``) in the schedulers' search
+state, the vectorized engine and its trace validator.  Boolean numpy
+vectors appear only inside whole-matrix queries — the hop-matrix column
+minima (:meth:`WSNTopology.nearest_hops`, :meth:`WSNTopology.ball_mask`)
+and the lossy link model's block draw — which convert at their edges with
+:meth:`WSNTopology.bool_from_mask` and :meth:`WSNTopology.mask_from_bool`.
 """
 
 from __future__ import annotations
@@ -34,9 +43,13 @@ import numpy as np
 from repro.network.geometry import pairwise_distances
 from repro.utils.validation import check_positive
 
-__all__ = ["Node", "WSNTopology"]
+__all__ = ["Node", "WSNTopology", "UNREACHABLE_HOPS"]
 
 NodeId = int
+
+#: An unreachable pair (``-1`` in the int16 hop matrix) read through the
+#: unsigned view: larger than any hop distance, so column minima skip it.
+UNREACHABLE_HOPS = int(np.iinfo(np.uint16).max)
 
 
 @dataclass(frozen=True, order=True)
@@ -113,8 +126,10 @@ class WSNTopology:
         "_hops",
         "_hop_built",
         "_hop_matrix",
-        # Weak-referenceable so derived views (e.g. the vectorized backend's
-        # BitsetTopology) can be cached per topology without keeping dead
+        "_unsigned_hops",
+        "_max_degree",
+        # Weak-referenceable so derived indexes (the wake-up windows, the
+        # quadrant index) can be cached per topology without keeping dead
         # topologies alive.
         "__weakref__",
     )
@@ -199,6 +214,8 @@ class WSNTopology:
         self._hops: np.ndarray | None = None
         self._hop_built: np.ndarray | None = None
         self._hop_matrix: np.ndarray | None = None
+        self._unsigned_hops: np.ndarray | None = None
+        self._max_degree: int | None = None
 
     def _node_map(self) -> dict[NodeId, Node]:
         """The :class:`Node` of every id, built on first use."""
@@ -364,8 +381,8 @@ class WSNTopology:
         """The read-only ``(n, n)`` bool adjacency; row and column order = :attr:`node_ids`.
 
         Built once at construction on every path.  The neighbour sets, the
-        neighbour masks, the hop matrix and the bitset view all derive from
-        it; the bitset view's ``adjacency`` is this very array.
+        neighbour masks and the hop matrix derive from it; the quadrant
+        index and the lossy link model's block draw read this very array.
         """
         return self._matrix
 
@@ -382,8 +399,10 @@ class WSNTopology:
         return self._neighbor_masks[node_id].bit_count()
 
     def max_degree(self) -> int:
-        """The maximum node degree of the network."""
-        return max((mask.bit_count() for mask in self._index_masks), default=0)
+        """The maximum node degree of the network, computed on first use."""
+        if self._max_degree is None:
+            self._max_degree = max((mask.bit_count() for mask in self._index_masks), default=0)
+        return self._max_degree
 
     def average_degree(self) -> float:
         """The mean node degree of the network."""
@@ -447,6 +466,17 @@ class WSNTopology:
             result.append(ids[low.bit_length() - 1])
             mask ^= low
         return frozenset(result)
+
+    def bool_from_mask(self, mask: int) -> np.ndarray:
+        """Boolean membership vector of a bitmask (entry ``i`` is bit ``i``)."""
+        n = self.num_nodes
+        packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+    @staticmethod
+    def mask_from_bool(vector: np.ndarray) -> int:
+        """Bitmask of a boolean membership vector (inverse of :meth:`bool_from_mask`)."""
+        return int.from_bytes(np.packbits(vector, bitorder="little").tobytes(), "little")
 
     # ------------------------------------------------------------------
     # Graph-wide queries (hop rows are built on demand; is_connected also
@@ -522,6 +552,28 @@ class WSNTopology:
         row = self._hops[index]
         row.setflags(write=False)
         return row
+
+    def _hop_rows_unsigned(self) -> np.ndarray:
+        """The hop matrix through its uint16 view (``-1`` reads as
+        :data:`UNREACHABLE_HOPS`), kept for the topology's lifetime."""
+        if self._unsigned_hops is None:
+            self._unsigned_hops = self.hop_matrix.view(np.uint16)
+        return self._unsigned_hops
+
+    def nearest_hops(self, mask: int) -> np.ndarray:
+        """Hop distance from the node set ``mask`` to every node, as uint16.
+
+        Column minima of the hop matrix over the rows set in ``mask``;
+        :data:`UNREACHABLE_HOPS` where no node of the set reaches (every
+        column, for an empty set).  Covered columns read 0.
+        """
+        return self._hop_rows_unsigned()[self.bool_from_mask(mask)].min(
+            axis=0, initial=UNREACHABLE_HOPS
+        )
+
+    def ball_mask(self, index: int, radius: int) -> int:
+        """Bitmask of the nodes within ``radius`` hops of bit ``index``."""
+        return self.mask_from_bool(self._hop_rows_unsigned()[index] <= radius)
 
     def hop_distances(self, source: NodeId) -> dict[NodeId, int]:
         """Hop distance from ``source`` to every reachable node."""

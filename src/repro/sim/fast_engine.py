@@ -26,10 +26,11 @@ the engine-side work is carried out:
   (:class:`~repro.dutycycle.window.ActivityWindow`, the per-slot awake
   masks the time counter's search also uses), so "when does the next
   frontier node wake up?" is a scan over those masks;
-* numpy vectors appear only on lossy links, where
-  :meth:`~repro.sim.links.LinkModel.deliver_bool` draws an advance's
-  deliveries as one block, consuming the loss RNG exactly as the
-  set-based delivery does;
+* on lossy links, :meth:`~repro.sim.links.LinkModel.deliver_mask` takes
+  the colour and ``W`` masks and draws an advance's deliveries as one
+  block, consuming the loss RNG exactly as the reference engine's
+  set-based delivery does; the recorded receivers are the intended ones
+  minus the failed ones, so only the failures are walked back to node ids;
 * when every policy declares itself frontier-driven (OPT, G-OPT,
   E-model, flooding, largest-first — see
   :attr:`~repro.core.policies.SchedulingPolicy.frontier_driven`) the slot
@@ -50,7 +51,6 @@ from repro.core.advance import Advance, BroadcastState
 from repro.core.coloring import frontier_mask
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.window import ActivityWindow, window_for
-from repro.network.bitset import bitset_view
 from repro.sim.engine import (
     RoundEngine,
     SlotEngine,
@@ -131,8 +131,7 @@ class _VectorizedKernel(_EngineBase):
         skip_idle = schedule is not None and all(
             getattr(policy, "frontier_driven", False) for policy in policies
         )
-        view = bitset_view(topology)
-        window = None if schedule is None else window_for(schedule, view)
+        window = None if schedule is None else window_for(schedule, topology)
         orders = [[(o + j) % k for j in range(k)] for o in range(k)]
 
         covered = [frozenset({source}) for source in sources]
@@ -189,15 +188,12 @@ class _VectorizedKernel(_EngineBase):
                     delivered = advance.receivers
                     delivered_mask = recv_mask
                 else:
-                    delivered_bool = link.deliver_bool(
-                        link_state,
-                        view,
-                        view.indices(advance.color),
-                        view.bool_from_mask(recv_mask),
-                        view.bool_from_mask(covered_mask[m]),
+                    delivered_mask = link.deliver_mask(
+                        link_state, topology, color_mask, covered_mask[m]
                     )
-                    delivered = view.nodes_from_bool(delivered_bool)
-                    delivered_mask = view.mask_from_bool(delivered_bool)
+                    delivered = advance.receivers - topology.nodes_from_mask(
+                        recv_mask & ~delivered_mask
+                    )
                     recorded = dataclasses.replace(
                         advance,
                         receivers=delivered,

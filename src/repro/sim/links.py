@@ -17,12 +17,15 @@ Determinism contract
 A lossy run consumes exactly one uniform draw per *candidate pair* — a
 ``(transmitter, receiver)`` pair with the receiver an uncovered neighbour
 of the transmitter — enumerated in ascending ``(transmitter id, receiver
-id)`` order within each advance.  Both the set-based implementation
-(:meth:`LinkModel.deliver`) and the numpy-bitset implementation
-(:meth:`LinkModel.deliver_bool`) follow that exact order, and numpy's
+id)`` order within each advance.  The reference engine's set-based
+delivery (:meth:`LinkModel.deliver`, one scalar draw per pair) and the
+vectorized engine's mask delivery (:meth:`LinkModel.deliver_mask`, one
+block draw per advance) follow that exact order, and numpy's
 ``Generator.random(n)`` produces the same stream as ``n`` scalar
 ``Generator.random()`` calls, so the two backends produce **bit-identical
-traces for the same (model, seed)**.  The experiment runner derives the
+traces for the same (model, seed)**.  The scalar-draw ``deliver`` is kept
+as the independent check of that contract: the parity suites compare the
+two draws, not one draw with itself.  The experiment runner derives the
 per-cell loss seed by splitting the cell seed on the ``"link-loss"`` path
 (see :mod:`repro.experiments.runner`), which keeps sweep records
 bit-identical for any worker count and either engine.
@@ -35,7 +38,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.advance import Advance
-from repro.network.bitset import BitsetTopology
+from repro.network.interference import neighborhood_mask
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_probability
@@ -90,18 +93,20 @@ class LinkModel(ABC):
         """The subset of ``advance.receivers`` actually delivered (set-based)."""
 
     @abstractmethod
-    def deliver_bool(
+    def deliver_mask(
         self,
         state: object | None,
-        view: BitsetTopology,
-        tx_idx: np.ndarray,
-        expected_bool: np.ndarray,
-        covered_bool: np.ndarray,
-    ) -> np.ndarray:
-        """The delivered receivers as a boolean vector (bitset-based).
+        topology: WSNTopology,
+        color_mask: int,
+        covered_mask: int,
+    ) -> int:
+        """The delivered receivers of the colour ``color_mask`` as a bitmask.
 
-        Must consume randomness identically to :meth:`deliver` so the two
-        backends stay bit-identical for the same ``(model, seed)``.
+        The mask twin of :meth:`deliver`: ``color_mask`` is the advance's
+        transmitters and ``covered_mask`` is ``W``, both in the topology's
+        bit order.  Must consume randomness identically to :meth:`deliver`
+        so the two backends stay bit-identical for the same
+        ``(model, seed)``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -118,8 +123,8 @@ class ReliableLinks(LinkModel):
     def deliver(self, state, topology, advance, covered):
         return advance.receivers
 
-    def deliver_bool(self, state, view, tx_idx, expected_bool, covered_bool):
-        return expected_bool
+    def deliver_mask(self, state, topology, color_mask, covered_mask):
+        return neighborhood_mask(topology, color_mask) & ~covered_mask
 
 
 class IndependentLossLinks(LinkModel):
@@ -152,7 +157,7 @@ class IndependentLossLinks(LinkModel):
         delivered: set[int] = set()
         # Canonical draw order: ascending (transmitter id, receiver id).
         # Every candidate pair consumes a draw — no short-circuit for
-        # receivers already delivered this round — so the bitset
+        # receivers already delivered this round — so the mask
         # implementation can consume the stream as one vectorized block.
         for transmitter in sorted(advance.color):
             for receiver in sorted(topology.neighbors(transmitter)):
@@ -162,13 +167,17 @@ class IndependentLossLinks(LinkModel):
                     delivered.add(receiver)
         return frozenset(delivered)
 
-    def deliver_bool(self, state, view, tx_idx, expected_bool, covered_bool):
+    def deliver_mask(self, state, topology, color_mask, covered_mask):
         rng = state
-        rows, cols = view.delivery_candidates(tx_idx, covered_bool)
-        success = rng.random(len(cols)) >= self.loss_probability
-        delivered = np.zeros(view.num_nodes, dtype=bool)
-        delivered[cols[success]] = True
-        return delivered
+        # Transmitter rows ascend (node-id order) and boolean indexing walks
+        # the candidate matrix row-major, so draw ``k`` decides the ``k``-th
+        # pair in the canonical (transmitter id, receiver id) order of
+        # ``deliver``; a receiver is delivered if any of its pairs succeeds.
+        rows = np.flatnonzero(topology.bool_from_mask(color_mask))
+        candidates = topology.adjacency_matrix[rows] & ~topology.bool_from_mask(covered_mask)
+        draws = rng.random(np.count_nonzero(candidates))
+        candidates[candidates] = draws >= self.loss_probability
+        return topology.mask_from_bool(candidates.any(axis=0))
 
 
 #: Registry of link models selectable by name (``SweepConfig.link_model``,

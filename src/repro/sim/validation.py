@@ -38,7 +38,6 @@ from itertools import combinations
 
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
-from repro.network.bitset import bitset_view
 from repro.network.interference import conflicting_pairs, receivers_of
 from repro.network.topology import WSNTopology
 from repro.sim.step import check_step
@@ -190,7 +189,7 @@ def _validate_masks(
     advances = result.advances
     if not advances or result.source not in topology:
         return fail()
-    window = None if schedule is None else window_for(schedule, bitset_view(topology))
+    window = None if schedule is None else window_for(schedule, topology)
     covered = 1 << topology.index_of(result.source)
     previous = result.start_time - 1
     for advance in advances:

@@ -298,11 +298,15 @@ class ExperimentStore:
                     ).fetchall()
                 )
 
-        shard_bytes = sum(
-            path.stat().st_size
-            for path in (self.root / _SHARDS_DIR).glob("*/*")
-            if path.is_file()
-        )
+        shard_bytes = 0
+        for path in (self.root / _SHARDS_DIR).glob("*/*"):
+            if path.name.startswith("."):
+                continue  # another writer's in-flight atomic write
+            try:
+                if path.is_file():
+                    shard_bytes += path.stat().st_size
+            except FileNotFoundError:
+                continue  # removed by a concurrent gc since the listing
         return StoreStats(
             cells=cells,
             records=records,
@@ -356,20 +360,25 @@ class ExperimentStore:
         now = time.time()
         shards_root = self.root / _SHARDS_DIR
         for path in sorted(shards_root.glob("*/*")) if shards_root.is_dir() else []:
-            if not path.is_file():
-                continue
-            if path.name.startswith("."):
-                # A dot-prefixed file is an in-flight atomic write: only
-                # reap it once it is old enough to be a crash leftover, so
-                # gc is safe to run alongside a live sweep.
-                if now - path.stat().st_mtime > _TEMP_FILE_MAX_AGE_S:
+            try:
+                if not path.is_file():
+                    continue
+                if path.name.startswith("."):
+                    # A dot-prefixed file is an in-flight atomic write: only
+                    # reap it once it is old enough to be a crash leftover,
+                    # so gc is safe to run alongside a live sweep.
+                    if now - path.stat().st_mtime > _TEMP_FILE_MAX_AGE_S:
+                        path.unlink()
+                        temps += 1
+                    else:
+                        in_flight += 1
+                elif str(path.relative_to(self.root)) not in referenced:
                     path.unlink()
-                    temps += 1
-                else:
-                    in_flight += 1
-            elif str(path.relative_to(self.root)) not in referenced:
-                path.unlink()
-                orphans += 1
+                    orphans += 1
+            except FileNotFoundError:
+                # Renamed into place or removed by a concurrent writer or
+                # gc since the listing: already gone.
+                continue
         return GcStats(
             dangling_rows=len(dangling),
             orphan_shards=orphans,

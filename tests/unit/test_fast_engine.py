@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized backend: bitset kernels, engines, validator."""
+"""Unit tests for the vectorized backend: topology kernels, engines, validator."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import SchedulingPolicy
 from repro.dutycycle.models import build_wakeup_schedule, duty_model_names
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.bitset import UNREACHABLE_HOPS, BitsetTopology, bitset_view
+from repro.dutycycle.window import window_for
 from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.interference import (
     conflicting_pairs,
@@ -19,7 +19,8 @@ from repro.network.interference import (
     neighborhood_mask,
     receivers_of,
 )
-from repro.network.topology import WSNTopology
+from repro.network.quadrant import quadrant_view
+from repro.network.topology import UNREACHABLE_HOPS, WSNTopology
 from repro.sim.broadcast import run_broadcast
 from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
 from repro.sim.fast_engine import FastRoundEngine, FastSlotEngine
@@ -53,18 +54,20 @@ def _random_subsets(topology, seed, count=40):
         yield transmitters, covered | transmitters
 
 
-class TestBitsetKernels:
+class TestTopologyKernels:
     def test_adjacency_matches_topology(self, random_deployment):
         topology, _ = random_deployment
-        view = bitset_view(topology)
+        adjacency = topology.adjacency_matrix
         for i, u in enumerate(topology.node_ids):
-            neighbours = {topology.node_ids[j] for j in np.flatnonzero(view.adjacency[i])}
+            neighbours = {topology.node_ids[j] for j in np.flatnonzero(adjacency[i])}
             assert neighbours == set(topology.neighbors(u))
 
-    def test_view_is_cached_per_topology(self, random_deployment):
+    def test_window_is_cached_per_topology(self, random_deployment):
         topology, _ = random_deployment
-        assert bitset_view(topology) is bitset_view(topology)
-        assert isinstance(bitset_view(topology), BitsetTopology)
+        schedule = WakeupSchedule(topology.node_ids, rate=3, seed=0)
+        other = WSNTopology.from_positions(topology.positions, radius=5.0)
+        assert window_for(schedule, topology) is window_for(schedule, topology)
+        assert window_for(schedule, other) is not window_for(schedule, topology)
 
     def test_receivers_and_conflicts_match_reference(self, random_deployment):
         """The mask step check agrees with the set-based predicates."""
@@ -90,18 +93,17 @@ class TestBitsetKernels:
 
     def test_bfs_matches_reference(self, random_deployment):
         topology, source = random_deployment
-        view = bitset_view(topology)
-        assert view.eccentricity(source) == topology.eccentricity(source)
+        index = topology.index_of(source)
+        assert int(topology.nearest_hops(1 << index).max()) == topology.eccentricity(source)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bfs_matches_reference_on_disconnected(self, seed):
         positions = make_rng(seed).uniform(0.0, 40.0, size=(30, 2))
         topology = WSNTopology.from_positions(positions, radius=6.0)
         assert not topology.is_connected()
-        view = bitset_view(topology)
         for i, u in enumerate(topology.node_ids):
             reference = topology.hop_distances(u)
-            distances = view.nearest_hops(1 << i)
+            distances = topology.nearest_hops(1 << i)
             for j, v in enumerate(topology.node_ids):
                 expected = reference.get(v)
                 if expected is None:
@@ -109,43 +111,37 @@ class TestBitsetKernels:
                 else:
                     assert distances[j] == expected
             for radius in (0, 1, 3):
-                ball = view.nodes_from_bool(view.bool_from_mask(view.ball_mask(i, radius)))
+                ball = topology.nodes_from_mask(topology.ball_mask(i, radius))
                 assert ball == {v for v, d in reference.items() if d <= radius}
 
     def test_eccentricity_raises_on_disconnected(self):
         positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (9.0, 9.0)}
         topology = WSNTopology.from_edges([(0, 1)], positions)
-        view = bitset_view(topology)
-        with pytest.raises(ValueError, match="disconnected"):
-            view.eccentricity(0)
+        assert topology.nearest_hops(1)[2] == UNREACHABLE_HOPS
         with pytest.raises(ValueError, match="disconnected"):
             topology.eccentricity(0)
 
-    def test_indices_rejects_unknown_nodes(self, random_deployment):
+    def test_mask_from_nodes_rejects_unknown_nodes(self, random_deployment):
         topology, _ = random_deployment
-        view = bitset_view(topology)
         with pytest.raises(KeyError):
-            view.indices(frozenset(range(10_000, 10_040)))
+            topology.mask_from_nodes(frozenset(range(10_000, 10_040)))
         with pytest.raises(KeyError):
-            view.indices([10_000])
+            topology.mask_from_nodes([10_000])
 
     def test_caches_release_collected_keys(self):
-        """The weak caches must not pin their keys (no view/window leak)."""
+        """The weak caches must not pin their keys (no index/window leak)."""
         import gc
         import weakref
 
-        from repro.dutycycle.window import window_for
-
         topology = _line_topology(6)
         schedule = WakeupSchedule(topology.node_ids, rate=3, seed=0)
-        view = bitset_view(topology)
-        window_for(schedule, view)
+        window_for(schedule, topology).awake_mask(1)
+        quadrant_view(topology)
         topology_ref = weakref.ref(topology)
         schedule_ref = weakref.ref(schedule)
-        assert view.topology is topology
-        del topology, view, schedule
+        del topology, schedule
         gc.collect()
-        assert topology_ref() is None, "BitsetTopology cache leaked its topology"
+        assert topology_ref() is None, "a per-topology cache leaked its topology"
         assert schedule_ref() is None, "activity-window cache leaked its schedule"
 
 

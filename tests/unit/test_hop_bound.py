@@ -3,7 +3,7 @@
 ``ExactSearch.hop_reach`` answers a hinted child from its parent's far set
 and memoised hop balls (docs/design.md, "Lower bound").  These tests run
 seeded beam and exact searches and check every answer, every hinted child
-and every memoised far set against ``BitsetTopology.nearest_hops``.
+and every memoised far set against ``WSNTopology.nearest_hops``.
 """
 
 from __future__ import annotations
@@ -14,24 +14,23 @@ from repro.core.coloring import ColorScheme
 from repro.core.search import ExactSearch
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.models import build_wakeup_schedule
-from repro.network.bitset import UNREACHABLE_HOPS, bitset_view
 from repro.network.deployment import DeploymentConfig, deploy_uniform
-from repro.network.topology import WSNTopology
+from repro.network.topology import UNREACHABLE_HOPS, WSNTopology
 
 _PROVIDERS = (ColorScheme("greedy"), ColorScheme("exhaustive", 32))
 
 
-def _reference(view, covered: int) -> tuple[int, bool]:
+def _reference(topology, covered: int) -> tuple[int, bool]:
     """``(farthest, complete)`` of ``W`` from one column minimum."""
-    nearest = view.nearest_hops(covered)
+    nearest = topology.nearest_hops(covered)
     reached = nearest[nearest != UNREACHABLE_HOPS]
     return int(reached.max(initial=0)), len(reached) == len(nearest)
 
 
-def _far_set(view, covered: int) -> int:
+def _far_set(topology, covered: int) -> int:
     """The uncovered nodes at the farthest hop from ``W``."""
-    nearest = view.nearest_hops(covered)
-    return view.mask_from_bool(nearest == int(nearest.max(initial=0))) & ~covered
+    nearest = topology.nearest_hops(covered)
+    return topology.mask_from_bool(nearest == int(nearest.max(initial=0))) & ~covered
 
 
 class _Checked:
@@ -40,14 +39,14 @@ class _Checked:
 
     def __init__(self, search: ExactSearch) -> None:
         self.search = search
-        self.view = bitset_view(search.topology)
+        self.topology = search.topology
         self.pairs: list[tuple[int, int]] = []
         self.answers = 0
         hop_reach, hint = search.hop_reach, search._hint
 
         def checked_reach(covered: int) -> tuple[int, bool]:
             reach = hop_reach(covered)
-            assert reach == _reference(self.view, covered)
+            assert reach == _reference(self.topology, covered)
             self.answers += 1
             return reach
 
@@ -63,11 +62,11 @@ class _Checked:
         assert search.memo_size <= search.max_states
         assert not search._parents  # every hint was read or dropped
         for covered, far in search._far_sets.items():
-            assert far == _far_set(self.view, covered)
+            assert far == _far_set(self.topology, covered)
         for key, ball in search._balls.items():
-            radius, index = divmod(key, self.view.num_nodes)
+            radius, index = divmod(key, self.topology.num_nodes)
             hops = search.topology.hop_matrix[index].view("uint16")
-            assert ball == self.view.mask_from_bool(hops <= radius)
+            assert ball == self.topology.mask_from_bool(hops <= radius)
 
 
 def _deployment(num_nodes: int, seed: int):
@@ -117,7 +116,7 @@ def test_derived_reach_equals_the_column_minimum(system, mode, max_states):
             answers += checked.answers
             for child, parent in checked.pairs:
                 counter._search.hop_reach(child)
-                h1_parents += _reference(checked.view, parent)[0] == 1
+                h1_parents += _reference(checked.topology, parent)[0] == 1
             checked.check_memo()
             derived += counter.stats.derived_bounds
     assert hinted and answers
@@ -127,18 +126,17 @@ def test_derived_reach_equals_the_column_minimum(system, mode, max_states):
 
 def test_parent_at_bound_one_gives_every_child_bound_one():
     topo, source = _deployment(100, 7)
-    view = bitset_view(topo)
     hops = topo.hop_distances(source)
     eccentricity = max(hops.values())
     parent = topo.mask_from_nodes(u for u, d in hops.items() if d < eccentricity)
-    assert _reference(view, parent) == (1, True)
+    assert _reference(topo, parent) == (1, True)
     far = [u for u, d in hops.items() if d == eccentricity]
     search = ExactSearch(topo, None, ColorScheme("greedy"), max_states=1_000)
     for receivers in (far[:1], far[: len(far) // 2 + 1], far):
         child = parent | topo.mask_from_nodes(receivers)
         search.clear_memo()
         search._hint(child, parent)
-        assert search.hop_reach(child) == _reference(view, child)
+        assert search.hop_reach(child) == _reference(topo, child)
     assert search.stats.derived_bounds == 3
 
 
@@ -147,12 +145,11 @@ def test_disconnected_parent_falls_back_to_the_column_minimum():
     positions = {i: (float(i), 0.0) for i in range(8)}
     edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
     topo = WSNTopology.from_edges(edges, positions)
-    view = bitset_view(topo)
     search = ExactSearch(topo, None, ColorScheme("greedy"), max_states=100)
     parent, child = topo.mask_from_nodes({0}), topo.mask_from_nodes({0, 1})
     assert search.hop_reach(parent) == (3, False)
     search._hint(child, parent)
-    assert search.hop_reach(child) == _reference(view, child) == (2, False)
+    assert search.hop_reach(child) == _reference(topo, child) == (2, False)
     assert search.stats.derived_bounds == 0
 
 
@@ -164,6 +161,6 @@ def test_a_state_hinted_as_its_own_child_is_measured():
     covered = topo.mask_from_nodes({source})
     search._hint(covered, covered)
     assert search.memo_size == 0
-    assert search.hop_reach(covered) == _reference(bitset_view(topo), covered)
+    assert search.hop_reach(covered) == _reference(topo, covered)
     assert search.memo_size == len(search._reaches) + len(search._far_sets) == 2
     assert search.stats.derived_bounds == 0

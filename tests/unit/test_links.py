@@ -7,8 +7,9 @@ import pytest
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
+from repro.core.advance import Advance
 from repro.core.policies import EModelPolicy
-from repro.network.bitset import bitset_view
+from repro.network.interference import receivers_of
 from repro.sim.broadcast import run_broadcast
 from repro.sim.links import (
     LINK_MODELS,
@@ -17,6 +18,7 @@ from repro.sim.links import (
     build_link_model,
     link_model_names,
 )
+from repro.utils.rng import make_rng
 
 
 class TestRegistry:
@@ -52,64 +54,108 @@ class TestModelProperties:
         assert IndependentLossLinks(0.99).limit_stretch == pytest.approx(20.0)
 
     def test_reliable_deliver_is_identity(self, line_topology):
-        from repro.core.advance import Advance
-
         model = ReliableLinks()
         advance = Advance(time=1, color=frozenset({0}), receivers=frozenset({1}))
         assert model.deliver(None, line_topology, advance, frozenset({0})) == (
             frozenset({1})
         )
-        view = bitset_view(line_topology)
-        expected = view.bool_from_nodes({1})
-        out = model.deliver_bool(
-            None, view, view.indices({0}), expected, view.bool_from_nodes({0})
-        )
-        assert out is expected
+        mask = line_topology.mask_from_nodes
+        assert model.deliver_mask(None, line_topology, mask({0}), mask({0})) == mask({1})
+
+    def test_reliable_deliver_mask_is_every_uncovered_neighbour(self, small_grid):
+        """``ReliableLinks.deliver_mask`` is ``N(C) & ~W``."""
+        model = ReliableLinks()
+        for color, covered in _random_pairs(small_grid, seed=4, count=30):
+            expected = receivers_of(small_grid, color, covered)
+            delivered = model.deliver_mask(
+                None,
+                small_grid,
+                small_grid.mask_from_nodes(color),
+                small_grid.mask_from_nodes(covered),
+            )
+            assert small_grid.nodes_from_mask(delivered) == expected
+
+
+def _random_pairs(topology, seed: int, count: int):
+    """``count`` random ``(colour, covered)`` pairs, the colour inside ``W``."""
+    rng = make_rng(seed)
+    ids = list(topology.node_ids)
+    for _ in range(count):
+        covered = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
+        color = rng.choice(covered, size=int(rng.integers(1, len(covered) + 1)), replace=False)
+        yield frozenset(color.tolist()), frozenset(covered.tolist())
+
+
+class _ScriptedDraws:
+    """A stand-in RNG whose block draw succeeds only at position ``hit``."""
+
+    def __init__(self, hit: int) -> None:
+        self.hit = hit
+        self.sizes: list[int] = []
+
+    def random(self, size: int) -> np.ndarray:
+        self.sizes.append(size)
+        draws = np.zeros(size)
+        draws[self.hit] = 0.99
+        return draws
 
 
 class TestDrawOrderParity:
-    def test_set_and_bitset_deliveries_consume_the_same_stream(self, small_grid):
-        """Both implementations draw per candidate pair in the same order."""
-        from repro.core.advance import Advance
-        from repro.network.interference import receivers_of
+    @pytest.mark.parametrize("loss", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("fixture", ["small_grid", "small_deployment"])
+    def test_set_and_mask_deliveries_consume_the_same_stream(self, fixture, seed, loss, request):
+        """Both implementations draw per candidate pair in the same order:
+        over many ``(colour, covered)`` pairs they deliver the same nodes and
+        leave their RNGs in the same state."""
+        topology = request.getfixturevalue(fixture)
+        if fixture == "small_deployment":
+            topology = topology[0]
+        model = IndependentLossLinks(loss, seed=seed)
+        set_rng, mask_rng = model.make_state(), model.make_state()
+        for color, covered in _random_pairs(topology, seed=seed + 1, count=30):
+            expected = receivers_of(topology, color, covered)
+            advance = Advance(time=1, color=color, receivers=expected)
+            set_delivered = model.deliver(set_rng, topology, advance, covered)
+            mask_delivered = model.deliver_mask(
+                mask_rng,
+                topology,
+                topology.mask_from_nodes(color),
+                topology.mask_from_nodes(covered),
+            )
+            assert topology.nodes_from_mask(mask_delivered) == set_delivered
+            assert set_delivered <= expected
+            assert set_rng.random() == mask_rng.random()
 
-        topology = small_grid
-        covered = frozenset({topology.node_ids[0]})
-        color = frozenset({topology.node_ids[0]})
-        expected = receivers_of(topology, color, covered)
-        advance = Advance(time=1, color=color, receivers=expected)
-        model = IndependentLossLinks(0.5, seed=123)
+    def test_deliver_mask_canonical_order(self, small_grid):
+        """Draw ``k`` of the block decides the ``k``-th candidate pair in
+        ascending ``(transmitter id, receiver id)`` order."""
+        covered = frozenset(small_grid.node_ids[:4])
+        color = frozenset(small_grid.node_ids[:3])
+        pairs = [
+            (u, v)
+            for u in sorted(color)
+            for v in sorted(small_grid.neighbors(u))
+            if v not in covered
+        ]
+        assert len(pairs) > 1
+        model = IndependentLossLinks(0.5)
+        for hit, (_, receiver) in enumerate(pairs):
+            draws = _ScriptedDraws(hit)
+            delivered = model.deliver_mask(
+                draws,
+                small_grid,
+                small_grid.mask_from_nodes(color),
+                small_grid.mask_from_nodes(covered),
+            )
+            assert draws.sizes == [len(pairs)]
+            assert small_grid.nodes_from_mask(delivered) == {receiver}
 
-        set_delivered = model.deliver(model.make_state(), topology, advance, covered)
-        view = bitset_view(topology)
-        delivered_bool = model.deliver_bool(
-            model.make_state(),
-            view,
-            view.indices(color),
-            view.bool_from_nodes(expected),
-            view.bool_from_nodes(covered),
-        )
-        assert view.nodes_from_bool(delivered_bool) == set_delivered
-        assert set_delivered <= expected
-
-    def test_delivery_candidates_canonical_order(self, small_grid):
-        view = bitset_view(small_grid)
-        covered = view.bool_from_nodes({small_grid.node_ids[0]})
-        tx_idx = view.indices(set(small_grid.node_ids[:3]))
-        rows, cols = view.delivery_candidates(tx_idx, covered)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        assert pairs == sorted(pairs)
-        # Every pair is a genuine uncovered-neighbour edge.
-        for row, col in pairs:
-            assert view.adjacency[tx_idx[row], col]
-            assert not covered[col]
-
-    def test_empty_transmitter_set(self, small_grid):
-        view = bitset_view(small_grid)
-        rows, cols = view.delivery_candidates(
-            np.zeros(0, dtype=np.int64), np.zeros(view.num_nodes, dtype=bool)
-        )
-        assert len(rows) == 0 and len(cols) == 0
+    def test_empty_colour_draws_nothing(self, small_grid):
+        model = IndependentLossLinks(0.5, seed=9)
+        rng, untouched = model.make_state(), model.make_state()
+        assert model.deliver_mask(rng, small_grid, 0, small_grid.full_mask >> 3) == 0
+        assert rng.random() == untouched.random()
 
 
 class TestLossIntolerantPolicies:

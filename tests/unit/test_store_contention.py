@@ -9,6 +9,7 @@ in-flight atomic-write temp files.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -19,6 +20,7 @@ from repro.experiments.config import QUICK_SWEEP
 from repro.experiments.runner import _run_cell, default_policies, sweep_cells
 from repro.store import ExperimentStore, cell_key_for
 from repro.store.store import _SHARDS_DIR, _TEMP_FILE_MAX_AGE_S
+from repro.utils.serialization import atomic_write_text
 
 _CONFIG = replace(QUICK_SWEEP, node_counts=(50,), repetitions=4)
 
@@ -103,6 +105,40 @@ class TestConcurrentCommitters:
         assert store.stats().cells == 1
         assert store.get(key) == records
         store.close()
+
+
+class TestScansBesideAtomicWrites:
+    def test_stats_and_gc_survive_temp_files_renamed_away(self, tmp_path):
+        """A writer's ``.tmp-*`` file is renamed into place by ``os.replace``
+        at any moment, also between a scan's listing and its ``stat``:
+        ``stats`` and ``gc`` must treat the vanished entry as gone."""
+        store = ExperimentStore(tmp_path / "store")
+        target = store.root / _SHARDS_DIR / "ef" / "concurrent.jsonl"
+        stop = threading.Event()
+        writes = 0
+
+        def writer() -> None:
+            nonlocal writes
+            while not stop.is_set():
+                atomic_write_text(target, "x" * 64)
+                writes += 1
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline:
+                store.stats()
+                store.gc()
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            sys.setswitchinterval(switch_interval)
+            store.close()
+        assert not thread.is_alive()
+        assert writes > 0
 
 
 class TestGcInFlightReporting:

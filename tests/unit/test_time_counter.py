@@ -25,7 +25,6 @@ from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.window import window_for
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import default_policies
-from repro.network.bitset import bitset_view
 from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.graphs import FIGURE2_DUTY_START
 from repro.network.topology import WSNTopology
@@ -365,7 +364,7 @@ def _memoised_reference(topology, schedule, scheme, covered: int, time: int) -> 
     """``M(W, t)`` by the plain memoised depth-first search (no bound, no
     incumbent, no dominance): the exact mode's recursion written out."""
     full = topology.full_mask
-    window = None if schedule is None else window_for(schedule, bitset_view(topology))
+    window = None if schedule is None else window_for(schedule, topology)
     memo: dict[tuple[int, int], int] = {}
 
     def completion(covered: int, slot: int) -> int:
@@ -768,7 +767,7 @@ class TestForcedDecision:
         ball = frozenset(u for u, d in topo.hop_distances(source).items() if d <= 1)
         covered = topo.mask_from_nodes(ball)
         frontier = frontier_mask(topo, covered)
-        window = window_for(schedule, bitset_view(topo))
+        window = window_for(schedule, topo)
         slot = next(
             t for t in range(1, 9) if (frontier & window.awake_mask(t)).bit_count() == 1
         )

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.bitset import bitset_view
 from repro.network.deployment import deploy_uniform
+from repro.network.quadrant import QuadrantIndex, quadrant_view
 from repro.network.topology import Node, WSNTopology
 from repro.utils.rng import make_rng
 
@@ -99,13 +99,29 @@ def _three_ways(num_nodes: int, shuffled: bool):
     return deployed, ids, (base, mapped, edged)
 
 
+def _quadrant_reads(topology: WSNTopology, monkeypatch) -> list[np.ndarray]:
+    """Every adjacency matrix a fresh quadrant index reads while it is built."""
+    reads: list[np.ndarray] = []
+    adjacency = WSNTopology.adjacency_matrix
+
+    def spy(self: WSNTopology) -> np.ndarray:
+        reads.append(adjacency.fget(self))
+        return reads[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WSNTopology, "adjacency_matrix", property(spy))
+        QuadrantIndex(topology)
+    assert reads
+    return reads
+
+
 class TestConstructionPaths:
     """Every construction path yields the same adjacency and derived views."""
 
     @pytest.mark.parametrize(
         "num_nodes, shuffled", [(50, False), (150, False), (300, False), (150, True)]
     )
-    def test_paths_agree(self, num_nodes, shuffled):
+    def test_paths_agree(self, num_nodes, shuffled, monkeypatch):
         deployed, ids, topologies = _three_ways(num_nodes, shuffled)
         base = topologies[0]
         if ids is not None:
@@ -123,16 +139,15 @@ class TestConstructionPaths:
             assert matrix.dtype == bool and not matrix.flags.writeable
             with pytest.raises(ValueError):
                 matrix[0, 1] = True
-            assert np.shares_memory(matrix, bitset_view(topology).adjacency)
+            for read in _quadrant_reads(topology, monkeypatch):
+                assert np.shares_memory(matrix, read)
             assert topology.node_ids == base.node_ids
             assert all(topology.neighbors(u) == base.neighbors(u) for u in base.node_ids)
             assert topology.neighbor_masks == base.neighbor_masks
             assert topology.num_edges == base.num_edges
             np.testing.assert_array_equal(matrix, base.adjacency_matrix)
             np.testing.assert_array_equal(topology.hop_matrix, base.hop_matrix)
-            np.testing.assert_array_equal(
-                bitset_view(topology).adjacency, bitset_view(base).adjacency
-            )
+            assert quadrant_view(topology).masks == quadrant_view(base).masks
 
     def test_masks_and_sets_read_the_matrix(self):
         _, _, (base, _, _) = _three_ways(50, True)

@@ -12,7 +12,6 @@ from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.streams import pcg64_states
 from repro.dutycycle.window import window_for
-from repro.network.bitset import bitset_view
 from repro.network.deployment import grid_deployment
 from repro.network.graphs import figure2_duty_schedule, figure2_topology
 from repro.utils.rng import derive_seed, make_rng
@@ -176,7 +175,7 @@ class TestWakeupIndex:
 
     @staticmethod
     def _check(topology, schedule, last_slot: int, seed: int) -> None:
-        window = window_for(schedule, bitset_view(topology))
+        window = window_for(schedule, topology)
         # Query a late slot first so the window grows out of order.
         for slot in [last_slot, *range(1, last_slot + 1)]:
             awake = topology.nodes_from_mask(window.awake_mask(slot))
@@ -222,7 +221,7 @@ class TestWakeupIndex:
     def test_awake_masks_survive_several_doublings(self):
         topology = grid_deployment(6, 6, spacing=1.0, radius=1.1, seed=2)
         schedule = self._mixed_schedule()
-        window = window_for(schedule, bitset_view(topology))
+        window = window_for(schedule, topology)
         # The slowest node has r=50, so the window starts at 400 slots and
         # doubles to 800, 1600, 3200 and 6400 on the way.
         for slot in range(1, 3300):
@@ -235,18 +234,18 @@ class TestWakeupIndex:
 
     def test_slots_are_one_based(self):
         topology = figure2_topology()
-        window = window_for(figure2_duty_schedule(), bitset_view(topology))
+        window = window_for(figure2_duty_schedule(), topology)
         with pytest.raises(ValueError):
             window.awake_mask(0)
         with pytest.raises(ValueError):
             window.next_awake(topology.full_mask, 0)
 
-    def test_one_window_per_schedule_and_view(self):
+    def test_one_window_per_schedule_and_topology(self):
         topology = figure2_topology()
         schedule = figure2_duty_schedule()
-        view = bitset_view(topology)
-        assert window_for(schedule, view) is window_for(schedule, view)
-        assert window_for(figure2_duty_schedule(), view) is not window_for(schedule, view)
+        assert window_for(schedule, topology) is window_for(schedule, topology)
+        assert window_for(figure2_duty_schedule(), topology) is not window_for(schedule, topology)
+        assert window_for(schedule, figure2_topology()) is not window_for(schedule, topology)
 
 
 class TestStreamBlock:
