@@ -801,7 +801,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"orphan shards {removed.orphan_shards}, "
                     f"stale-schema cells {removed.stale_schema_cells}, "
                     f"temp files {removed.temp_files}); "
-                    f"{removed.in_flight_temp_files} in-flight temp file(s) "
+                    f"{removed.in_flight_temp_files} in-flight file(s) "
                     "left for their writer"
                 )
             else:

@@ -29,8 +29,12 @@ contract has three legs:
    faces the same delivery pattern regardless of execution order, worker
    count or engine; the ``"multi-source"`` stream likewise fixes the extra
    source placement per cell.
-3. *Deterministic reassembly.*  ``run_sweep`` re-assembles worker results
-   in the serial cell order (``pool.imap``, not ``imap_unordered``).
+3. *Deterministic reassembly.*  ``run_sweep`` has one dispatch loop for
+   every execution mode: in-process (``map``), the process pool
+   (``pool.imap``, not ``imap_unordered``) and a fabric fleet
+   (``fabric.execute``) are interchangeable iterators that yield the
+   pending cells' records in serial cell order, and the runner alone
+   writes each cell back to the store and reports it.
 
 ``run_sweep(..., workers=N)`` fans the cells out over a process pool
 (``workers=0`` means one per CPU); ``engine="vectorized"`` switches every
@@ -57,8 +61,8 @@ import functools
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.baselines.approx17 import Approx17Policy
 from repro.baselines.approx26 import Approx26Policy
@@ -223,34 +227,8 @@ class SweepResult:
             for r in self.records
         ]
 
-    ROW_HEADERS = (
-        "policy",
-        "system",
-        "rate",
-        "scenario",
-        "duty_model",
-        "link_model",
-        "loss_probability",
-        "num_nodes",
-        "density",
-        "repetition",
-        "seed",
-        "source",
-        "eccentricity",
-        "latency",
-        "end_time",
-        "num_advances",
-        "total_transmissions",
-        "retransmissions",
-        "n_sources",
-        "source_placement",
-        "mean_message_latency",
-        "max_message_latency",
-        "tx_energy",
-        "rx_energy",
-        "idle_energy",
-        "total_energy",
-    )
+    #: CSV column names of :meth:`to_rows`: the record's fields, in order.
+    ROW_HEADERS = tuple(f.name for f in fields(RunRecord))
 
 
 def _factory_loss_tolerant(factory: PolicyFactory) -> bool:
@@ -476,7 +454,11 @@ def _cell_record(
 
 
 def _run_cell(cell: SweepCell) -> list[RunRecord]:
-    """Execute one sweep cell; the unit of work of the process pool."""
+    """Execute one sweep cell: the unit of work of every dispatch mode.
+
+    ``run_sweep`` maps it over the pending cells in-process or on the
+    process pool, and each fabric worker runs it on its leased cells.
+    """
     if EVENT_BUS.active:
         EVENT_BUS.emit(
             _events.CellStarted(cell.system, cell.rate, cell.num_nodes, cell.repetition)
@@ -508,8 +490,9 @@ def sweep_cells(
     """The sweep's grid as independently executable cells, in serial order.
 
     The cells (and the order) ``run_sweep`` dispatches for the same
-    arguments — the shared vocabulary between the runner and the fabric
-    coordinator, which partitions and leases this list to a worker fleet
+    arguments — the shared vocabulary between the runner, which hands its
+    store-missing cells to one cell source (in-process, pool or fleet), and
+    the fabric coordinator, which leases such a list to a worker fleet
     (:mod:`repro.fabric`).
     """
     if system not in ("sync", "duty"):
@@ -530,11 +513,22 @@ def sweep_cells(
     ]
 
 
-def _resolve_workers(workers: int) -> int:
-    """Map the ``workers`` knob to a concrete process count (0 = per CPU)."""
-    if workers == 0:
-        return max(os.cpu_count() or 1, 1)
-    return workers
+def _pool_map(pending: list[SweepCell], workers: int) -> Iterator[list[RunRecord]]:
+    """Run ``pending`` on a process pool, yielding records in serial order.
+
+    "fork" on Linux (cheap start-up, no ``__main__`` re-import, so it also
+    works from interactive sessions); "spawn" everywhere else — macOS
+    offers fork but it is unsafe there with Accelerate/objc state, which is
+    why CPython made spawn the macOS default.  The cells are self-contained
+    either way: the only pickled state is the cell itself.
+    """
+    use_fork = (
+        sys.platform.startswith("linux")
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+    context = multiprocessing.get_context("fork" if use_fork else "spawn")
+    with context.Pool(processes=min(workers, len(pending))) as pool:
+        yield from pool.imap(_run_cell, pending, chunksize=1)
 
 
 def run_sweep(
@@ -585,19 +579,20 @@ def run_sweep(
         full re-simulation that overwrites the cached cells.
     fabric:
         Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
-        object with the same ``execute(cells, store=...)`` method): the
-        missing cells are leased out to a coordinator/worker fleet instead
-        of the process pool, and the coordinator commits each cell to
-        ``store`` as it is validated.  Reassembly stays in serial cell
-        order, so the records are bit-identical to a pool (or in-process)
-        run for any fleet size, worker arrival order, or crash/retry
-        history — the fabric determinism contract (see ``docs/fabric.md``).
-        Requires the default policy line-up (custom factories cannot cross
-        the fabric wire).
+        object with an ``execute(cells)`` method returning an iterator of
+        per-cell records in cell order): the missing cells are leased out
+        to a coordinator/worker fleet instead of the process pool.  The
+        runner drains that iterator through the same loop as the other
+        modes, writing each cell back to ``store`` as it arrives, so the
+        records are bit-identical to a pool (or in-process) run for any
+        fleet size, worker arrival order, or crash/retry history — the
+        fabric determinism contract (see ``docs/fabric.md``).
+        :class:`~repro.fabric.LocalFleet` requires the default policy
+        line-up (custom factories cannot cross the fabric wire).
     """
-    effective_workers = _resolve_workers(
-        config.workers if workers is None else workers
-    )
+    effective_workers = config.workers if workers is None else workers
+    if effective_workers == 0:
+        effective_workers = os.cpu_count() or 1
     effective_engine = config.engine if engine is None else engine
     effective_rate = 1 if system == "sync" else rate
     cells = sweep_cells(
@@ -660,50 +655,19 @@ def run_sweep(
                 len(missing),
             )
         )
-    if missing and fabric is not None:
-        # Fabric mode: lease the missing cells out to a coordinator/worker
-        # fleet.  The coordinator validates and commits each cell into the
-        # store itself (idempotently, by digest), so the runner skips its
-        # own write-back and only reassembles in serial order.
-        if policies is not None:
-            raise ValueError(
-                "fabric execution requires the default policy line-up; "
-                "custom policy factories cannot cross the fabric wire"
-            )
-        batches = fabric.execute([cells[index] for index in missing], store=store)
-        for index, records in zip(missing, batches):
-            per_cell[index] = records
-            if EVENT_BUS.active:
-                cell = cells[index]
-                EVENT_BUS.emit(
-                    _events.CellFinished(
-                        index, cell.num_nodes, cell.repetition, len(records)
-                    )
-                )
-    elif missing:
-        pending = [cells[index] for index in missing]
-        if effective_workers <= 1 or len(pending) <= 1:
-            for index, cell in zip(missing, pending):
-                _finish(index, _run_cell(cell))
-        else:
-            # "fork" on Linux (cheap start-up, no __main__ re-import, so it
-            # also works from interactive sessions); "spawn" everywhere else
-            # — macOS offers fork but it is unsafe there with
-            # Accelerate/objc state, which is why CPython made spawn the
-            # macOS default.  The cells are self-contained either way: the
-            # only pickled state is the cell itself.  The parent process
-            # alone touches the store, as each worker's batch arrives.
-            use_fork = (
-                sys.platform.startswith("linux")
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
-            context = multiprocessing.get_context("fork" if use_fork else "spawn")
-            processes = min(effective_workers, len(pending))
-            with context.Pool(processes=processes) as pool:
-                for index, records in zip(
-                    missing, pool.imap(_run_cell, pending, chunksize=1)
-                ):
-                    _finish(index, records)
+    # One dispatch loop for every mode: each source yields the pending
+    # cells' records in serial order, and every cell goes through
+    # ``_finish``.  Drain it to the end, so the source's teardown (the
+    # pool's exit, the fleet's thread join and quarantine check) runs.
+    pending = [cells[index] for index in missing]
+    if fabric is not None and pending:
+        results = fabric.execute(pending)
+    elif effective_workers > 1 and len(pending) > 1:
+        results = _pool_map(pending, effective_workers)
+    else:
+        results = map(_run_cell, pending)
+    for position, records in enumerate(results):
+        _finish(missing[position], records)
 
     for index in range(len(cells)):
         result.records.extend(per_cell[index])

@@ -16,7 +16,8 @@ keys deliberately exclude execution mode — so *any* machine can contribute
 * :mod:`repro.fabric.worker` — :class:`FabricWorker`, the restartable
   claim-simulate-post loop (heartbeats, bounded post retries);
 * :mod:`repro.fabric.fleet` — :class:`LocalFleet`, the in-process fleet
-  behind ``run_sweep(..., fabric=...)``.
+  behind ``run_sweep(..., fabric=...)``: it streams each cell's records
+  back in cell order for the runner to store and report.
 
 The headline guarantee is the **determinism contract**: fabric-run sweep
 records are bit-identical to a local ``run_sweep`` of the same config for

@@ -1,13 +1,15 @@
 """In-process fleets: the ``run_sweep(fabric=...)`` execution mode.
 
-A :class:`LocalFleet` is the bridge between the sweep runner and the
-coordinator/worker service: handed the runner's missing cells, it spins up
-a coordinator (committing straight into the sweep's store), runs ``n``
-worker threads against it — over direct in-process calls by default, or
-over a real loopback HTTP server with ``transport="http"`` — and returns
-each cell's records for the runner's serial reassembly.  The records are
-bit-identical to a local run for any worker count, arrival order or
-crash/retry history: that is the determinism contract, and the fault suite
+A :class:`LocalFleet` is one of the sweep runner's interchangeable cell
+sources.  Handed the runner's missing cells, it spins up a store-less
+coordinator, runs ``n`` worker threads against it — over direct in-process
+calls by default, or over a real loopback HTTP server with
+``transport="http"`` — and streams each cell's records back in serial cell
+order as soon as the cell and every earlier one have committed.  The runner
+writes them back to its store and reports progress exactly as it does for
+an in-process or pool run.  The records are bit-identical to a local run
+for any worker count, arrival order or crash/retry history: that is the
+determinism contract, and the fault suite
 (``tests/property/test_fabric_faults.py``) holds the fleet to it.
 
 The ``worker_factory`` seam lets tests place arbitrary workers in the
@@ -20,7 +22,8 @@ a remote fleet would.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+import time
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.fabric.coordinator import FabricCoordinator
 from repro.fabric.protocol import FabricError
@@ -31,7 +34,6 @@ from repro.fabric.worker import FabricWorker, WorkerCrashed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import RunRecord, SweepCell
-    from repro.store import ExperimentStore
 
 __all__ = ["LocalFleet"]
 
@@ -52,6 +54,9 @@ class LocalFleet:
     lease_ttl, max_attempts, backoff_s:
         Coordinator lease knobs; the defaults suit in-process fleets where
         a "crash" is a dead thread.
+    poll_interval:
+        Retry sleep of the default workers, and how often ``execute``
+        checks for the next committed cell.
     worker_factory:
         Optional ``(worker_index, transport) -> FabricWorker`` override
         (fault harnesses, custom stats).
@@ -85,28 +90,32 @@ class LocalFleet:
         self.last_stats: list = []
         self.last_status: dict | None = None
 
-    def execute(
-        self,
-        cells: "Sequence[SweepCell]",
-        *,
-        store: "ExperimentStore | None" = None,
-    ) -> "list[list[RunRecord]]":
-        """Run every cell through the fleet; returns records in cell order.
+    def execute(self, cells: "Sequence[SweepCell]") -> "Iterator[list[RunRecord]]":
+        """Run every cell through the fleet, yielding records in cell order.
 
-        Commits go through the coordinator into ``store`` as each cell
-        finishes (the runner skips its own write-back).  Raises
-        :class:`FabricError` if any cell ends quarantined — a fleet serving
-        a sweep must deliver *every* cell or fail loudly.
+        Cell ``i``'s records are yielded as soon as cells ``0..i`` have all
+        committed, so the caller sees progress while the fleet runs.  Once
+        no further cell can commit, the worker threads are joined and the
+        server stopped; then :class:`FabricError` is raised if any cell
+        ended quarantined or unfinished — a fleet serving a sweep must
+        deliver *every* cell or fail loudly.  Drain the iterator: the
+        teardown and that check run after the last yield.
         """
+        if any(cell.policies is not None for cell in cells):
+            raise ValueError(
+                "fabric execution requires the default policy line-up; "
+                "custom policy factories cannot cross the fabric wire"
+            )
         coordinator = FabricCoordinator(
             cells,
-            store=store,
             lease_ttl=self.lease_ttl,
             max_attempts=self.max_attempts,
             backoff_s=self.backoff_s,
         )
         server: FabricHTTPServer | None = None
         transports: list[Transport] = []
+        fleet: list[FabricWorker] = []
+        threads: list[threading.Thread] = []
         try:
             if self.transport == "http":
                 server = FabricHTTPServer(coordinator)
@@ -126,11 +135,16 @@ class LocalFleet:
             ]
             for thread in threads:
                 thread.start()
+            for index in range(len(cells)):
+                records = self._committed(coordinator, index, threads)
+                if records is None:
+                    break
+                yield records
+        finally:
             for thread in threads:
                 thread.join()
             self.last_stats = [worker.stats for worker in fleet]
             self.last_status = coordinator.status()
-        finally:
             for transport in transports:
                 transport.close()
             if server is not None:
@@ -148,7 +162,24 @@ class LocalFleet:
             raise FabricError(
                 "fabric sweep stalled: every worker exited with cells unfinished"
             )
-        return [coordinator.records_for(index) for index in range(len(cells))]
+
+    def _committed(
+        self,
+        coordinator: FabricCoordinator,
+        index: int,
+        threads: "list[threading.Thread]",
+    ) -> "list[RunRecord] | None":
+        """Wait for cell ``index`` to commit; ``None`` once it never will."""
+        while True:
+            # Liveness first: with every worker gone, no commit can land
+            # between this check and the lookup.
+            alive = any(thread.is_alive() for thread in threads)
+            try:
+                return coordinator.records_for(index)
+            except KeyError:
+                if not alive:
+                    return None
+            time.sleep(self.poll_interval)
 
     def _make_worker(self, index: int, transport: Transport) -> FabricWorker:
         if self.worker_factory is not None:

@@ -53,8 +53,8 @@ __all__ = ["ExperimentStore", "StoreStats", "GcStats", "open_store"]
 _INDEX_NAME = "index.sqlite"
 _SHARDS_DIR = "shards"
 
-#: How old an in-flight temp file must be before ``gc`` treats it as a
-#: crash leftover rather than a concurrent sweep's live atomic write.
+#: How old an in-flight temp file or unindexed shard must be before ``gc``
+#: treats it as a crash leftover rather than a concurrent sweep's live write.
 _TEMP_FILE_MAX_AGE_S = 3600.0
 
 _SCHEMA = """
@@ -127,9 +127,10 @@ class GcStats:
     orphan_shards: int
     stale_schema_cells: int
     temp_files: int
-    #: Dot-prefixed temp files *younger* than the reap age: a concurrent
-    #: writer's live atomic write.  Reported, never deleted, and excluded
-    #: from :attr:`total` — gc only counts what it removed.
+    #: Dot-prefixed temp files and unindexed shards *younger* than the reap
+    #: age: possibly a concurrent writer's live commit.  Reported, never
+    #: deleted, and excluded from :attr:`total` — gc only counts what it
+    #: removed.
     in_flight_temp_files: int = 0
 
     @property
@@ -322,11 +323,11 @@ class ExperimentStore:
         cells of old schema versions (their digests can never be requested
         again — the digest embeds the version), and leftover temp files.
 
-        Dot-prefixed temp files younger than the reap age are a concurrent
-        writer's live atomic write (a sweep or a fabric coordinator mid
-        commit): they are *reported* in
-        :attr:`GcStats.in_flight_temp_files` but never deleted, so gc is
-        safe to run alongside a live fleet.
+        Dot-prefixed temp files and unreferenced shards younger than the
+        reap age may be a concurrent writer's live commit (a sweep or a
+        fabric coordinator between writing a shard and indexing it): they
+        are *reported* in :attr:`GcStats.in_flight_temp_files` but never
+        deleted, so gc is safe to run alongside a live fleet.
         """
         with self._lock:
             stale = self._connection.execute(
@@ -361,19 +362,23 @@ class ExperimentStore:
         shards_root = self.root / _SHARDS_DIR
         for path in sorted(shards_root.glob("*/*")) if shards_root.is_dir() else []:
             try:
-                if not path.is_file():
+                temp = path.name.startswith(".")
+                if not path.is_file() or (
+                    not temp and str(path.relative_to(self.root)) in referenced
+                ):
                     continue
-                if path.name.startswith("."):
-                    # A dot-prefixed file is an in-flight atomic write: only
-                    # reap it once it is old enough to be a crash leftover,
-                    # so gc is safe to run alongside a live sweep.
-                    if now - path.stat().st_mtime > _TEMP_FILE_MAX_AGE_S:
-                        path.unlink()
-                        temps += 1
-                    else:
-                        in_flight += 1
-                elif str(path.relative_to(self.root)) not in referenced:
-                    path.unlink()
+                # An unreferenced file may be a live write: a dot-prefixed
+                # temp file, or a shard whose index row ``put`` has not yet
+                # committed (possibly from another process).  Only reap it
+                # once it is old enough to be a crash leftover, so gc is
+                # safe to run alongside a live sweep.
+                if now - path.stat().st_mtime <= _TEMP_FILE_MAX_AGE_S:
+                    in_flight += 1
+                    continue
+                path.unlink()
+                if temp:
+                    temps += 1
+                else:
                     orphans += 1
             except FileNotFoundError:
                 # Renamed into place or removed by a concurrent writer or

@@ -204,15 +204,17 @@ class TestExperimentStore:
             stale = _key(config, num_nodes=24)
             stale = dataclasses.replace(stale, schema_version=STORE_SCHEMA_VERSION + 1)
             store.put(stale, [_record(num_nodes=24)])
-            # Orphan shard + stale temp file (a *fresh* temp is a live
-            # atomic write and must survive gc; backdate this one).
+            # Orphan shard + stale temp file (a *fresh* one may be a live
+            # write and must survive gc; backdate these two).
             orphan_dir = root / "shards" / "ff"
             orphan_dir.mkdir(parents=True)
-            (orphan_dir / ("f" * 64 + ".jsonl")).write_text("")
+            orphan = orphan_dir / ("f" * 64 + ".jsonl")
+            orphan.write_text("")
             stale_temp = orphan_dir / ".leftover.jsonl.tmp-1"
             stale_temp.write_text("")
             two_hours_ago = time.time() - 7200
-            os.utime(stale_temp, (two_hours_ago, two_hours_ago))
+            for leftover in (orphan, stale_temp):
+                os.utime(leftover, (two_hours_ago, two_hours_ago))
             fresh_temp = orphan_dir / ".inflight.jsonl.tmp-2"
             fresh_temp.write_text("")
 

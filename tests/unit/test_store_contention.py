@@ -141,6 +141,45 @@ class TestScansBesideAtomicWrites:
         assert writes > 0
 
 
+    def test_gc_beside_live_puts_keeps_every_cell(self, tmp_path, cells_with_records):
+        """``put`` writes a shard before it commits the index row; a gc pass
+        in between sees an unreferenced shard and must leave it alone."""
+        store = ExperimentStore(tmp_path / "store")
+        records = cells_with_records[0][1]
+        line_up = tuple(default_policies(_CONFIG, "sync"))
+        keys = [
+            cell_key_for(
+                _CONFIG,
+                system="sync",
+                rate=1,
+                num_nodes=50,
+                repetition=repetition,
+                policies=line_up,
+            )
+            for repetition in range(300)
+        ]
+        stop = threading.Event()
+
+        def collector() -> None:
+            while not stop.is_set():
+                store.gc()
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=collector)
+        thread.start()
+        try:
+            for key in keys:
+                store.put(key, records)
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            sys.setswitchinterval(switch_interval)
+        lost = [key.repetition for key in keys if store.get(key) is None]
+        store.close()
+        assert not thread.is_alive()
+        assert lost == []
+
 class TestGcInFlightReporting:
     def test_gc_reports_but_keeps_young_temp_files(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
