@@ -17,6 +17,8 @@ times the hop radius, which is the curve the paper plots as
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree
 from repro.core.advance import Advance
 from repro.core.coloring import greedy_masks
@@ -51,13 +53,12 @@ def layer_color_masks(topology: WSNTopology, tree: BroadcastTree) -> list[list[i
     """:func:`layer_color_plan` with each colour as a bitmask (bit ``i`` is
     ``topology.node_ids[i]``), the form the plans schedule from."""
     plan: list[list[int]] = []
+    children = Counter(tree.parent_of.values())
     covered = 0
     for level, layer in enumerate(tree.layers):
         covered |= topology.mask_from_nodes(layer)
         uncovered = topology.full_mask & ~covered
-        parents = sorted(
-            tree.parents_per_layer[level], key=lambda u: (-len(tree.children_of(u)), u)
-        )
+        parents = sorted(tree.parents_per_layer[level], key=lambda u: (-children[u], u))
         candidates = [
             (1 << topology.index_of(u), topology.neighbor_mask(u) & uncovered)
             for u in parents

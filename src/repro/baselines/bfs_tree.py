@@ -28,26 +28,33 @@ def greedy_parent_cover(
     Candidates are repeatedly chosen by (most uncovered targets, smallest
     id); the returned list is in selection order.  Raises if some target has
     no candidate neighbour (cannot happen between consecutive BFS layers).
+    Gains are popcounts of the topology's neighbour masks.
     """
-    remaining = set(targets)
+    neighbors = topology.neighbor_masks
+    ids = topology.node_ids
+    remaining = topology.mask_from_nodes(targets)
+    pool = topology.mask_from_nodes(candidates)
     chosen: list[int] = []
-    pool = set(candidates)
     while remaining:
-        best: int | None = None
+        best = -1
         best_gain = 0
-        # Iterating in ascending id order makes the smallest id win ties.
-        for u in sorted(pool):
-            gain = len(topology.neighbors(u) & remaining)
+        # Bits run in ascending id order, so the smallest id wins ties.
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            bit = low.bit_length() - 1
+            gain = (neighbors[bit] & remaining).bit_count()
             if gain > best_gain:
-                best = u
+                best = bit
                 best_gain = gain
-        if best is None or best_gain == 0:
+        if best_gain == 0:
             raise ValueError(
                 "greedy parent cover failed: some targets have no candidate neighbour"
             )
-        chosen.append(best)
-        pool.discard(best)
-        remaining -= topology.neighbors(best)
+        chosen.append(ids[best])
+        pool ^= 1 << best
+        remaining &= ~neighbors[best]
     return chosen
 
 
@@ -79,7 +86,13 @@ class BroadcastTree:
         return len(self.layers) - 1
 
     def children_of(self, parent: int) -> frozenset[int]:
-        """The nodes assigned to ``parent`` in the tree."""
+        """The nodes assigned to ``parent`` in the tree.
+
+        Each call scans all of :attr:`parent_of`; a caller that needs every
+        parent's children (or their counts) should group ``parent_of``
+        once instead, as :func:`~repro.baselines.approx26.layer_color_masks`
+        does.
+        """
         return frozenset(v for v, p in self.parent_of.items() if p == parent)
 
 
@@ -105,6 +118,9 @@ def build_broadcast_tree(
     if sum(len(layer) for layer in layers) != topology.num_nodes:
         raise ValueError("topology is disconnected; cannot build a broadcast tree")
 
+    neighbors = topology.neighbor_masks
+    ids = topology.node_ids
+    layer_masks = [topology.mask_from_nodes(layer) for layer in layers]
     parents_per_layer: list[tuple[int, ...]] = []
     parent_of: dict[int, int] = {}
     for level in range(len(layers)):
@@ -114,21 +130,30 @@ def build_broadcast_tree(
         if parent_mode == "cover":
             parents = greedy_parent_cover(topology, layers[level], layers[level + 1])
             parents_per_layer.append(tuple(parents))
-            unassigned = set(layers[level + 1])
+            unassigned = layer_masks[level + 1]
             for parent in parents:
-                for child in sorted(topology.neighbors(parent) & unassigned):
-                    parent_of[child] = parent
-                    unassigned.discard(child)
+                # Each parent takes its still unassigned neighbours, in id order.
+                children = neighbors[topology.index_of(parent)] & unassigned
+                unassigned ^= children
+                while children:
+                    low = children & -children
+                    children ^= low
+                    parent_of[ids[low.bit_length() - 1]] = parent
             if unassigned:  # pragma: no cover - guarded by greedy_parent_cover
                 raise AssertionError("parent cover left children unassigned")
         else:
-            chosen: list[int] = []
-            for child in sorted(layers[level + 1]):
-                parent = min(topology.neighbors(child) & layers[level])
-                parent_of[child] = parent
-                if parent not in chosen:
-                    chosen.append(parent)
-            parents_per_layer.append(tuple(sorted(chosen)))
+            previous = layer_masks[level]
+            chosen = 0
+            rest = layer_masks[level + 1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                # The child's smallest-id neighbour in the previous layer.
+                above = neighbors[low.bit_length() - 1] & previous
+                parent_bit = above & -above
+                parent_of[ids[low.bit_length() - 1]] = ids[parent_bit.bit_length() - 1]
+                chosen |= parent_bit
+            parents_per_layer.append(tuple(sorted(topology.nodes_from_mask(chosen))))
     return BroadcastTree(
         source=source,
         layers=tuple(layers),

@@ -25,6 +25,7 @@ build rejects it with a :class:`ValueError` naming both node ids.
 from __future__ import annotations
 
 import weakref
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -91,43 +92,42 @@ class QuadrantIndex:
     __slots__ = ("masks", "rows", "empty")
 
     def __init__(self, topology: WSNTopology) -> None:
-        adjacency = topology.adjacency_matrix
+        n = topology.num_nodes
+        # One entry per directed edge r -> c, in row-major order (the order
+        # of ``np.nonzero``); (dx, dy) is c's offset seen from r.
+        rows, cols = np.divmod(np.flatnonzero(topology.adjacency_matrix), n)
         positions = topology.positions
-        # dx[r, c] is the offset of row c's position seen from row r.
-        dx = positions[None, :, 0] - positions[:, None, 0]
-        dy = positions[None, :, 1] - positions[:, None, 1]
-        coincident = np.argwhere(adjacency & (dx == 0.0) & (dy == 0.0))
-        if len(coincident):
+        dx = positions[cols, 0] - positions[rows, 0]
+        dy = positions[cols, 1] - positions[rows, 1]
+        coincident = (dx == 0.0) & (dy == 0.0)
+        if coincident.any():
             ids = topology.node_ids
-            u, v = (ids[int(r)] for r in coincident[0])
+            first = int(coincident.argmax())
+            u, v = ids[int(rows[first])], ids[int(cols[first])]
             raise ValueError(
                 f"nodes {u} and {v} are neighbours at the same position; "
                 "quadrant undefined"
             )
-        n = topology.num_nodes
-        masks: list[tuple[int, ...]] = []
-        rows: list[tuple[tuple[int, ...], ...]] = []
-        empty: list[np.ndarray] = []
-        for members in _quadrant_tests(dx, dy):
-            members &= adjacency
-            packed = np.packbits(members, axis=1, bitorder="little")
-            width = packed.shape[1]
-            buffer = packed.tobytes()
-            masks.append(
-                tuple(
-                    int.from_bytes(buffer[r * width : (r + 1) * width], "little")
-                    for r in range(n)
-                )
-            )
-            counts = members.sum(axis=1)
-            columns = np.nonzero(members)[1].tolist()
-            ends = np.cumsum(counts).tolist()
-            starts = [0, *ends[:-1]]
-            rows.append(tuple(tuple(columns[s:e]) for s, e in zip(starts, ends)))
-            empty.append(counts == 0)
-        self.masks: tuple[tuple[int, ...], ...] = tuple(masks)
-        self.rows: tuple[tuple[tuple[int, ...], ...], ...] = tuple(rows)
-        self.empty: tuple[np.ndarray, ...] = tuple(empty)
+        # Label 0..3 of each edge: exactly one test holds off the origin.
+        _, in_q2, in_q3, in_q4 = (test.view(np.int8) for test in _quadrant_tests(dx, dy))
+        labels = in_q2 + in_q3 * 2 + in_q4 * 3
+        members = np.zeros((4, n, n), dtype=bool)
+        members[labels, rows, cols] = True
+        packed = np.packbits(members, axis=2, bitorder="little")
+        # A stable sort by label keeps each (quadrant, row) run in column
+        # order, and the runs follow one another row by row.
+        columns = cols[np.argsort(labels, kind="stable")].tolist()
+        counts = np.bincount(labels.astype(np.intp) * n + rows, minlength=4 * n)
+        ends = np.cumsum(counts).tolist()
+        # ``runs`` yields the n row runs of quadrant 1, then of quadrant 2, ...
+        runs = zip([0, *ends[:-1]], ends)
+        self.masks: tuple[tuple[int, ...], ...] = tuple(
+            tuple(int.from_bytes(row, "little") for row in plane) for plane in packed
+        )
+        self.rows: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
+            tuple(tuple(columns[s:e]) for s, e in islice(runs, n)) for _ in range(4)
+        )
+        self.empty: tuple[np.ndarray, ...] = tuple(counts.reshape(4, n) == 0)
 
 
 _INDEX_CACHE: "weakref.WeakKeyDictionary[WSNTopology, QuadrantIndex]" = (

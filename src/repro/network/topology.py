@@ -26,7 +26,11 @@ a deployment attempt rejected as disconnected pays for none of them.
 Node sets have two representations, in one bit order (node-id order):
 ``frozenset`` objects at the public API and in the reference engine, and
 int bitmasks (bit ``i`` is ``node_ids[i]``) in the schedulers' search
-state, the vectorized engine and its trace validator.  Boolean numpy
+state, the vectorized engine and its trace validator, and the BFS parent
+cover of the hop-distance baselines.  The quadrant index (over the edge
+list) and the energy accounting (over the rows of the senders) read
+:attr:`WSNTopology.adjacency_matrix` directly, so a sweep on the
+vectorized engine never builds the ``frozenset`` neighbourhoods.  Boolean numpy
 vectors appear only inside whole-matrix queries — the hop-matrix column
 minima (:meth:`WSNTopology.nearest_hops`, :meth:`WSNTopology.ball_mask`)
 and the lossy link model's block draw — which convert at their edges with
@@ -97,7 +101,15 @@ def _eccentricity_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WSNTopology:
-    """An immutable WSN topology with precomputed neighbourhoods.
+    """An immutable WSN topology with precomputed neighbour masks.
+
+    The int masks (:meth:`neighbor_mask`, :attr:`neighbor_masks`) and the
+    adjacency matrix are what the schedulers, the vectorized engine and
+    the per-cell set-up read.
+    The ``frozenset`` neighbourhoods (:meth:`neighbors` and the other set
+    queries) and the :class:`Node` records are built on first use; they
+    serve the public set API, the exact solvers, the set-based reference
+    engine and the set-based reference oracles of the test suite.
 
     Parameters
     ----------
@@ -228,6 +240,11 @@ class WSNTopology:
 
     def _neighbour_sets(self) -> dict[NodeId, frozenset[NodeId]]:
         """``N(u)`` as a ``frozenset`` for every id, built on first use.
+
+        Only the set API builds this (:meth:`neighbors`, :meth:`has_edge`,
+        :meth:`edges`, ...): the exact solvers, the set-based reference
+        engine and reference oracles.  The per-cell set-up of a sweep reads
+        the masks and the adjacency matrix instead and never triggers it.
 
         Row-major nonzeros list each row's neighbours in ascending id
         order.  Each frozenset is copied from a set filled in that order:

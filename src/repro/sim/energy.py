@@ -9,10 +9,14 @@ schedulers can also be compared on the energy they burn, not only on latency:
 * every node inside a transmitter's range pays ``rx_cost`` for receiving (or
   overhearing) that transmission — the receiving channel is always on in the
   paper's model, so overhearing cannot be avoided;
-* every node pays ``idle_cost`` per round/slot of the broadcast window when
-  it is not receiving (idle listening), and ``sleep_cost`` is kept for
-  completeness of the interface (the paper's nodes never switch the
-  receiving channel off, so it defaults to the idle cost).
+* every node pays ``idle_cost`` for idle listening: its idle slots are the
+  rounds/slots of the broadcast window minus the transmissions it heard
+  (floored at zero), so each reception offsets one slot of the window — a
+  node that hears two senders in one slot is charged one idle slot less
+  than the slots in which it heard nothing;
+* ``sleep_cost`` is kept for completeness of the interface (the paper's
+  nodes never switch the receiving channel off, so it defaults to the idle
+  cost).
 
 The absolute unit is irrelevant for comparisons; the defaults follow the
 usual CC1000/CC2420-class ratios (tx ≈ rx ≈ 20× idle listening).
@@ -21,6 +25,8 @@ usual CC1000/CC2420-class ratios (tx ≈ rx ≈ 20× idle listening).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.network.topology import WSNTopology
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
@@ -97,8 +103,13 @@ def energy_of_broadcast(
     Receptions include overhearing: every neighbour of a transmitter is
     charged one reception for that advance, whether or not it was still
     waiting for the message (the paper's receiving channel is always on).
-    Idle listening is charged per node per round/slot of the broadcast
-    window in which the node did not receive anything.
+    Idle listening charges each node ``max(window - heard, 0)`` slots, where
+    ``heard`` counts the transmissions within its range (the receptions it
+    was charged), not the slots in which it heard one: two senders heard
+    in one slot offset two slots of the window.
+
+    The receptions of every node are one column sum over the adjacency
+    rows of the transmissions, so no per-event neighbour set is built.
 
     A :class:`~repro.sim.trace.MultiBroadcastResult` is accounted over its
     merged advance stream with the *makespan* as the broadcast window, so
@@ -106,31 +117,25 @@ def energy_of_broadcast(
     idle-listening windows — the whole point of batching wavefronts.
     """
     model = model or EnergyModel()
-    per_node = {u: 0.0 for u in topology.node_ids}
-    transmissions = 0
-    receptions = 0
-    listening_events: dict[int, int] = {u: 0 for u in topology.node_ids}
-
-    for advance in result.advances:
-        for transmitter in advance.color:
-            transmissions += 1
-            per_node[transmitter] += model.tx_cost
-            for neighbor in topology.neighbors(transmitter):
-                receptions += 1
-                per_node[neighbor] += model.rx_cost
-                listening_events[neighbor] += 1
-
-    window = max(result.latency, 0)
-    idle_slots = 0
-    for node in topology.node_ids:
-        idle = max(window - listening_events[node], 0)
-        idle_slots += idle
-        per_node[node] += idle * model.idle_cost
+    index = topology.index_of
+    # One row index per transmission; a node sending twice appears twice,
+    # so the adjacency rows it selects sum to the receptions per node.
+    senders = np.asarray(
+        [index(u) for advance in result.advances for u in advance.color], dtype=np.intp
+    )
+    sent = np.bincount(senders, minlength=topology.num_nodes)
+    heard = topology.adjacency_matrix[senders].sum(axis=0)
+    idle = np.maximum(max(result.latency, 0) - heard, 0)
+    per_node = (
+        sent * float(model.tx_cost)
+        + heard * float(model.rx_cost)
+        + idle * float(model.idle_cost)
+    )
 
     return EnergyReport(
         model=model,
-        transmissions=transmissions,
-        receptions=receptions,
-        idle_slots=idle_slots,
-        per_node=per_node,
+        transmissions=len(senders),
+        receptions=int(heard.sum()),
+        idle_slots=int(idle.sum()),
+        per_node=dict(zip(topology.node_ids, per_node.tolist())),
     )
