@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
+from pathlib import Path
 
-__all__ = ["emit", "mean", "paper_scale", "time_pair", "time_per_call"]
+__all__ = ["emit", "mean", "paper_scale", "time_pair", "time_per_call", "write_results"]
 
 
 def emit(title: str, body: str) -> None:
@@ -21,9 +23,24 @@ def mean(values) -> float:
 
 def paper_scale() -> bool:
     """True when ``REPRO_BENCH_SCALE=paper`` selects the full parameterisation."""
-    from repro.experiments.config import SCALE_ENV_VAR
+    from repro.experiments.config import PAPER_SWEEP, sweep_from_env
 
-    return os.environ.get(SCALE_ENV_VAR, "quick").strip().lower() == "paper"
+    return sweep_from_env() is PAPER_SWEEP
+
+
+def write_results(name: str, payload: dict) -> Path:
+    """Write ``payload`` as ``<results dir>/<name>.json`` and return the path.
+
+    The one results writer of the benchmark modules: every file lands in
+    ``$REPRO_BENCH_DIR`` (default ``bench-results``), which CI uploads.
+    """
+    directory = Path(os.environ.get("REPRO_BENCH_DIR", "bench-results"))
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.json"
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def time_per_call(fn, *, min_reps: int, budget_s: float = 1.0) -> float:

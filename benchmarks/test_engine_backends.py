@@ -20,16 +20,14 @@ the parity guarantee):
   sequential policy protocol bounds this at a smaller factor than the
   kernels).
 
-Results are written as JSON to ``$REPRO_BENCH_JSON`` (default
-``engine-backends.json`` in the working directory) so CI can upload them as
-an artifact.  ``REPRO_BENCH_SCALE=paper`` enables the timing assertions;
-the default quick scale measures but only asserts parity.
+Results are written as ``engine-backends.json`` in the benchmark results
+directory (``$REPRO_BENCH_DIR``, default ``bench-results``) so CI can
+upload them as an artifact.  ``REPRO_BENCH_SCALE=paper`` enables the
+timing assertions; the default quick scale measures but only asserts
+parity.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -44,7 +42,12 @@ from repro.sim.replay import ReplayPolicy
 from repro.sim.step import check_step
 from repro.sim.validation import validate_broadcast
 
-from _bench_utils import emit, paper_scale as _paper_scale, time_per_call as _time_per_call
+from _bench_utils import (
+    emit,
+    paper_scale as _paper_scale,
+    time_per_call as _time_per_call,
+    write_results,
+)
 
 NUM_NODES = 500
 DUTY_RATES = (10, 50)
@@ -54,10 +57,6 @@ POLICIES = {
     "E-model": EModelPolicy,
 }
 SPEEDUP_TARGET = 5.0
-
-
-def _json_path() -> str:
-    return os.environ.get("REPRO_BENCH_JSON", "engine-backends.json")
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +71,7 @@ def results_sink():
         }
     }
     yield results
-    path = _json_path()
-    with open(path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_results("engine-backends", results)
 
 
 @pytest.fixture(scope="module")

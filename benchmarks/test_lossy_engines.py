@@ -21,16 +21,14 @@ paper-shaped 500-node synchronous deployment:
   paper-scale target is not met: the replayed broadcast is 9 advances of
   about 0.5-0.9 ms in all, and per-run fixed costs weigh on the ratio.
 
-Results are written as JSON to ``$REPRO_BENCH_LOSSY_JSON`` (default
-``BENCH_lossy_engines.json`` in the working directory) so CI can upload
-them as an artifact.
+Results are written as ``BENCH_lossy_engines.json`` in the benchmark
+results directory (``$REPRO_BENCH_DIR``, default ``bench-results``) so CI
+can upload them as an artifact.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 
 import pytest
 
@@ -42,7 +40,12 @@ from repro.sim.links import IndependentLossLinks
 from repro.sim.replay import ReplayPolicy
 from repro.sim.validation import validate_broadcast
 
-from _bench_utils import emit, paper_scale as _paper_scale, time_per_call as _time_per_call
+from _bench_utils import (
+    emit,
+    paper_scale as _paper_scale,
+    time_per_call as _time_per_call,
+    write_results,
+)
 
 NUM_NODES = 500
 LOSS_PROBABILITY = 0.1
@@ -58,10 +61,6 @@ SPEEDUP_TARGET = 3.0
 QUICK_SPEEDUP_FLOOR = 1.5
 
 
-def _json_path() -> str:
-    return os.environ.get("REPRO_BENCH_LOSSY_JSON", "BENCH_lossy_engines.json")
-
-
 @pytest.fixture(scope="module")
 def results_sink():
     """Accumulates benchmark numbers; written as a JSON artifact at teardown."""
@@ -75,9 +74,7 @@ def results_sink():
         }
     }
     yield results
-    with open(_json_path(), "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_results("BENCH_lossy_engines", results)
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,14 @@ models.  Three assertions:
 * **availability** — the branch-and-bound runs everywhere; the ILP rows
   are recorded only where scipy/HiGHS is importable (the JSON notes which).
 
-Results are written as JSON to ``$REPRO_BENCH_SOLVERS_JSON`` (default
-``BENCH_solvers.json`` in the working directory) so CI can upload them as
-an artifact alongside the other ``BENCH_*`` files.
+Results are written as ``BENCH_solvers.json`` in the benchmark results
+directory (``$REPRO_BENCH_DIR``, default ``bench-results``) so CI can
+upload them as an artifact alongside the other ``BENCH_*`` files.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import os
 
 import pytest
 
@@ -34,17 +32,13 @@ from repro.solvers import (
     solve_broadcast,
 )
 
-from _bench_utils import emit, time_per_call
+from _bench_utils import emit, time_per_call, write_results
 
 #: (num_nodes, seed) per grid instance — sparse enough that interference
 #: bites (the flood bound is not tight and the search must branch).
 INSTANCES = ((6, 11), (8, 12), (10, 3), (12, 5))
 SYSTEMS = ("sync", "duty")
 DUTY_RATE = 4
-
-
-def _json_path() -> str:
-    return os.environ.get("REPRO_BENCH_SOLVERS_JSON", "BENCH_solvers.json")
 
 
 def _instance(num_nodes: int, seed: int):
@@ -137,7 +131,4 @@ def test_report_and_emit_json(results):
         "duty_rate": DUTY_RATE,
         "rows": payload_rows,
     }
-    path = _json_path()
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"[wrote {path}]")
+    print(f"[wrote {write_results('BENCH_solvers', payload)}]")

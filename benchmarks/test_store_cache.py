@@ -11,16 +11,14 @@ serves every cell from disk.  Three assertions:
   (in practice it is orders of magnitude faster: sqlite lookups + shard
   reads vs per-cell deployment, colouring and broadcast simulation).
 
-Results are written as JSON to ``$REPRO_BENCH_STORE_JSON`` (default
-``BENCH_store.json`` in the working directory) so CI can upload them as an
-artifact — the first point of the ``BENCH_*`` trajectory.
+Results are written as ``BENCH_store.json`` in the benchmark results
+directory (``$REPRO_BENCH_DIR``, default ``bench-results``) so CI can
+upload them as an artifact.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 
 import pytest
@@ -29,14 +27,10 @@ from repro.experiments.config import sweep_from_env
 from repro.experiments.runner import run_sweep
 from repro.store import ExperimentStore
 
-from _bench_utils import emit, paper_scale as _paper_scale
+from _bench_utils import emit, paper_scale as _paper_scale, write_results
 
 SCENARIOS = ("uniform", "clustered")
 SPEEDUP_TARGET = 10.0
-
-
-def _json_path() -> str:
-    return os.environ.get("REPRO_BENCH_STORE_JSON", "BENCH_store.json")
 
 
 def _grid_config():
@@ -97,9 +91,7 @@ def test_store_cold_vs_warm_sweep(tmp_path):
             "speedup": speedup,
         },
     }
-    with open(_json_path(), "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_results("BENCH_store", results)
 
     emit(
         f"Experiment-store cache ({len(SCENARIOS)} scenarios x "

@@ -8,41 +8,30 @@ halves:
   bare sweep after the telemetry spine landed must cost what it cost
   before it;
 * **on** — with a ring sink attached, events are constructed and buffered
-  at cell/store/lane granularity (never per slot of a non-streamed run),
-  so even a fully observed sweep must stay within ``OVERHEAD_BUDGET`` of
-  the bare one.
+  at sweep/cell/store granularity (never per slot), so even a fully
+  observed sweep must stay within ``OVERHEAD_BUDGET`` of the bare one.
 
 Both sides are timed interleaved (:func:`_bench_utils.time_pair`) so
-machine-load drift cannot masquerade as overhead.  The streamed slot path
-— the only per-advance emission — is measured separately with the same
-budget.  Results land in ``$REPRO_BENCH_TELEMETRY_JSON`` (default
-``BENCH_telemetry.json``) for the CI artifact trajectory.
+machine-load drift cannot masquerade as overhead.  Results are written as
+``BENCH_telemetry.json`` in the benchmark results directory
+(``$REPRO_BENCH_DIR``, default ``bench-results``) for the CI artifact.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 
 import pytest
 
-from repro.core.policies import EModelPolicy
 from repro.experiments.config import sweep_from_env
 from repro.experiments.runner import run_sweep
-from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.obs.bus import EVENT_BUS
 from repro.obs.sinks import RingBufferSink
-from repro.sim import stream_broadcast
 
-from _bench_utils import emit, paper_scale as _paper_scale, time_pair
+from _bench_utils import emit, paper_scale as _paper_scale, time_pair, write_results
 
 #: Instrumented / bare wall-time ratio each workload must stay under.
 OVERHEAD_BUDGET = 1.05
-
-
-def _json_path() -> str:
-    return os.environ.get("REPRO_BENCH_TELEMETRY_JSON", "BENCH_telemetry.json")
 
 
 def _sweep_config():
@@ -72,30 +61,6 @@ def test_telemetry_overhead_within_budget(tmp_path):
     sweep_ratio = observed_s / bare_s
     assert ring.total > 0, "the observed side emitted nothing — vacuous measurement"
 
-    # The streamed slot loop is the only per-advance emission site.
-    topology, source = deploy_uniform(
-        config=DeploymentConfig(
-            num_nodes=100,
-            area_side=30.0,
-            radius=8.0,
-            source_min_ecc=2,
-            source_max_ecc=None,
-        ),
-        seed=11,
-    )
-
-    def bare_stream():
-        stream_broadcast(topology, source, EModelPolicy())
-
-    def observed_stream():
-        with EVENT_BUS.attached(ring):
-            stream_broadcast(topology, source, EModelPolicy())
-
-    bare_stream_s, observed_stream_s = time_pair(
-        bare_stream, observed_stream, min_reps=5, budget_s=10.0
-    )
-    stream_ratio = observed_stream_s / bare_stream_s
-
     cells = len(config.node_counts) * config.repetitions
     results = {
         "workload": {
@@ -112,29 +77,16 @@ def test_telemetry_overhead_within_budget(tmp_path):
             "bare_cells_per_s": cells / bare_s,
             "observed_cells_per_s": cells / observed_s,
         },
-        "stream": {
-            "bare_s": bare_stream_s,
-            "observed_s": observed_stream_s,
-            "ratio": stream_ratio,
-        },
     }
-    with open(_json_path(), "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_results("BENCH_telemetry", results)
 
     emit(
         "Telemetry overhead (ring sink attached vs bare)",
         f"sweep:  bare {bare_s * 1e3:8.1f} ms | observed {observed_s * 1e3:8.1f} ms "
         f"| ratio {sweep_ratio:.3f}\n"
-        f"stream: bare {bare_stream_s * 1e3:8.1f} ms | observed "
-        f"{observed_stream_s * 1e3:8.1f} ms | ratio {stream_ratio:.3f}\n"
         f"budget: <= {OVERHEAD_BUDGET:.2f}",
     )
     assert sweep_ratio <= OVERHEAD_BUDGET, (
         f"instrumented sweep is {(sweep_ratio - 1) * 100:.1f}% slower than bare; "
-        f"budget is {(OVERHEAD_BUDGET - 1) * 100:.0f}%"
-    )
-    assert stream_ratio <= OVERHEAD_BUDGET, (
-        f"instrumented stream is {(stream_ratio - 1) * 100:.1f}% slower than bare; "
         f"budget is {(OVERHEAD_BUDGET - 1) * 100:.0f}%"
     )

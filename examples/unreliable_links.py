@@ -29,10 +29,10 @@ from __future__ import annotations
 import argparse
 
 from repro import EModelPolicy, LocalizedEModelPolicy, deploy_uniform
-from repro.sim.broadcast import ENGINE_BACKENDS
+from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
 from repro.sim.energy import EnergyModel, energy_of_broadcast
+from repro.sim.links import IndependentLossLinks
 from repro.sim.render import render_schedule_timeline, render_topology_ascii
-from repro.sim.unreliable import run_lossy_broadcast
 from repro.utils.format import format_table
 
 
@@ -62,13 +62,14 @@ def main() -> None:
         ("localized-E", LocalizedEModelPolicy),
     ):
         for probability in probabilities:
-            result = run_lossy_broadcast(
+            result = run_broadcast(
                 topology,
                 source,
                 policy_factory(),
-                loss_probability=probability,
-                seed=args.seed + int(probability * 1000),
                 engine=args.engine,
+                link_model=IndependentLossLinks(
+                    probability, seed=args.seed + int(probability * 1000)
+                ),
             )
             report = energy_of_broadcast(topology, result, energy_model)
             rows.append(

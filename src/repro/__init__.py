@@ -79,7 +79,6 @@ from repro.sim.energy import EnergyModel, EnergyReport, energy_of_broadcast
 from repro.sim.links import IndependentLossLinks, LinkModel, ReliableLinks
 from repro.sim.metrics import BroadcastMetrics, MultiBroadcastMetrics
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.sim.unreliable import run_lossy_broadcast
 from repro.solvers import (
     SOLVER_TIERS,
     ExactPolicy,
@@ -132,7 +131,6 @@ __all__ = [
     "figure2_topology",
     "greedy_color_classes",
     "run_broadcast",
-    "run_lossy_broadcast",
     "select_sources",
     "solve_broadcast",
     "solver_names",

@@ -95,7 +95,13 @@ from pathlib import Path
 from repro.dutycycle.models import duty_model_names, list_duty_models
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
-from repro.experiments.config import PAPER_SWEEP, QUICK_SWEEP, RATIO_SWEEP, SweepConfig
+from repro.experiments.config import (
+    PAPER_SWEEP,
+    QUICK_SWEEP,
+    RATIO_SWEEP,
+    SweepConfig,
+    sweep_from_env,
+)
 from repro.experiments.report import (
     claims_to_text,
     ratio_claims,
@@ -521,8 +527,7 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     elif args.scale == "quick":
         config = QUICK_SWEEP
     else:
-        scale = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-        config = PAPER_SWEEP if scale == "paper" else QUICK_SWEEP
+        config = sweep_from_env()
     if args.repetitions is not None:
         config = config.with_repetitions(args.repetitions)
     if args.nodes is not None:

@@ -85,8 +85,6 @@ class SweepConfig:
         Search configuration of the time-counter policies (OPT / G-OPT).
     max_color_classes:
         Enumeration cap of the OPT policy's admissible colours.
-    duty_rates:
-        Cycle rates used by the duty-cycle figures (10 = heavy, 50 = light).
     engine:
         Simulation backend from :data:`repro.sim.ENGINE_BACKENDS`:
         ``"reference"`` (frozenset/bigint oracle) or ``"vectorized"`` (int-mask
@@ -149,7 +147,6 @@ class SweepConfig:
         default_factory=lambda: SearchConfig(mode="beam", beam_width=8)
     )
     max_color_classes: int | None = 32
-    duty_rates: tuple[int, ...] = (10, 50)
     engine: str = "reference"
     workers: int = 1
     scenario: str = "uniform"

@@ -17,13 +17,16 @@ fleet (flaky ones included); a worker raising
 :class:`~repro.fabric.worker.WorkerCrashed` simply dies — the fleet leans
 on lease expiry and the surviving workers to finish the grid, exactly like
 a remote fleet would.
+
+A fleet stops leasing as soon as the next cell in order is quarantined:
+no later cell can reach the runner, so simulating one is wasted work.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.fabric.coordinator import FabricCoordinator
 from repro.fabric.protocol import FabricError
@@ -124,7 +127,7 @@ class LocalFleet:
             else:
                 transports = [LocalTransport(coordinator) for _ in range(self.workers)]
             fleet = [
-                self._make_worker(index, transport)
+                self._make_worker(index, _OrderedTransport(transport, coordinator))
                 for index, transport in enumerate(transports)
             ]
             threads = [
@@ -196,3 +199,36 @@ class LocalFleet:
             worker.run()
         except WorkerCrashed:
             pass  # a dead worker is a legitimate fleet event, not an error
+
+
+class _OrderedTransport(Transport):
+    """A worker's transport that answers ``claim`` with ``done`` once the
+    earliest uncommitted cell is quarantined.
+
+    The fleet yields cells in order, so nothing after that cell can be
+    delivered; workers finish what they hold and exit instead of leasing
+    the rest of the grid.
+    """
+
+    def __init__(self, inner: Transport, coordinator: FabricCoordinator) -> None:
+        self._inner = inner
+        self._coordinator = coordinator
+
+    def request(self, action: str, payload: Mapping) -> dict:
+        if action == "claim" and self._halted():
+            return {"status": "done"}
+        return self._inner.request(action, payload)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def _halted(self) -> bool:
+        quarantined = self._coordinator.quarantined
+        if not quarantined:
+            return False
+        for index in range(min(quarantined)):
+            try:
+                self._coordinator.records_for(index)
+            except KeyError:
+                return False
+        return True

@@ -56,7 +56,6 @@ def config_from_payload(payload: Mapping) -> SweepConfig:
     fields = dict(payload)
     fields["search"] = SearchConfig(**fields["search"])
     fields["node_counts"] = tuple(fields["node_counts"])
-    fields["duty_rates"] = tuple(fields["duty_rates"])
     return SweepConfig(**fields)
 
 

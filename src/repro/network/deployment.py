@@ -29,6 +29,7 @@ every process — the parallel sweep runner depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -115,9 +116,51 @@ class Deployment:
         return self.topology.eccentricity(self.source)
 
 
-def _candidate_sources(topology: WSNTopology, config: DeploymentConfig) -> list[int]:
-    """Node ids whose eccentricity lies in the configured range."""
-    return topology.nodes_with_eccentricity(config.source_min_ecc, config.source_max_ecc)
+def _vetted_deployment(
+    config: DeploymentConfig,
+    rng: np.random.Generator,
+    build: Callable[[], WSNTopology],
+    *,
+    scenario: str = "uniform",
+    failed: str = "failed to generate a deployment",
+    advice: str = "relaxing the eccentricity range or density",
+) -> Deployment:
+    """The vetting loop every deployment generator shares.
+
+    Each attempt draws a topology with ``build`` (which consumes ``rng``),
+    rejects it when disconnected or when no node's eccentricity lies in
+    ``config``'s source window, and otherwise draws the source uniformly
+    from the eligible nodes with the same ``rng``.  After
+    ``config.max_attempts`` rejections a :class:`DeploymentError` names
+    the last reason, prefixed by ``failed`` and followed by ``advice``.
+    """
+    last_error = "no attempt made"
+    for attempt in range(1, config.max_attempts + 1):
+        topology = build()
+        if not topology.is_connected():
+            last_error = "deployment disconnected"
+            continue
+        candidates = topology.nodes_with_eccentricity(
+            config.source_min_ecc, config.source_max_ecc
+        )
+        if not candidates:
+            last_error = (
+                "no node with eccentricity in "
+                f"[{config.source_min_ecc}, {config.source_max_ecc}]"
+            )
+            continue
+        source = int(candidates[int(rng.integers(len(candidates)))])
+        return Deployment(
+            topology=topology,
+            source=source,
+            config=config,
+            attempts=attempt,
+            scenario=scenario,
+        )
+    raise DeploymentError(
+        f"{failed} after {config.max_attempts} attempts ({last_error}); "
+        f"consider {advice}"
+    )
 
 
 def deploy_uniform(
@@ -153,32 +196,14 @@ def deploy_uniform(
         config = DeploymentConfig(num_nodes=num_nodes)
     rng = make_rng(seed)
 
-    last_error = "no attempt made"
-    for attempt in range(1, config.max_attempts + 1):
+    def build() -> WSNTopology:
         positions = rng.uniform(0.0, config.area_side, size=(config.num_nodes, 2))
-        topology = WSNTopology.from_positions(positions, radius=config.radius)
-        if not topology.is_connected():
-            last_error = "deployment disconnected"
-            continue
-        candidates = _candidate_sources(topology, config)
-        if not candidates:
-            last_error = (
-                "no node with eccentricity in "
-                f"[{config.source_min_ecc}, {config.source_max_ecc}]"
-            )
-            continue
-        source = int(candidates[int(rng.integers(len(candidates)))])
-        deployment = Deployment(
-            topology=topology, source=source, config=config, attempts=attempt
-        )
-        if return_deployment:
-            return deployment
-        return topology, source
+        return WSNTopology.from_positions(positions, radius=config.radius)
 
-    raise DeploymentError(
-        f"failed to generate a deployment after {config.max_attempts} attempts "
-        f"({last_error}); consider relaxing the eccentricity range or density"
-    )
+    deployment = _vetted_deployment(config, rng, build)
+    if return_deployment:
+        return deployment
+    return deployment.topology, deployment.source
 
 
 def grid_deployment(

@@ -25,7 +25,6 @@ from repro.obs.events import (
     LeaseClaimed,
     LeaseExpired,
     LeaseFailed,
-    SlotAdvanced,
     StoreHit,
     StoreMiss,
     StorePut,
@@ -66,7 +65,6 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "SlotAdvanced",
     "StoreHit",
     "StoreMiss",
     "StorePut",

@@ -1,7 +1,7 @@
 """The event bus: fan one event stream out to attached sinks, zero-cost off.
 
 One process-wide bus (:data:`EVENT_BUS`) carries every telemetry event of
-the instrumented layers — sweep runner, store, streaming engine, fabric.
+the instrumented layers — sweep runner, store, fabric.
 The design constraint is the **zero-cost-when-off contract**: with no sink
 attached, instrumented hot paths must not even *construct* events, let
 alone dispatch them.  Call sites therefore guard on the plain attribute

@@ -12,7 +12,7 @@ The zero-cost contract (see :mod:`repro.obs.bus`) means event *construction*
 is guarded at every hot call site::
 
     if EVENT_BUS.active:
-        EVENT_BUS.emit(events.SlotAdvanced(...))
+        EVENT_BUS.emit(events.StoreHit(...))
 
 so a run with no sink attached never allocates an event at all — the unit
 suite pins this by swapping the event classes for raisers.
@@ -30,7 +30,6 @@ __all__ = [
     "SweepFinished",
     "CellStarted",
     "CellFinished",
-    "SlotAdvanced",
     "StoreHit",
     "StoreMiss",
     "StorePut",
@@ -103,19 +102,6 @@ class CellFinished(Event):
     num_nodes: int
     repetition: int
     records: int
-
-
-# -- streaming engine --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlotAdvanced(Event):
-    """One recorded advance of a streamed broadcast (transmission slot)."""
-
-    kind: ClassVar[str] = "slot_advanced"
-    time: int
-    transmitters: int
-    receivers: int
 
 
 # -- experiment store ------------------------------------------------------
@@ -209,7 +195,6 @@ EVENT_KINDS: dict[str, type[Event]] = {
         SweepFinished,
         CellStarted,
         CellFinished,
-        SlotAdvanced,
         StoreHit,
         StoreMiss,
         StorePut,

@@ -230,9 +230,6 @@ class MetricsSink(EventSink):
             registry.gauge("store.hit_rate").set(hits / max(hits + misses, 1.0))
         elif isinstance(event, _events.StorePut):
             registry.counter("store.puts").inc()
-        elif isinstance(event, _events.SlotAdvanced):
-            registry.counter("engine.slot_advances").inc()
-            registry.counter("engine.transmissions").inc(event.transmitters)
         elif isinstance(event, _events.LeaseClaimed):
             registry.counter("fabric.lease_claims").inc()
         elif isinstance(event, (_events.LeaseExpired, _events.LeaseFailed)):

@@ -41,8 +41,7 @@ from typing import Callable, Mapping
 from repro.network.deployment import (
     Deployment,
     DeploymentConfig,
-    DeploymentError,
-    _candidate_sources,
+    _vetted_deployment,
 )
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
@@ -198,26 +197,11 @@ def generate_scenario(
     effective = dataclasses.replace(
         config, source_min_ecc=min_ecc, source_max_ecc=max_ecc
     )
-    last_error = "no attempt made"
-    for attempt in range(1, config.max_attempts + 1):
-        topology = spec.builder(config, rng, **merged)
-        if not topology.is_connected():
-            last_error = "deployment disconnected"
-            continue
-        candidates = _candidate_sources(topology, effective)
-        if not candidates:
-            last_error = f"no node with eccentricity in [{min_ecc}, {max_ecc}]"
-            continue
-        source = int(candidates[int(rng.integers(len(candidates)))])
-        return Deployment(
-            topology=topology,
-            source=source,
-            config=effective,
-            attempts=attempt,
-            scenario=name,
-        )
-
-    raise DeploymentError(
-        f"scenario {name!r} failed after {config.max_attempts} attempts "
-        f"({last_error}); consider relaxing the parameters or raising the density"
+    return _vetted_deployment(
+        effective,
+        rng,
+        lambda: spec.builder(config, rng, **merged),
+        scenario=name,
+        failed=f"scenario {name!r} failed",
+        advice="relaxing the parameters or raising the density",
     )

@@ -19,9 +19,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.render import render_schedule_timeline, render_topology_ascii
 from repro.sim.replay import ReplayPolicy
-from repro.sim.streaming import StreamSummary, stream_broadcast
 from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.sim.unreliable import run_lossy_broadcast
 from repro.sim.validation import (
     ScheduleViolation,
     assert_valid,
@@ -49,7 +47,6 @@ __all__ = [
     "ScheduleViolation",
     "SimulationTimeout",
     "SlotEngine",
-    "StreamSummary",
     "assert_valid",
     "assert_valid_multi",
     "build_link_model",
@@ -59,8 +56,6 @@ __all__ = [
     "render_schedule_timeline",
     "render_topology_ascii",
     "run_broadcast",
-    "run_lossy_broadcast",
-    "stream_broadcast",
     "validate_broadcast",
     "validate_multi_broadcast",
 ]

@@ -113,10 +113,7 @@ class _VectorizedKernel(_EngineBase):
         Same hint rule, same rotating priority order, same deferral
         predicate on the same bigint masks, same link-RNG consumption order.
         Each message's ``W`` is held as a mask beside its frozenset, and
-        the policies receive both.  A generator, so the streaming driver
-        (:mod:`repro.sim.streaming`) holds no advance list: a consumer that
-        does not keep the yielded advances runs in memory independent of
-        the trace length.
+        the policies receive both.
         """
         topology = self.topology
         schedule = self.schedule

@@ -49,8 +49,10 @@ __all__ = ["STORE_SCHEMA_VERSION", "CellKey", "cell_key_for"]
 #: every digest: bumping it invalidates every previously cached cell.
 #: History: 1 — initial store; 2 — ``SweepConfig.solver`` joined the
 #: record-affecting fields (the solver tier is workload configuration, so
-#: pre-solver caches must not satisfy solver-aware lookups).
-STORE_SCHEMA_VERSION = 2
+#: pre-solver caches must not satisfy solver-aware lookups); 3 — the unread
+#: ``SweepConfig.duty_rates`` left the key fields, so configs with identical
+#: records share one digest.
+STORE_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,15 @@ def _config_from_params(
     The key parameters are exactly ``SweepConfig.cell_key_fields()``; the
     excluded grid shape is resupplied from the matched cells and the
     excluded ``engine``/``workers`` fall back to their (record-irrelevant)
-    defaults.
+    defaults.  Schema-2 cells still carry the retired ``duty_rates`` field,
+    which shaped no record and is dropped.
     """
     from repro.core.time_counter import SearchConfig
     from repro.experiments.config import SweepConfig
 
     fields = dict(params)
     fields["search"] = SearchConfig(**fields["search"])
-    fields["duty_rates"] = tuple(fields["duty_rates"])
+    fields.pop("duty_rates", None)
     return SweepConfig(
         node_counts=node_counts, repetitions=repetitions, **fields
     )

@@ -81,10 +81,17 @@ def test_fleet_progress_streams_before_the_grid_is_done(baseline):
 def test_quarantined_cell_raises_after_earlier_cells_are_stored(tmp_path, baseline):
     """One worker posts a bad digest for cell 2; with one attempt allowed the
     cell is quarantined.  ``run_sweep`` raises naming it, having written
-    back (and reported) cells 0 and 1 through its own loop."""
+    back (and reported) cells 0 and 1 through its own loop.  No later cell
+    can reach the runner, so the fleet stops leasing: cell 3 is never
+    simulated."""
     poisoned = 2
+    simulated: list[int] = []
 
     class _PoisonWorker(FabricWorker):
+        def simulate(self, cell, grant):
+            simulated.append(grant["index"])
+            return super().simulate(cell, grant)
+
         def post(self, payload):
             if payload["index"] == poisoned:
                 payload = {**payload, "digest": "0" * 64}
@@ -105,6 +112,7 @@ def test_quarantined_cell_raises_after_earlier_cells_are_stored(tmp_path, baseli
                 run_sweep(_CONFIG, system="sync", store=store, fabric=fleet)
         assert _lingering() == []
         assert seen == list(range(poisoned))
+        assert simulated == list(range(poisoned + 1))
         assert fleet.last_status["counts"]["quarantined"] == 1
 
         # The runner alone wrote back, so exactly the cells before the
@@ -113,3 +121,33 @@ def test_quarantined_cell_raises_after_earlier_cells_are_stored(tmp_path, baseli
         assert rerun.cache_hits == poisoned
         assert rerun.cache_misses == _CELLS - poisoned
         assert rerun.records == baseline.records
+
+
+@pytest.mark.parametrize("poisoned", [0, 1, _CELLS - 1])
+def test_fleet_stops_leasing_once_the_next_cell_is_quarantined(poisoned):
+    """Wherever the quarantined cell sits, the one worker simulates it and
+    every earlier cell, and no cell after it."""
+    simulated: list[int] = []
+
+    class _PoisonWorker(FabricWorker):
+        def simulate(self, cell, grant):
+            simulated.append(grant["index"])
+            return super().simulate(cell, grant)
+
+        def post(self, payload):
+            if payload["index"] == poisoned:
+                payload = {**payload, "digest": "0" * 64}
+            super().post(payload)
+
+    fleet = LocalFleet(
+        workers=1,
+        max_attempts=1,
+        worker_factory=lambda index, transport: _PoisonWorker(
+            transport, name=f"fleet-worker-{index}", poll_interval=0.01
+        ),
+    )
+    with pytest.raises(FabricError, match=f"cell {poisoned}: rejected"):
+        run_sweep(_CONFIG, system="sync", fabric=fleet)
+    assert _lingering() == []
+    assert simulated == list(range(poisoned + 1))
+    assert fleet.last_status["counts"]["quarantined"] == 1

@@ -7,9 +7,12 @@ import pytest
 from repro.network.deployment import (
     DeploymentConfig,
     DeploymentError,
+    _vetted_deployment,
     deploy_uniform,
     grid_deployment,
 )
+from repro.network.topology import WSNTopology
+from repro.utils.rng import make_rng
 
 
 class TestDeploymentConfig:
@@ -81,8 +84,63 @@ class TestDeployUniform:
         config = DeploymentConfig(
             num_nodes=2, area_side=5, radius=10, source_min_ecc=5, max_attempts=3
         )
-        with pytest.raises(DeploymentError):
+        message = (
+            r"failed to generate a deployment after 3 attempts \(no node with "
+            r"eccentricity in \[5, 8\]\); consider relaxing the eccentricity "
+            r"range or density"
+        )
+        with pytest.raises(DeploymentError, match=message):
             deploy_uniform(config=config, seed=0)
+
+
+class TestVettedDeployment:
+    """The vetting loop behind ``deploy_uniform`` and ``generate_scenario``."""
+
+    _CONFIG = DeploymentConfig(
+        num_nodes=4, area_side=10, radius=1.5, source_min_ecc=1, max_attempts=3
+    )
+
+    @staticmethod
+    def _line(length: int) -> WSNTopology:
+        return WSNTopology.from_positions(
+            [(float(i), 0.0) for i in range(length)], radius=1.5
+        )
+
+    def test_rejected_builds_count_as_attempts(self):
+        disconnected = WSNTopology.from_positions(
+            [(0.0, 0.0), (5.0, 0.0), (6.0, 0.0), (9.0, 0.0)], radius=1.5
+        )
+        builds = iter([disconnected, disconnected, self._line(4)])
+        deployment = _vetted_deployment(self._CONFIG, make_rng(0), lambda: next(builds))
+        assert deployment.attempts == 3
+        assert deployment.scenario == "uniform"
+        assert deployment.config == self._CONFIG
+
+    def test_source_is_drawn_after_the_build(self):
+        """The source index is the next ``integers`` draw of the shared rng."""
+        twin = make_rng(5)
+        line = self._line(4)
+        deployment = _vetted_deployment(
+            self._CONFIG, make_rng(5), lambda: line, scenario="line"
+        )
+        candidates = line.nodes_with_eccentricity(1, None)
+        assert deployment.source == candidates[int(twin.integers(len(candidates)))]
+        assert deployment.scenario == "line"
+
+    def test_exhausted_attempts_name_the_last_reason(self):
+        disconnected = WSNTopology.from_positions([(0.0, 0.0), (5.0, 0.0)], radius=1.5)
+        with pytest.raises(
+            DeploymentError,
+            match=r"^built nothing after 3 attempts \(deployment disconnected\); "
+            r"consider waiting$",
+        ):
+            _vetted_deployment(
+                self._CONFIG,
+                make_rng(0),
+                lambda: disconnected,
+                failed="built nothing",
+                advice="waiting",
+            )
 
 
 class TestGridDeployment:

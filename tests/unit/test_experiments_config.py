@@ -21,7 +21,12 @@ class TestSweepConfig:
         assert PAPER_SWEEP.radius == 10.0
         assert PAPER_SWEEP.source_min_ecc == 5
         assert PAPER_SWEEP.source_max_ecc == 8
-        assert PAPER_SWEEP.duty_rates == (10, 50)
+
+    def test_duty_rates_field_is_retired(self):
+        # The figures fix their own rates; the field shaped no record.
+        with pytest.raises(TypeError, match="duty_rates"):
+            SweepConfig(duty_rates=(10, 50))  # type: ignore[call-arg]
+        assert "duty_rates" not in PAPER_SWEEP.cell_key_fields()
 
     def test_densities_span_paper_range(self):
         densities = PAPER_SWEEP.densities

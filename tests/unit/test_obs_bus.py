@@ -11,9 +11,9 @@ from repro.obs.bus import EVENT_BUS, EventBus, TelemetrySinkError
 from repro.obs.events import (
     EVENT_KINDS,
     CellFinished,
+    CellStarted,
     Event,
     LeaseClaimed,
-    SlotAdvanced,
     StoreHit,
     StoreMiss,
     SweepStarted,
@@ -39,7 +39,6 @@ def _sample_events() -> list[Event]:
         events_mod.SweepFinished(16, 1, 3),
         events_mod.CellStarted("duty", 10, 50, 0),
         events_mod.CellFinished(0, 50, 0, 4),
-        events_mod.SlotAdvanced(3, 2, 5),
         events_mod.StoreHit("ab" * 32, 4),
         events_mod.StoreMiss("cd" * 32),
         events_mod.StorePut("ef" * 32, 4),
@@ -74,18 +73,19 @@ class TestEvents:
         assert event_from_json(payload) == StoreMiss("00" * 32)
 
     def test_from_json_rejects_unknown_kind(self):
-        # Retired kinds (the removed stripe executor's) fail as loudly as
-        # never-registered ones.
-        for kind in ("frobnicated", "stripe_started", "stripe_finished", "lane_woke"):
+        # Retired kinds (the removed stripe executor's and streamed
+        # broadcast's) fail as loudly as never-registered ones.
+        retired = ("stripe_started", "stripe_finished", "lane_woke", "slot_advanced")
+        for kind in ("frobnicated", *retired):
             with pytest.raises(ValueError, match="unknown event kind"):
                 event_from_json({"event": kind})
 
     def test_events_are_frozen_values(self):
-        event = SlotAdvanced(3, 2, 5)
+        event = CellStarted("duty", 10, 50, 0)
         with pytest.raises(Exception):
-            event.time = 4  # type: ignore[misc]
-        assert event == SlotAdvanced(3, 2, 5)
-        assert hash(event) == hash(SlotAdvanced(3, 2, 5))
+            event.rate = 50  # type: ignore[misc]
+        assert event == CellStarted("duty", 10, 50, 0)
+        assert hash(event) == hash(CellStarted("duty", 10, 50, 0))
 
 
 class TestEventBus:
@@ -184,10 +184,13 @@ class TestZeroCostWhenOff:
         with ExperimentStore(tmp_path / "store") as store:
             assert store.get(self._cell_key()) is None  # miss path
 
-    def test_streaming_constructs_nothing_when_off(self, raising_events):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("rate", [None, 4])
+    def test_broadcast_constructs_nothing_when_off(self, raising_events, engine, rate):
         from repro.core.policies import EModelPolicy
+        from repro.dutycycle.schedule import WakeupSchedule
         from repro.network.deployment import DeploymentConfig, deploy_uniform
-        from repro.sim import stream_broadcast
+        from repro.sim import run_broadcast
 
         topology, source = deploy_uniform(
             config=DeploymentConfig(
@@ -199,8 +202,18 @@ class TestZeroCostWhenOff:
             ),
             seed=3,
         )
-        summary = stream_broadcast(topology, source, EModelPolicy())
-        assert summary.num_advances > 0
+        schedule = None
+        if rate is not None:
+            schedule = WakeupSchedule(topology.node_ids, rate=rate, seed=3)
+        result = run_broadcast(
+            topology,
+            source,
+            EModelPolicy(),
+            schedule=schedule,
+            align_start=schedule is not None,
+            engine=engine,
+        )
+        assert result.covered == topology.node_set
 
     def test_lease_queue_constructs_nothing_when_off(self, raising_events):
         from repro.fabric.queue import LeaseQueue
@@ -222,9 +235,12 @@ class TestZeroCostWhenOff:
 class TestRingBufferSink:
     def test_keeps_the_last_capacity_events(self):
         ring = RingBufferSink(capacity=2)
-        for time in range(3):
-            ring.consume(SlotAdvanced(time, 1, 1))
-        assert ring.events() == [SlotAdvanced(1, 1, 1), SlotAdvanced(2, 1, 1)]
+        for repetition in range(3):
+            ring.consume(CellStarted("sync", 1, 50, repetition))
+        assert ring.events() == [
+            CellStarted("sync", 1, 50, 1),
+            CellStarted("sync", 1, 50, 2),
+        ]
         assert ring.total == 3
 
     def test_counts_by_kind_and_clear(self):

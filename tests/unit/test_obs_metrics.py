@@ -145,23 +145,13 @@ class TestMetricsSink:
         assert gauges["worker.w1.last_seen_ts"] == 50.0
         assert gauges["worker.w2.last_seen_ts"] == 60.0
 
-    def test_engine_counters(self):
-        snapshot = self._fold(
-            MetricsSink(),
-            events.SlotAdvanced(3, 2, 5),
-            events.SlotAdvanced(4, 3, 1),
-        )
-        counters = snapshot["counters"]
-        assert counters["engine.slot_advances"] == 2
-        assert counters["engine.transmissions"] == 5
-
     def test_every_kind_lands_in_an_events_counter(self):
         sink = MetricsSink()
         sink.consume(events.StoreMiss("00" * 32))
-        sink.consume(events.SlotAdvanced(1, 1, 1))
+        sink.consume(events.CellStarted("sync", 1, 50, 0))
         counters = sink.registry.snapshot()["counters"]
         assert counters["events.store_miss"] == 1
-        assert counters["events.slot_advanced"] == 1
+        assert counters["events.cell_started"] == 1
 
     def test_folds_a_real_sweep_from_the_bus(self):
         from dataclasses import replace

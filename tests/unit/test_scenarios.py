@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.deployment import Deployment, DeploymentConfig, deploy_uniform
+from repro.network.deployment import (
+    Deployment,
+    DeploymentConfig,
+    DeploymentError,
+    deploy_uniform,
+)
 from repro.scenarios import (
     SCENARIOS,
     generate_scenario,
@@ -51,6 +56,20 @@ class TestRegistry:
     def test_generate_requires_config_or_num_nodes(self):
         with pytest.raises(ValueError, match="num_nodes or config"):
             generate_scenario("ring")
+
+    def test_generate_failure_names_the_scenario(self):
+        config = DeploymentConfig(
+            num_nodes=2, area_side=5, radius=10, source_min_ecc=5, max_attempts=3
+        )
+        message = (
+            r"scenario 'ring' failed after 3 attempts \(no node with "
+            r"eccentricity in \[5, 8\]\); consider relaxing the parameters "
+            r"or raising the density"
+        )
+        with pytest.raises(DeploymentError, match=message):
+            generate_scenario(
+                "ring", config, seed=0, source_min_ecc=5, source_max_ecc=8
+            )
 
     def test_scenario_names_sorted(self):
         assert scenario_names() == sorted(SCENARIOS)

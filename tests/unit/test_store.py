@@ -22,6 +22,7 @@ from repro.store import (
     open_store,
     store_backend_names,
 )
+from repro.utils.serialization import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +300,35 @@ class TestQuery:
     def test_unknown_filter_rejected(self, populated):
         with pytest.raises(ValueError, match="unknown query filters"):
             populated.query(flavour="spicy")
+
+
+class TestSchemaTwoCells:
+    """Cells cached under schema 2 still carry the retired ``duty_rates``."""
+
+    @staticmethod
+    def _schema_two_key(config: SweepConfig) -> CellKey:
+        params = {**config.cell_key_fields(), "duty_rates": [10, 50]}
+        return dataclasses.replace(
+            _key(config), params=canonical_json(params), schema_version=2
+        )
+
+    def test_query_export_and_gc(self, tmp_path, config):
+        records = [_record(policy="17-approx"), _record()]
+        with ExperimentStore(tmp_path / "store") as store:
+            store.put(self._schema_two_key(config), records)
+            result = store.query()
+            assert result.records == records
+            assert result.config.cell_key_fields() == config.cell_key_fields()
+            assert STORE_BACKENDS["jsonl"].loads(store.export("jsonl")) == records
+            assert store.gc().stale_schema_cells == 1
+            assert store.stats().cells == 0
+
+    def test_schema_two_cell_misses_the_current_key(self, tmp_path, config):
+        old = self._schema_two_key(config)
+        current = _key(config)
+        assert current.schema_version == STORE_SCHEMA_VERSION == 3
+        assert "duty_rates" not in json.loads(current.params)
+        assert old.digest != current.digest
+        with ExperimentStore(tmp_path / "store") as store:
+            store.put(old, [_record()])
+            assert store.get(current) is None
