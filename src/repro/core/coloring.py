@@ -152,17 +152,25 @@ def _greedy_pack(weighted: list[tuple[int, int, int]]) -> list[ColorMasks]:
     return greedy_masks([(1 << bit, gain) for _, bit, gain in weighted])
 
 
-def _conflict_sets(order: Sequence[int], gains: Sequence[int]) -> dict[int, set[int]]:
-    """Conflict adjacency of ``order`` given each node's uncovered-neighbour mask."""
-    adjacency: dict[int, set[int]] = {u: set() for u in order}
-    for i, u in enumerate(order):
-        gain_u = gains[i]
-        for j in range(i + 1, len(order)):
-            if gain_u & gains[j]:
-                v = order[j]
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return adjacency
+def _clear_masks(topology: WSNTopology, candidates: int, gains: Iterable[int]) -> list[int]:
+    """Each candidate's non-conflict mask, given its uncovered-neighbour mask.
+
+    Two candidates conflict iff their uncovered neighbourhoods meet, that
+    is iff one is a neighbour of an uncovered node the other reaches.  So
+    the candidates clear of ``u`` are ``candidates & ~OR(N(w) for w in
+    gain_u)``, one OR per receiver instead of one AND per candidate pair.
+    A candidate with receivers is never clear of itself.
+    """
+    neighbors = topology.neighbor_masks
+    clear = []
+    for gain in gains:
+        reach = 0
+        while gain:
+            low = gain & -gain
+            reach |= neighbors[low.bit_length() - 1]
+            gain ^= low
+        clear.append(candidates & ~reach)
+    return clear
 
 
 def _enumerated_masks(
@@ -170,21 +178,65 @@ def _enumerated_masks(
     weighted: list[tuple[int, int, int]],
     max_classes: int | None,
 ) -> list[ColorMasks]:
-    """Every maximal admissible colour (capped), in canonical order."""
+    """Every maximal admissible colour (capped), in canonical order.
+
+    The maximal independent sets of the conflict graph (maximal cliques of
+    its complement), by Bron-Kerbosch with pivoting, capped at
+    ``max_classes`` sets with the greedy classes merged in.  Which sets a
+    capped run finds first is part of OPT's records, and it rests on the
+    pivot: the first strict maximum in ``P | X`` iteration order.  ``P``,
+    ``X`` and each complement set are therefore Python sets of node ids,
+    and the set expressions below are part of the definition: a set's
+    iteration order follows its hash-table layout, which depends on how the
+    set was built.  Everything the output depends on only through content
+    runs on int masks: the non-conflict masks (:func:`_clear_masks`), the
+    pivot key ``popcount(clear[u] & P)``, the branch list (the ascending
+    bits of ``P & ~clear[pivot]``; bit order is id order) and the
+    ``(colour, receivers)`` accumulators.  A vertex's complement set
+    ``vertex_set - conflicts[v] - {v}`` is built when the search first
+    branches on it, so a capped run builds only the sets it reads.
+    """
     ids = topology.node_ids
     order = [ids[bit] for _, bit, _ in weighted]
+    candidates = 0
+    for _, bit, _ in weighted:
+        candidates |= 1 << bit
     gains = [gain for _, _, gain in weighted]
-    by_id = {ids[bit]: (1 << bit, gain) for _, bit, gain in weighted}
+    clear = dict(zip(order, _clear_masks(topology, candidates, gains)))
+    gain_of = dict(zip(order, gains))
+    vertex_set = set(order)
+    complement: dict[int, set[int]] = {}
     colors: list[ColorMasks] = []
-    for members in _bron_kerbosch_independent_sets(
-        order, _conflict_sets(order, gains), max_classes
-    ):
-        color = receivers = 0
-        for u in members:
-            bit, gain = by_id[u]
-            color |= bit
-            receivers |= gain
-        colors.append((color, receivers))
+
+    def expand(color: int, receivers: int, p: set[int], x: set[int], p_mask: int) -> bool:
+        """Returns False when the enumeration limit is reached."""
+        if not p_mask and not x:
+            colors.append((color, receivers))
+            return max_classes is None or len(colors) < max_classes
+        pivot = max(p | x, key=lambda u: (clear[u] & p_mask).bit_count())
+        branch = p_mask & ~clear[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = ids[low.bit_length() - 1]
+            complement_v = complement.get(v)
+            if complement_v is None:
+                conflicts_v = topology.nodes_from_mask(candidates & ~clear[v] & ~low)
+                complement_v = complement[v] = vertex_set - conflicts_v - {v}
+            if not expand(
+                color | low,
+                receivers | gain_of[v],
+                p & complement_v,
+                x & complement_v,
+                p_mask & clear[v],
+            ):
+                return False
+            p = p - {v}
+            x = x | {v}
+            p_mask ^= low
+        return True
+
+    expand(0, 0, set(order), set(), candidates)
     if max_classes is not None:
         seen = {color for color, _ in colors}
         colors.extend(pair for pair in _greedy_pack(weighted) if pair[0] not in seen)
@@ -237,8 +289,12 @@ def conflict_graph(
     """
     uncovered_mask = topology.full_mask & ~topology.mask_from_nodes(covered)
     ordered = list(candidates)
+    pool = topology.mask_from_nodes(ordered)
     gains = [topology.neighbor_mask(u) & uncovered_mask for u in ordered]
-    return _conflict_sets(ordered, gains)
+    return {
+        u: set(topology.nodes_from_mask(pool & ~clear)) - {u}
+        for u, clear in zip(ordered, _clear_masks(topology, pool, gains))
+    }
 
 
 def greedy_color_classes(
@@ -259,42 +315,6 @@ def greedy_color_classes(
     awake at this slot).
     """
     return ColorScheme("greedy").color_classes(topology, covered, awake)
-
-
-def _bron_kerbosch_independent_sets(
-    vertices: Sequence[int],
-    conflicts: dict[int, set[int]],
-    limit: int | None,
-) -> list[frozenset[int]]:
-    """All maximal independent sets of the conflict graph (maximal cliques of
-    its complement), via Bron-Kerbosch with pivoting on the complement graph.
-
-    Runs on Python sets of node ids on purpose: the pivot ``max`` keeps the
-    first maximum in set iteration order, which the capped enumeration's
-    output (and so the pinned records) depends on.
-    """
-    vertex_set = set(vertices)
-    complement = {
-        u: (vertex_set - conflicts[u] - {u}) for u in vertices
-    }
-    results: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> bool:
-        """Returns False when the enumeration limit is reached."""
-        if not p and not x:
-            results.append(frozenset(r))
-            return limit is None or len(results) < limit
-        pivot_pool = p | x
-        pivot = max(pivot_pool, key=lambda u: len(complement[u] & p))
-        for v in sorted(p - complement[pivot]):
-            if not expand(r | {v}, p & complement[v], x & complement[v]):
-                return False
-            p = p - {v}
-            x = x | {v}
-        return True
-
-    expand(set(), set(vertices), set())
-    return results
 
 
 def enumerate_color_classes(

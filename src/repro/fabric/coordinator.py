@@ -181,6 +181,7 @@ class FabricCoordinator:
             self.metrics.counter("fabric.lease_claims").inc()
             return {
                 "status": "lease",
+                "protocol_version": PROTOCOL_VERSION,
                 "lease": lease.lease_id,
                 "index": lease.index,
                 "digest": self._keys[lease.index].digest,

@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 #: Version of the claim/heartbeat/result/status message schema.  Served in
-#: every status response; a worker speaking a different version fails fast
-#: instead of mis-parsing leases.
+#: every status response and stamped into every lease grant; a worker
+#: refuses a grant of another version (:class:`FabricError` naming both)
+#: instead of mis-parsing its cell.
 PROTOCOL_VERSION = 1
 
 

@@ -14,6 +14,8 @@ Failure handling is deliberately simple:
   not be up yet; result posts a bounded number of times, after which the
   cell is abandoned to lease expiry and someone else's retry);
 * a ``wait`` response sleeps for the coordinator's hint and re-claims;
+* a lease grant of another protocol version raises
+  :class:`~repro.fabric.protocol.FabricError` before anything is simulated;
 * long cells are kept alive by a heartbeat thread pinging every
   ``lease_ttl / 3`` seconds while the simulation runs.
 
@@ -32,7 +34,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.experiments.runner import _run_cell
-from repro.fabric.protocol import cell_from_payload, records_to_payload
+from repro.fabric.protocol import (
+    PROTOCOL_VERSION,
+    FabricError,
+    cell_from_payload,
+    records_to_payload,
+)
 from repro.fabric.transport import Transport, TransportError
 from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
@@ -145,6 +152,12 @@ class FabricWorker:
                 self.stats.transport_errors += 1
                 self._sleep(self.poll_interval)
                 continue
+            version = response.get("protocol_version")
+            if version != PROTOCOL_VERSION:
+                raise FabricError(
+                    f"lease grant speaks fabric protocol version {version!r}, "
+                    f"this worker speaks version {PROTOCOL_VERSION}"
+                )
             self.stats.claims += 1
             cell = cell_from_payload(response["cell"])
             records = self.simulate(cell, response)

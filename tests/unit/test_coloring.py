@@ -7,7 +7,6 @@ import pytest
 from repro.core.advance import BroadcastState
 from repro.core.coloring import (
     ColorScheme,
-    _bron_kerbosch_independent_sets,
     conflict_graph,
     enumerate_color_classes,
     frontier_candidates,
@@ -15,9 +14,14 @@ from repro.core.coloring import (
     greedy_color_classes,
 )
 from repro.core.policies import greedy_decision_classes
+from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
+from repro.experiments.config import SweepConfig
+from repro.experiments.runner import default_policies
+from repro.network.deployment import deploy_uniform
 from repro.network.interference import conflict_free, has_conflict, receivers_of
 from repro.network.topology import WSNTopology
+from repro.sim import run_broadcast
 from repro.utils.rng import make_rng
 
 
@@ -265,10 +269,19 @@ def _oracle_candidates(topology, covered, awake=None) -> list[int]:
     return sorted((u for u in pool if gains[u]), key=lambda u: (-gains[u], u))
 
 
+def _oracle_conflicts(topology, candidates, covered) -> dict[int, set[int]]:
+    """The conflict graph by the pairwise test of Eq. 1, constraint 3."""
+    receivers = {u: topology.uncovered_neighbors(u, covered) for u in candidates}
+    return {
+        u: {v for v in candidates if v != u and receivers[u] & receivers[v]}
+        for u in candidates
+    }
+
+
 def _oracle_greedy(topology, covered, awake=None) -> list[frozenset[int]]:
     """Algorithm 1 as the frozenset loop: pack through the conflict graph."""
     candidates = _oracle_candidates(topology, covered, awake)
-    conflicts = conflict_graph(topology, candidates, covered)
+    conflicts = _oracle_conflicts(topology, candidates, covered)
     classes = []
     remaining = candidates
     while remaining:
@@ -284,12 +297,44 @@ def _oracle_greedy(topology, covered, awake=None) -> list[frozenset[int]]:
     return classes
 
 
+def _set_bron_kerbosch(
+    vertices: list[int], conflicts: dict[int, set[int]], limit: int | None
+) -> list[frozenset[int]]:
+    """All maximal independent sets of the conflict graph (maximal cliques of
+    its complement), via Bron-Kerbosch with pivoting on the complement graph.
+
+    The set-algebra definition of OPT's capped colour list: every complement
+    set is built up front, the pivot is ``max`` over ``p | x`` (the first
+    maximum in set iteration order) and each branch runs in ascending id
+    order.  The mask enumeration must replay it exactly.
+    """
+    vertex_set = set(vertices)
+    complement = {u: (vertex_set - conflicts[u] - {u}) for u in vertices}
+    results: list[frozenset[int]] = []
+
+    def expand(r: set[int], p: set[int], x: set[int]) -> bool:
+        """Returns False when the enumeration limit is reached."""
+        if not p and not x:
+            results.append(frozenset(r))
+            return limit is None or len(results) < limit
+        pivot = max(p | x, key=lambda u: len(complement[u] & p))
+        for v in sorted(p - complement[pivot]):
+            if not expand(r | {v}, p & complement[v], x & complement[v]):
+                return False
+            p = p - {v}
+            x = x | {v}
+        return True
+
+    expand(set(), set(vertices), set())
+    return results
+
+
 def _oracle_enumeration(topology, covered, awake=None, max_classes=None):
     candidates = _oracle_candidates(topology, covered, awake)
     if not candidates:
         return []
-    conflicts = conflict_graph(topology, candidates, covered)
-    sets = _bron_kerbosch_independent_sets(candidates, conflicts, max_classes)
+    conflicts = _oracle_conflicts(topology, candidates, covered)
+    sets = _set_bron_kerbosch(candidates, conflicts, max_classes)
     if max_classes is not None:
         sets += [c for c in _oracle_greedy(topology, covered, awake) if c not in sets]
     return sorted(sets, key=lambda s: (-len(s), tuple(sorted(s))))
@@ -313,6 +358,13 @@ class TestMaskCoreDifferential:
             )
             mask = frontier_mask(topology, topology.mask_from_nodes(covered))
             assert topology.nodes_from_mask(mask) == frontier
+
+    def test_conflict_graph_equals_the_pairwise_test(self, topology):
+        for covered, awake in _random_states(topology, seed=topology.num_nodes + 4):
+            candidates = _oracle_candidates(topology, covered, awake)
+            assert conflict_graph(topology, candidates, covered) == _oracle_conflicts(
+                topology, candidates, covered
+            )
 
     def test_greedy_classes_equal_algorithm1_through_conflict_graph(self, topology):
         for covered, awake in _random_states(topology, seed=topology.num_nodes + 1):
@@ -346,3 +398,118 @@ class TestMaskCoreDifferential:
             for color, receivers in pairs:
                 expected = receivers_of(topology, topology.nodes_from_mask(color), covered)
                 assert receivers == topology.mask_from_nodes(expected)
+
+
+# ----------------------------------------------------------------------
+# The capped enumeration at paper scale: §V-A density, >= 60 candidates
+# ----------------------------------------------------------------------
+def _paper_udg(seed: int, num_nodes: int, *, sparse_ids: bool = False) -> WSNTopology:
+    """A UDG at the §V-A density (50 x 50 area, radius 10).
+
+    With ``sparse_ids`` the node ids are a shuffled sample of ``[0, 100 n)``,
+    so bit ``i`` is not id ``i`` and position order is not id order.
+    """
+    rng = make_rng(seed)
+    positions = rng.uniform(0.0, 50.0, size=(num_nodes, 2))
+    ids = None
+    if sparse_ids:
+        ids = [int(u) for u in rng.choice(100 * num_nodes, size=num_nodes, replace=False)]
+    return WSNTopology.from_positions(positions, radius=10.0, node_ids=ids)
+
+
+def _paper_states(topology: WSNTopology, seed: int):
+    """``(large, small)`` seeded ``(W, awake)`` states.
+
+    ``large`` holds four synchronous and four awake-pool states with at
+    least 60 relay candidates each: BFS balls (the shape OPT's search
+    meets) and random halves, the awake pool a random 60% of the nodes.
+    ``small`` holds states with at most 20 candidates, for the uncapped
+    enumeration.
+    """
+    rng = make_rng(seed)
+    ids = list(topology.node_ids)
+    large: dict[bool, list] = {False: [], True: []}
+    small = []
+    for k in range(200):
+        if k % 2:
+            covered = frozenset(
+                int(u) for u in rng.choice(ids, size=len(ids) // 2, replace=False)
+            )
+        else:
+            source, radius = int(rng.choice(ids)), int(rng.integers(1, 5))
+            covered = frozenset(
+                u for u, d in topology.hop_distances(source).items() if d <= radius
+            )
+        awake = frozenset(
+            int(u) for u in rng.choice(ids, size=int(0.6 * len(ids)), replace=False)
+        )
+        for pool in (None, awake):
+            count = len(_oracle_candidates(topology, covered, pool))
+            if count >= 60 and len(large[pool is not None]) < 4:
+                large[pool is not None].append((covered, pool))
+            elif 0 < count <= 20 and len(small) < 6:
+                small.append((covered, pool))
+        if all(len(states) == 4 for states in large.values()) and len(small) == 6:
+            return large[False] + large[True], small
+    raise AssertionError("the seeded states do not cover every shape")
+
+
+PAPER_GRAPHS = [
+    _paper_udg(21, 200),
+    _paper_udg(22, 250),
+    _paper_udg(23, 300, sparse_ids=True),
+]
+
+
+def test_paper_graph_with_sparse_ids_has_bits_apart_from_ids():
+    topology = PAPER_GRAPHS[-1]
+    assert any(topology.index_of(u) != u for u in topology.node_ids)
+
+
+@pytest.mark.parametrize("topology", PAPER_GRAPHS, ids=lambda t: f"n{t.num_nodes}")
+class TestPaperScaleEnumeration:
+    @pytest.mark.parametrize("max_classes", [1, 4, 32])
+    def test_capped_enumeration_replays_the_set_oracle(self, topology, max_classes):
+        large, _ = _paper_states(topology, seed=topology.num_nodes)
+        for covered, awake in large:
+            assert enumerate_color_classes(
+                topology, covered, awake, max_classes=max_classes
+            ) == _oracle_enumeration(topology, covered, awake, max_classes)
+
+    def test_uncapped_enumeration_replays_the_set_oracle(self, topology):
+        _, small = _paper_states(topology, seed=topology.num_nodes)
+        for covered, awake in small:
+            assert enumerate_color_classes(topology, covered, awake) == _oracle_enumeration(
+                topology, covered, awake
+            )
+
+
+@pytest.mark.parametrize("rate", [None, 10], ids=["sync", "duty10"])
+def test_opt_search_states_replay_the_set_oracle(monkeypatch, rate):
+    """Every colour list the sweep's OPT asks for on one 150-node broadcast.
+
+    The states OPT's beam meets are where the complement sets' iteration
+    order shows: on this deployment an eager complement built by another
+    set expression changes at least one capped list.
+    """
+    topology, source = deploy_uniform(150, seed=4)
+    schedule = None if rate is None else build_wakeup_schedule(topology.node_ids, rate, seed=4)
+    calls = []
+    color_masks = ColorScheme.color_masks
+
+    def recording(self, topology, covered, pool):
+        if self.mode == "exhaustive":
+            calls.append((self.max_classes, covered, pool))
+        return color_masks(self, topology, covered, pool)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ColorScheme, "color_masks", recording)
+        opt = default_policies(SweepConfig(), "sync" if rate is None else "duty")["OPT"]()
+        run_broadcast(topology, source, opt, schedule=schedule, engine="vectorized")
+    assert len(calls) >= 40
+    for max_classes, covered_mask, pool_mask in calls:
+        covered = topology.nodes_from_mask(covered_mask)
+        awake = topology.nodes_from_mask(pool_mask)
+        assert enumerate_color_classes(
+            topology, covered, awake, max_classes=max_classes
+        ) == _oracle_enumeration(topology, covered, awake, max_classes)

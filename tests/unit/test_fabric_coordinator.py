@@ -10,9 +10,11 @@ from repro.core.policies import EModelPolicy
 from repro.experiments.config import QUICK_SWEEP
 from repro.experiments.runner import _run_cell, run_sweep, sweep_cells
 from repro.fabric import (
+    PROTOCOL_VERSION,
     FabricCoordinator,
     FabricError,
     FabricHTTPServer,
+    FabricWorker,
     HttpTransport,
     LocalTransport,
     cell_from_payload,
@@ -231,6 +233,40 @@ class TestHTTPServer:
         coordinator = FabricCoordinator(_CELLS)
         transport = LocalTransport(coordinator)
         assert transport.request("status", {}) == coordinator.status()
+
+
+class _OtherVersionTransport(LocalTransport):
+    """A coordinator whose lease grants speak protocol version 2."""
+
+    def __init__(self, coordinator) -> None:
+        super().__init__(coordinator)
+        self.actions: list[str] = []
+
+    def request(self, action, payload):
+        self.actions.append(action)
+        response = super().request(action, payload)
+        if response.get("status") == "lease":
+            response["protocol_version"] = 2
+        return response
+
+
+class TestProtocolVersion:
+    def test_lease_grants_carry_the_protocol_version(self):
+        grant = FabricCoordinator(_CELLS).handle_request("claim", {"worker": "w1"})
+        assert grant["protocol_version"] == PROTOCOL_VERSION
+
+    def test_worker_refuses_a_grant_of_another_version(self):
+        assert PROTOCOL_VERSION != 2
+        coordinator = FabricCoordinator(_CELLS)
+        transport = _OtherVersionTransport(coordinator)
+        worker = FabricWorker(transport, heartbeats=False)
+        with pytest.raises(FabricError) as raised:
+            worker.run()
+        message = str(raised.value)
+        assert "version 2" in message and f"version {PROTOCOL_VERSION}" in message
+        assert transport.actions == ["claim"]  # nothing simulated, nothing posted
+        assert worker.stats.claims == 0
+        assert coordinator.status()["counts"]["completed"] == 0
 
 
 class TestCoordinatorTelemetry:
