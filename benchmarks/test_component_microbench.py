@@ -63,15 +63,16 @@ def test_single_gopt_decision(benchmark, frontier_state):
     counter = TimeCounter(
         topology, config=SearchConfig(mode="beam", beam_width=4)
     )
+    covered_mask = topology.mask_from_nodes(covered)
     colors = greedy_color_classes(topology, covered)
 
     def _decide():
         counter.clear_cache()
-        return counter.select_color(covered, 2, colors)
+        return counter.decide(covered_mask, 2)
 
-    color, completion = benchmark(_decide)
-    assert color in colors
-    assert completion >= 2
+    position = benchmark(_decide)
+    color, _ = counter.color_masks_at(covered_mask, 2)[position]
+    assert topology.nodes_from_mask(color) in colors
 
 
 def test_full_gopt_broadcast_120_nodes(benchmark):

@@ -31,7 +31,7 @@ this module caches a colouring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from repro.network.topology import WSNTopology
 
@@ -40,7 +40,6 @@ __all__ = [
     "greedy_color_classes",
     "enumerate_color_classes",
     "ColorScheme",
-    "conflict_graph",
     "frontier_mask",
     "greedy_masks",
     "lex_order_key",
@@ -277,26 +276,6 @@ def frontier_candidates(
     return [ids[bit] for _, bit, _ in weighted]
 
 
-def conflict_graph(
-    topology: WSNTopology,
-    candidates: Sequence[int],
-    covered: frozenset[int] | set[int],
-) -> dict[int, set[int]]:
-    """Adjacency of the conflict graph among ``candidates``.
-
-    Edge ``u - v`` iff the two candidates share an uncovered neighbour
-    (constraint 3 of Eq. 1 violated when transmitting together).
-    """
-    uncovered_mask = topology.full_mask & ~topology.mask_from_nodes(covered)
-    ordered = list(candidates)
-    pool = topology.mask_from_nodes(ordered)
-    gains = [topology.neighbor_mask(u) & uncovered_mask for u in ordered]
-    return {
-        u: set(topology.nodes_from_mask(pool & ~clear)) - {u}
-        for u, clear in zip(ordered, _clear_masks(topology, pool, gains))
-    }
-
-
 def greedy_color_classes(
     topology: WSNTopology,
     covered: frozenset[int] | set[int],
@@ -379,13 +358,3 @@ class ColorScheme:
         """Return the candidate colours for the current state."""
         masks = self.color_masks(topology, *_pool_masks(topology, covered, awake))
         return [topology.nodes_from_mask(color) for color, _ in masks]
-
-    def num_colors(
-        self,
-        topology: WSNTopology,
-        covered: frozenset[int] | set[int],
-        awake: Iterable[int] | None = None,
-    ) -> int:
-        """How many colours this scheme offers at ``W`` (``λ(W)`` or
-        ``λ(W, t)`` for the greedy scheme), for reporting purposes."""
-        return len(self.color_masks(topology, *_pool_masks(topology, covered, awake)))

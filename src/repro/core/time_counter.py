@@ -15,13 +15,14 @@ tractable; this implementation provides
 * ``mode="exact"`` — the branch-and-bound of :mod:`repro.core.search`
   over the counter's own colour provider, with a hard state-count budget
   (used in tests and on the paper's worked examples, where it is cheap;
-  the exact solver tier runs the same search over every maximal colour),
-  and
+  the exact solver tier runs the same search over every maximal colour).
+  :meth:`TimeCounter.completion_time` (Eq. 4's ``M(W, t)``) and
+  :meth:`TimeCounter.rank_colors` are its entries, and
 * ``mode="beam"``  — a beam search over coverage states (default width 8)
   that preserves the "evaluate each candidate colour by its recursive
-  completion time" semantics while bounding work; exact and beam agree on
-  every small instance we test (see ``tests/unit/test_time_counter.py`` and
-  the beam-width ablation benchmark).
+  completion time" semantics while bounding work.  It is reached through
+  :meth:`TimeCounter.decide` only; ``tests/unit/test_time_counter.py``
+  compares its decisions with the exact mode's on small instances.
 
 Both searches jump from one decision to the next with the same helper,
 :meth:`~repro.core.search.ExactSearch.decision`: by coverage monotonicity
@@ -29,9 +30,9 @@ Both searches jump from one decision to the next with the same helper,
 the duty-cycle search moves to the next slot at which *some* frontier node
 is awake instead of branching over idle waits.  In the synchronous system
 the helper returns the slot it is given, so the beam is one loop,
-:meth:`TimeCounter._beam`, for ``M`` and first-colour selection in both
-systems; they differ in their seeds, their pruning rule and how they read
-the completions it returns.  The beam ranks its states by the largest hop
+:meth:`TimeCounter._beam`, for first-colour selection in both systems;
+they differ in their pruning rule and how they read the completions it
+returns.  The beam ranks its states by the largest hop
 distance from ``W`` to an uncovered node, an admissible lower bound on the
 remaining advances read off the topology's cached hop matrix.  A successor
 gets its bound from its parent's: one advance brings no node more than one
@@ -131,8 +132,7 @@ class TimeCounter:
     from :meth:`~repro.core.search.ExactSearch.decision`, which reads the
     shared :class:`~repro.dutycycle.window.ActivityWindow`.  :meth:`decide`,
     the policies' entry, takes ``W`` as a mask, as :meth:`color_masks_at`
-    does; it and the frozenset entries share one selection core over
-    those masks.
+    does; in exact mode it ranks those masks as :meth:`rank_colors` does.
 
     Every ``M`` value of the exact mode is one
     :meth:`~repro.core.search.ExactSearch.minimum` call; its visited set
@@ -184,11 +184,13 @@ class TimeCounter:
     # Public API
     # ------------------------------------------------------------------
     def completion_time(self, covered: Iterable[int], time: int) -> int:
-        """``M(W, t)``: the end round/slot of the best continuation.
+        """``M(W, t)`` (Eq. 4): the end round/slot of the best continuation.
 
         For a complete ``W`` this is ``t - 1`` (the broadcast already ended
-        before ``t``), matching the terminal case of Eq. (4).
+        before ``t``), matching the terminal case of Eq. (4).  Exact mode
+        only: a beam counter raises ``ValueError``.
         """
+        self._require_exact("completion_time")
         _check_time(time)
         return self._completion_time(self._covered_mask(covered), time)
 
@@ -203,54 +205,13 @@ class TimeCounter:
         Returns ``(color, completion_time)`` pairs sorted by completion
         time, breaking ties in favour of the larger colour (more senders)
         and then the lexicographically smallest colour (for determinism).
+        Exact mode only: a beam counter raises ``ValueError``.
         """
+        self._require_exact("rank_colors")
         _check_time(time)
         covered_mask = self._covered_mask(covered)
         colors, pairs = self._candidates(covered_mask, colors)
         return [(colors[k], completion) for k, completion in self._rank(covered_mask, time, pairs)]
-
-    def select_color(
-        self,
-        covered: Iterable[int],
-        time: int,
-        colors: Iterable[frozenset[int]],
-    ) -> tuple[frozenset[int], int]:
-        """Pick the colour to launch now, per Eq. (5)-(8).
-
-        In ``exact`` mode every candidate colour is evaluated independently
-        by the branch-and-bound (identical to :meth:`rank_colors`).  In
-        ``beam`` mode a *single* shared beam search is run in which each
-        state remembers the first colour it committed to; the first colour
-        of the earliest-completing state wins.  This preserves the "judge a
-        colour by the best schedule that starts with it" semantics of the
-        time counter while doing the work of one search instead of
-        ``λ(W)`` searches — the approximation documented in docs/design.md
-        ("Beam approximation").  A single candidate is still evaluated, so
-        its completion time is ``M(W + C, t + 1)``.
-        """
-        _check_time(time)
-        covered_mask = self._covered_mask(covered)
-        colors, pairs = self._candidates(covered_mask, colors)
-        if not colors:
-            raise ValueError("select_color needs at least one candidate colour")
-        index, completion = self._select(covered_mask, time, pairs)
-        return colors[index], completion
-
-    def best_color(
-        self, covered: Iterable[int], time: int
-    ) -> tuple[frozenset[int], int] | None:
-        """The colour minimising ``M`` at ``(W, t)`` and its completion time.
-
-        Returns ``None`` when no colour is available at ``time`` (duty-cycle
-        slot with no awake frontier node, or ``W`` already complete).
-        """
-        _check_time(time)
-        covered_mask = self._covered_mask(covered)
-        pairs = self.color_masks_at(covered_mask, time)
-        if not pairs:
-            return None
-        index, completion = self._select(covered_mask, time, pairs)
-        return self.topology.nodes_from_mask(pairs[index][0]), completion
 
     def decide(self, covered: int, time: int) -> int | None:
         """The position of the colour to launch in ``color_masks_at(covered, time)``.
@@ -259,13 +220,17 @@ class TimeCounter:
         A forced decision (one colour) is taken without a search: the only
         colour is launched whatever ``M`` it leads to.  It still raises
         :class:`UnreachableNodes` on a disconnected topology when ``W``
-        cannot reach every node.  Several colours are selected as
-        :meth:`select_color` selects them, over the provider's masks.
+        cannot reach every node.  Among several colours, exact mode takes
+        the first of :meth:`rank_colors`' order, and beam mode the first
+        colour of the earliest-completing state of one shared beam search
+        (docs/design.md, "Beam approximation").
         """
         _check_time(time)
         pairs = self.color_masks_at(covered, time)
         if len(pairs) > 1:
-            return self._select(covered, time, pairs)[0]
+            if self.config.mode == "exact":
+                return self._rank(covered, time, pairs)[0][0]
+            return self._select_beam(covered, time, pairs)
         if not pairs:
             return None
         if not self._connected:
@@ -333,11 +298,17 @@ class TimeCounter:
             )
         return colors, pairs
 
+    def _require_exact(self, entry: str) -> None:
+        if self.config.mode != "exact":
+            raise ValueError(
+                f"{entry} evaluates M exactly and needs mode='exact'; this "
+                f"counter's mode is {self.config.mode!r}, which is reached "
+                "through decide only"
+            )
+
     def _completion_time(self, covered: int, time: int) -> int:
         self._check_reachable(covered)
-        if self.config.mode == "exact":
-            return self._search.minimum(covered, time)
-        return self._completion_beam(covered, time)
+        return self._search.minimum(covered, time)
 
     def _rank(self, covered: int, time: int, pairs: list[ColorMasks]) -> list[tuple[int, int]]:
         """``(position, M(W + C, t + 1))`` of every pair, in ``rank_colors`` order."""
@@ -353,14 +324,6 @@ class TimeCounter:
 
         ranked.sort(key=key)
         return ranked
-
-    def _select(self, covered: int, time: int, pairs: list[ColorMasks]) -> tuple[int, int]:
-        """The selection core: the chosen pair's position and completion time."""
-        if len(pairs) == 1:
-            return 0, self._completion_time(covered | pairs[0][1], time + 1)
-        if self.config.mode == "exact":
-            return self._rank(covered, time, pairs)[0]
-        return self._select_beam(covered, time, pairs)
 
     @cached_property
     def _connected(self) -> bool:
@@ -386,10 +349,6 @@ class TimeCounter:
         """
         return self._search.hop_reach(covered)[0]
 
-    def _state_key(self, state: int) -> tuple[int, int]:
-        """``(-|W|, tuple(sorted(W)))`` as ints: see :func:`lex_order_key`."""
-        return -state.bit_count(), lex_order_key(state, self.topology.num_nodes)
-
     @cached_property
     def _horizon_depth(self) -> int:
         """``d`` of the duty horizon: the hop diameter, read once."""
@@ -410,7 +369,7 @@ class TimeCounter:
         return time + int(self.config.max_slots * 2 * rate * (depth + 2)) + 2 * rate
 
     # ------------------------------------------------------------------
-    # Beam mode: one level kernel and its two drivers
+    # Beam mode: one level kernel and the first-colour selection over it
     # ------------------------------------------------------------------
     def _beam(self, beam: list[BeamState], horizon: float, prune: Prune) -> tuple[float, list[int]]:
         """Search level by level from ``beam``; ``(best, firsts)``.
@@ -485,41 +444,6 @@ class TimeCounter:
         states.sort(key=key)
         return states[: self.config.beam_width]
 
-    def _completion_beam(self, covered: int, time: int) -> int:
-        """``M(W, t)``: the earliest completion the beam finds.
-
-        States rank by ``slot + hop bound``, then larger and then
-        lexicographically smaller ``W``.  The synchronous search first
-        drops states an earlier level kept, unless that leaves none.
-        """
-        if covered == self._full:
-            return time - 1
-        hop = self._hop_lower_bound
-        state_key = self._state_key
-
-        def key(item: BeamState) -> tuple:
-            return item[1] + hop(item[0]), *state_key(item[0])
-
-        if self.schedule is None:
-            visited = {covered}
-
-            def prune(states: list[BeamState]) -> list[BeamState]:
-                fresh = [item for item in states if item[0] not in visited] or states
-                beam = self._top(fresh, key)
-                visited.update(state for state, _, _ in beam)
-                return beam
-
-        else:
-            prune = partial(self._top, key=key)
-        best, _ = self._beam([(covered, time, 0)], self._horizon(time), prune)
-        if math.isinf(best):
-            raise RuntimeError(
-                "beam search found no completing schedule; the colour provider "
-                "stopped making progress, or (duty cycle) the horizon is too "
-                "short: increase SearchConfig.max_slots"
-            )
-        return int(best)
-
     def _launch_order(self, pairs: list[ColorMasks]) -> tuple[list[int], list[int]]:
         """The pairs' positions in launch order, and each one's tie rank.
 
@@ -553,10 +477,8 @@ class TimeCounter:
         shortlist.sort(key=lambda item: (hop(item[0]), -item[0].bit_count(), ties[item[2]]))
         return shortlist[:width]
 
-    def _select_beam(
-        self, covered: int, time: int, pairs: list[ColorMasks]
-    ) -> tuple[int, int]:
-        """First-colour selection by one shared beam.
+    def _select_beam(self, covered: int, time: int, pairs: list[ColorMasks]) -> int:
+        """First-colour selection by one shared beam: the chosen pair's position.
 
         Each candidate seeds a state tagged with its launch position; one
         that completes at once wins, the earliest in launch order.  The
@@ -572,7 +494,7 @@ class TimeCounter:
         for first, k in enumerate(order):
             state = covered | pairs[k][1]
             if state == self._full:
-                return k, time
+                return k
             if state not in seen:
                 seen.add(state)
                 seeds.append((state, time + 1, first))
@@ -583,21 +505,21 @@ class TimeCounter:
             prune = partial(self._prune_states, ties=ties)
             beam = prune(seeds)
             self._search._drop_hints()
-            best, firsts = self._beam(beam, horizon, prune)
+            _, firsts = self._beam(beam, horizon, prune)
             if not firsts:
                 raise UnreachableNodes("beam colour selection exhausted without completing")
-            return order[min(firsts)], int(best)
+            return order[min(firsts)]
         hop = self._hop_lower_bound
 
         def key(item: BeamState) -> tuple:
             return item[1] + hop(item[0]), -item[0].bit_count(), ties[item[2]]
 
-        best, firsts = self._beam(seeds, horizon, partial(self._top, key=key))
+        _, firsts = self._beam(seeds, horizon, partial(self._top, key=key))
         if not firsts:
             # No completion inside the horizon: fall back to the colour with
             # the largest immediate coverage (still a valid relay).
-            return order[0], int(horizon)
-        return order[firsts[0]], int(best)
+            return order[0]
+        return order[firsts[0]]
 
 
 def _bit_positions(mask: int) -> tuple[int, ...]:

@@ -22,14 +22,15 @@ Compare every policy across all registered scenarios::
     mlbs-experiments scenarios
 
 Exercise the §VI robustness axis — a single lossy sweep, or the full
-reliability figure (latency + retransmissions vs loss probability)::
+reliability figure (latency + retransmissions vs loss probability, with
+its claim table)::
 
     mlbs-experiments --loss 0.2 --engine vectorized
     mlbs-experiments reliability --loss 0.0,0.1,0.3
 
 Run the multi-source workload — a single sweep with ``k`` concurrent
 messages, or the full multisource figure (makespan latency + total energy
-vs ``k``)::
+vs ``k``, with its claim table)::
 
     mlbs-experiments --sources 4 --source-placement spread
     mlbs-experiments multisource --sources 1,2,4
@@ -47,10 +48,13 @@ dump the store with the ``store`` target::
 
 Run the approximation-ratio study — every policy's latency divided by the
 exact solver's certified optimum on small instances, checked against the
-proved bounds (exit code 1 if any ratio claim fails)::
+proved bounds::
 
     mlbs-experiments ratio
     mlbs-experiments ratio --system sync --solver exact
+
+The ``claims`` (§V-C), ``reliability``, ``multisource`` and ``ratio``
+targets print a claim table and exit with code 1 if any claim fails.
 
 Distribute a sweep over a worker fleet with the ``fabric`` target: one
 coordinator leases the grid's missing cells out over HTTP, any number of
@@ -103,8 +107,11 @@ from repro.experiments.config import (
     sweep_from_env,
 )
 from repro.experiments.report import (
+    ClaimCheck,
     claims_to_text,
+    multisource_claims,
     ratio_claims,
+    reliability_claims,
     store_summary_text,
     summary_claims,
 )
@@ -578,6 +585,22 @@ def _emit(name: str, text: str, csv: str | None, csv_dir: Path | None) -> None:
         print(f"[wrote {path}]")
 
 
+def _emit_claims(
+    name: str,
+    checks: list[ClaimCheck],
+    csv_dir: Path | None,
+    figure: figures_mod.FigureResult | None = None,
+    context: str = "",
+) -> int:
+    """Print ``figure`` (if any) with its claim table; 1 if a claim fails."""
+    held = sum(1 for check in checks if check.holds)
+    text = f"{claims_to_text(checks)}\n{name}: {held}/{len(checks)} claims hold{context}"
+    if figure is not None:
+        text = f"{figure.to_text()}\n\n{text}"
+    _emit(name, text, None if figure is None else figure.to_csv(), csv_dir)
+    return 0 if held == len(checks) else 1
+
+
 def _write_status(status: dict, path: Path | None) -> None:
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -889,7 +912,9 @@ def main(argv: list[str] | None = None) -> int:
                     store=store,
                     resume=args.resume,
                 )
-                _emit(target, result.to_text(), result.to_csv(), args.csv_dir)
+                exit_code |= _emit_claims(
+                    target, reliability_claims(result), args.csv_dir, result
+                )
             elif target == "multisource":
                 result = figures_mod.figure_multisource(
                     config,
@@ -899,7 +924,9 @@ def main(argv: list[str] | None = None) -> int:
                     store=store,
                     resume=args.resume,
                 )
-                _emit(target, result.to_text(), result.to_csv(), args.csv_dir)
+                exit_code |= _emit_claims(
+                    target, multisource_claims(result), args.csv_dir, result
+                )
             elif target == "ratio":
                 result = figures_mod.figure_ratio(
                     config,
@@ -908,16 +935,13 @@ def main(argv: list[str] | None = None) -> int:
                     store=store,
                     resume=args.resume,
                 )
-                checks = ratio_claims(result)
-                held = sum(1 for check in checks if check.holds)
-                summary = (
-                    f"ratio: {held}/{len(checks)} claims hold "
-                    f"(solver={config.solver} system={args.system})"
+                exit_code |= _emit_claims(
+                    target,
+                    ratio_claims(result),
+                    args.csv_dir,
+                    result,
+                    f" (solver={config.solver} system={args.system})",
                 )
-                text = f"{result.to_text()}\n\n{claims_to_text(checks)}\n{summary}"
-                _emit(target, text, result.to_csv(), args.csv_dir)
-                if held != len(checks):
-                    exit_code = 1
             elif target == "sweep":
                 trace_sink = (
                     EVENT_BUS.attach(JsonlTraceSink(args.trace))
@@ -973,8 +997,9 @@ def main(argv: list[str] | None = None) -> int:
                 fig6 = fig_cache.get("figure6") or figures_mod.figure6(
                     config, store=store, resume=args.resume
                 )
-                checks = summary_claims(fig3, fig4, fig6)
-                _emit("claims", claims_to_text(checks), None, args.csv_dir)
+                exit_code |= _emit_claims(
+                    target, summary_claims(fig3, fig4, fig6), args.csv_dir
+                )
     finally:
         if store is not None:
             store.close()

@@ -32,7 +32,6 @@ from repro.utils.format import format_table
 __all__ = [
     "ClaimCheck",
     "summary_claims",
-    "summary_claims_from_store",
     "reliability_claims",
     "multisource_claims",
     "ratio_claims",
@@ -130,46 +129,6 @@ def summary_claims(
             )
         )
     return checks
-
-
-def _figure_from_store(store: ExperimentStore, name: str, **filters) -> FigureResult:
-    """One paper figure rebuilt from cached records (query layer, no sims)."""
-    sweep = store.query(**filters)
-    return FigureResult(
-        name=name,
-        title=f"{name} (from store {store.root})",
-        x_label="density (nodes/sq-ft)",
-        x_values=sweep.config.densities,
-        series=sweep.latency_series(),
-        sweep=sweep,
-    )
-
-
-def summary_claims_from_store(
-    store: ExperimentStore, **thresholds: float
-) -> list[ClaimCheck]:
-    """Recompute the §V-C claims purely from cached records.
-
-    Reads the paper's workload (uniform deployments, reliable links, one
-    source) through the store's query layer — the figures come back from
-    disk, no cell is simulated.  The synchronous figure is required; the
-    duty-cycle figures contribute their claims only when their sweeps are
-    cached (``rate`` 10 and 50).  ``thresholds`` forward to
-    :func:`summary_claims`.
-    """
-    paper_axes = dict(
-        scenario="uniform", duty_model="uniform", link_model="reliable", n_sources=1
-    )
-    fig3 = _figure_from_store(store, "Figure 3", system="sync", **paper_axes)
-    duty: dict[int, FigureResult | None] = {}
-    for rate, name in ((10, "Figure 4"), (50, "Figure 6")):
-        try:
-            duty[rate] = _figure_from_store(
-                store, name, system="duty", rate=rate, **paper_axes
-            )
-        except LookupError:
-            duty[rate] = None
-    return summary_claims(fig3, duty[10], duty[50], **thresholds)
 
 
 def store_summary_text(store: ExperimentStore) -> str:

@@ -1,13 +1,8 @@
 """WSN topology substrate: unit-disc graphs, deployments, quadrants, boundary."""
 
-from repro.network.boundary import boundary_nodes, hull_nodes
-from repro.network.deployment import (
-    Deployment,
-    DeploymentConfig,
-    deploy_uniform,
-    grid_deployment,
-)
-from repro.network.geometry import convex_hull, euclidean_distance
+from repro.network.boundary import boundary_nodes
+from repro.network.deployment import Deployment, DeploymentConfig, deploy_uniform
+from repro.network.geometry import euclidean_distance
 from repro.network.graphs import (
     figure1_topology,
     figure2_duty_schedule,
@@ -19,7 +14,7 @@ from repro.network.interference import (
     has_conflict,
     receivers_of,
 )
-from repro.network.quadrant import QUADRANTS, quadrant_index, quadrant_neighbors
+from repro.network.quadrant import QUADRANTS
 from repro.network.sources import SOURCE_PLACEMENTS, placement_names, select_sources
 from repro.network.topology import Node, WSNTopology
 
@@ -33,18 +28,13 @@ __all__ = [
     "boundary_nodes",
     "conflict_free",
     "conflicting_pairs",
-    "convex_hull",
     "deploy_uniform",
     "euclidean_distance",
     "figure1_topology",
     "figure2_duty_schedule",
     "figure2_topology",
-    "grid_deployment",
     "has_conflict",
-    "hull_nodes",
     "placement_names",
-    "quadrant_index",
-    "quadrant_neighbors",
     "receivers_of",
     "select_sources",
 ]

@@ -22,21 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network.geometry import convex_hull
 from repro.network.quadrant import quadrant_view
 from repro.network.topology import WSNTopology
 
-__all__ = ["hull_nodes", "boundary_nodes"]
-
-
-def hull_nodes(topology: WSNTopology) -> frozenset[int]:
-    """Node ids whose positions are vertices of the deployment's convex hull."""
-    if topology.num_nodes == 0:
-        return frozenset()
-    hull_points = set(convex_hull([topology.position(u) for u in topology.node_ids]))
-    return frozenset(
-        u for u in topology.node_ids if topology.position(u) in hull_points
-    )
+__all__ = ["boundary_nodes"]
 
 
 def boundary_nodes(topology: WSNTopology) -> frozenset[int]:

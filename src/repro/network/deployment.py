@@ -42,7 +42,6 @@ __all__ = [
     "DeploymentConfig",
     "DeploymentError",
     "deploy_uniform",
-    "grid_deployment",
 ]
 
 
@@ -204,32 +203,3 @@ def deploy_uniform(
     if return_deployment:
         return deployment
     return deployment.topology, deployment.source
-
-
-def grid_deployment(
-    rows: int,
-    cols: int,
-    *,
-    spacing: float = 1.0,
-    radius: float = 1.5,
-    jitter: float = 0.0,
-    seed: int | None = None,
-) -> WSNTopology:
-    """A regular grid deployment (used by tests and ablation benchmarks).
-
-    With ``radius`` between ``spacing`` and ``spacing * sqrt(2)`` the grid is
-    4-connected; above ``spacing * sqrt(2)`` it becomes 8-connected.  A small
-    positional ``jitter`` breaks ties in the quadrant partition.
-    """
-    require(rows >= 1 and cols >= 1, "rows and cols must be >= 1")
-    check_positive("spacing", spacing)
-    check_positive("radius", radius)
-    rng = make_rng(seed)
-    positions = []
-    for r in range(rows):
-        for c in range(cols):
-            dx = dy = 0.0
-            if jitter > 0:
-                dx, dy = rng.uniform(-jitter, jitter, size=2)
-            positions.append((c * spacing + dx, r * spacing + dy))
-    return WSNTopology.from_positions(np.asarray(positions), radius=radius)

@@ -27,7 +27,6 @@ __all__ = [
     "conflicting_pairs",
     "receivers_of",
     "neighborhood_mask",
-    "collision_victims",
 ]
 
 
@@ -107,28 +106,3 @@ def neighborhood_mask(topology: WSNTopology, nodes: int) -> int:
         reached |= neighbors[low.bit_length() - 1]
         nodes ^= low
     return reached
-
-
-def collision_victims(
-    topology: WSNTopology,
-    transmitters: Collection[int],
-    covered: frozenset[int] | set[int],
-) -> frozenset[int]:
-    """Uncovered nodes that would hear two or more of ``transmitters``.
-
-    Useful for diagnostics and for modelling what *would* happen if a
-    conflicting set were transmitted anyway (the victims receive garbage and
-    stay uncovered).
-    """
-    heard_once: set[int] = set()
-    heard_twice: set[int] = set()
-    covered = frozenset(covered)
-    for u in transmitters:
-        for v in topology.neighbors(u):
-            if v in covered:
-                continue
-            if v in heard_once:
-                heard_twice.add(v)
-            else:
-                heard_once.add(v)
-    return frozenset(heard_twice)

@@ -10,10 +10,9 @@ half-open boundaries so that every neighbour falls in exactly one quadrant:
 * ``Q_3(u)``: ``dx < 0  and dy <= 0``   (west to south, excluding south)
 * ``Q_4(u)``: ``dx >= 0 and dy < 0``    (south to east, excluding east)
 
-This module is the one owner of that convention.  :func:`quadrant_index`
-classifies a single point; :class:`QuadrantIndex` classifies every
-neighbourhood of a topology at once and is what the E-model, the
-network-edge detection and :func:`quadrant_neighbors` read.
+This module is the one owner of that convention.  :class:`QuadrantIndex`
+classifies every neighbourhood of a topology at once and is what the
+E-model and the network-edge detection read.
 
 A neighbour at exactly ``u``'s position belongs to no quadrant.  Nothing
 upstream prevents it — :func:`repro.network.deployment.deploy_uniform`
@@ -26,52 +25,25 @@ from __future__ import annotations
 
 import weakref
 from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
 from repro.network.topology import WSNTopology
 
-__all__ = [
-    "QUADRANTS",
-    "QuadrantIndex",
-    "quadrant_index",
-    "quadrant_neighbors",
-    "quadrant_partition",
-    "quadrant_view",
-]
+__all__ = ["QUADRANTS", "QuadrantIndex", "quadrant_view"]
 
 #: The four quadrant labels, in the order used by the 4-tuple ``E``.
 QUADRANTS: tuple[int, int, int, int] = (1, 2, 3, 4)
 
 
 def _quadrant_tests(dx, dy):
-    """Membership of offset ``(dx, dy)`` in ``Q_1..Q_4``, in label order.
-
-    Works elementwise on numpy arrays and on plain floats alike, so the
-    scalar and the whole-topology classification share one definition.
-    """
+    """Membership of offsets ``(dx, dy)`` in ``Q_1..Q_4``, in label order, elementwise."""
     return (
         (dx > 0) & (dy >= 0),
         (dx <= 0) & (dy > 0),
         (dx < 0) & (dy <= 0),
         (dx >= 0) & (dy < 0),
     )
-
-
-def quadrant_index(origin: tuple[float, float], point: tuple[float, float]) -> int:
-    """Return the quadrant (1-4) of ``point`` relative to ``origin``.
-
-    Raises
-    ------
-    ValueError
-        If ``point`` coincides with ``origin`` (no quadrant is defined).
-    """
-    dx = point[0] - origin[0]
-    dy = point[1] - origin[1]
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("point coincides with origin; quadrant undefined")
-    return 1 + _quadrant_tests(dx, dy).index(True)
 
 
 class QuadrantIndex:
@@ -142,37 +114,3 @@ def quadrant_view(topology: WSNTopology) -> QuadrantIndex:
         index = QuadrantIndex(topology)
         _INDEX_CACHE[topology] = index
     return index
-
-
-def quadrant_neighbors(
-    topology: WSNTopology, node_id: int, quadrant: int
-) -> frozenset[int]:
-    """``N(u) ∩ Q_i(u)``: neighbours of ``node_id`` lying in ``quadrant``."""
-    if quadrant not in QUADRANTS:
-        raise ValueError(f"quadrant must be one of {QUADRANTS}, got {quadrant}")
-    mask = quadrant_view(topology).masks[quadrant - 1][topology.index_of(node_id)]
-    return topology.nodes_from_mask(mask)
-
-
-def quadrant_partition(
-    topology: WSNTopology, node_id: int, candidates: Iterable[int] | None = None
-) -> dict[int, frozenset[int]]:
-    """Partition ``candidates`` (default: all neighbours) into the 4 quadrants.
-
-    Raises
-    ------
-    ValueError
-        If a candidate is not a neighbour of ``node_id``.
-    """
-    pool = topology.neighbor_mask(node_id)
-    if candidates is not None:
-        wanted = topology.mask_from_nodes(candidates)
-        if wanted & ~pool:
-            stray = sorted(topology.nodes_from_mask(wanted & ~pool))
-            raise ValueError(f"candidates {stray} are not neighbours of node {node_id}")
-        pool = wanted
-    row = topology.index_of(node_id)
-    masks = quadrant_view(topology).masks
-    return {
-        q: topology.nodes_from_mask(masks[q - 1][row] & pool) for q in QUADRANTS
-    }

@@ -241,9 +241,9 @@ class WSNTopology:
     def _neighbour_sets(self) -> dict[NodeId, frozenset[NodeId]]:
         """``N(u)`` as a ``frozenset`` for every id, built on first use.
 
-        Only the set API builds this (:meth:`neighbors`, :meth:`has_edge`,
-        :meth:`edges`, ...): the exact solvers, the set-based reference
-        engine and reference oracles.  The per-cell set-up of a sweep reads
+        Only the set API builds this (:meth:`neighbors`,
+        :meth:`uncovered_neighbors`, ...): the exact solvers, the set-based
+        reference engine and reference oracles.  The per-cell set-up of a sweep reads
         the masks and the adjacency matrix instead and never triggers it.
 
         Row-major nonzeros list each row's neighbours in ascending id
@@ -426,18 +426,6 @@ class WSNTopology:
         if not self._node_ids:
             return 0.0
         return 2 * self.num_edges / self.num_nodes
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        """True iff ``u`` and ``v`` are within communication range."""
-        return v in self._neighbour_sets()[u]
-
-    def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
-        """Iterate over each undirected link once, as (smaller, larger)."""
-        adjacency = self._neighbour_sets()
-        for u in self._node_ids:
-            for v in adjacency[u]:
-                if u < v:
-                    yield (u, v)
 
     def uncovered_neighbors(
         self, node_id: NodeId, covered: frozenset[NodeId] | set[NodeId]
@@ -698,36 +686,6 @@ class WSNTopology:
             frontier = grown & ~reached
             reached |= frontier
         return reached == self._full_mask
-
-    # ------------------------------------------------------------------
-    # Interop / reporting
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Return an equivalent :class:`networkx.Graph` (for cross-checks)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        nodes = self._node_map()
-        for node_id in self._node_ids:
-            node = nodes[node_id]
-            graph.add_node(node_id, pos=(node.x, node.y))
-        graph.add_edges_from(self.edges())
-        return graph
-
-    def density(self, area: float | None = None) -> float:
-        """Nodes per unit area.
-
-        ``area`` defaults to the bounding-box area of the deployment, which
-        matches the paper's "nodes per Sq. Ft. over a 50 x 50 Sq. Ft. area"
-        when the deployment spans the full area.
-        """
-        if area is None:
-            if self.num_nodes < 2:
-                return 0.0
-            mins = self._positions.min(axis=0)
-            maxs = self._positions.max(axis=0)
-            area = float(np.prod(np.maximum(maxs - mins, 1e-9)))
-        return self.num_nodes / area
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -43,8 +43,8 @@ __all__ = ["run_broadcast", "ENGINE_BACKENDS"]
 #: Engine backends selectable via ``run_broadcast(..., engine=...)``:
 #: ``(round_engine_cls, slot_engine_cls)`` per backend name.  Every class
 #: is (or subclasses) :class:`RoundEngine` / :class:`SlotEngine`, whose
-#: front supplies the constructors and the ``run`` / ``run_multi`` entry
-#: points; a backend brings its own kernel.
+#: front supplies the constructors, input checks and result assembly; a
+#: backend brings its own kernel.
 ENGINE_BACKENDS = {
     "reference": (RoundEngine, SlotEngine),
     "vectorized": (FastRoundEngine, FastSlotEngine),

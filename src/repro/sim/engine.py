@@ -209,20 +209,28 @@ class _EngineBase:
             cycle_rate=cycle_rate,
         )
 
-    def _run_multi(
+    def run(
         self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        start_time: int,
-        align_start: bool,
-        max_time: int | None,
-    ) -> MultiBroadcastResult:
-        """The one run behind ``run`` and ``run_multi`` of every engine."""
-        sources = tuple(node_id(source) for source in sources)
+        policy: SchedulingPolicy,
+        source: int,
+        *,
+        start_time: int = 1,
+        align_start: bool = False,
+        max_time: int | None = None,
+    ) -> BroadcastResult:
+        """Simulate one broadcast and return its trace (the ``k = 1`` run).
+
+        ``align_start=True`` moves a duty-cycle start to the source's first
+        wake-up slot at or after ``start_time`` (``t_s ∈ T(s)`` as in the
+        paper's examples).  ``max_time`` defaults to a generous bound derived
+        from the baselines' worst case.  The policy is not prepared here;
+        :func:`~repro.sim.broadcast.run_broadcast` is the front that does.
+        """
+        sources = (node_id(source),)
         start_time, steps = self._open(
-            policies, sources, start_time, align_start, max_time
+            [policy], sources, start_time, align_start, max_time
         )
-        return self._collect(policies, sources, start_time, steps)
+        return self._collect([policy], sources, start_time, steps).messages[0]
 
     def _check_advance(
         self,
@@ -359,40 +367,6 @@ class _EngineBase:
 class RoundEngine(_EngineBase):
     """The round-based synchronous system: every node may relay every round."""
 
-    def run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        *,
-        start_time: int = 1,
-        max_rounds: int | None = None,
-    ) -> BroadcastResult:
-        """Simulate a broadcast and return its trace (the ``k = 1`` run).
-
-        ``max_rounds`` defaults to a generous bound derived from the
-        baseline's worst case (the hop radius times the maximum colour-clique
-        size cannot exceed the number of nodes times the hop radius).
-        """
-        return self.run_multi(
-            [policy], [source], start_time=start_time, max_rounds=max_rounds
-        ).messages[0]
-
-    def run_multi(
-        self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        *,
-        start_time: int = 1,
-        max_rounds: int | None = None,
-    ) -> MultiBroadcastResult:
-        """Simulate ``len(sources)`` concurrent broadcasts on one timeline.
-
-        ``max_rounds`` defaults to the worst single-source bound over the
-        sources, stretched by the message count (slot contention can
-        serialise the wavefronts in the worst case).
-        """
-        return self._run_multi(policies, sources, start_time, False, max_rounds)
-
     def _default_max_time(self, source: int) -> int:
         depth = max(self.topology.eccentricity(source), 1)
         return int(
@@ -420,51 +394,6 @@ class SlotEngine(_EngineBase):
                     else f"wake-up schedule missing nodes {sorted(missing)}"
                 )
         self.schedule = schedule
-
-    def run(
-        self,
-        policy: SchedulingPolicy,
-        source: int,
-        *,
-        start_time: int = 1,
-        align_start: bool = False,
-        max_slots: int | None = None,
-    ) -> BroadcastResult:
-        """Simulate a duty-cycle broadcast (the ``k = 1`` run).
-
-        ``align_start=True`` moves the start to the source's first wake-up
-        slot at or after ``start_time`` (so ``t_s ∈ T(s)`` as in the paper's
-        examples).  ``max_slots`` defaults to several times the baseline's
-        ``17 k d`` worst case.
-        """
-        return self.run_multi(
-            [policy],
-            [source],
-            start_time=start_time,
-            align_start=align_start,
-            max_slots=max_slots,
-        ).messages[0]
-
-    def run_multi(
-        self,
-        policies: Sequence[SchedulingPolicy],
-        sources: Sequence[int],
-        *,
-        start_time: int = 1,
-        align_start: bool = False,
-        max_slots: int | None = None,
-    ) -> MultiBroadcastResult:
-        """Simulate concurrent duty-cycle broadcasts on one shared timeline.
-
-        ``align_start=True`` moves the shared start to the *earliest* wake-up
-        slot of any source at or after ``start_time`` (the other messages
-        simply wait for their source's first active slot).  ``max_slots``
-        defaults to the worst single-source bound over the sources,
-        stretched by the message count.
-        """
-        return self._run_multi(
-            policies, sources, start_time, align_start, max_slots
-        )
 
     def _default_max_time(self, source: int) -> int:
         depth = max(self.topology.eccentricity(source), 1)

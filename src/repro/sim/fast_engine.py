@@ -2,10 +2,10 @@
 
 :class:`FastRoundEngine` and :class:`FastSlotEngine` subclass
 :class:`~repro.sim.engine.RoundEngine` and
-:class:`~repro.sim.engine.SlotEngine`: the front (constructors, ``run`` and
-``run_multi``, input checks, default limits, start alignment, result
-assembly, the :class:`~repro.sim.links.LinkModel` strategy) is the
-reference engines' own, and only the kernel is replaced.  The traces are
+:class:`~repro.sim.engine.SlotEngine`: the front (constructors, input
+checks, default limits, start alignment, result assembly, the
+:class:`~repro.sim.links.LinkModel` strategy) is the reference engines'
+own, and only the kernel is replaced.  The traces are
 *bit-identical* to the reference kernel's, single- and multi-source,
 reliable and lossy alike (the parity suites in ``tests/property`` and the
 benchmarks in ``benchmarks/test_engine_backends.py`` /

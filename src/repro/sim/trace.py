@@ -108,23 +108,6 @@ class BroadcastResult:
         """True iff every node of ``topology`` ended up covered."""
         return self.covered == topology.node_set
 
-    def coverage_timeline(self) -> list[tuple[int, int]]:
-        """``(time, cumulative covered count)`` after each advance.
-
-        The initial entry accounts for the source holding the message at
-        ``start_time`` before any transmission.
-        """
-        count = len(self.covered)
-        # Reconstruct forward from the advances: start with the source only.
-        timeline: list[tuple[int, int]] = [(self.start_time, 1)]
-        running = 1
-        for advance in self.advances:
-            running += len(advance.receivers)
-            timeline.append((advance.time, running))
-        if running != count:  # pragma: no cover - defensive, validated elsewhere
-            timeline.append((self.end_time, count))
-        return timeline
-
     def transmissions_by_node(self) -> dict[int, int]:
         """How many times each node transmitted during the broadcast."""
         counts: dict[int, int] = {}
@@ -132,14 +115,6 @@ class BroadcastResult:
             for node in advance.color:
                 counts[node] = counts.get(node, 0) + 1
         return counts
-
-    def summary(self) -> str:
-        """A one-line human-readable summary (used by the examples)."""
-        system = "rounds" if self.synchronous else f"slots (r={self.cycle_rate})"
-        return (
-            f"{self.policy_name}: latency={self.latency} {system}, "
-            f"advances={self.num_advances}, transmissions={self.total_transmissions}"
-        )
 
 
 @dataclass(frozen=True)
@@ -244,13 +219,3 @@ class MultiBroadcastResult:
     def is_complete(self, topology: WSNTopology) -> bool:
         """True iff every message covered every node of ``topology``."""
         return all(message.is_complete(topology) for message in self.messages)
-
-    def summary(self) -> str:
-        """A one-line human-readable summary (used by the examples)."""
-        system = "rounds" if self.synchronous else f"slots (r={self.cycle_rate})"
-        per_message = "/".join(str(lat) for lat in self.per_message_latency)
-        return (
-            f"{self.num_messages} messages: makespan={self.latency} {system} "
-            f"(per-message {per_message}), "
-            f"transmissions={self.total_transmissions}"
-        )

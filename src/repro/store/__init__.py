@@ -1,4 +1,4 @@
-"""Persistent experiment store: content-addressed cell cache + query layer.
+"""Persistent experiment store: a content-addressed cell cache.
 
 The determinism contract of :mod:`repro.experiments.runner` makes every
 sweep cell's records a pure function of its configuration — which makes
@@ -10,9 +10,7 @@ cells perfectly cacheable by content hash.  This package persists them:
 * :mod:`repro.store.backends` — pluggable shard formats
   (:data:`STORE_BACKENDS`, mirroring ``ENGINE_BACKENDS``);
 * :mod:`repro.store.store` — :class:`ExperimentStore`, the sqlite-indexed,
-  atomically-sharded cell cache with ``stats`` / ``gc`` / ``export``;
-* :mod:`repro.store.query` — cached records back out as figure-ready
-  ``SweepResult``\\ s.
+  atomically-sharded cell cache with ``stats`` / ``gc`` / ``export``.
 
 ``run_sweep(..., store=..., resume=True)`` consults the store before
 dispatching cells, so interrupted sweeps resume and grid extensions only
@@ -28,7 +26,6 @@ from repro.store.backends import (
     store_backend_names,
 )
 from repro.store.cellkey import STORE_SCHEMA_VERSION, CellKey, cell_key_for
-from repro.store.query import query_records
 from repro.store.store import ExperimentStore, GcStats, StoreStats, open_store
 
 __all__ = [
@@ -44,6 +41,5 @@ __all__ = [
     "cell_key_for",
     "get_store_backend",
     "open_store",
-    "query_records",
     "store_backend_names",
 ]

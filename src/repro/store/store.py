@@ -22,10 +22,9 @@ arbitrates — concurrent committers of the *same* digest are idempotent by
 construction, since the digest addresses the content.
 
 ``get``/``put`` are the cache interface the sweep runner uses;
-:meth:`ExperimentStore.stats`, :meth:`ExperimentStore.gc`,
-:meth:`ExperimentStore.export` and :meth:`ExperimentStore.query` are the
-operator surface behind ``repro store stats|gc|export`` and the figure /
-report query layer.
+:meth:`ExperimentStore.stats`, :meth:`ExperimentStore.gc` and
+:meth:`ExperimentStore.export` are the operator surface behind
+``repro store stats|gc|export``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.store.cellkey import STORE_SCHEMA_VERSION, CellKey
 from repro.utils.serialization import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from repro.experiments.runner import RunRecord, SweepResult
+    from repro.experiments.runner import RunRecord
 
 __all__ = ["ExperimentStore", "StoreStats", "GcStats", "open_store"]
 
@@ -81,30 +80,13 @@ CREATE TABLE IF NOT EXISTS cells (
 )
 """
 
-#: The canonical cell order of every multi-cell read (query / export):
+#: The canonical cell order of every multi-cell read (``iter_cells``/``export``):
 #: workload axes first, then the grid coordinates, digest as tiebreaker.
 _CANONICAL_ORDER = (
     "ORDER BY system, rate, scenario, duty_model, link_model, "
     "loss_probability, n_sources, source_placement, num_nodes, repetition, "
     "digest"
 )
-
-#: Index columns that :meth:`ExperimentStore.query` accepts as filters.
-_QUERYABLE_COLUMNS = (
-    "system",
-    "rate",
-    "num_nodes",
-    "repetition",
-    "scenario",
-    "duty_model",
-    "link_model",
-    "loss_probability",
-    "n_sources",
-    "source_placement",
-    "seed",
-    "schema_version",
-)
-
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -398,7 +380,17 @@ class ExperimentStore:
         The index row comes back as a plain column dict; cells whose shard
         has vanished are skipped (``gc`` reaps their rows).
         """
-        yield from self._matching_cells({})
+        with self._lock:
+            cursor = self._connection.execute(f"SELECT * FROM cells {_CANONICAL_ORDER}")
+            columns = [description[0] for description in cursor.description]
+            rows = cursor.fetchall()
+        for values in rows:
+            row = dict(zip(columns, values))
+            try:
+                text = (self.root / row["shard"]).read_text(encoding="utf-8")
+            except FileNotFoundError:
+                continue
+            yield row, get_store_backend(row["backend"]).loads(text)
 
     def export(self, format: str = "jsonl") -> str:
         """Every cached record, canonically ordered, in one ``format`` blob.
@@ -411,45 +403,6 @@ class ExperimentStore:
         for _, cell_records in self.iter_cells():
             records.extend(cell_records)
         return backend.dumps(records)
-
-    def query(self, *, policy: str | None = None, **filters: object) -> "SweepResult":
-        """Cached records as a :class:`~repro.experiments.runner.SweepResult`.
-
-        See :func:`repro.store.query.query_records` for filter semantics.
-        """
-        from repro.store.query import query_records
-
-        return query_records(self, policy=policy, **filters)
-
-    # -- internals shared with the query layer ----------------------------
-
-    def _matching_cells(
-        self, filters: dict[str, object]
-    ) -> "list[tuple[dict, list[RunRecord]]]":
-        unknown = sorted(set(filters) - set(_QUERYABLE_COLUMNS))
-        if unknown:
-            raise ValueError(
-                f"unknown query filters {unknown}; queryable columns: "
-                f"{sorted(_QUERYABLE_COLUMNS)}"
-            )
-        clauses = [f"{column} = ?" for column in filters]
-        where = f"WHERE {' AND '.join(clauses)} " if clauses else ""
-        with self._lock:
-            cursor = self._connection.execute(
-                f"SELECT * FROM cells {where}{_CANONICAL_ORDER}",
-                tuple(filters.values()),
-            )
-            columns = [description[0] for description in cursor.description]
-            rows = cursor.fetchall()
-        cells = []
-        for values in rows:
-            row = dict(zip(columns, values))
-            try:
-                text = (self.root / row["shard"]).read_text(encoding="utf-8")
-            except FileNotFoundError:
-                continue
-            cells.append((row, get_store_backend(row["backend"]).loads(text)))
-        return cells
 
 
 def open_store(

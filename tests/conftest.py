@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.deployment import DeploymentConfig, deploy_uniform, grid_deployment
+from repro.network.deployment import DeploymentConfig, deploy_uniform
 from repro.network.graphs import (
     FIGURE1_SOURCE,
     FIGURE2_SOURCE,
@@ -14,6 +14,7 @@ from repro.network.graphs import (
     figure2_topology,
 )
 from repro.network.topology import WSNTopology
+from tests.oracles import grid_deployment
 
 
 @pytest.fixture

@@ -7,11 +7,11 @@ import math
 import pytest
 from hypothesis import example, given, settings
 
-from repro.network.boundary import boundary_nodes, hull_nodes
-from repro.network.deployment import grid_deployment
+from repro.network.boundary import boundary_nodes
 from repro.network.geometry import euclidean_distance
-from repro.network.quadrant import QUADRANTS, quadrant_index, quadrant_partition
+from repro.network.quadrant import QUADRANTS, quadrant_view
 from repro.network.topology import WSNTopology
+from tests.oracles import edges, grid_deployment, quadrant_index
 
 from .conftest import topologies_with_source, udg_topologies
 
@@ -26,7 +26,7 @@ def test_udg_edges_match_distance_threshold(topology):
             if u >= v:
                 continue
             distance = euclidean_distance(topology.position(u), topology.position(v))
-            assert topology.has_edge(u, v) == (distance <= radius + 1e-12)
+            assert (v in topology.neighbors(u)) == (distance <= radius + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,7 +53,7 @@ def test_hop_distances_satisfy_triangle_step(case):
     """BFS distances differ by at most one across an edge."""
     topology, source = case
     distances = topology.hop_distances(source)
-    for u, v in topology.edges():
+    for u, v in edges(topology):
         assert abs(distances[u] - distances[v]) <= 1
 
 
@@ -72,12 +72,14 @@ def test_bfs_layers_partition_nodes(case):
 @settings(max_examples=60, deadline=None)
 @given(udg_topologies(connected=False))
 def test_quadrants_partition_each_neighborhood(topology):
-    for u in topology.node_ids:
-        partition = quadrant_partition(topology, u)
-        assert set(partition) == set(QUADRANTS)
-        union = frozenset().union(*partition.values())
-        assert union == topology.neighbors(u)
-        assert sum(len(p) for p in partition.values()) == len(topology.neighbors(u))
+    masks = quadrant_view(topology).masks
+    for row, u in enumerate(topology.node_ids):
+        quadrants = [masks[q - 1][row] for q in QUADRANTS]
+        union = 0
+        for mask in quadrants:
+            union |= mask
+        assert union == topology.neighbor_mask(u)
+        assert sum(mask.bit_count() for mask in quadrants) == len(topology.neighbors(u))
 
 
 #: A 5x5 8-connected grid: the corner (id 0) is exposed, the centre (id 12)
@@ -103,6 +105,29 @@ def is_exposed(topology: WSNTopology, node_id: int) -> bool:
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + 2 * math.pi - angles[-1])
     return max(gaps) > math.pi
+
+
+def hull_nodes(topology: WSNTopology) -> frozenset[int]:
+    """Oracle: the nodes at the vertices of the deployment's convex hull.
+
+    Andrew's monotone chain; collinear points on a hull edge are not
+    vertices.
+    """
+
+    def cross(o, a, b) -> float:
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(points):
+        kept: list = []
+        for point in points:
+            while len(kept) >= 2 and cross(kept[-2], kept[-1], point) <= 0:
+                kept.pop()
+            kept.append(point)
+        return kept[:-1]
+
+    points = sorted({topology.position(u) for u in topology.node_ids})
+    hull = set(points) if len(points) <= 2 else set(chain(points) + chain(points[::-1]))
+    return frozenset(u for u in topology.node_ids if topology.position(u) in hull)
 
 
 def empty_quadrant_nodes(topology: WSNTopology) -> frozenset[int]:

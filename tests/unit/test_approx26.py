@@ -7,10 +7,9 @@ import pytest
 from repro.baselines.approx26 import Approx26Policy, layer_color_plan
 from repro.baselines.bfs_tree import build_broadcast_tree
 from repro.core.advance import BroadcastState
-from repro.core.coloring import conflict_graph
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.deployment import DeploymentConfig, deploy_uniform
-from repro.network.interference import conflict_free
+from repro.network.interference import conflict_free, has_conflict
 from repro.sim.broadcast import run_broadcast
 
 
@@ -42,7 +41,7 @@ class TestLayerColorPlan:
 
 
 def _conflict_graph_plan(topology, tree):
-    """The layer plan by first-fit over the frozenset conflict graph: the
+    """The layer plan by first-fit over the pairwise conflict graph: the
     oracle the mask packing of :func:`layer_color_plan` must reproduce."""
     plan = []
     covered: set[int] = set()
@@ -51,7 +50,10 @@ def _conflict_graph_plan(topology, tree):
         parents = sorted(
             tree.parents_per_layer[level], key=lambda u: (-len(tree.children_of(u)), u)
         )
-        conflicts = conflict_graph(topology, parents, frozenset(covered))
+        conflicts = {
+            u: {v for v in parents if v != u and has_conflict(topology, u, v, covered)}
+            for u in parents
+        }
         classes = []
         remaining = parents
         while remaining:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.boundary import boundary_nodes, hull_nodes
-from repro.network.deployment import grid_deployment
+from repro.network.boundary import boundary_nodes
 from repro.network.topology import WSNTopology
+from tests.oracles import grid_deployment
 
 
 @pytest.fixture
@@ -15,25 +15,9 @@ def dense_grid() -> WSNTopology:
     return grid_deployment(5, 5, spacing=1.0, radius=1.5, jitter=0.0, seed=0)
 
 
-class TestHullNodes:
-    def test_grid_corners_on_hull(self, dense_grid):
-        hull = hull_nodes(dense_grid)
-        # Corners of the 5x5 grid: ids 0, 4, 20, 24 (row-major layout).
-        assert {0, 4, 20, 24} <= hull
-
-    def test_interior_not_on_hull(self, dense_grid):
-        hull = hull_nodes(dense_grid)
-        assert 12 not in hull  # the centre node
-
-    def test_empty_topology(self):
-        topo = WSNTopology([], {})
-        assert hull_nodes(topo) == frozenset()
-        assert boundary_nodes(topo) == frozenset()
-
-
 class TestBoundaryNodes:
-    def test_contains_hull(self, dense_grid):
-        assert hull_nodes(dense_grid) <= boundary_nodes(dense_grid)
+    def test_empty_topology(self):
+        assert boundary_nodes(WSNTopology([], {})) == frozenset()
 
     def test_grid_perimeter_detected(self, dense_grid):
         boundary = boundary_nodes(dense_grid)

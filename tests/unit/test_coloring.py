@@ -7,7 +7,6 @@ import pytest
 from repro.core.advance import BroadcastState
 from repro.core.coloring import (
     ColorScheme,
-    conflict_graph,
     enumerate_color_classes,
     frontier_candidates,
     frontier_mask,
@@ -51,36 +50,6 @@ class TestFrontierCandidates:
         covered = frozenset({source, 0})
         candidates = frontier_candidates(topo, covered)
         assert set(candidates) <= covered
-
-
-class TestConflictGraph:
-    def test_figure1_clique_at_node3(self, figure1):
-        topo, source = figure1
-        covered = frozenset({source, 0, 1, 2})
-        graph = conflict_graph(topo, [0, 1, 2], covered)
-        assert graph[0] == {1, 2}
-        assert graph[1] == {0, 2}
-        assert graph[2] == {0, 1}
-
-    def test_symmetric(self, figure1, small_deployment):
-        for topo, source in (figure1, small_deployment):
-            covered = frozenset({source}) | topo.neighbors(source)
-            candidates = frontier_candidates(topo, covered)
-            graph = conflict_graph(topo, candidates, covered)
-            for u, conflicts in graph.items():
-                for v in conflicts:
-                    assert u in graph[v]
-
-    def test_matches_pairwise_predicate(self, small_deployment):
-        topo, source = small_deployment
-        covered = frozenset({source}) | topo.neighbors(source)
-        candidates = frontier_candidates(topo, covered)
-        graph = conflict_graph(topo, candidates, covered)
-        for u in candidates:
-            for v in candidates:
-                if u == v:
-                    continue
-                assert (v in graph[u]) == has_conflict(topo, u, v, covered)
 
 
 class TestGreedyColorClasses:
@@ -202,23 +171,21 @@ class TestColorScheme:
         with pytest.raises(ValueError):
             scheme.color_classes(topo, frozenset({source}))
 
-    def test_num_colors_is_lambda(self, figure1):
-        topo, source = figure1
-        covered = frozenset({source, 0, 1, 2})
-        assert ColorScheme().num_colors(topo, covered) == 3
-
-    def test_num_colors_counts_the_schemes_own_colours(self):
+    def test_each_scheme_offers_its_own_colours(self):
         # Covered a..d (0-3), uncovered x, y, z (4-6): a-b share x, b-c share
         # y and c-d share z, so the conflict graph is the path a-b-c-d.
         edges = [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]
         topo = WSNTopology.from_edges(edges, {u: (float(u), 0.0) for u in range(7)})
         covered = frozenset({0, 1, 2, 3})
-        assert ColorScheme("greedy").num_colors(topo, covered) == 2
-        assert ColorScheme("exhaustive").num_colors(topo, covered) == 3
-        for scheme in (ColorScheme("exhaustive", 1), ColorScheme("exhaustive", 2)):
-            assert scheme.num_colors(topo, covered) == len(
-                scheme.color_classes(topo, covered)
-            )
+        assert ColorScheme("greedy").color_classes(topo, covered) == [
+            frozenset({1, 3}),
+            frozenset({0, 2}),
+        ]
+        assert ColorScheme("exhaustive").color_classes(topo, covered) == [
+            frozenset({0, 2}),
+            frozenset({0, 3}),
+            frozenset({1, 3}),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +325,6 @@ class TestMaskCoreDifferential:
             )
             mask = frontier_mask(topology, topology.mask_from_nodes(covered))
             assert topology.nodes_from_mask(mask) == frontier
-
-    def test_conflict_graph_equals_the_pairwise_test(self, topology):
-        for covered, awake in _random_states(topology, seed=topology.num_nodes + 4):
-            candidates = _oracle_candidates(topology, covered, awake)
-            assert conflict_graph(topology, candidates, covered) == _oracle_conflicts(
-                topology, candidates, covered
-            )
 
     def test_greedy_classes_equal_algorithm1_through_conflict_graph(self, topology):
         for covered, awake in _random_states(topology, seed=topology.num_nodes + 1):

@@ -56,7 +56,7 @@ class TestRoundEngine:
         topo, source = figure2
         idle_policy = _ScriptedPolicy([None] * 100)
         with pytest.raises(SimulationTimeout):
-            RoundEngine(topo).run(idle_policy, source, max_rounds=10)
+            RoundEngine(topo).run(idle_policy, source, max_time=10)
 
     def test_uncovered_transmitter_rejected(self, figure2):
         topo, source = figure2

@@ -12,9 +12,10 @@ from repro.core.estimation import build_edge_estimate
 from repro.dutycycle.cwt import expected_cwt
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.network.deployment import DeploymentConfig
-from repro.network.quadrant import QUADRANTS, quadrant_index, quadrant_neighbors
+from repro.network.quadrant import QUADRANTS
 from repro.network.topology import WSNTopology
 from repro.scenarios import generate_scenario, scenario_names
+from tests.oracles import quadrant_index
 
 
 class TestSynchronousConstruction:
@@ -51,18 +52,20 @@ class TestSynchronousConstruction:
     def test_empty_quadrant_gives_zero(self, medium_deployment):
         topo, _ = medium_deployment
         estimate = build_edge_estimate(topo)
+        quadrants = per_node_quadrants(topo)
         for node in topo.node_ids:
             for quadrant in QUADRANTS:
-                if not quadrant_neighbors(topo, node, quadrant):
+                if not quadrants[node][quadrant]:
                     assert estimate.value(node, quadrant) == 0.0
 
     def test_recurrence_holds_after_construction(self, medium_deployment):
         """Eq. (9): every non-seed value is 1 + min over quadrant neighbours."""
         topo, _ = medium_deployment
         estimate = build_edge_estimate(topo)
+        quadrants = per_node_quadrants(topo)
         for node in topo.node_ids:
             for quadrant in QUADRANTS:
-                members = quadrant_neighbors(topo, node, quadrant)
+                members = quadrants[node][quadrant]
                 value = estimate.value(node, quadrant)
                 if not members:
                     assert value == 0.0

@@ -288,7 +288,7 @@ class TestFastEngineChecks:
                 return None
 
         with pytest.raises(SimulationTimeout, match="did not complete by time"):
-            engine_cls(topology, schedule).run(Mute(), 0, max_slots=9)
+            engine_cls(topology, schedule).run(Mute(), 0, max_time=9)
 
     def test_missing_schedule_nodes_rejected(self):
         topology = _line_topology(5)

@@ -87,14 +87,14 @@ _CASES = [
 
 @pytest.mark.parametrize(("system", "mode", "max_states"), _CASES)
 def test_derived_reach_equals_the_column_minimum(system, mode, max_states):
-    """Seeded paper-geometry searches, n = 50-300: ``M`` from the source and
-    ``best_color`` on its one-hop ball, each under both providers.  Every
+    """Seeded paper-geometry searches, n = 50-300: ``decide`` on the
+    source's one- and two-hop balls, each under both providers.  Every
     answer, every hinted child and every far set matches a fresh column
     minimum, no hint outlives its ranking, and the memo stays within
-    ``max_states``.  The exact case runs ``ExactSearch.minimum``, which
-    hints its children in the synchronous system, under the greedy provider
-    of the worked-example tables (the capped exhaustive one costs ~40 s
-    here)."""
+    ``max_states``.  The exact case ranks through ``ExactSearch.minimum``,
+    which hints its children in the synchronous system, under the greedy
+    provider of the worked-example tables (the capped exhaustive one costs
+    ~40 s here)."""
     derived = h1_parents = hinted = answers = 0
     for num_nodes, seed in ((50, 1), (50, 11), (100, 2), (150, 3), (200, 4), (250, 6), (300, 5)):
         topo, source = _deployment(num_nodes, seed)
@@ -102,16 +102,16 @@ def test_derived_reach_equals_the_column_minimum(system, mode, max_states):
         if system == "duty":
             schedule = build_wakeup_schedule(topo.node_ids, 10, seed=seed)
         start = 1 if schedule is None else schedule.next_active_slot(source, 1)
-        ball = frozenset(u for u, d in topo.hop_distances(source).items() if d <= 1)
+        hops = topo.hop_distances(source)
         for provider in _PROVIDERS if mode == "beam" else _PROVIDERS[:1]:
             config = SearchConfig(mode=mode, max_states=max_states)
             counter = TimeCounter(topo, schedule, provider, config)
             checked = _Checked(counter._search)
-            counter.completion_time({source}, start)
-            checked.check_memo()
-            slot, _ = counter._search.decision(topo.mask_from_nodes(ball), start + 1)
-            counter.best_color(ball, slot)
-            checked.check_memo()
+            for radius in (1, 2):
+                ball = topo.mask_from_nodes(u for u, d in hops.items() if d <= radius)
+                slot, _ = counter._search.decision(ball, start + radius)
+                counter.decide(ball, slot)
+                checked.check_memo()
             hinted += len(checked.pairs)
             answers += checked.answers
             for child, parent in checked.pairs:

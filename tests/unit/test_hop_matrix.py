@@ -17,6 +17,7 @@ import pytest
 from repro.core.time_counter import TimeCounter
 from repro.network.topology import UNREACHABLE_HOPS, WSNTopology
 from repro.utils.rng import make_rng
+from tests.oracles import edges, networkx_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -105,7 +106,7 @@ UNEVEN = [
 
 def networkx_hops(topology: WSNTopology) -> np.ndarray:
     expected = np.full((topology.num_nodes,) * 2, -1, dtype=np.int16)
-    for u, lengths in nx.all_pairs_shortest_path_length(topology.to_networkx()):
+    for u, lengths in nx.all_pairs_shortest_path_length(networkx_graph(topology)):
         for v, d in lengths.items():
             expected[topology.index_of(u), topology.index_of(v)] = d
     return expected
@@ -159,7 +160,7 @@ def test_disconnected_graphs_keep_their_errors(topology):
 
 @pytest.mark.parametrize("topology", CONNECTED, ids=lambda t: f"n{t.num_nodes}")
 def test_eccentricities_and_diameter(topology):
-    graph = topology.to_networkx()
+    graph = networkx_graph(topology)
     expected = [nx.eccentricity(graph, u) for u in topology.node_ids]
     assert topology.eccentricities().tolist() == expected
     assert [topology.eccentricity(u) for u in topology.node_ids] == expected
@@ -192,7 +193,7 @@ def test_is_connected_agrees_with_networkx(seed):
     # Radii around the connectivity threshold of 40 nodes on a 30 x 30 area.
     for radius in (4.0, 6.0, 8.0, 10.0, 12.0):
         topology = random_udg(100 + seed, radius=radius)
-        expected = nx.is_connected(topology.to_networkx())
+        expected = nx.is_connected(networkx_graph(topology))
         assert topology.is_connected() == expected  # neighbour-mask BFS
         topology.hop_matrix
         assert topology.is_connected() == expected  # the built matrix's row 0
@@ -223,14 +224,14 @@ def test_time_counter_queries_match_a_plain_bfs(topology):
 def fresh(topology: WSNTopology) -> WSNTopology:
     """An equal topology with no hop row built yet."""
     return WSNTopology.from_edges(
-        topology.edges(), {u: topology.position(u) for u in topology.node_ids}
+        edges(topology), {u: topology.position(u) for u in topology.node_ids}
     )
 
 
 @pytest.mark.parametrize("topology", UDGS + UNEVEN, ids=lambda t: f"n{t.num_nodes}-m{t.num_edges}")
 def test_row_queries_before_the_matrix_agree_with_networkx(topology):
     topology = fresh(topology)
-    graph = topology.to_networkx()
+    graph = networkx_graph(topology)
     for u in topology.node_ids:
         lengths = nx.single_source_shortest_path_length(graph, u)
         assert topology.hop_distances(u) == lengths

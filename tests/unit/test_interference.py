@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.network.interference import (
-    collision_victims,
     conflict_free,
     conflicting_pairs,
     has_conflict,
@@ -77,17 +76,3 @@ class TestReceiversOf:
         topo, source = figure1
         covered = frozenset({source, 0, 1, 2})
         assert receivers_of(topo, [1], covered) == frozenset({3, 4, 10})
-
-
-class TestCollisionVictims:
-    def test_victims_hear_two_transmissions(self, diamond):
-        covered = frozenset({0, 1})
-        assert collision_victims(diamond, [0, 1], covered) == frozenset({2})
-
-    def test_no_victims_for_disjoint_neighborhoods(self, diamond):
-        covered = frozenset({0, 3})
-        assert collision_victims(diamond, [0, 3], covered) == frozenset()
-
-    def test_covered_nodes_never_victims(self, diamond):
-        covered = frozenset({0, 1, 2})
-        assert collision_victims(diamond, [0, 1], covered) == frozenset()

@@ -130,13 +130,6 @@ class TestRunMulti:
                 topology, [source, other], Approx17Policy(), schedule=schedule
             )
 
-    def test_engine_run_multi_directly(self, path5):
-        policies = [EModelPolicy(), EModelPolicy()]
-        for policy, source in zip(policies, (0, 4)):
-            policy.prepare(path5, None, source)
-        result = RoundEngine(path5).run_multi(policies, (0, 4))
-        assert result.is_complete(path5)
-
     def test_duty_multi_aligns_to_earliest_source_slot(self, path5):
         schedule = WakeupSchedule(path5.node_ids, rate=4, seed=3)
         result = run_broadcast(
@@ -261,12 +254,6 @@ class TestMultiBroadcastResult:
         assert result.message_for(4).source == 4
         with pytest.raises(KeyError):
             result.message_for(2)
-
-    def test_summary_mentions_messages_and_makespan(self, path5):
-        result = self._result(path5)
-        text = result.summary()
-        assert "2 messages" in text
-        assert "makespan" in text
 
     def test_metrics_aggregation(self, path5):
         result = self._result(path5)

@@ -201,4 +201,5 @@ class TestCli:
         output = capsys.readouterr().out
         assert "Multi-source" in output
         assert ENERGY_SUFFIX.strip() in output
+        assert "multisource: 6/6 claims hold" in output
         assert (tmp_path / "multisource.csv").exists()

@@ -14,10 +14,10 @@ from repro.core.policies import (
 )
 from repro.core.time_counter import SearchConfig, TimeCounter
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.deployment import grid_deployment
 from repro.network.interference import receivers_of
 from repro.sim.broadcast import run_broadcast
 from repro.utils.rng import make_rng
+from tests.oracles import grid_deployment
 
 
 ALL_POLICIES = [OptPolicy, GreedyOptPolicy, EModelPolicy]

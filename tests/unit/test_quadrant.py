@@ -6,14 +6,9 @@ import pytest
 
 from repro.core.estimation import build_edge_estimate
 from repro.network.boundary import boundary_nodes
-from repro.network.quadrant import (
-    QUADRANTS,
-    quadrant_index,
-    quadrant_neighbors,
-    quadrant_partition,
-    quadrant_view,
-)
+from repro.network.quadrant import QUADRANTS, quadrant_view
 from repro.network.topology import WSNTopology
+from tests.oracles import quadrant_index
 
 
 @pytest.fixture
@@ -28,6 +23,12 @@ def star_topology() -> WSNTopology:
     }
     edges = [(0, i) for i in range(1, 5)]
     return WSNTopology.from_edges(edges, positions)
+
+
+def _members(topology: WSNTopology, node_id: int, quadrant: int) -> frozenset[int]:
+    """``N(u) ∩ Q_i(u)`` read off the index."""
+    row = topology.index_of(node_id)
+    return topology.nodes_from_mask(quadrant_view(topology).masks[quadrant - 1][row])
 
 
 class TestQuadrantIndex:
@@ -45,11 +46,11 @@ class TestQuadrantIndex:
         ],
     )
     def test_boundary_convention(self, point, expected):
+        topology = WSNTopology.from_edges([(0, 1)], {0: (0.0, 0.0), 1: point})
+        assert [bool(_members(topology, 0, q)) for q in QUADRANTS] == [
+            q == expected for q in QUADRANTS
+        ]
         assert quadrant_index((0.0, 0.0), point) == expected
-
-    def test_coincident_point_rejected(self):
-        with pytest.raises(ValueError):
-            quadrant_index((1.0, 1.0), (1.0, 1.0))
 
     def test_every_direction_maps_to_exactly_one_quadrant(self):
         import math
@@ -57,47 +58,29 @@ class TestQuadrantIndex:
         for k in range(32):
             angle = 2 * math.pi * k / 32
             point = (math.cos(angle), math.sin(angle))
-            assert quadrant_index((0.0, 0.0), point) in QUADRANTS
+            topology = WSNTopology.from_edges([(0, 1)], {0: (0.0, 0.0), 1: point})
+            assert sum(len(_members(topology, 0, q)) for q in QUADRANTS) == 1
 
 
 class TestQuadrantNeighbors:
     def test_star_assignment(self, star_topology):
-        assert quadrant_neighbors(star_topology, 0, 1) == frozenset({1})
-        assert quadrant_neighbors(star_topology, 0, 2) == frozenset({2})
-        assert quadrant_neighbors(star_topology, 0, 3) == frozenset({3})
-        assert quadrant_neighbors(star_topology, 0, 4) == frozenset({4})
-
-    def test_invalid_quadrant_rejected(self, star_topology):
-        with pytest.raises(ValueError):
-            quadrant_neighbors(star_topology, 0, 5)
+        for q in QUADRANTS:
+            assert _members(star_topology, 0, q) == frozenset({q})
 
     def test_leaf_has_empty_opposite_quadrants(self, star_topology):
         # Node 1 sits in Q1 of the centre, so the centre sits in Q3 of node 1
         # and node 1 has no neighbour in its own Q1.
-        assert quadrant_neighbors(star_topology, 1, 1) == frozenset()
-        assert quadrant_neighbors(star_topology, 1, 3) == frozenset({0})
+        assert _members(star_topology, 1, 1) == frozenset()
+        assert _members(star_topology, 1, 3) == frozenset({0})
 
 
 class TestQuadrantPartition:
     def test_partition_covers_all_neighbors_disjointly(self, star_topology, small_grid):
         for topo in (star_topology, small_grid):
             for u in topo.node_ids:
-                partition = quadrant_partition(topo, u)
-                union = frozenset().union(*partition.values())
-                assert union == topo.neighbors(u)
-                total = sum(len(members) for members in partition.values())
-                assert total == len(topo.neighbors(u))
-
-    def test_partition_of_explicit_candidates(self, star_topology):
-        partition = quadrant_partition(star_topology, 0, candidates=[1, 3])
-        assert partition[1] == frozenset({1})
-        assert partition[3] == frozenset({3})
-        assert partition[2] == frozenset()
-        assert partition[4] == frozenset()
-
-    def test_non_neighbour_candidates_rejected(self, star_topology):
-        with pytest.raises(ValueError, match=r"\[2\] are not neighbours of node 1"):
-            quadrant_partition(star_topology, 1, candidates=[0, 2])
+                parts = [_members(topo, u, q) for q in QUADRANTS]
+                assert frozenset().union(*parts) == topo.neighbors(u)
+                assert sum(len(members) for members in parts) == len(topo.neighbors(u))
 
 
 class TestQuadrantView:
@@ -105,7 +88,12 @@ class TestQuadrantView:
         index = quadrant_view(small_grid)
         for q in QUADRANTS:
             for row, u in enumerate(small_grid.node_ids):
-                members = quadrant_neighbors(small_grid, u, q)
+                origin = small_grid.position(u)
+                members = frozenset(
+                    v
+                    for v in small_grid.neighbors(u)
+                    if quadrant_index(origin, small_grid.position(v)) == q
+                )
                 rows = index.rows[q - 1][row]
                 assert small_grid.nodes_from_mask(index.masks[q - 1][row]) == members
                 assert frozenset(small_grid.node_ids[r] for r in rows) == members
@@ -121,7 +109,7 @@ class TestQuadrantView:
         )
         message = r"nodes 1 and 2 are neighbours at the same position"
         with pytest.raises(ValueError, match=message):
-            quadrant_neighbors(topology, 0, 1)
+            quadrant_view(topology)
         with pytest.raises(ValueError, match=message):
             boundary_nodes(topology)
         with pytest.raises(ValueError, match=message):

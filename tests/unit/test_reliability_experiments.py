@@ -162,6 +162,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Reliability" in out
         assert "loss probability" in out
+        assert "reliability: 6/6 claims hold" in out
 
     def test_invalid_loss_value_rejected(self, capsys):
         with pytest.raises(SystemExit):

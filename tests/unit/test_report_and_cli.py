@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import cli as cli_mod
+from repro.experiments import figures as figures_mod
 from repro.experiments.cli import build_parser, main
 from repro.experiments.figures import FigureResult
 from repro.experiments.report import ClaimCheck, claims_to_text, summary_claims
@@ -94,6 +96,29 @@ class TestCli:
         assert csv_path.exists()
         assert "G-OPT" in csv_path.read_text()
         assert "Figure 3" in capsys.readouterr().out
+
+
+class TestClaimExitCodes:
+    """Every claim target exits 1 when one of its claims fails."""
+
+    @pytest.mark.parametrize(
+        ("argv", "figures", "claims"),
+        [
+            (["claims"], ["figure3", "figure4", "figure6"], "summary_claims"),
+            (["reliability", "--loss", "0.0,0.1"], ["figure_reliability"], "reliability_claims"),
+            (["multisource", "--sources", "1,2"], ["figure_multisource"], "multisource_claims"),
+        ],
+        ids=["claims", "reliability", "multisource"],
+    )
+    def test_failed_claim_exits_one(self, monkeypatch, capsys, argv, figures, claims):
+        for name in figures:
+            monkeypatch.setattr(figures_mod, name, lambda *args, **kwargs: _synthetic_fig3())
+        failed = ClaimCheck("doctored", "-", "-", 0.0, False)
+        monkeypatch.setattr(cli_mod, claims, lambda *args: [failed])
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "doctored" in out
+        assert f"{argv[0]}: 0/1 claims hold" in out
 
 
 class TestScenarioCli:

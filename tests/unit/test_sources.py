@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.deployment import grid_deployment
 from repro.network.sources import (
     SOURCE_PLACEMENTS,
     placement_names,
     select_sources,
 )
 from repro.network.topology import WSNTopology
+from tests.oracles import grid_deployment
 
 
 @pytest.fixture

@@ -87,9 +87,8 @@ def _trace(advances, *, synchronous=True):
 
 
 def _engine_error(engine, advances) -> str:
-    limit = "max_rounds" if isinstance(engine, RoundEngine) else "max_slots"
     with pytest.raises(ValueError) as error:
-        engine.run(_Scripted(advances), 0, **{limit: 5})
+        engine.run(_Scripted(advances), 0, max_time=5)
     return str(error.value)
 
 

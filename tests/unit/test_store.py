@@ -250,58 +250,6 @@ class TestExperimentStore:
         store.close()
 
 
-class TestQuery:
-    @pytest.fixture()
-    def populated(self, tmp_path, config):
-        store = ExperimentStore(tmp_path / "store")
-        for num_nodes in (16, 24):
-            for repetition in range(2):
-                key = _key(config, num_nodes=num_nodes, repetition=repetition)
-                store.put(
-                    key,
-                    [
-                        _record(
-                            num_nodes=num_nodes,
-                            repetition=repetition,
-                            policy=policy,
-                        )
-                        for policy in ("17-approx", "E-model")
-                    ],
-                )
-        yield store
-        store.close()
-
-    def test_query_all(self, populated, config):
-        result = populated.query()
-        assert result.system == "duty"
-        assert result.rate == 10
-        assert len(result.records) == 8
-        assert result.config.node_counts == (16, 24)
-        assert result.config.repetitions == 2
-        assert result.config.scenario == config.scenario
-        assert result.config.search == config.search
-
-    def test_query_filters_cells_and_policies(self, populated):
-        result = populated.query(num_nodes=24, policy="E-model")
-        assert [r.num_nodes for r in result.records] == [24, 24]
-        assert all(r.policy == "E-model" for r in result.records)
-
-    def test_query_canonical_record_order(self, populated):
-        result = populated.query()
-        coordinates = [(r.num_nodes, r.repetition) for r in result.records]
-        assert coordinates == sorted(coordinates)
-
-    def test_empty_query_raises(self, populated):
-        with pytest.raises(LookupError, match="no cached cells match"):
-            populated.query(scenario="ring")
-        with pytest.raises(LookupError, match="no records of policy"):
-            populated.query(policy="OPT")
-
-    def test_unknown_filter_rejected(self, populated):
-        with pytest.raises(ValueError, match="unknown query filters"):
-            populated.query(flavour="spicy")
-
-
 class TestSchemaTwoCells:
     """Cells cached under schema 2 still carry the retired ``duty_rates``."""
 
@@ -312,13 +260,10 @@ class TestSchemaTwoCells:
             _key(config), params=canonical_json(params), schema_version=2
         )
 
-    def test_query_export_and_gc(self, tmp_path, config):
+    def test_export_and_gc(self, tmp_path, config):
         records = [_record(policy="17-approx"), _record()]
         with ExperimentStore(tmp_path / "store") as store:
             store.put(self._schema_two_key(config), records)
-            result = store.query()
-            assert result.records == records
-            assert result.config.cell_key_fields() == config.cell_key_fields()
             assert STORE_BACKENDS["jsonl"].loads(store.export("jsonl")) == records
             assert store.gc().stale_schema_cells == 1
             assert store.stats().cells == 0

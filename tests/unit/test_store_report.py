@@ -1,4 +1,4 @@
-"""Report layer over the store: claims and stats from cached records only."""
+"""Report layer over the store: stats from the index alone."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.time_counter import SearchConfig
 from repro.experiments.config import SweepConfig
-from repro.experiments.figures import figure3
-from repro.experiments.report import (
-    store_summary_text,
-    summary_claims,
-    summary_claims_from_store,
-)
+from repro.experiments.report import store_summary_text
 from repro.experiments.runner import run_sweep
 from repro.store import ExperimentStore
 
@@ -37,23 +32,6 @@ def populated(tmp_path_factory, config):
     run_sweep(config, system="sync", store=store)
     yield store
     store.close()
-
-
-def test_summary_claims_recompute_from_cache(populated, config):
-    """The §V-C checks come back from disk — no simulation, sync-only."""
-    checks = summary_claims_from_store(populated)
-    # Only the synchronous figure is cached: its three claims, no duty ones.
-    assert len(checks) == 3
-    assert all("Synchronous" in check.claim for check in checks)
-    # Same numbers as recomputing the claims from a fresh sweep.
-    direct = summary_claims(figure3(config))
-    assert [check.value for check in checks] == [check.value for check in direct]
-
-
-def test_claims_require_the_sync_figure(tmp_path):
-    with ExperimentStore(tmp_path / "empty") as store:
-        with pytest.raises(LookupError):
-            summary_claims_from_store(store)
 
 
 def test_store_summary_text_renders_stats(populated):

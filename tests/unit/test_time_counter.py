@@ -96,19 +96,17 @@ class TestSynchronousExact:
         assert by_color[frozenset({0})] == 4
         assert by_color[frozenset({2})] == 4
 
-    def test_select_color_agrees_with_rank(self, figure1):
+    def test_decide_agrees_with_rank(self, figure1):
         topo, source = figure1
         counter = TimeCounter(topo)
         covered = frozenset({source, 0, 1, 2})
         colors = greedy_color_classes(topo, covered)
-        assert counter.select_color(covered, 2, colors) == counter.rank_colors(
-            covered, 2, colors
-        )[0]
+        assert _decided(counter, covered, 2) == counter.rank_colors(covered, 2, colors)[0][0]
 
-    def test_best_color_none_when_complete(self, figure2):
+    def test_decide_none_when_complete(self, figure2):
         topo, _ = figure2
         counter = TimeCounter(topo)
-        assert counter.best_color(topo.node_set, 3) is None
+        assert counter.decide(topo.full_mask, 3) is None
 
     def test_line_graph_needs_eccentricity_rounds(self, line_topology):
         counter = TimeCounter(line_topology)
@@ -148,28 +146,50 @@ class TestSynchronousExact:
         with pytest.raises(ValueError):
             counter.completion_time({source}, 0)
 
-    def test_select_color_requires_candidates(self, figure2):
-        topo, source = figure2
-        counter = TimeCounter(topo)
-        with pytest.raises(ValueError):
-            counter.select_color({source}, 1, [])
+
+def _decided(counter, covered, time):
+    """The colour ``decide`` launches at ``(W, t)``, as node ids (``None`` if none)."""
+    mask = counter.topology.mask_from_nodes(covered)
+    position = counter.decide(mask, time)
+    if position is None:
+        return None
+    return counter.topology.nodes_from_mask(counter.color_masks_at(mask, time)[position][0])
+
+
+def _walk(counter, covered, time):
+    """Follow ``decide`` from ``(W, t)`` until every node is covered.
+
+    Returns the ``(slot, colour)`` launches, colours as sorted node-id
+    lists, and the end slot: in exact mode that end is ``M(W, t)``, and
+    in beam mode the completion the beam's decisions reach.
+    """
+    topo = counter.topology
+    mask = topo.mask_from_nodes(covered)
+    launches, end = [], time - 1
+    while mask != topo.full_mask:
+        position = counter.decide(mask, time)
+        if position is not None:
+            color, reached = counter.color_masks_at(mask, time)[position]
+            launches.append([time, sorted(topo.nodes_from_mask(color))])
+            mask |= reached
+            end = time
+        time += 1
+    return launches, end
+
+
+_ENTRIES = ["completion_time", "rank_colors"]
 
 
 def _entry_call(counter, method, covered, time, color):
-    """Call one public ``TimeCounter`` entry; ``color`` is the candidate."""
+    """Call one exact-mode ``TimeCounter`` entry; ``color`` is the candidate."""
     if method == "completion_time":
         return counter.completion_time(covered, time)
-    if method == "best_color":
-        return counter.best_color(covered, time)
-    return getattr(counter, method)(covered, time, [color])
-
-
-_ENTRIES = ["completion_time", "rank_colors", "select_color", "best_color"]
+    return counter.rank_colors(covered, time, [color])
 
 
 class TestEntryValidation:
-    """Every public entry rejects a bad ``time`` or node set up front, in
-    both modes and both systems, before any search runs."""
+    """Every exact-mode entry rejects a bad ``time`` or node set up front, in
+    both systems, before any search runs; a beam counter refuses them."""
 
     @pytest.fixture(params=["sync", "duty"])
     def make_counter(self, request, figure2_duty):
@@ -177,50 +197,50 @@ class TestEntryValidation:
         if request.param == "sync":
             schedule = None
 
-        def make(mode):
+        def make(mode="exact"):
             config = SearchConfig(mode=mode, beam_width=4)
             return TimeCounter(topo, schedule=schedule, config=config), source
 
         return make
 
     @pytest.mark.parametrize("time", [0, -3])
-    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_time_below_one(self, make_counter, method, mode, time):
-        counter, source = make_counter(mode)
+    def test_time_below_one(self, make_counter, method, time):
+        counter, source = make_counter()
         with pytest.raises(ValueError, match=rf"time is 1-based, got {time}$"):
             _entry_call(counter, method, {source}, time, frozenset({source}))
 
-    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_unknown_covered_nodes(self, make_counter, method, mode):
-        counter, source = make_counter(mode)
+    def test_unknown_covered_nodes(self, make_counter, method):
+        counter, source = make_counter()
         with pytest.raises(ValueError, match=r"covered holds .*: \[9998, 9999\]"):
             _entry_call(counter, method, {source, 9999, 9998}, 1, frozenset({source}))
 
-    @pytest.mark.parametrize("mode", ["exact", "beam"])
-    @pytest.mark.parametrize("method", ["rank_colors", "select_color"])
-    def test_unknown_color_nodes(self, make_counter, method, mode):
-        counter, source = make_counter(mode)
+    def test_unknown_color_nodes(self, make_counter):
+        counter, source = make_counter()
         with pytest.raises(ValueError, match=r"colour holds .*: \[9999\]"):
-            _entry_call(counter, method, {source}, 1, frozenset({source, 9999}))
+            _entry_call(counter, "rank_colors", {source}, 1, frozenset({source, 9999}))
 
-    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_empty_covered(self, make_counter, method, mode):
-        counter, source = make_counter(mode)
+    def test_empty_covered(self, make_counter, method):
+        counter, source = make_counter()
         with pytest.raises(ValueError, match="covered is empty"):
             _entry_call(counter, method, set(), 1, frozenset({source}))
 
-    @pytest.mark.parametrize("mode", ["exact", "beam"])
-    @pytest.mark.parametrize("method", ["rank_colors", "select_color"])
-    def test_uncovered_color_senders(self, figure1, method, mode):
+    def test_uncovered_color_senders(self, figure1):
         """Only covered nodes may send: on Figure 1 with ``W = {11}``, node 3
         has not received the message, so the colour ``{3}`` is rejected."""
         topo, source = figure1
-        counter = TimeCounter(topo, config=SearchConfig(mode=mode, beam_width=4))
+        counter = TimeCounter(topo)
         with pytest.raises(ValueError, match=r"senders not in covered: \[3\]$"):
-            getattr(counter, method)({source}, 1, [{3}, {source}])
+            counter.rank_colors({source}, 1, [{3}, {source}])
+
+    @pytest.mark.parametrize("method", _ENTRIES)
+    def test_beam_counter_names_its_mode(self, make_counter, method):
+        counter, source = make_counter("beam")
+        with pytest.raises(ValueError, match=rf"^{method} .*mode is 'beam'.*decide only$"):
+            _entry_call(counter, method, {source}, 1, frozenset({source}))
+        assert counter.stats.expansions == 0
 
 
 class TestSynchronousBeam:
@@ -228,22 +248,22 @@ class TestSynchronousBeam:
         for topo, source in (figure1, figure2):
             exact = TimeCounter(topo, config=SearchConfig(mode="exact"))
             beam = TimeCounter(topo, config=SearchConfig(mode="beam", beam_width=4))
-            assert beam.completion_time({source}, 1) == exact.completion_time({source}, 1)
+            assert _walk(beam, {source}, 1) == _walk(exact, {source}, 1)
+            assert _walk(exact, {source}, 1)[1] == exact.completion_time({source}, 1)
 
     def test_beam_matches_exact_on_small_random(self, small_deployment):
         topo, source = small_deployment
         exact = TimeCounter(topo, config=SearchConfig(mode="exact"))
         beam = TimeCounter(topo, config=SearchConfig(mode="beam", beam_width=8))
-        assert beam.completion_time({source}, 1) == exact.completion_time({source}, 1)
+        assert _walk(beam, {source}, 1)[1] == exact.completion_time({source}, 1)
 
     def test_beam_select_color_on_figure1(self, figure1):
         topo, source = figure1
-        beam = TimeCounter(topo, config=SearchConfig(mode="beam", beam_width=4))
         covered = frozenset({source, 0, 1, 2})
-        colors = greedy_color_classes(topo, covered)
-        color, completion = beam.select_color(covered, 2, colors)
-        assert color == frozenset({1})
-        assert completion == 3
+        for mode in ("beam", "exact"):
+            counter = TimeCounter(topo, config=SearchConfig(mode=mode, beam_width=4))
+            assert _decided(counter, covered, 2) == frozenset({1})
+            assert _walk(counter, covered, 2)[1] == 3
 
     def test_beam_results_bracketed_by_bounds(self, medium_deployment):
         """Any beam width yields a valid schedule length: >= d and close to d."""
@@ -251,7 +271,7 @@ class TestSynchronousBeam:
         eccentricity = topo.eccentricity(source)
         for width in (1, 4, 8):
             counter = TimeCounter(topo, config=SearchConfig(mode="beam", beam_width=width))
-            latency = counter.completion_time({source}, 1)
+            _, latency = _walk(counter, {source}, 1)
             assert latency >= eccentricity
             assert latency <= eccentricity + 3
 
@@ -278,9 +298,9 @@ class TestDutyCycle:
         beam = TimeCounter(
             topo, schedule=schedule, config=SearchConfig(mode="beam", beam_width=4)
         )
-        assert beam.completion_time({source}, FIGURE2_DUTY_START) == exact.completion_time(
-            {source}, FIGURE2_DUTY_START
-        )
+        walked = _walk(beam, {source}, FIGURE2_DUTY_START)
+        assert walked == _walk(exact, {source}, FIGURE2_DUTY_START)
+        assert walked[1] == exact.completion_time({source}, FIGURE2_DUTY_START)
 
     def test_duty_completion_at_least_sync(self, small_deployment, duty_schedule_factory):
         topo, source = small_deployment
@@ -290,8 +310,8 @@ class TestDutyCycle:
             topo, schedule=schedule, config=SearchConfig(mode="beam", beam_width=4)
         )
         start = schedule.next_active_slot(source, 1)
-        sync_latency = sync.completion_time({source}, 1)
-        duty_latency = duty.completion_time({source}, start) - start + 1
+        _, sync_latency = _walk(sync, {source}, 1)
+        duty_latency = _walk(duty, {source}, start)[1] - start + 1
         assert duty_latency >= sync_latency
 
 
@@ -324,19 +344,6 @@ class TestBitmaskSearchState:
             masks += [rng.getrandbits(width) for _ in range(300)]
         for mask in masks:
             assert lex_order_key(mask, width) == -int(format(mask, f"0{width}b")[::-1], 2)
-
-    def test_state_key_sorts_states_like_the_frozenset_key(self, medium_deployment):
-        topo, _ = medium_deployment
-        counter = TimeCounter(topo)
-        rng = make_rng(11)
-        ids = list(topo.node_ids)
-        states = [
-            frozenset(int(u) for u in rng.choice(ids, size=int(rng.integers(1, 6)), replace=False))
-            for _ in range(400)
-        ]
-        expected = sorted(set(states), key=lambda s: (-len(s), tuple(sorted(s))))
-        masks = sorted({topo.mask_from_nodes(s) for s in states}, key=counter._state_key)
-        assert [topo.nodes_from_mask(m) for m in masks] == expected
 
     @pytest.mark.parametrize("model", ["uniform", "two-tier", "zipf"])
     def test_decision_slot_and_pool_match_point_queries(self, medium_deployment, model):
@@ -495,7 +502,7 @@ class TestStateMemo:
     def test_clear_cache_empties_the_memo(self, medium_deployment):
         topo, source = medium_deployment
         counter = TimeCounter(topo, config=SearchConfig(mode="beam"))
-        counter.completion_time({source}, 1)
+        _walk(counter, {source}, 1)
         search = counter._search
         assert search.memo_size == _memo_items(search) > 0
         counter.clear_cache()
@@ -520,10 +527,8 @@ class TestStateMemo:
         fresh.prepare(topo, schedule, source)
         advance = first.advances[1]
         covered = frozenset({source}) | first.advances[0].receivers
-        awake = None if schedule is None else schedule.awake_nodes(covered, advance.time)
-        colors = greedy_color_classes(topo, covered, awake)
-        assert reused.counter.select_color(covered, advance.time, colors) == (
-            fresh.counter.select_color(covered, advance.time, colors)
+        assert _walk(reused.counter, covered, advance.time) == (
+            _walk(fresh.counter, covered, advance.time)
         )
         assert reused.counter.stats == fresh.counter.stats
         reused.prepare(topo, schedule, source)
@@ -550,7 +555,7 @@ class TestStateMemo:
 
         search._admit = checked
         try:
-            counter.completion_time({source}, 1)
+            _walk(counter, {source}, 1)
         except SearchBudgetExceeded:
             assert mode == "exact"
         assert sizes and max(sizes) <= max_states
@@ -560,10 +565,10 @@ class TestStateMemo:
         """Hits happen, and a second identical query repeats the work counters."""
         topo, source = medium_deployment
         counter = TimeCounter(topo, config=SearchConfig(mode="beam"))
-        first = counter.completion_time({source}, 1)
+        first = _walk(counter, {source}, 1)
         expansions, states = counter.stats.expansions, counter.stats.states
         hits = counter.stats.state_hits
-        assert counter.completion_time({source}, 1) == first
+        assert _walk(counter, {source}, 1) == first
         assert counter.stats.expansions == 2 * expansions
         assert counter.stats.states == 2 * states
         assert counter.stats.state_hits > 2 * hits
@@ -589,8 +594,9 @@ def _beam_instances(scenario):
 @pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier", "duty-zipf"])
 @pytest.mark.parametrize("scenario", [name for name in scenario_names() if name != "knn"])
 def test_beam_never_undercuts_exact(scenario, system):
-    """The beam follows real provider schedules, so neither its ``M`` nor
-    its ``select_color`` completion can beat the exact recursion's."""
+    """The beam's decisions follow real provider schedules, so the
+    completion they reach from the source or its one-hop ball never beats
+    the exact recursion's ``M``."""
     for topo, source in _beam_instances(scenario):
         schedule = _reference_schedule(topo, system)
         start = 1 if schedule is None else schedule.next_active_slot(source, 1)
@@ -598,15 +604,13 @@ def test_beam_never_undercuts_exact(scenario, system):
         for provider in _BEAM_PROVIDERS.values():
             exact = TimeCounter(topo, schedule, provider, SearchConfig(mode="exact"))
             beam = TimeCounter(topo, schedule, provider, SearchConfig(mode="beam"))
-            assert beam.completion_time({source}, start) >= exact.completion_time({source}, start)
+            assert _walk(beam, {source}, start)[1] >= exact.completion_time({source}, start)
             slot, _ = exact._search.decision(topo.mask_from_nodes(ball), start + 1)
-            _, exact_completion = exact.best_color(ball, slot)
-            _, beam_completion = beam.best_color(ball, slot)
-            assert beam_completion >= exact_completion
+            assert _walk(beam, ball, slot)[1] >= exact.completion_time(ball, slot)
 
 
 _PIN_WIDTHS = (1, 2, 4, 8)
-_BEAM_PIN = "820a37b61968f204feec8600764e6d208c08568216a795aabb09c54a2b7ef191"
+_BEAM_PIN = "bb588b2c8a7a5971ac7b3f1727620d06b289f33541b59fb2fc1307cc2d4b1bb5"
 _PIN_SYSTEMS = ("sync", "duty-uniform", "duty-two-tier", "duty-zipf")
 
 
@@ -614,8 +618,8 @@ def _pin_instances():
     """Seeded uniform deployments, n = 12..80, at about seven neighbours a node.
 
     Picked from a wider seed scan so that the rules that rarely bite do:
-    the sync selection's launch-order tie (n = 30, 60, 70), its popcount
-    shortlist (n = 80) and the sync ``M``'s visited set (n = 45).
+    the sync selection's launch-order tie (n = 30, 60, 70) and its popcount
+    shortlist (n = 80).
     """
     for num_nodes, seed in ((12, 112), (30, 330), (45, 145), (60, 260), (70, 370), (80, 280)):
         config = DeploymentConfig(
@@ -629,32 +633,23 @@ def _pin_instances():
 
 
 def _pin_queries(counter, topo, source, schedule):
-    """Beam ``M`` from the source, then ``best_color`` and ``select_color``
-    on its one- and two-hop balls, each with the counter's running ``states``."""
+    """The ``decide`` walk from the source, then ``decide`` on its one- and
+    two-hop balls, each with the counter's running ``states``."""
     hops = topo.hop_distances(source)
     start = 1 if schedule is None else schedule.next_active_slot(source, 1)
-    rows = []
-
-    def record(result):
-        if isinstance(result, tuple):
-            result = [sorted(result[0]), result[1]]
-        rows.append([result, counter.stats.states])
-
-    record(counter.completion_time({source}, start))
+    rows = [[_walk(counter, {source}, start), counter.stats.states]]
     for radius in (1, 2):
         ball = frozenset(u for u, d in hops.items() if d <= radius)
         slot, _ = counter._search.decision(topo.mask_from_nodes(ball), start + radius)
-        awake = None if schedule is None else schedule.awake_nodes(ball, slot)
-        record(counter.best_color(ball, slot))
-        record(counter.select_color(ball, slot, greedy_color_classes(topo, ball, awake)))
+        rows.append([sorted(_decided(counter, ball, slot)), counter.stats.states])
     return rows
 
 
 def test_beam_outputs_are_pinned():
-    """The beam's values, choices and kept-state counts over 960 seeded
-    queries (sync and three duty models, greedy and capped-exhaustive
-    providers, widths 1-8) hash to a pinned digest, so a refactor of the
-    beam must keep every result and every ``stats.states``."""
+    """The beam's choices and kept-state counts over 576 seeded queries
+    (sync and three duty models, greedy and capped-exhaustive providers,
+    widths 1-8) hash to a pinned digest, so a refactor of the beam must
+    keep every decision and every ``stats.states``."""
     rows = []
     for topo, source in _pin_instances():
         for system in _PIN_SYSTEMS:
@@ -668,7 +663,7 @@ def test_beam_outputs_are_pinned():
                     counter = TimeCounter(topo, schedule, provider, config)
                     for row in _pin_queries(counter, topo, source, schedule):
                         rows.append([topo.num_nodes, system, name, width, *row])
-    assert len(rows) == 960
+    assert len(rows) == 576
     canonical = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == _BEAM_PIN
 
@@ -754,9 +749,7 @@ class TestForcedDecision:
         counter = TimeCounter(topo, None, provider, SearchConfig(mode=mode))
         assert counter.decide(topo.mask_from_nodes({source}), 1) == 0
         assert counter.stats.expansions == counter.stats.states == 0
-        reference = TimeCounter(topo, None, provider, SearchConfig(mode=mode))
-        colors = provider.color_classes(topo, {source})
-        assert reference.select_color({source}, 1, colors)[0] == frozenset({source})
+        assert provider.color_classes(topo, {source}) == [frozenset({source})]
 
     @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
@@ -775,9 +768,7 @@ class TestForcedDecision:
         assert counter.decide(covered, slot) == 0
         assert counter.stats.expansions == counter.stats.states == 0
         (color,) = [topo.nodes_from_mask(c) for c, _ in counter.color_masks_at(covered, slot)]
-        reference = TimeCounter(topo, schedule, provider, SearchConfig(mode=mode))
-        colors = provider.color_classes(topo, ball, schedule.awake_nodes(ball, slot))
-        assert reference.select_color(ball, slot, colors)[0] == color
+        assert provider.color_classes(topo, ball, schedule.awake_nodes(ball, slot)) == [color]
 
     @pytest.mark.parametrize("mode", ["exact", "beam"])
     def test_disconnected_topology_still_raises(self, mode):
@@ -790,33 +781,28 @@ class TestForcedDecision:
 
 @pytest.mark.parametrize("system", ["sync", "duty-uniform"])
 @pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
-def test_decide_matches_select_color_on_every_broadcast_state(name, system):
-    """On every decision of an OPT/G-OPT broadcast over the pin instances,
-    ``decide``'s colour is the one the frozenset ``select_color`` picks
-    from the provider's classes, handed over in reverse order so that the
-    launch order alone breaks ties."""
+def test_exact_decide_matches_rank_colors_on_every_broadcast_state(name, system):
+    """On every decision of an exact-mode OPT/G-OPT broadcast over small
+    uniform deployments, ``decide``'s colour is the first that the frozenset
+    ``rank_colors`` ranks among the provider's classes, handed over in
+    reverse order so that the ranking alone breaks ties."""
     policy_cls = OptPolicy if name == "OPT" else GreedyOptPolicy
     provider = _BEAM_PROVIDERS[name]
-    config = SearchConfig(mode="beam")
+    config = SearchConfig(mode="exact")
     several = 0
-    for topo, source in _pin_instances():
-        schedule = None
-        if system != "sync":
-            schedule = build_wakeup_schedule(topo.node_ids, 6, seed=11, model="uniform")
+    for topo, source in _beam_instances("uniform"):
+        schedule = _reference_schedule(topo, system)
         policy = policy_cls(search=config)
         result = run_broadcast(topo, source, policy, schedule=schedule)
         counter = TimeCounter(topo, schedule, provider, config)
         reference = TimeCounter(topo, schedule, provider, config)
         covered = frozenset({source})
         for advance in result.advances:
-            mask = topo.mask_from_nodes(covered)
-            pairs = counter.color_masks_at(mask, advance.time)
-            chosen = topo.nodes_from_mask(pairs[counter.decide(mask, advance.time)][0])
+            chosen = _decided(counter, covered, advance.time)
             assert chosen == advance.color
             awake = None if schedule is None else schedule.awake_nodes(covered, advance.time)
             colors = provider.color_classes(topo, covered, awake)
-            selected, _ = reference.select_color(covered, advance.time, colors[::-1])
-            assert selected == chosen
+            assert reference.rank_colors(covered, advance.time, colors[::-1])[0][0] == chosen
             several += len(colors) > 1
             covered |= advance.receivers
     assert several > 0

@@ -9,6 +9,7 @@ from repro.network.deployment import deploy_uniform
 from repro.network.quadrant import QuadrantIndex, quadrant_view
 from repro.network.topology import Node, WSNTopology
 from repro.utils.rng import make_rng
+from tests.oracles import edges, networkx_graph
 
 
 def triangle_with_tail() -> WSNTopology:
@@ -31,25 +32,24 @@ class TestConstruction:
     def test_from_positions_udg_edges(self):
         positions = [(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]
         topo = WSNTopology.from_positions(positions, radius=1.0)
-        assert topo.has_edge(0, 1)
-        assert not topo.has_edge(1, 2)
-        assert not topo.has_edge(0, 2)
+        assert topo.neighbors(0) == frozenset({1})
+        assert topo.neighbors(2) == frozenset()
 
     def test_udg_radius_inclusive(self):
         topo = WSNTopology.from_positions([(0.0, 0.0), (1.0, 0.0)], radius=1.0)
-        assert topo.has_edge(0, 1)
+        assert topo.neighbors(0) == frozenset({1})
 
     def test_custom_node_ids(self):
         topo = WSNTopology.from_positions(
             [(0.0, 0.0), (0.5, 0.0)], radius=1.0, node_ids=[10, 20]
         )
         assert set(topo.node_ids) == {10, 20}
-        assert topo.has_edge(10, 20)
+        assert topo.neighbors(10) == frozenset({20})
 
     def test_from_edges_symmetry_enforced(self):
         topo = triangle_with_tail()
-        for u, v in topo.edges():
-            assert topo.has_edge(v, u)
+        for u, v in edges(topo):
+            assert u in topo.neighbors(v)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -94,7 +94,7 @@ def _three_ways(num_nodes: int, shuffled: bool):
         radius=base.radius,
     )
     edged = WSNTopology.from_edges(
-        base.edges(), {u: base.position(u) for u in base.node_ids}, radius=base.radius
+        edges(base), {u: base.position(u) for u in base.node_ids}, radius=base.radius
     )
     return deployed, ids, (base, mapped, edged)
 
@@ -230,12 +230,6 @@ class TestBasicQueries:
         topo = triangle_with_tail()
         assert topo.uncovered_neighbors(2, frozenset({0, 1, 2})) == frozenset({3})
 
-    def test_edges_listed_once(self):
-        topo = triangle_with_tail()
-        edges = list(topo.edges())
-        assert len(edges) == 4
-        assert all(u < v for u, v in edges)
-
 
 class TestGraphQueries:
     def test_hop_distances(self):
@@ -271,7 +265,7 @@ class TestGraphQueries:
 
     def test_matches_networkx_shortest_paths(self, small_grid):
         nx = pytest.importorskip("networkx")
-        graph = small_grid.to_networkx()
+        graph = networkx_graph(small_grid)
         source = small_grid.node_ids[0]
         expected = nx.single_source_shortest_path_length(graph, source)
         assert small_grid.hop_distances(source) == dict(expected)
@@ -299,18 +293,7 @@ class TestMasks:
             assert topo.mask_from_nodes([u]) == 1 << topo.index_of(u)
 
 
-class TestDensityAndInterop:
-    def test_density_with_explicit_area(self):
-        topo = triangle_with_tail()
-        assert topo.density(area=4.0) == pytest.approx(1.0)
-
-    def test_to_networkx_preserves_structure(self):
-        nx = pytest.importorskip("networkx")
-        topo = triangle_with_tail()
-        graph = topo.to_networkx()
-        assert graph.number_of_nodes() == topo.num_nodes
-        assert graph.number_of_edges() == topo.num_edges
-
+class TestPositions:
     def test_positions_shape(self):
         topo = triangle_with_tail()
         assert topo.positions.shape == (4, 2)

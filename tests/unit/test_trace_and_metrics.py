@@ -31,15 +31,6 @@ class TestBroadcastResult:
         result = run_broadcast(topo, source, GreedyOptPolicy())
         assert result.is_complete(topo)
 
-    def test_coverage_timeline_monotone_and_complete(self, figure1):
-        topo, source = figure1
-        result = run_broadcast(topo, source, GreedyOptPolicy())
-        timeline = result.coverage_timeline()
-        counts = [count for _, count in timeline]
-        assert counts == sorted(counts)
-        assert counts[0] == 1
-        assert counts[-1] == topo.num_nodes
-
     def test_transmissions_by_node(self, figure1):
         topo, source = figure1
         result = run_broadcast(topo, source, GreedyOptPolicy())
@@ -47,17 +38,6 @@ class TestBroadcastResult:
         assert counts[source] == 1
         assert counts[1] == 1
         assert sum(counts.values()) == result.total_transmissions
-
-    def test_summary_mentions_policy_and_units(self, figure2, figure2_duty):
-        topo, source = figure2
-        sync_result = run_broadcast(topo, source, GreedyOptPolicy())
-        assert "G-OPT" in sync_result.summary()
-        assert "rounds" in sync_result.summary()
-        topo, source, schedule = figure2_duty
-        duty_result = run_broadcast(
-            topo, source, GreedyOptPolicy(), schedule=schedule, start_time=2
-        )
-        assert "slots" in duty_result.summary()
 
     def test_empty_trace_degenerate_latency(self):
         result = BroadcastResult(

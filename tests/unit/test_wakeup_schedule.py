@@ -12,9 +12,9 @@ from repro.dutycycle.models import build_wakeup_schedule
 from repro.dutycycle.schedule import WakeupSchedule
 from repro.dutycycle.streams import pcg64_states
 from repro.dutycycle.window import window_for
-from repro.network.deployment import grid_deployment
 from repro.network.graphs import figure2_duty_schedule, figure2_topology
 from repro.utils.rng import derive_seed, make_rng
+from tests.oracles import grid_deployment
 
 
 class TestConstruction:
