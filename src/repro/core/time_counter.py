@@ -188,11 +188,12 @@ class TimeCounter:
 
         For a complete ``W`` this is ``t - 1`` (the broadcast already ended
         before ``t``), matching the terminal case of Eq. (4).  Exact mode
-        only: a beam counter raises ``ValueError``.
+        only: a beam counter raises ``ValueError`` once the arguments pass.
         """
-        self._require_exact("completion_time")
         _check_time(time)
-        return self._completion_time(self._covered_mask(covered), time)
+        covered_mask = self._covered_mask(covered)
+        self._require_exact("completion_time")
+        return self._completion_time(covered_mask, time)
 
     def rank_colors(
         self,
@@ -205,12 +206,13 @@ class TimeCounter:
         Returns ``(color, completion_time)`` pairs sorted by completion
         time, breaking ties in favour of the larger colour (more senders)
         and then the lexicographically smallest colour (for determinism).
-        Exact mode only: a beam counter raises ``ValueError``.
+        Exact mode only: a beam counter raises ``ValueError`` once the
+        arguments pass.
         """
-        self._require_exact("rank_colors")
         _check_time(time)
         covered_mask = self._covered_mask(covered)
         colors, pairs = self._candidates(covered_mask, colors)
+        self._require_exact("rank_colors")
         return [(colors[k], completion) for k, completion in self._rank(covered_mask, time, pairs)]
 
     def decide(self, covered: int, time: int) -> int | None:

@@ -1,16 +1,20 @@
 """Deployment fixtures and reference helpers shared by several test modules.
 
 The library keeps the mask-native forms (``WSNTopology.neighbor_mask``,
-``quadrant_view``); these are the plain per-node forms the tests build
-fixtures from and compare against.
+``quadrant_view``, ``boundary_nodes``); these are the plain per-node forms
+the tests build fixtures from and compare against.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.network.topology import WSNTopology
 from repro.utils.rng import make_rng
+
+Point = tuple[float, float]
 
 
 def grid_deployment(
@@ -73,3 +77,52 @@ def networkx_graph(topology: WSNTopology):
     graph.add_nodes_from(topology.node_ids)
     graph.add_edges_from(edges(topology))
     return graph
+
+
+def cross(o: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
+    """2-D cross product of vectors OA and OB.
+
+    Positive when O->A->B makes a counter-clockwise turn, negative for a
+    clockwise turn, and zero when the three points are collinear.
+    """
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points: Sequence[Point]) -> list[Point]:
+    """The convex hull of ``points`` in counter-clockwise order.
+
+    Andrew's monotone chain.  Collinear points on the hull boundary are
+    left out (only extreme vertices are returned); duplicates are
+    tolerated.  Fewer than three distinct points come back deduplicated
+    and sorted.
+    """
+    unique = sorted(set((float(x), float(y)) for x, y in points))
+    if len(unique) <= 2:
+        return unique
+
+    lower: list[Point] = []
+    for point in unique:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], point) <= 0:
+            lower.pop()
+        lower.append(point)
+
+    upper: list[Point] = []
+    for point in reversed(unique):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], point) <= 0:
+            upper.pop()
+        upper.append(point)
+
+    # The last point of each list is the first point of the other list.
+    return lower[:-1] + upper[:-1]
+
+
+def hull_nodes(topology: WSNTopology) -> frozenset[int]:
+    """Node ids whose positions are vertices of the deployment's convex hull.
+
+    Every hull vertex has an empty quadrant, so this is a subset of
+    ``repro.network.boundary.boundary_nodes``.
+    """
+    if topology.num_nodes == 0:
+        return frozenset()
+    hull_points = set(convex_hull([topology.position(u) for u in topology.node_ids]))
+    return frozenset(u for u in topology.node_ids if topology.position(u) in hull_points)

@@ -11,7 +11,7 @@ from repro.network.boundary import boundary_nodes
 from repro.network.geometry import euclidean_distance
 from repro.network.quadrant import QUADRANTS, quadrant_view
 from repro.network.topology import WSNTopology
-from tests.oracles import edges, grid_deployment, quadrant_index
+from tests.oracles import edges, grid_deployment, hull_nodes, quadrant_index
 
 from .conftest import topologies_with_source, udg_topologies
 
@@ -105,29 +105,6 @@ def is_exposed(topology: WSNTopology, node_id: int) -> bool:
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + 2 * math.pi - angles[-1])
     return max(gaps) > math.pi
-
-
-def hull_nodes(topology: WSNTopology) -> frozenset[int]:
-    """Oracle: the nodes at the vertices of the deployment's convex hull.
-
-    Andrew's monotone chain; collinear points on a hull edge are not
-    vertices.
-    """
-
-    def cross(o, a, b) -> float:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(points):
-        kept: list = []
-        for point in points:
-            while len(kept) >= 2 and cross(kept[-2], kept[-1], point) <= 0:
-                kept.pop()
-            kept.append(point)
-        return kept[:-1]
-
-    points = sorted({topology.position(u) for u in topology.node_ids})
-    hull = set(points) if len(points) <= 2 else set(chain(points) + chain(points[::-1]))
-    return frozenset(u for u in topology.node_ids if topology.position(u) in hull)
 
 
 def empty_quadrant_nodes(topology: WSNTopology) -> frozenset[int]:

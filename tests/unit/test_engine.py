@@ -7,7 +7,7 @@ import pytest
 from repro.core.advance import Advance, BroadcastState
 from repro.core.policies import EModelPolicy, GreedyOptPolicy, SchedulingPolicy
 from repro.dutycycle.schedule import WakeupSchedule
-from repro.sim.broadcast import run_broadcast
+from repro.sim.broadcast import ENGINE_BACKENDS, run_broadcast
 from repro.sim.engine import RoundEngine, SimulationTimeout, SlotEngine
 
 
@@ -141,3 +141,63 @@ class TestRunBroadcast:
         idle = _ScriptedPolicy([None] * 50)
         with pytest.raises(SimulationTimeout):
             run_broadcast(topo, source, idle, max_time=5, validate=False)
+
+
+class TestEngineRun:
+    """The one-broadcast ``run`` of every backend, synchronous and duty-cycle."""
+
+    @pytest.fixture(
+        params=[
+            (backend, system) for backend in sorted(ENGINE_BACKENDS) for system in ("sync", "duty")
+        ],
+        ids=lambda param: "-".join(param),
+    )
+    def setup(self, request, figure2_duty):
+        backend, system = request.param
+        topo, source, schedule = figure2_duty
+        round_cls, slot_cls = ENGINE_BACKENDS[backend]
+        if system == "sync":
+            return round_cls(topo), topo, source, None, backend
+        return slot_cls(topo, schedule), topo, source, schedule, backend
+
+    def test_matches_run_broadcast(self, setup):
+        engine, topo, source, schedule, backend = setup
+        policy = GreedyOptPolicy()
+        policy.prepare(topo, schedule, source)
+        result = engine.run(policy, source, align_start=True)
+        expected = run_broadcast(
+            topo, source, GreedyOptPolicy(), schedule=schedule, align_start=True, engine=backend
+        )
+        assert result.advances == expected.advances
+        assert (result.start_time, result.end_time) == (expected.start_time, expected.end_time)
+        assert result.is_complete(topo)
+
+    def test_start_time_moves_the_trace(self, setup):
+        engine, topo, source, schedule, _ = setup
+        policy = GreedyOptPolicy()
+        policy.prepare(topo, schedule, source)
+        result = engine.run(policy, source, start_time=7, align_start=True)
+        expected_start = 7 if schedule is None else schedule.next_active_slot(source, 7)
+        assert result.start_time == expected_start
+        assert all(advance.time >= expected_start for advance in result.advances)
+
+    def test_unknown_source_rejected(self, setup):
+        engine, *_ = setup
+        with pytest.raises(ValueError):
+            engine.run(GreedyOptPolicy(), 999)
+
+    def test_max_time_bounds_an_idle_policy(self, setup):
+        engine, _, source, _, _ = setup
+        with pytest.raises(SimulationTimeout):
+            engine.run(_ScriptedPolicy([None] * 100), source, max_time=10)
+
+    def test_start_time_kept_without_align_start(self, setup):
+        """Without ``align_start`` the trace starts at ``start_time`` even
+        while the source sleeps; the wait counts in the latency."""
+        engine, topo, source, schedule, _ = setup
+        policy = GreedyOptPolicy()
+        policy.prepare(topo, schedule, source)
+        result = engine.run(policy, source, start_time=1)
+        assert result.start_time == 1
+        assert result.latency == result.end_time
+        assert result.is_complete(topo)

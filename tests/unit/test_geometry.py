@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.network.geometry import euclidean_distance, pairwise_distances
+from tests.oracles import convex_hull, cross
 
 
 class TestEuclideanDistance:
@@ -17,6 +18,58 @@ class TestEuclideanDistance:
 
     def test_symmetry(self):
         assert euclidean_distance((1, 2), (4, 6)) == euclidean_distance((4, 6), (1, 2))
+
+
+class TestCross:
+    def test_counter_clockwise_positive(self):
+        assert cross((0, 0), (1, 0), (0, 1)) > 0
+
+    def test_clockwise_negative(self):
+        assert cross((0, 0), (0, 1), (1, 0)) < 0
+
+    def test_collinear_zero(self):
+        assert cross((0, 0), (1, 1), (2, 2)) == 0
+
+
+class TestConvexHull:
+    def test_square_with_interior_point(self):
+        points = [(0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5)]
+        hull = convex_hull(points)
+        assert set(hull) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_collinear_points_reduce_to_extremes(self):
+        points = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        hull = convex_hull(points)
+        assert set(hull) == {(0.0, 0.0), (3.0, 0.0)}
+
+    def test_duplicates_tolerated(self):
+        points = [(0, 0), (0, 0), (1, 0), (0, 1)]
+        hull = convex_hull(points)
+        assert set(hull) == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
+
+    def test_fewer_than_three_points(self):
+        assert convex_hull([(2, 3)]) == [(2.0, 3.0)]
+        assert convex_hull([(2, 3), (1, 1)]) == [(1.0, 1.0), (2.0, 3.0)]
+
+    def test_counter_clockwise_orientation(self):
+        points = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)]
+        hull = convex_hull(points)
+        # Sum of cross products around the polygon must be positive (CCW).
+        area2 = 0.0
+        for i in range(len(hull)):
+            x1, y1 = hull[i]
+            x2, y2 = hull[(i + 1) % len(hull)]
+            area2 += x1 * y2 - x2 * y1
+        assert area2 > 0
+
+    def test_matches_scipy_qhull_vertices(self):
+        scipy_spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(3)
+        points = rng.uniform(0, 10, size=(60, 2))
+        ours = set(convex_hull([tuple(p) for p in points]))
+        qhull = scipy_spatial.ConvexHull(points)
+        theirs = {tuple(points[i]) for i in qhull.vertices}
+        assert ours == theirs
 
 
 class TestPairwiseDistances:

@@ -142,6 +142,32 @@ class TestRunMulti:
         assert result.is_complete(path5)
 
 
+@pytest.mark.parametrize("policy_cls", [EModelPolicy, GreedyOptPolicy], ids=["E-model", "G-OPT"])
+@pytest.mark.parametrize("system", ["sync", "duty"])
+def test_backends_agree_on_multi_source(small_deployment, system, policy_cls):
+    """Every engine backend runs ``k = 3`` concurrent messages to the same
+    per-message traces."""
+    topology, source = small_deployment
+    others = sorted(u for u in topology.node_ids if u != source)
+    sources = [source, others[0], others[-1]]
+    schedule = None
+    if system == "duty":
+        schedule = build_wakeup_schedule(topology.node_ids, 4, seed=5, model="uniform")
+    results = [
+        run_broadcast(
+            topology, sources, policy_cls(), schedule=schedule, align_start=True, engine=engine
+        )
+        for engine in sorted(ENGINE_BACKENDS)
+    ]
+    for result in results:
+        assert result.is_complete(topology)
+        assert_valid_multi(topology, result, schedule=schedule)
+    reference, *others_results = results
+    for result in others_results:
+        assert [m.advances for m in result.messages] == [m.advances for m in reference.messages]
+        assert result.latency == reference.latency
+
+
 class _CountingReplay(ReplayPolicy):
     """A replay that records every slot it is offered.
 

@@ -52,6 +52,10 @@ class TestQuadrantIndex:
         ]
         assert quadrant_index((0.0, 0.0), point) == expected
 
+    def test_coincident_point_rejected(self):
+        with pytest.raises(ValueError):
+            quadrant_index((1.0, 1.0), (1.0, 1.0))
+
     def test_every_direction_maps_to_exactly_one_quadrant(self):
         import math
 

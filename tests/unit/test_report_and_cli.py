@@ -101,24 +101,56 @@ class TestCli:
 class TestClaimExitCodes:
     """Every claim target exits 1 when one of its claims fails."""
 
-    @pytest.mark.parametrize(
+    _TARGETS = pytest.mark.parametrize(
         ("argv", "figures", "claims"),
         [
             (["claims"], ["figure3", "figure4", "figure6"], "summary_claims"),
             (["reliability", "--loss", "0.0,0.1"], ["figure_reliability"], "reliability_claims"),
             (["multisource", "--sources", "1,2"], ["figure_multisource"], "multisource_claims"),
+            (["ratio"], ["figure_ratio"], "ratio_claims"),
         ],
-        ids=["claims", "reliability", "multisource"],
+        ids=["claims", "reliability", "multisource", "ratio"],
     )
-    def test_failed_claim_exits_one(self, monkeypatch, capsys, argv, figures, claims):
+
+    @staticmethod
+    def _run(monkeypatch, argv, figures, claims, checks):
         for name in figures:
             monkeypatch.setattr(figures_mod, name, lambda *args, **kwargs: _synthetic_fig3())
+        monkeypatch.setattr(cli_mod, claims, lambda *args: checks)
+        return main(argv)
+
+    @_TARGETS
+    def test_failed_claim_exits_one(self, monkeypatch, capsys, argv, figures, claims):
+        held = ClaimCheck("kept", "-", "-", 1.0, True)
         failed = ClaimCheck("doctored", "-", "-", 0.0, False)
-        monkeypatch.setattr(cli_mod, claims, lambda *args: [failed])
-        assert main(argv) == 1
+        assert self._run(monkeypatch, argv, figures, claims, [held, failed]) == 1
         out = capsys.readouterr().out
         assert "doctored" in out
-        assert f"{argv[0]}: 0/1 claims hold" in out
+        assert f"{argv[0]}: 1/2 claims hold" in out
+
+    @pytest.mark.parametrize(
+        ("argv", "figure", "claims"),
+        [
+            (["reliability", "--loss", "0.0,0.1"], "figure_reliability", "reliability_claims"),
+            (["multisource", "--sources", "1,2"], "figure_multisource", "multisource_claims"),
+            (["ratio"], "figure_ratio", "ratio_claims"),
+        ],
+        ids=["reliability", "multisource", "ratio"],
+    )
+    def test_claim_target_writes_its_figure_csv(
+        self, monkeypatch, capsys, tmp_path, argv, figure, claims
+    ):
+        held = ClaimCheck("kept", "-", "-", 1.0, True)
+        argv = [*argv, "--csv-dir", str(tmp_path)]
+        assert self._run(monkeypatch, argv, [figure], claims, [held]) == 0
+        assert (tmp_path / f"{argv[0]}.csv").read_text() == _synthetic_fig3().to_csv()
+        assert f"{argv[0]}: 1/1 claims hold" in capsys.readouterr().out
+
+    @_TARGETS
+    def test_held_claims_exit_zero(self, monkeypatch, capsys, argv, figures, claims):
+        held = ClaimCheck("kept", "-", "-", 1.0, True)
+        assert self._run(monkeypatch, argv, figures, claims, [held, held]) == 0
+        assert f"{argv[0]}: 2/2 claims hold" in capsys.readouterr().out
 
 
 class TestScenarioCli:

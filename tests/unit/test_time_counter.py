@@ -108,6 +108,12 @@ class TestSynchronousExact:
         counter = TimeCounter(topo)
         assert counter.decide(topo.full_mask, 3) is None
 
+    def test_rank_colors_without_candidates_is_empty(self, figure2):
+        topo, source = figure2
+        counter = TimeCounter(topo)
+        assert counter.rank_colors({source}, 1, []) == []
+        assert counter.stats.expansions == 0
+
     def test_line_graph_needs_eccentricity_rounds(self, line_topology):
         counter = TimeCounter(line_topology)
         assert counter.completion_time({0}, 1) == line_topology.eccentricity(0)
@@ -181,15 +187,17 @@ _ENTRIES = ["completion_time", "rank_colors"]
 
 
 def _entry_call(counter, method, covered, time, color):
-    """Call one exact-mode ``TimeCounter`` entry; ``color`` is the candidate."""
+    """Call one node-id ``TimeCounter`` entry; ``color`` is the candidate."""
     if method == "completion_time":
         return counter.completion_time(covered, time)
     return counter.rank_colors(covered, time, [color])
 
 
 class TestEntryValidation:
-    """Every exact-mode entry rejects a bad ``time`` or node set up front, in
-    both systems, before any search runs; a beam counter refuses them."""
+    """Every node-id entry rejects a bad ``time`` or node set up front, in
+    both modes and both systems, before any search runs; a beam counter
+    then refuses a well-formed call, and ``decide`` checks ``time`` in
+    either mode."""
 
     @pytest.fixture(params=["sync", "duty"])
     def make_counter(self, request, figure2_duty):
@@ -204,36 +212,43 @@ class TestEntryValidation:
         return make
 
     @pytest.mark.parametrize("time", [0, -3])
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_time_below_one(self, make_counter, method, time):
-        counter, source = make_counter()
+    def test_time_below_one(self, make_counter, method, mode, time):
+        counter, source = make_counter(mode)
         with pytest.raises(ValueError, match=rf"time is 1-based, got {time}$"):
             _entry_call(counter, method, {source}, time, frozenset({source}))
 
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_unknown_covered_nodes(self, make_counter, method):
-        counter, source = make_counter()
+    def test_unknown_covered_nodes(self, make_counter, method, mode):
+        counter, source = make_counter(mode)
         with pytest.raises(ValueError, match=r"covered holds .*: \[9998, 9999\]"):
             _entry_call(counter, method, {source, 9999, 9998}, 1, frozenset({source}))
 
-    def test_unknown_color_nodes(self, make_counter):
-        counter, source = make_counter()
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("method", ["rank_colors"])
+    def test_unknown_color_nodes(self, make_counter, method, mode):
+        counter, source = make_counter(mode)
         with pytest.raises(ValueError, match=r"colour holds .*: \[9999\]"):
-            _entry_call(counter, "rank_colors", {source}, 1, frozenset({source, 9999}))
+            _entry_call(counter, method, {source}, 1, frozenset({source, 9999}))
 
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
     @pytest.mark.parametrize("method", _ENTRIES)
-    def test_empty_covered(self, make_counter, method):
-        counter, source = make_counter()
+    def test_empty_covered(self, make_counter, method, mode):
+        counter, source = make_counter(mode)
         with pytest.raises(ValueError, match="covered is empty"):
             _entry_call(counter, method, set(), 1, frozenset({source}))
 
-    def test_uncovered_color_senders(self, figure1):
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    @pytest.mark.parametrize("method", ["rank_colors"])
+    def test_uncovered_color_senders(self, figure1, method, mode):
         """Only covered nodes may send: on Figure 1 with ``W = {11}``, node 3
         has not received the message, so the colour ``{3}`` is rejected."""
         topo, source = figure1
-        counter = TimeCounter(topo)
+        counter = TimeCounter(topo, config=SearchConfig(mode=mode, beam_width=4))
         with pytest.raises(ValueError, match=r"senders not in covered: \[3\]$"):
-            counter.rank_colors({source}, 1, [{3}, {source}])
+            getattr(counter, method)({source}, 1, [{3}, {source}])
 
     @pytest.mark.parametrize("method", _ENTRIES)
     def test_beam_counter_names_its_mode(self, make_counter, method):
@@ -242,8 +257,23 @@ class TestEntryValidation:
             _entry_call(counter, method, {source}, 1, frozenset({source}))
         assert counter.stats.expansions == 0
 
+    @pytest.mark.parametrize("time", [0, -3])
+    @pytest.mark.parametrize("mode", ["exact", "beam"])
+    def test_decide_time_below_one(self, make_counter, mode, time):
+        counter, source = make_counter(mode)
+        covered = counter.topology.mask_from_nodes({source})
+        with pytest.raises(ValueError, match=rf"time is 1-based, got {time}$"):
+            counter.decide(covered, time)
+        assert counter.stats.expansions == 0
+
 
 class TestSynchronousBeam:
+    def test_decide_none_when_complete(self, figure2):
+        topo, _ = figure2
+        counter = TimeCounter(topo, config=SearchConfig(mode="beam", beam_width=4))
+        assert counter.decide(topo.full_mask, 3) is None
+        assert counter.stats.expansions == 0
+
     def test_beam_matches_exact_on_paper_examples(self, figure1, figure2):
         for topo, source in (figure1, figure2):
             exact = TimeCounter(topo, config=SearchConfig(mode="exact"))
@@ -609,6 +639,23 @@ def test_beam_never_undercuts_exact(scenario, system):
             assert _walk(beam, ball, slot)[1] >= exact.completion_time(ball, slot)
 
 
+@pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier", "duty-zipf"])
+@pytest.mark.parametrize("scenario", [name for name in scenario_names() if name != "knn"])
+def test_exact_walk_realises_m(scenario, system):
+    """Following exact-mode ``decide`` from the source or its one-hop ball
+    ends exactly at ``M(W, t)``: the colour it launches is one that attains
+    Eq. 4's minimum, and waiting never beats transmitting."""
+    for topo, source in _beam_instances(scenario):
+        schedule = _reference_schedule(topo, system)
+        start = 1 if schedule is None else schedule.next_active_slot(source, 1)
+        ball = frozenset(u for u, d in topo.hop_distances(source).items() if d <= 1)
+        for provider in _BEAM_PROVIDERS.values():
+            exact = TimeCounter(topo, schedule, provider, SearchConfig(mode="exact"))
+            assert _walk(exact, {source}, start)[1] == exact.completion_time({source}, start)
+            slot, _ = exact._search.decision(topo.mask_from_nodes(ball), start + 1)
+            assert _walk(exact, ball, slot)[1] == exact.completion_time(ball, slot)
+
+
 _PIN_WIDTHS = (1, 2, 4, 8)
 _BEAM_PIN = "bb588b2c8a7a5971ac7b3f1727620d06b289f33541b59fb2fc1307cc2d4b1bb5"
 _PIN_SYSTEMS = ("sync", "duty-uniform", "duty-two-tier", "duty-zipf")
@@ -779,7 +826,7 @@ class TestForcedDecision:
             policy.select_advance(BroadcastState(topo, frozenset({0}), 1))
 
 
-@pytest.mark.parametrize("system", ["sync", "duty-uniform"])
+@pytest.mark.parametrize("system", ["sync", "duty-uniform", "duty-two-tier", "duty-zipf"])
 @pytest.mark.parametrize("name", sorted(_BEAM_PROVIDERS))
 def test_exact_decide_matches_rank_colors_on_every_broadcast_state(name, system):
     """On every decision of an exact-mode OPT/G-OPT broadcast over small
