@@ -373,40 +373,43 @@ class TimeCounter:
     # ------------------------------------------------------------------
     # Beam mode: one level kernel and the first-colour selection over it
     # ------------------------------------------------------------------
-    def _beam(self, beam: list[BeamState], horizon: float, prune: Prune) -> tuple[float, list[int]]:
-        """Search level by level from ``beam``; ``(best, firsts)``.
+    def _beam(self, beam: list[BeamState], horizon: float, prune: Prune) -> int | None:
+        """Search level by level from ``beam``; the tag of the chosen first colour.
 
         A state ``(W, slot, first)`` is a covered set, the earliest slot of
         its next decision and the tag of the first colour it committed to.
-        Each level expands every state through
+        Each level expands states through
         :meth:`~repro.core.search.ExactSearch.decision` (in the synchronous
         system ``(slot, W)``, so the sync search is this duty loop), and
         ``prune`` keeps the next level out of the successors that could
-        still beat ``best``.  ``best`` is the earliest completion slot found
-        (``inf`` if none), ``firsts`` the tags completing there in
-        discovery order.
+        still beat ``best``, the earliest completion slot found.  The result
+        is ``None`` if nothing completes.  Among the tags completing at
+        ``best``, the synchronous system picks the smallest and the
+        duty-cycle system the first one found.
 
         A state is skipped if ``slot > best`` or if its decision slot is
-        past ``horizon`` or past ``best``.  A state whose decision slot
-        ties ``best`` when it is expanded adds its completions to
-        ``firsts`` but records no successors.  Those would decide at
-        ``best + 1`` or later, so the ``slot < best`` filter drops them
-        before ``prune`` anyway; but a dropped entry still holds its place
-        in ``successors``, and a later state reaching the same ``W`` at an
-        earlier slot would take over that place.  Keeping them out leaves
-        the insertion order to the states that can still improve ``best``,
-        and the stable sort under the non-total duty-selection key falls
-        back on that order.  A successor reached by several states keeps
-        the earliest slot and, on equal slots, the first state's tag, and
-        its parent is that state: the successors passed to ``prune`` carry
-        a parent hint, and the hints ``prune`` did not read are dropped.
+        past ``horizon`` or past ``best``.  A state whose decision slot ties
+        ``best`` records no successors, since they would decide after
+        ``best``; all it could do is add its own tag to the tags completing
+        at ``best``.  That cannot change the duty-cycle pick, nor the
+        synchronous one unless the tag is smaller than the chosen one, so
+        every other tie is skipped unexpanded and uncounted (docs/design.md,
+        "Beam approximation").  Keeping ties out of ``successors`` also
+        leaves its insertion order to the states that can still improve
+        ``best``: a dropped entry would hold its place, and the stable sort
+        under the non-total duty-selection key falls back on that order.  A
+        successor reached by several states keeps the earliest slot and, on
+        equal slots, the first state's tag, and its parent is that state:
+        the successors passed to ``prune`` carry a parent hint, and the
+        hints ``prune`` did not read are dropped.
         """
         full = self._full
         search = self._search
         hint = search._hint
         stats = self.stats
+        ties_can_win = self.schedule is None
         best: float = math.inf
-        firsts: list[int] = []
+        chosen: int | None = None
         for _ in range(4 * self.topology.num_nodes + 8):
             if not beam:
                 break
@@ -417,16 +420,17 @@ class TimeCounter:
                 decision_slot, pool = search.decision(state, slot)
                 if decision_slot > horizon or decision_slot > best:
                     continue
-                stats.expansions += 1
                 ties_best = decision_slot == best
+                if ties_best and not (ties_can_win and first < chosen):
+                    continue
+                stats.expansions += 1
                 next_slot = decision_slot + 1
                 for _, reached in search.color_masks(state, pool):
                     covered = state | reached
                     if covered == full:
-                        if decision_slot < best:
-                            best, firsts = decision_slot, [first]
-                        else:
-                            firsts.append(first)
+                        # Expanded at ``best`` only with a smaller tag, or
+                        # this state's own earlier completion.
+                        best, chosen = decision_slot, first
                     elif not ties_best:
                         previous = successors.get(covered)
                         if previous is None or next_slot < previous[0]:
@@ -439,7 +443,7 @@ class TimeCounter:
             beam = prune(level)
             search._drop_hints()
             stats.states += len(beam)
-        return best, firsts
+        return chosen
 
     def _top(self, states: list[BeamState], key: Callable[[BeamState], tuple]) -> list[BeamState]:
         """The first ``beam_width`` states under ``key`` (a stable sort)."""
@@ -507,21 +511,21 @@ class TimeCounter:
             prune = partial(self._prune_states, ties=ties)
             beam = prune(seeds)
             self._search._drop_hints()
-            _, firsts = self._beam(beam, horizon, prune)
-            if not firsts:
+            chosen = self._beam(beam, horizon, prune)
+            if chosen is None:
                 raise UnreachableNodes("beam colour selection exhausted without completing")
-            return order[min(firsts)]
+            return order[chosen]
         hop = self._hop_lower_bound
 
         def key(item: BeamState) -> tuple:
             return item[1] + hop(item[0]), -item[0].bit_count(), ties[item[2]]
 
-        _, firsts = self._beam(seeds, horizon, partial(self._top, key=key))
-        if not firsts:
+        chosen = self._beam(seeds, horizon, partial(self._top, key=key))
+        if chosen is None:
             # No completion inside the horizon: fall back to the colour with
             # the largest immediate coverage (still a valid relay).
             return order[0]
-        return order[firsts[0]]
+        return order[chosen]
 
 
 def _bit_positions(mask: int) -> tuple[int, ...]:

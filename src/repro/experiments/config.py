@@ -167,6 +167,10 @@ class SweepConfig:
         )
         require(self.workers >= 0, "workers must be >= 0 (0 = one per CPU)")
         require(
+            self.max_color_classes is None or self.max_color_classes >= 1,
+            f"max_color_classes must be None (uncapped) or >= 1, got {self.max_color_classes}",
+        )
+        require(
             self.scenario in scenario_names(),
             f"unknown scenario {self.scenario!r}; registered: {scenario_names()}",
         )

@@ -2,7 +2,6 @@
 
 from repro.network.boundary import boundary_nodes
 from repro.network.deployment import Deployment, DeploymentConfig, deploy_uniform
-from repro.network.geometry import euclidean_distance
 from repro.network.graphs import (
     figure1_topology,
     figure2_duty_schedule,
@@ -29,7 +28,6 @@ __all__ = [
     "conflict_free",
     "conflicting_pairs",
     "deploy_uniform",
-    "euclidean_distance",
     "figure1_topology",
     "figure2_duty_schedule",
     "figure2_topology",

@@ -1,18 +1,10 @@
-"""Planar geometry helpers: Euclidean distances."""
+"""Planar geometry: the pairwise Euclidean distance matrix."""
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["euclidean_distance", "pairwise_distances"]
-
-
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Return the Euclidean distance between two 2-D points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+__all__ = ["pairwise_distances"]
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.network.boundary import boundary_nodes
-from repro.network.geometry import euclidean_distance
 from repro.network.quadrant import QUADRANTS, quadrant_view
 from repro.network.topology import WSNTopology
 from tests.oracles import edges, grid_deployment, hull_nodes, quadrant_index
@@ -25,7 +24,7 @@ def test_udg_edges_match_distance_threshold(topology):
         for v in topology.node_ids:
             if u >= v:
                 continue
-            distance = euclidean_distance(topology.position(u), topology.position(v))
+            distance = math.dist(topology.position(u), topology.position(v))
             assert (v in topology.neighbors(u)) == (distance <= radius + 1e-12)
 
 

@@ -53,6 +53,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(engine="batched")
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_colour_cap_below_one_rejected(self, cap):
+        # A cap below 1 would silently act as a cap of 1.
+        with pytest.raises(ValueError, match="max_color_classes"):
+            SweepConfig(max_color_classes=cap)
+        assert SweepConfig(max_color_classes=None).max_color_classes is None
+
 
 class TestSweepFromEnv:
     def test_default_is_quick(self, monkeypatch):

@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.network.geometry import euclidean_distance, pairwise_distances
+from repro.network.geometry import pairwise_distances
 from tests.oracles import convex_hull, cross
-
-
-class TestEuclideanDistance:
-    def test_axis_aligned(self):
-        assert euclidean_distance((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_zero_distance(self):
-        assert euclidean_distance((1.5, -2.0), (1.5, -2.0)) == 0.0
-
-    def test_symmetry(self):
-        assert euclidean_distance((1, 2), (4, 6)) == euclidean_distance((4, 6), (1, 2))
 
 
 class TestCross:
@@ -79,6 +70,14 @@ class TestPairwiseDistances:
         assert matrix[0, 1] == pytest.approx(5.0)
         assert matrix[1, 2] == pytest.approx(5.0)
         assert matrix[0, 2] == pytest.approx(10.0)
+
+    def test_entries_match_math_dist(self):
+        rng = np.random.default_rng(1)
+        positions = rng.uniform(-5, 5, size=(12, 2))
+        matrix = pairwise_distances(positions)
+        for i, a in enumerate(positions):
+            for j, b in enumerate(positions):
+                assert matrix[i, j] == pytest.approx(math.dist(a, b))
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -715,32 +716,39 @@ def test_beam_outputs_are_pinned():
     assert hashlib.sha256(canonical.encode()).hexdigest() == _BEAM_PIN
 
 
+def _paper_cell(config, system, rate, num_nodes):
+    """``(topology, source, schedule)`` of the first repetition of a paper
+    grid cell, deployed (and, in the duty-cycle system, scheduled) as the
+    runner does."""
+    deployment = DeploymentConfig(
+        num_nodes=num_nodes,
+        area_side=config.area_side,
+        radius=config.radius,
+        source_min_ecc=config.source_min_ecc,
+        source_max_ecc=config.source_max_ecc,
+    )
+    seed = derive_seed(config.seed, system, rate, num_nodes, 0)
+    topo, source = deploy_uniform(config=deployment, seed=seed)
+    schedule = None
+    if system == "duty":
+        schedule = build_wakeup_schedule(
+            topo.node_ids,
+            rate=rate,
+            seed=derive_seed(seed, "wakeup-schedule"),
+            model=config.duty_model,
+            model_seed=derive_seed(seed, "duty-model"),
+        )
+    return topo, source, schedule
+
+
 def _paper_cell_work(system, rate):
     """OPT and G-OPT ``states``, ``expansions`` and ``memo_hits``, summed over
-    the 50-150-node cells of a paper grid at sweep seed 2012, with each cell
-    deployed (and, in the duty-cycle system, scheduled) as the runner does."""
+    the 50-150-node cells of a paper grid at sweep seed 2012."""
     config = SweepConfig(node_counts=(50, 100, 150), repetitions=1, seed=2012)
     line_up = default_policies(config, system)
     totals = {}
     for num_nodes in config.node_counts:
-        deployment = DeploymentConfig(
-            num_nodes=num_nodes,
-            area_side=config.area_side,
-            radius=config.radius,
-            source_min_ecc=config.source_min_ecc,
-            source_max_ecc=config.source_max_ecc,
-        )
-        seed = derive_seed(config.seed, system, rate, num_nodes, 0)
-        topo, source = deploy_uniform(config=deployment, seed=seed)
-        schedule = None
-        if system == "duty":
-            schedule = build_wakeup_schedule(
-                topo.node_ids,
-                rate=rate,
-                seed=derive_seed(seed, "wakeup-schedule"),
-                model=config.duty_model,
-                model_seed=derive_seed(seed, "duty-model"),
-            )
+        topo, source, schedule = _paper_cell(config, system, rate, num_nodes)
         for name in ("OPT", "G-OPT"):
             policy = line_up[name]()
             run_broadcast(
@@ -763,10 +771,10 @@ def test_paper_sync_work_counters_are_pinned():
     a forced decision (one colour) searches nothing."""
     assert _paper_cell_work("sync", 1) == {
         ("OPT", "states"): 152,
-        ("OPT", "expansions"): 241,
+        ("OPT", "expansions"): 173,
         ("OPT", "memo_hits"): 0,
         ("G-OPT", "states"): 222,
-        ("G-OPT", "expansions"): 303,
+        ("G-OPT", "expansions"): 216,
         ("G-OPT", "memo_hits"): 0,
     }
 
@@ -776,10 +784,10 @@ def test_paper_duty50_work_counters_are_pinned():
     one frontier node awake in a slot leaves one colour, taken unsearched."""
     assert _paper_cell_work("duty", 50) == {
         ("OPT", "states"): 271,
-        ("OPT", "expansions"): 285,
+        ("OPT", "expansions"): 267,
         ("OPT", "memo_hits"): 0,
         ("G-OPT", "states"): 263,
-        ("G-OPT", "expansions"): 274,
+        ("G-OPT", "expansions"): 255,
         ("G-OPT", "memo_hits"): 0,
     }
 
@@ -853,3 +861,87 @@ def test_exact_decide_matches_rank_colors_on_every_broadcast_state(name, system)
             several += len(colors) > 1
             covered |= advance.receivers
     assert several > 0
+
+
+class _TieExpandingCounter(TimeCounter):
+    """The beam with every tie expanded: each state whose decision slot
+    ties ``best`` adds all of its completions to ``firsts``.  The synchronous
+    pick is ``min(firsts)`` and the duty-cycle pick ``firsts[0]``."""
+
+    def _beam(self, beam, horizon, prune):
+        full = self._full
+        search = self._search
+        best = math.inf
+        firsts = []
+        for _ in range(4 * self.topology.num_nodes + 8):
+            if not beam:
+                break
+            successors = {}
+            for state, slot, first in beam:
+                if slot > best:
+                    continue
+                decision_slot, pool = search.decision(state, slot)
+                if decision_slot > horizon or decision_slot > best:
+                    continue
+                ties_best = decision_slot == best
+                next_slot = decision_slot + 1
+                for _, reached in search.color_masks(state, pool):
+                    covered = state | reached
+                    if covered == full:
+                        if decision_slot < best:
+                            best, firsts = decision_slot, [first]
+                        else:
+                            firsts.append(first)
+                    elif not ties_best:
+                        previous = successors.get(covered)
+                        if previous is None or next_slot < previous[0]:
+                            successors[covered] = (next_slot, first, state)
+            level = []
+            for covered, (slot, first, parent) in successors.items():
+                if slot < best:
+                    search._hint(covered, parent)
+                    level.append((covered, slot, first))
+            beam = prune(level)
+            search._drop_hints()
+        if not firsts:
+            return None
+        return min(firsts) if self.schedule is None else firsts[0]
+
+
+@pytest.mark.parametrize(("system", "rate"), [("sync", 1), ("duty", 10), ("duty", 50)])
+def test_beam_tie_skip_keeps_every_pick(monkeypatch, system, rate):
+    """Skipping the ties that cannot change the pick is exact: on every
+    multi-colour decision of the sweep's OPT and G-OPT on the 200-node paper
+    cell at seed 2012, ``decide`` returns the position that the
+    tie-expanding beam returns."""
+    config = SweepConfig(seed=2012)
+    topo, source, schedule = _paper_cell(config, system, rate, 200)
+    decisions = []
+    decide = TimeCounter.decide
+
+    def recording(self, covered, time):
+        position = decide(self, covered, time)
+        if len(self.color_masks_at(covered, time)) > 1:
+            decisions.append((self, covered, time, position))
+        return position
+
+    line_up = default_policies(config, system)
+    with monkeypatch.context() as patch:
+        patch.setattr(TimeCounter, "decide", recording)
+        for name in ("OPT", "G-OPT"):
+            run_broadcast(
+                topo,
+                source,
+                line_up[name](),
+                schedule=schedule,
+                align_start=schedule is not None,
+                engine="vectorized",
+            )
+    assert len(decisions) >= 4
+    oracles = {}
+    for counter, covered, time, position in decisions:
+        if counter not in oracles:
+            oracles[counter] = _TieExpandingCounter(
+                topo, schedule, counter.color_scheme, counter.config
+            )
+        assert oracles[counter].decide(covered, time) == position
