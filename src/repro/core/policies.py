@@ -44,6 +44,10 @@ __all__ = [
 
 _Bound = TypeVar("_Bound")
 
+#: The greedy scheme of every decision-time colouring; built once, since a
+#: scheme is checked when it is built.
+_GREEDY = ColorScheme()
+
 
 def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
     """The greedy ``(colour, receivers)`` masks of ``state`` over its awake pool.
@@ -58,7 +62,7 @@ def greedy_decision_classes(state: BroadcastState) -> list[ColorMasks]:
     if state.schedule is not None:
         window = window_for(state.schedule, topology)
         pool &= window.awake_mask(state.time)
-    return ColorScheme().color_masks(topology, covered, pool)
+    return _GREEDY.color_masks(topology, covered, pool)
 
 
 class SchedulingPolicy(ABC):
