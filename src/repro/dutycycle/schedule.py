@@ -50,7 +50,7 @@ whatever order the queries arrive.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -316,14 +316,6 @@ class WakeupSchedule:
             hits, slots = self._streams.window_hits(np.array(rows), start, stop)
             out[np.array(positions)[hits], slots - start] = True
         return out
-
-    def iter_active(self, node_id: int, start: int = 1) -> Iterator[int]:
-        """Yield active slots of ``node_id`` from ``start`` onwards (infinite)."""
-        slot = max(1, start)
-        while True:
-            slot = self.next_active_slot(node_id, slot)
-            yield slot
-            slot += 1
 
     # ------------------------------------------------------------------
     @classmethod

@@ -30,11 +30,13 @@ contract has three legs:
    count or engine; the ``"multi-source"`` stream likewise fixes the extra
    source placement per cell.
 3. *Deterministic reassembly.*  ``run_sweep`` has one dispatch loop for
-   every execution mode: in-process (``map``), the process pool
-   (``pool.imap``, not ``imap_unordered``) and a fabric fleet
-   (``fabric.execute``) are interchangeable iterators that yield the
-   pending cells' records in serial cell order, and the runner alone
-   writes each cell back to the store and reports it.
+   both execution modes: in-process (``map``) and the process pool
+   (``pool.imap``, not ``imap_unordered``) are interchangeable iterators
+   that yield the pending cells' records in serial cell order, and the
+   runner alone writes each cell back to the store and reports it.  The
+   fabric (:mod:`repro.fabric`) runs the same cells through the same
+   :func:`_run_cell` on remote workers and commits them under the same
+   store keys.
 
 ``run_sweep(..., workers=N)`` fans the cells out over a process pool
 (``workers=0`` means one per CPU); ``engine="vectorized"`` switches every
@@ -490,10 +492,10 @@ def sweep_cells(
     """The sweep's grid as independently executable cells, in serial order.
 
     The cells (and the order) ``run_sweep`` dispatches for the same
-    arguments — the shared vocabulary between the runner, which hands its
-    store-missing cells to one cell source (in-process, pool or fleet), and
-    the fabric coordinator, which leases such a list to a worker fleet
-    (:mod:`repro.fabric`).
+    arguments — the shared vocabulary between the runner, which runs its
+    store-missing cells in-process or on the pool, and the fabric
+    coordinator, which leases the grid's store-missing cells to its
+    workers (:mod:`repro.fabric`).
     """
     if system not in ("sync", "duty"):
         raise ValueError(f"unknown system {system!r}; expected 'sync' or 'duty'")
@@ -541,7 +543,6 @@ def run_sweep(
     engine: str | None = None,
     store: ExperimentStore | None = None,
     resume: bool = True,
-    fabric: object | None = None,
 ) -> SweepResult:
     """Run the full sweep and return the collected records.
 
@@ -577,18 +578,6 @@ def run_sweep(
     resume:
         Consult the store before dispatching (default).  ``False`` forces a
         full re-simulation that overwrites the cached cells.
-    fabric:
-        Optional fabric executor (:class:`repro.fabric.LocalFleet`, or any
-        object with an ``execute(cells)`` method returning an iterator of
-        per-cell records in cell order): the missing cells are leased out
-        to a coordinator/worker fleet instead of the process pool.  The
-        runner drains that iterator through the same loop as the other
-        modes, writing each cell back to ``store`` as it arrives, so the
-        records are bit-identical to a pool (or in-process) run for any
-        fleet size, worker arrival order, or crash/retry history — the
-        fabric determinism contract (see ``docs/fabric.md``).
-        :class:`~repro.fabric.LocalFleet` requires the default policy
-        line-up (custom factories cannot cross the fabric wire).
     """
     effective_workers = config.workers if workers is None else workers
     if effective_workers == 0:
@@ -655,14 +644,11 @@ def run_sweep(
                 len(missing),
             )
         )
-    # One dispatch loop for every mode: each source yields the pending
+    # One dispatch loop for both modes: each source yields the pending
     # cells' records in serial order, and every cell goes through
-    # ``_finish``.  Drain it to the end, so the source's teardown (the
-    # pool's exit, the fleet's thread join and quarantine check) runs.
+    # ``_finish``.  Drain it to the end, so the pool's exit runs.
     pending = [cells[index] for index in missing]
-    if fabric is not None and pending:
-        results = fabric.execute(pending)
-    elif effective_workers > 1 and len(pending) > 1:
+    if effective_workers > 1 and len(pending) > 1:
         results = _pool_map(pending, effective_workers)
     else:
         results = map(_run_cell, pending)

@@ -14,10 +14,11 @@ keys deliberately exclude execution mode — so *any* machine can contribute
 * :mod:`repro.fabric.server` / :mod:`repro.fabric.transport` — a stdlib
   asyncio HTTP front plus the matching client transports;
 * :mod:`repro.fabric.worker` — :class:`FabricWorker`, the restartable
-  claim-simulate-post loop (heartbeats, bounded post retries);
-* :mod:`repro.fabric.fleet` — :class:`LocalFleet`, the in-process fleet
-  behind ``run_sweep(..., fabric=...)``: it streams each cell's records
-  back in cell order for the runner to store and report.
+  claim-simulate-post loop (heartbeats, bounded post retries).
+
+``fabric serve`` runs a store-backed coordinator behind the HTTP server,
+and every ``fabric work`` process is one worker; in-process parallelism is
+``run_sweep(..., workers=N)``.
 
 The headline guarantee is the **determinism contract**: fabric-run sweep
 records are bit-identical to a local ``run_sweep`` of the same config for
@@ -27,7 +28,6 @@ duplicates, crashes and coordinator restarts.  See ``docs/fabric.md``.
 """
 
 from repro.fabric.coordinator import FabricCoordinator
-from repro.fabric.fleet import LocalFleet
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     FabricError,
@@ -57,7 +57,6 @@ __all__ = [
     "HttpTransport",
     "Lease",
     "LeaseQueue",
-    "LocalFleet",
     "LocalTransport",
     "PROTOCOL_VERSION",
     "Transport",

@@ -69,11 +69,11 @@ class FabricCoordinator:
         The grid in serial order; positions in this sequence are the cell
         indices of the whole protocol.
     store:
-        Optional :class:`~repro.store.ExperimentStore`.  With a store,
-        results commit through :meth:`ExperimentStore.put` (content-keyed,
-        so commits are idempotent), already-cached cells are completed at
-        start-up (``resume``), and the failure history persists across
-        coordinator restarts.  Without one, results are kept in memory only.
+        The :class:`~repro.store.ExperimentStore` results commit to, through
+        :meth:`ExperimentStore.put` (content-keyed, so commits are
+        idempotent).  Already-cached cells are completed at start-up
+        (``resume``), and the failure history persists next to it across
+        coordinator restarts.
     resume:
         Complete cells already present in the store at start-up (default).
     lease_ttl, max_attempts, backoff_s, clock:
@@ -84,7 +84,7 @@ class FabricCoordinator:
         self,
         cells: "Sequence[SweepCell]",
         *,
-        store: "ExperimentStore | None" = None,
+        store: "ExperimentStore",
         resume: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_attempts: int = 5,
@@ -113,7 +113,6 @@ class FabricCoordinator:
                     policies=names,
                 )
             )
-        self._records: dict[int, list[RunRecord]] = {}
         self._workers: dict[str, dict[str, float | int]] = {}
         self._started_at = clock()
         #: Fleet metrics (claims, heartbeats, commits, queue gauges) — the
@@ -132,7 +131,7 @@ class FabricCoordinator:
         # even one that was quarantined before a late result rescued it —
         # is simply done).
         self._load_state()
-        if store is not None and resume:
+        if resume:
             for index, key in enumerate(self._keys):
                 if store.contains(key):
                     self._queue.complete(index)
@@ -235,9 +234,7 @@ class FabricCoordinator:
             return {"status": "rejected", "reason": str(error)}
         outcome = self._queue.complete(index, now)
         if outcome == "committed":
-            if self._store is not None:
-                self._store.put(self._keys[index], records)
-            self._records[index] = records
+            self._store.put(self._keys[index], records)
             stats["completed"] += 1
             self.metrics.counter("fabric.results_committed").inc()
             self._save_state()
@@ -280,29 +277,10 @@ class FabricCoordinator:
     # -- results and status ------------------------------------------------
 
     @property
-    def done(self) -> bool:
-        """Every cell completed or quarantined (reaps expired leases first)."""
-        with self._lock:
-            self._queue.expire()
-            return self._queue.done
-
-    @property
     def quarantined(self) -> dict[int, str]:
         """Quarantined cell indices with their final failure reason."""
         with self._lock:
             return self._queue.quarantined
-
-    def records_for(self, index: int) -> "list[RunRecord]":
-        """The committed records of one cell (from memory, else the store)."""
-        with self._lock:
-            records = self._records.get(index)
-            if records is not None:
-                return records
-            if self._store is not None:
-                cached = self._store.get(self._keys[index])
-                if cached is not None:
-                    return cached
-            raise KeyError(f"cell {index} has no committed result")
 
     def status(self) -> dict:
         """The fleet-monitoring snapshot (the ``fabric status`` target).
@@ -397,14 +375,8 @@ class FabricCoordinator:
 
     # -- restart persistence ----------------------------------------------
 
-    def _state_path(self):
-        return None if self._store is None else self._store.root / STATE_FILE_NAME
-
     def _save_state(self) -> None:
         """Journal failure history, keyed by content digest (grid-shape-proof)."""
-        path = self._state_path()
-        if path is None:
-            return
         state = {
             "version": 1,
             "attempts": {
@@ -415,11 +387,11 @@ class FabricCoordinator:
                 for i, reason in self._queue.quarantined.items()
             },
         }
-        atomic_write_text(path, canonical_json(state))
+        atomic_write_text(self._store.root / STATE_FILE_NAME, canonical_json(state))
 
     def _load_state(self) -> None:
-        path = self._state_path()
-        if path is None or not path.is_file():
+        path = self._store.root / STATE_FILE_NAME
+        if not path.is_file():
             return
         try:
             state = json.loads(path.read_text(encoding="utf-8"))

@@ -44,7 +44,7 @@ PROTOCOL_VERSION = 1
 
 
 class FabricError(RuntimeError):
-    """A fabric-level contract violation (bad payload, failed fleet, ...)."""
+    """A fabric-level contract violation (unknown action, policies on the wire, ...)."""
 
 
 def config_to_payload(config: SweepConfig) -> dict:

@@ -3,9 +3,8 @@
 The worker loop is transport-agnostic — it sees only
 ``request(action, payload) -> response`` — so the same
 :class:`~repro.fabric.worker.FabricWorker` runs over loopback HTTP
-(:class:`HttpTransport`), directly in-process (:class:`LocalTransport`,
-what :class:`~repro.fabric.fleet.LocalFleet` uses by default), or through
-a fault-injecting wrapper (the test harness's ``FlakyTransport``).
+(:class:`HttpTransport`), directly in-process (:class:`LocalTransport`),
+or through a fault-injecting wrapper (the test harness's ``FlakyTransport``).
 
 Every transport failure — connection refused, dropped response, non-200
 status — surfaces as :class:`TransportError`.  Workers treat it as
@@ -44,8 +43,9 @@ class Transport:
 class LocalTransport(Transport):
     """Direct in-process calls into a coordinator (no sockets, no copies).
 
-    The zero-overhead transport of in-process fleets and deterministic
-    tests: requests are plain method calls under the coordinator's lock.
+    The zero-overhead transport of worker threads sharing the
+    coordinator's process (the fault suite's deterministic runs): requests
+    are plain method calls under the coordinator's lock.
     """
 
     def __init__(self, coordinator: "FabricCoordinator") -> None:

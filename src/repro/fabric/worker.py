@@ -194,8 +194,8 @@ class FabricWorker:
                 except TransportError:
                     continue  # the next beat (or lease expiry) sorts it out
                 # Emitted worker-side only (the coordinator counts beats in
-                # its metrics registry), so a LocalFleet sharing one
-                # in-process bus never double-reports a heartbeat.
+                # its metrics registry), so workers sharing the
+                # coordinator's process never double-report a heartbeat.
                 if EVENT_BUS.active:
                     EVENT_BUS.emit(
                         _events.WorkerHeartbeat(

@@ -81,12 +81,6 @@ class EnergyReport:
         """Total energy of the broadcast."""
         return self.transmission_energy + self.reception_energy + self.idle_energy
 
-    def energy_per_node(self) -> float:
-        """Mean energy per node (0.0 for an empty network)."""
-        if not self.per_node:
-            return 0.0
-        return sum(self.per_node.values()) / len(self.per_node)
-
     def hottest_node(self) -> tuple[int, float]:
         """The node spending the most energy (relevant for lifetime)."""
         node = max(self.per_node, key=lambda u: self.per_node[u])

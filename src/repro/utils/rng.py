@@ -90,10 +90,3 @@ def spawn_seeds(base_seed: int, count: int, *path: object) -> list[int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return derive_seeds(base_seed, range(count), *path)
-
-
-def shuffled(items: Iterable, rng: np.random.Generator) -> list:
-    """Return a new list with ``items`` in a randomly permuted order."""
-    result = list(items)
-    rng.shuffle(result)
-    return result

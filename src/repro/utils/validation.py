@@ -7,8 +7,6 @@ simulation pipelines where a bad parameter should fail loudly and early.
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = ["require", "check_positive", "check_non_negative", "check_probability"]
 
 
@@ -36,13 +34,4 @@ def check_probability(name: str, value: float) -> float:
     """Validate that ``value`` lies in [0, 1] and return it."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Validate that ``value`` is an instance of ``expected`` and return it."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be an instance of {expected!r}, got {type(value)!r}"
-        )
     return value

@@ -4,10 +4,11 @@ The real thing, no manual clocks: a :class:`FabricHTTPServer` on an
 ephemeral loopback port, three worker threads speaking actual HTTP through
 :class:`HttpTransport`, and one of them killed mid-cell while holding a
 lease.  The surviving workers absorb the re-queued cell after its (short)
-lease TTL expires, the sweep converges, and the records — reassembled in
-serial cell order — are bit-identical to a plain local ``run_sweep``.  A
-second, store-backed rerun is then 100% cached: the fabric committed
-through exactly the digests a local sweep derives.
+lease TTL expires, the sweep converges, and the records the coordinator
+committed to its store — read back in serial cell order — are
+bit-identical to a plain local ``run_sweep``.  A store-backed rerun is then
+100% cached: the fabric committed through exactly the digests a local
+sweep derives.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import pytest
 
 from repro.experiments.config import QUICK_SWEEP
 from repro.experiments.runner import run_sweep, sweep_cells
-from repro.fabric import FabricWorker, LocalFleet, WorkerCrashed
+from repro.fabric import FabricCoordinator, FabricWorker, WorkerCrashed
 from repro.store import ExperimentStore
+from tests.fabric_fleet import run_workers, stored_records
 
 _CONFIG = replace(QUICK_SWEEP, node_counts=(50, 100), repetitions=2)
 _LEASE_TTL = 0.75  # short enough that lease recovery happens in test time
@@ -47,46 +49,42 @@ def baseline():
 
 
 def test_fleet_survives_worker_death_over_http(tmp_path, baseline):
-    killed = []
-
     def factory(index: int, transport) -> FabricWorker:
         if index == 0:
-            worker = _CrashOnceWorker(
-                transport, name="doomed-worker", poll_interval=0.01
-            )
-            killed.append(worker)
-            return worker
+            return _CrashOnceWorker(transport, name="doomed-worker", poll_interval=0.01)
         return FabricWorker(transport, name=f"survivor-{index}", poll_interval=0.01)
 
-    fleet = LocalFleet(
-        workers=3,
-        transport="http",
-        lease_ttl=_LEASE_TTL,
-        worker_factory=factory,
-    )
+    cells = sweep_cells(_CONFIG, system="sync")
     with ExperimentStore(tmp_path / "store") as store:
-        result = run_sweep(_CONFIG, system="sync", store=store, fabric=fleet)
-        assert result.records == baseline.records
+        coordinator = FabricCoordinator(
+            cells, store=store, lease_ttl=_LEASE_TTL, backoff_s=0.05
+        )
+        workers = run_workers(
+            coordinator, 3, transport="http", worker_factory=factory
+        )
+        per_cell = stored_records(store, cells)
+        assert [r for records in per_cell for r in records] == baseline.records
 
         # The doomed worker really did die holding a lease...
-        assert killed and killed[0]._crashed
-        assert killed[0].stats.claims == 1
-        assert killed[0].stats.completed == 0
+        doomed = workers[0]
+        assert doomed._crashed
+        assert doomed.stats.claims == 1
+        assert doomed.stats.completed == 0
         # ...its cell was recovered by the survivors (an expiry charged one
         # failed attempt against exactly one cell)...
-        status = fleet.last_status
+        status = coordinator.status()
         assert status["done"] is True
         assert status["counts"]["completed"] == status["total"]
         assert status["counts"]["quarantined"] == 0
-        survivors = [stats for stats in fleet.last_stats if stats.claims > 0]
-        assert sum(stats.completed for stats in fleet.last_stats) == status["total"]
+        survivors = [worker.stats for worker in workers if worker.stats.claims > 0]
+        assert sum(worker.stats.completed for worker in workers) == status["total"]
         assert len(survivors) >= 2  # the dead worker's cell went elsewhere
 
         # ...and a plain rerun against the fabric-written store is fully
         # cached and bit-identical — the determinism contract, end to end.
         rerun = run_sweep(_CONFIG, system="sync", store=store)
         assert rerun.cache_misses == 0
-        assert rerun.cache_hits == len(sweep_cells(_CONFIG, system="sync"))
+        assert rerun.cache_hits == len(cells)
         assert rerun.records == baseline.records
 
     # No stray threads left behind (server and heartbeat threads joined).

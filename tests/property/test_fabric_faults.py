@@ -33,12 +33,12 @@ from repro.experiments.config import QUICK_SWEEP
 from repro.experiments.runner import run_sweep, sweep_cells
 from repro.fabric import (
     FabricCoordinator,
-    LocalFleet,
     LocalTransport,
     TransportError,
     WorkerCrashed,
 )
 from repro.store import ExperimentStore
+from tests.fabric_fleet import run_workers, stored_records
 
 from .conftest import FlakyTransport, ManualClock, make_flaky_worker_class
 
@@ -103,7 +103,7 @@ def _converge(store, schedule_name: str, seed: int) -> list:
 
     coordinator = build_coordinator()
     generation = 0
-    while not coordinator.done:
+    while not coordinator.status()["done"]:
         generation += 1
         assert generation <= 200, (
             f"schedule {schedule_name!r} seed {seed}: no convergence after "
@@ -133,7 +133,7 @@ def _converge(store, schedule_name: str, seed: int) -> list:
         except TransportError:  # pragma: no cover - defensive
             clock.advance(_PAST_TTL)
     assert not coordinator.quarantined
-    return [coordinator.records_for(index) for index in range(len(cells))]
+    return stored_records(store, cells)
 
 
 @pytest.mark.slow_property
@@ -159,28 +159,17 @@ def test_every_fault_schedule_is_bit_identical(tmp_path, baseline, schedule, see
 @pytest.mark.parametrize("transport", ["local", "http"])
 def test_threaded_fleet_matches_local_run(tmp_path, baseline, transport):
     """Real threads (and, on 'http', real loopback sockets) — same records."""
+    cells = sweep_cells(_CONFIG, system="sync")
     store = ExperimentStore(tmp_path / "store")
-    fleet = LocalFleet(workers=3, transport=transport)
-    result = run_sweep(_CONFIG, system="sync", store=store, fabric=fleet)
-    assert result.records == baseline.records
-    assert result.cache_misses == len(sweep_cells(_CONFIG, system="sync"))
+    coordinator = FabricCoordinator(cells, store=store, backoff_s=0.05)
+    workers = run_workers(coordinator, 3, transport=transport)
+    status = coordinator.status()
+    assert status["done"] and status["counts"]["completed"] == len(cells)
+    assert sum(worker.stats.completed for worker in workers) == len(cells)
+    per_cell = stored_records(store, cells)
+    assert [record for records in per_cell for record in records] == baseline.records
     rerun = run_sweep(_CONFIG, system="sync", store=store)
     assert rerun.cache_misses == 0
+    assert rerun.cache_hits == len(cells)
     assert rerun.records == baseline.records
-    store.close()
-
-
-def test_fabric_rejects_custom_policies(tmp_path):
-    """Custom policy factories cannot cross the wire — fail fast, locally."""
-    from repro.core.policies import EModelPolicy
-
-    store = ExperimentStore(tmp_path / "store")
-    with pytest.raises(ValueError, match="fabric .* default policy line-up"):
-        run_sweep(
-            _CONFIG,
-            system="sync",
-            store=store,
-            fabric=LocalFleet(workers=1),
-            policies={"custom": lambda: EModelPolicy()},
-        )
     store.close()

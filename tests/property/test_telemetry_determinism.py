@@ -3,7 +3,7 @@
 The telemetry contract (docs/telemetry.md): attaching any sink set to the
 event bus changes *nothing* about a sweep's output — records are byte-equal
 with no sink, a ring buffer, a jsonl trace, or the full metrics fold, for
-every engine and for threaded fleet execution.  Events carry no RNG state
+every engine and for worker threads served by a fabric coordinator.  Events carry no RNG state
 and no instrumented code path reads the bus, so the only way this property
 can break is an instrumentation bug; this suite is the tripwire.
 """
@@ -13,12 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import SearchConfig, SweepConfig
-from repro.experiments.runner import SweepResult, run_sweep
-from repro.fabric import LocalFleet
+from repro.experiments.runner import SweepResult, run_sweep, sweep_cells
+from repro.fabric import FabricCoordinator
 from repro.obs.bus import EVENT_BUS
 from repro.obs.metrics import MetricsSink
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink, read_trace
+from repro.store import ExperimentStore
 from repro.utils.format import to_csv
+from tests.fabric_fleet import run_workers
 
 ENGINES = ("reference", "vectorized")
 
@@ -92,16 +94,27 @@ def test_pool_workers_stay_byte_identical_under_telemetry(engine):
     assert ring.counts().get("cell_finished") == 4
 
 
-def test_threaded_fleet_stays_byte_identical_under_telemetry():
+def test_threaded_fleet_stays_byte_identical_under_telemetry(tmp_path):
     bare = _sweep("reference")
+    cells = sweep_cells(_config(), system="duty", rate=5, engine="reference")
     ring = RingBufferSink()
-    with EVENT_BUS.attached(ring):
-        fleet = _sweep("reference", fabric=LocalFleet(workers=2))
+    jsonl = JsonlTraceSink(tmp_path / "fleet.jsonl")
+    metrics = MetricsSink()
+    with ExperimentStore(tmp_path / "store") as store:
+        coordinator = FabricCoordinator(cells, store=store)
+        with EVENT_BUS.attached(ring, jsonl, metrics):
+            run_workers(coordinator, 2)
+        jsonl.close()
+        # The coordinator committed to the store; a cached rerun reads it.
+        fleet = _sweep("reference", store=store)
+    assert fleet.cache_hits == len(cells) and fleet.cache_misses == 0
     assert fleet.records == bare.records
     assert _csv(fleet) == _csv(bare)
     kinds = ring.counts()
     assert kinds.get("lease_claimed", 0) >= 4  # the fleet path was observed
-    assert kinds.get("cell_finished") == 4
+    assert kinds.get("cell_started") == 4
+    assert sum(1 for _ in read_trace(jsonl.path)) == jsonl.written > 0
+    assert metrics.registry.snapshot()["counters"]["fabric.lease_claims"] >= 4
 
 
 def test_trace_replays_into_the_same_metrics_as_live_folding(tmp_path):

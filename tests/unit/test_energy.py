@@ -84,12 +84,6 @@ class TestEnergyOfBroadcast:
         assert gopt.total < baseline.total
         assert gopt.transmissions > 0 and baseline.transmissions > 0
 
-    def test_mean_energy_per_node(self, figure2):
-        topo, source = figure2
-        result = run_broadcast(topo, source, GreedyOptPolicy())
-        report = energy_of_broadcast(topo, result)
-        assert report.energy_per_node() == pytest.approx(report.total / topo.num_nodes)
-
     def test_overhearing_charges_covered_neighbours(self):
         """Every neighbour of a transmitter pays rx, covered or not."""
         positions = {i: (float(i), 0.0) for i in range(3)}

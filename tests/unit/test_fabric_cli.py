@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from dataclasses import replace
 
@@ -10,9 +11,10 @@ import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.config import QUICK_SWEEP
-from repro.experiments.runner import run_sweep, sweep_cells
-from repro.fabric import FabricCoordinator, FabricHTTPServer
+from repro.experiments.runner import _run_cell, run_sweep, sweep_cells
+from repro.fabric import FabricCoordinator, FabricHTTPServer, FabricWorker, HttpTransport
 from repro.store import ExperimentStore
+from tests.fabric_fleet import stored_records
 
 _TINY = ["--nodes", "50", "--repetitions", "1"]
 _TINY_CONFIG = replace(QUICK_SWEEP, node_counts=(50,), repetitions=1)
@@ -55,8 +57,9 @@ class TestParser:
 
 class TestWorkAndStatus:
     @pytest.fixture()
-    def coordinator(self):
-        return FabricCoordinator(_TINY_CELLS)
+    def coordinator(self, tmp_path):
+        with ExperimentStore(tmp_path / "store") as store:
+            yield FabricCoordinator(_TINY_CELLS, store=store)
 
     def test_work_drains_a_coordinator(self, coordinator, capsys):
         with FabricHTTPServer(coordinator) as server:
@@ -64,7 +67,7 @@ class TestWorkAndStatus:
                          "--worker-name", "cli-w1"]) == 0
         out = capsys.readouterr().out
         assert "cli-w1 completed 1 cell(s)" in out
-        assert coordinator.done is True
+        assert coordinator.status()["done"] is True
 
     def test_status_prints_and_writes_json(self, coordinator, tmp_path, capsys):
         status_file = tmp_path / "status.json"
@@ -125,3 +128,51 @@ class TestServe:
         ) == 0
         out = capsys.readouterr().out
         assert "1/1 cells done" in out
+
+    def test_serve_exits_one_naming_a_quarantined_cell(self, tmp_path, capsys):
+        """One attempt allowed and a worker that posts a wrong digest for
+        cell 1: serve quarantines it, names it on stderr and exits 1, while
+        the healthy cell is committed to the store."""
+        poisoned = 1
+        cells = sweep_cells(
+            replace(_TINY_CONFIG, repetitions=2), system="duty", rate=10
+        )
+        store_dir = tmp_path / "store"
+        with socket.socket() as probe:  # a free loopback port for serve
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        exit_codes: dict[str, int] = {}
+
+        def serve():
+            exit_codes["serve"] = main(
+                [
+                    "fabric", "serve", "--nodes", "50", "--repetitions", "2",
+                    "--store", str(store_dir), "--port", str(port),
+                    "--max-attempts", "1", "--linger", "0.5",
+                ]
+            )
+
+        class _PoisonWorker(FabricWorker):
+            def post(self, payload):
+                if payload["index"] == poisoned:
+                    payload = {**payload, "digest": "0" * 64}
+                super().post(payload)
+
+        thread = threading.Thread(target=serve, name="serve-cli")
+        thread.start()
+        transport = HttpTransport(f"http://127.0.0.1:{port}")
+        try:
+            stats = _PoisonWorker(transport, poll_interval=0.05).run()
+        finally:
+            transport.close()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert exit_codes["serve"] == 1
+        assert (stats.completed, stats.rejected) == (1, 1)
+        err = capsys.readouterr().err
+        assert f"fabric: cell {poisoned} quarantined: rejected result" in err
+        assert "fabric: cell 0 quarantined" not in err
+        with ExperimentStore(store_dir) as store:
+            healthy, missing = stored_records(store, cells)
+        assert healthy == _run_cell(cells[0])
+        assert missing is None

@@ -342,7 +342,7 @@ class TestBusIntegration:
         quarantined = ring.events()[-1]
         assert quarantined.attempts == 2 and "attempt 2/2" in quarantined.reason
 
-    def test_worker_heartbeats_are_emitted_worker_side(self, monkeypatch):
+    def test_worker_heartbeats_are_emitted_worker_side(self, monkeypatch, tmp_path):
         import time
         from dataclasses import replace
 
@@ -350,11 +350,13 @@ class TestBusIntegration:
         from repro.experiments.config import QUICK_SWEEP
         from repro.experiments.runner import sweep_cells
         from repro.fabric import FabricCoordinator, FabricWorker, LocalTransport
+        from repro.store import ExperimentStore
 
         cells = sweep_cells(
             replace(QUICK_SWEEP, node_counts=(50,), repetitions=1), system="sync"
         )
-        coordinator = FabricCoordinator(cells)
+        store = ExperimentStore(tmp_path / "store")
+        coordinator = FabricCoordinator(cells, store=store)
         worker = FabricWorker(
             LocalTransport(coordinator), name="hb-test", heartbeat_interval=0.02
         )
@@ -364,6 +366,7 @@ class TestBusIntegration:
         ring = RingBufferSink()
         with EVENT_BUS.attached(ring):
             worker.simulate(cells[grant["index"]], grant)
+        store.close()
         beats = [e for e in ring.events() if isinstance(e, WorkerHeartbeat)]
         assert beats, "no heartbeat emitted during a 0.2s cell at 0.02s interval"
         assert beats[0] == WorkerHeartbeat("hb-test", grant["lease"], True)

@@ -161,20 +161,22 @@ class TestSweepMonitor:
         frame = monitor.render()
         assert "cells     1/1 done" in frame
 
-    def test_fabric_snapshot_against_a_live_server(self):
+    def test_fabric_snapshot_against_a_live_server(self, tmp_path):
         from dataclasses import replace
 
         from repro.experiments.config import QUICK_SWEEP
         from repro.experiments.runner import sweep_cells
         from repro.fabric import FabricCoordinator, FabricHTTPServer
+        from repro.store import ExperimentStore
 
         cells = sweep_cells(
             replace(QUICK_SWEEP, node_counts=(50,), repetitions=1), system="sync"
         )
-        coordinator = FabricCoordinator(cells)
-        with FabricHTTPServer(coordinator, expose_metrics=True) as server:
-            monitor = SweepMonitor(url=server.url)
-            status, metrics, error = monitor._fabric_snapshot()
+        with ExperimentStore(tmp_path / "store") as store:
+            coordinator = FabricCoordinator(cells, store=store)
+            with FabricHTTPServer(coordinator, expose_metrics=True) as server:
+                monitor = SweepMonitor(url=server.url)
+                status, metrics, error = monitor._fabric_snapshot()
         assert error is None
         assert status["counts"]["pending"] == 1
         assert "counters" in metrics

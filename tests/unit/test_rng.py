@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, derive_seeds, make_rng, shuffled, spawn_seeds
+from repro.utils.rng import derive_seed, derive_seeds, make_rng, spawn_seeds
 
 
 class TestMakeRng:
@@ -56,19 +56,6 @@ class TestSpawnSeeds:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(3, -1)
-
-
-class TestShuffled:
-    def test_is_permutation(self):
-        items = list(range(20))
-        result = shuffled(items, make_rng(0))
-        assert sorted(result) == items
-
-    def test_does_not_mutate_input(self):
-        items = list(range(10))
-        original = list(items)
-        shuffled(items, make_rng(0))
-        assert items == original
 
 
 class TestDeriveSeeds:

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
     require,
 )
 
@@ -50,12 +49,3 @@ class TestCheckProbability:
     def test_rejects_outside(self, value):
         with pytest.raises(ValueError):
             check_probability("p", value)
-
-
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        assert check_type("x", 3, int) == 3
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError):
-            check_type("x", "3", int)

@@ -109,13 +109,6 @@ class TestHelpers:
         assert schedule.next_awake_slot([0], 1) == 5
         assert schedule.next_awake_slot([], 1) is None
 
-    def test_iter_active_yields_increasing_slots(self):
-        schedule = WakeupSchedule([0], rate=6, seed=4)
-        iterator = schedule.iter_active(0)
-        slots = [next(iterator) for _ in range(5)]
-        assert slots == sorted(slots)
-        assert all(schedule.is_active(0, s) for s in slots)
-
     def test_synchronous_degenerate_schedule(self):
         schedule = WakeupSchedule.synchronous([0, 1, 2])
         assert schedule.rate == 1
