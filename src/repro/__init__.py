@@ -19,6 +19,9 @@ The public API is re-exported here so that a downstream user can write::
     result = run_broadcast(topo, source, EModelPolicy())
     print(result.latency)
 
+Every name resolves on first access (:mod:`repro.utils.lazy`), so
+importing the package loads none of the sub-packages below.
+
 Sub-packages
 ------------
 ``repro.network``
@@ -49,92 +52,46 @@ Sub-packages
     solver tiers.
 """
 
-from repro.core.advance import Advance, BroadcastState
-from repro.core.bounds import (
-    duty_cycle_17_bound,
-    duty_cycle_opt_bound,
-    sync_26_bound,
-    sync_opt_bound,
-)
-from repro.core.coloring import ColorScheme, greedy_color_classes
-from repro.core.estimation import EdgeEstimate, build_edge_estimate
-from repro.core.localized import LocalizedEModelPolicy
-from repro.core.policies import (
-    EModelPolicy,
-    GreedyOptPolicy,
-    OptPolicy,
-    SchedulingPolicy,
-)
-from repro.core.time_counter import SearchConfig, TimeCounter
-from repro.baselines.approx17 import Approx17Policy
-from repro.baselines.approx26 import Approx26Policy
-from repro.baselines.flooding import FloodingPolicy
-from repro.dutycycle.schedule import WakeupSchedule
-from repro.network.deployment import DeploymentConfig, deploy_uniform
-from repro.network.graphs import figure1_topology, figure2_topology
-from repro.network.sources import select_sources
-from repro.network.topology import Node, WSNTopology
-from repro.sim.broadcast import run_broadcast
-from repro.sim.energy import EnergyModel, EnergyReport, energy_of_broadcast
-from repro.sim.links import IndependentLossLinks, LinkModel, ReliableLinks
-from repro.sim.metrics import BroadcastMetrics, MultiBroadcastMetrics
-from repro.sim.trace import BroadcastResult, MultiBroadcastResult
-from repro.solvers import (
-    SOLVER_TIERS,
-    ExactPolicy,
-    SolverPlan,
-    SolverTier,
-    solve_broadcast,
-    solver_names,
-)
+from repro.utils.lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Advance",
-    "Approx17Policy",
-    "Approx26Policy",
-    "BroadcastMetrics",
-    "BroadcastResult",
-    "BroadcastState",
-    "ColorScheme",
-    "DeploymentConfig",
-    "EModelPolicy",
-    "EdgeEstimate",
-    "EnergyModel",
-    "EnergyReport",
-    "ExactPolicy",
-    "FloodingPolicy",
-    "GreedyOptPolicy",
-    "IndependentLossLinks",
-    "LinkModel",
-    "LocalizedEModelPolicy",
-    "MultiBroadcastMetrics",
-    "MultiBroadcastResult",
-    "Node",
-    "ReliableLinks",
-    "OptPolicy",
-    "SOLVER_TIERS",
-    "SchedulingPolicy",
-    "SearchConfig",
-    "SolverPlan",
-    "SolverTier",
-    "TimeCounter",
-    "WakeupSchedule",
-    "WSNTopology",
-    "build_edge_estimate",
-    "deploy_uniform",
-    "duty_cycle_17_bound",
-    "duty_cycle_opt_bound",
-    "energy_of_broadcast",
-    "figure1_topology",
-    "figure2_topology",
-    "greedy_color_classes",
-    "run_broadcast",
-    "select_sources",
-    "solve_broadcast",
-    "solver_names",
-    "sync_26_bound",
-    "sync_opt_bound",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.core.advance": ("Advance", "BroadcastState"),
+        "repro.core.bounds": (
+            "duty_cycle_17_bound",
+            "duty_cycle_opt_bound",
+            "sync_26_bound",
+            "sync_opt_bound",
+        ),
+        "repro.core.coloring": ("ColorScheme", "greedy_color_classes"),
+        "repro.core.estimation": ("EdgeEstimate", "build_edge_estimate"),
+        "repro.core.localized": ("LocalizedEModelPolicy",),
+        "repro.core.policies": (
+            "EModelPolicy",
+            "GreedyOptPolicy",
+            "OptPolicy",
+            "SchedulingPolicy",
+        ),
+        "repro.core.time_counter": ("SearchConfig", "TimeCounter"),
+        "repro.baselines.approx17": ("Approx17Policy",),
+        "repro.baselines.approx26": ("Approx26Policy",),
+        "repro.baselines.flooding": ("FloodingPolicy",),
+        "repro.dutycycle.schedule": ("WakeupSchedule",),
+        "repro.network.deployment": ("DeploymentConfig", "deploy_uniform"),
+        "repro.network.graphs": ("figure1_topology", "figure2_topology"),
+        "repro.network.sources": ("select_sources",),
+        "repro.network.topology": ("Node", "WSNTopology"),
+        "repro.sim.broadcast": ("run_broadcast",),
+        "repro.sim.energy": ("EnergyModel", "EnergyReport", "energy_of_broadcast"),
+        "repro.sim.links": ("IndependentLossLinks", "LinkModel", "ReliableLinks"),
+        "repro.sim.metrics": ("BroadcastMetrics", "MultiBroadcastMetrics"),
+        "repro.sim.trace": ("BroadcastResult", "MultiBroadcastResult"),
+        "repro.solvers.branch_bound": ("SolverPlan", "solve_broadcast"),
+        "repro.solvers.policies": ("ExactPolicy",),
+        "repro.solvers.registry": ("SOLVER_TIERS", "SolverTier", "solver_names"),
+    },
+)
+__all__.append("__version__")

@@ -1,16 +1,17 @@
 """Baseline schedulers the paper compares against (Section V / VI)."""
 
-from repro.baselines.approx17 import Approx17Policy
-from repro.baselines.approx26 import Approx26Policy
-from repro.baselines.bfs_tree import BroadcastTree, build_broadcast_tree, greedy_parent_cover
-from repro.baselines.flooding import FloodingPolicy, LargestFirstPolicy
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "Approx17Policy",
-    "Approx26Policy",
-    "BroadcastTree",
-    "FloodingPolicy",
-    "LargestFirstPolicy",
-    "build_broadcast_tree",
-    "greedy_parent_cover",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.baselines.approx17": ("Approx17Policy",),
+        "repro.baselines.approx26": ("Approx26Policy",),
+        "repro.baselines.bfs_tree": (
+            "BroadcastTree",
+            "build_broadcast_tree",
+            "greedy_parent_cover",
+        ),
+        "repro.baselines.flooding": ("FloodingPolicy", "LargestFirstPolicy"),
+    },
+)

@@ -1,49 +1,27 @@
 """The paper's contribution: colour schemes, time counter M, E-model, policies."""
 
-from repro.core.advance import Advance, BroadcastState
-from repro.core.bounds import (
-    duty_cycle_17_bound,
-    duty_cycle_opt_bound,
-    emodel_update_cost,
-    sync_26_bound,
-    sync_opt_bound,
-)
-from repro.core.coloring import (
-    ColorScheme,
-    enumerate_color_classes,
-    frontier_candidates,
-    greedy_color_classes,
-)
-from repro.core.estimation import EdgeEstimate, build_edge_estimate
-from repro.core.localized import LocalizedEModelPolicy, local_contention_winners
-from repro.core.policies import (
-    EModelPolicy,
-    GreedyOptPolicy,
-    OptPolicy,
-    SchedulingPolicy,
-)
-from repro.core.time_counter import SearchConfig, TimeCounter
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "Advance",
-    "BroadcastState",
-    "ColorScheme",
-    "EModelPolicy",
-    "EdgeEstimate",
-    "GreedyOptPolicy",
-    "LocalizedEModelPolicy",
-    "OptPolicy",
-    "SchedulingPolicy",
-    "SearchConfig",
-    "TimeCounter",
-    "build_edge_estimate",
-    "duty_cycle_17_bound",
-    "duty_cycle_opt_bound",
-    "emodel_update_cost",
-    "enumerate_color_classes",
-    "frontier_candidates",
-    "greedy_color_classes",
-    "local_contention_winners",
-    "sync_26_bound",
-    "sync_opt_bound",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.core.advance": ("Advance", "BroadcastState"),
+        "repro.core.bounds": (
+            "duty_cycle_17_bound",
+            "duty_cycle_opt_bound",
+            "emodel_update_cost",
+            "sync_26_bound",
+            "sync_opt_bound",
+        ),
+        "repro.core.coloring": (
+            "ColorScheme",
+            "enumerate_color_classes",
+            "frontier_candidates",
+            "greedy_color_classes",
+        ),
+        "repro.core.estimation": ("EdgeEstimate", "build_edge_estimate"),
+        "repro.core.localized": ("LocalizedEModelPolicy", "local_contention_winners"),
+        "repro.core.policies": ("EModelPolicy", "GreedyOptPolicy", "OptPolicy", "SchedulingPolicy"),
+        "repro.core.time_counter": ("SearchConfig", "TimeCounter"),
+    },
+)

@@ -95,10 +95,9 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.dutycycle.models import duty_model_names, list_duty_models
-from repro.experiments import figures as figures_mod
-from repro.experiments import tables as tables_mod
 from repro.experiments.config import (
     PAPER_SWEEP,
     QUICK_SWEEP,
@@ -106,33 +105,10 @@ from repro.experiments.config import (
     SweepConfig,
     sweep_from_env,
 )
-from repro.experiments.report import (
-    ClaimCheck,
-    claims_to_text,
-    multisource_claims,
-    ratio_claims,
-    reliability_claims,
-    store_summary_text,
-    summary_claims,
-)
 from repro.experiments.runner import SweepResult, run_sweep, sweep_cells
-from repro.fabric import (
-    DEFAULT_LEASE_TTL,
-    FabricCoordinator,
-    FabricHTTPServer,
-    FabricWorker,
-    HttpTransport,
-    TransportError,
-)
+from repro.fabric import DEFAULT_LEASE_TTL
 from repro.network.sources import placement_names
-from repro.obs import (
-    EVENT_BUS,
-    CallbackSink,
-    Event,
-    JsonlTraceSink,
-    SweepMonitor,
-    SweepStarted,
-)
+from repro.obs.bus import EVENT_BUS
 from repro.scenarios import list_scenarios, scenario_names
 from repro.sim.broadcast import ENGINE_BACKENDS
 from repro.sim.links import link_model_names
@@ -140,20 +116,18 @@ from repro.solvers import solver_catalog, solver_names
 from repro.store import ExperimentStore, open_store, store_backend_names
 from repro.utils.format import to_csv
 
+if TYPE_CHECKING:
+    from repro.experiments.figures import FigureResult
+    from repro.experiments.report import ClaimCheck
+    from repro.obs.events import Event
+    from repro.obs.sinks import JsonlTraceSink
+
 __all__ = ["main", "build_parser"]
 
-_FIGURES = {
-    "figure3": figures_mod.figure3,
-    "figure4": figures_mod.figure4,
-    "figure5": figures_mod.figure5,
-    "figure6": figures_mod.figure6,
-    "figure7": figures_mod.figure7,
-}
-_TABLES = {
-    "table2": tables_mod.table2,
-    "table3": tables_mod.table3,
-    "table4": tables_mod.table4,
-}
+# Each target is the name of its generator in repro.experiments.figures or
+# repro.experiments.tables, which load only when a target runs.
+_FIGURES = ("figure3", "figure4", "figure5", "figure6", "figure7")
+_TABLES = ("table2", "table3", "table4")
 
 
 def _parse_node_counts(text: str) -> tuple[int, ...]:
@@ -589,16 +563,39 @@ def _emit_claims(
     name: str,
     checks: list[ClaimCheck],
     csv_dir: Path | None,
-    figure: figures_mod.FigureResult | None = None,
+    figure: FigureResult | None = None,
     context: str = "",
 ) -> int:
     """Print ``figure`` (if any) with its claim table; 1 if a claim fails."""
+    from repro.experiments.report import claims_to_text
+
     held = sum(1 for check in checks if check.holds)
     text = f"{claims_to_text(checks)}\n{name}: {held}/{len(checks)} claims hold{context}"
     if figure is not None:
         text = f"{figure.to_text()}\n\n{text}"
     _emit(name, text, None if figure is None else figure.to_csv(), csv_dir)
     return 0 if held == len(checks) else 1
+
+
+def _attach_trace(path: Path | None) -> JsonlTraceSink | None:
+    """Attach a JSONL trace sink for ``--trace PATH`` (``None`` without one)."""
+    if path is None:
+        return None
+    from repro.obs.sinks import JsonlTraceSink
+
+    return EVENT_BUS.attach(JsonlTraceSink(path))
+
+
+def _store_split_line(event: Event) -> None:
+    """Print a sweep's cached/missing cell split when it starts."""
+    from repro.obs.events import SweepStarted
+
+    if isinstance(event, SweepStarted):
+        print(
+            f"store: {event.cached_cells} cells cached, "
+            f"{event.missing_cells} to simulate",
+            file=sys.stderr,
+        )
 
 
 def _write_status(status: dict, path: Path | None) -> None:
@@ -619,16 +616,17 @@ def _status_line(status: dict) -> str:
 
 def _run_fabric(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """The ``fabric serve|work|status`` actions (exit code as documented)."""
+    from repro.fabric.transport import TransportError
+
     if args.action == "serve":
+        from repro.fabric.coordinator import FabricCoordinator
+        from repro.fabric.server import FabricHTTPServer
+
         if args.store is None:
             parser.error("'fabric serve' requires --store PATH (the shared store)")
         config = _config_from_args(args)
         cells = sweep_cells(config, system=args.system, rate=args.rate)
-        trace_sink = (
-            EVENT_BUS.attach(JsonlTraceSink(args.trace))
-            if args.trace is not None
-            else None
-        )
+        trace_sink = _attach_trace(args.trace)
         try:
             with ExperimentStore(args.store) as store:
                 coordinator = FabricCoordinator(
@@ -690,6 +688,8 @@ def _run_fabric(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
     if args.url is None:
         parser.error(f"'fabric {args.action}' requires --url (the coordinator)")
+    from repro.fabric.transport import HttpTransport
+
     transport = HttpTransport(args.url)
     try:
         if args.action == "status":
@@ -697,6 +697,8 @@ def _run_fabric(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             _write_status(status, args.status_file)
             print(json.dumps(status, indent=2, sort_keys=True))
             return 0
+        from repro.fabric.worker import FabricWorker
+
         name = args.worker_name or f"{os.uname().nodename}-{os.getpid()}"
         worker = FabricWorker(transport, name=name)
         stats = worker.run()
@@ -804,6 +806,8 @@ def main(argv: list[str] | None = None) -> int:
                 "the 'monitor' target needs at least one feed: --store PATH, "
                 "--trace PATH and/or --url URL"
             )
+        from repro.obs.monitor import SweepMonitor
+
         monitor_store = open_store(args.store)
         try:
             monitor = SweepMonitor(
@@ -820,6 +824,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("the 'store' target requires an action: stats, gc or export")
         with ExperimentStore(args.store) as target_store:
             if args.action == "stats":
+                from repro.experiments.report import store_summary_text
+
                 print(store_summary_text(target_store))
             elif args.action == "gc":
                 removed = target_store.gc()
@@ -868,34 +874,31 @@ def main(argv: list[str] | None = None) -> int:
 
     config = _config_from_args(args)
     store = open_store(args.store)
-
-    def _store_split_line(event: Event) -> None:
-        if isinstance(event, SweepStarted):
-            print(
-                f"store: {event.cached_cells} cells cached, "
-                f"{event.missing_cells} to simulate",
-                file=sys.stderr,
-            )
-
     targets = (
         [args.target]
         if args.target != "all"
         else [*_FIGURES, *_TABLES, "claims"]
     )
-    fig_cache: dict[str, figures_mod.FigureResult] = {}
+    fig_cache: dict[str, FigureResult] = {}
     exit_code = 0
 
     try:
         for target in targets:
             if target in _FIGURES:
-                result = _FIGURES[target](config, store=store, resume=args.resume)
+                from repro.experiments import figures
+
+                result = getattr(figures, target)(config, store=store, resume=args.resume)
                 fig_cache[target] = result
                 _emit(target, result.to_text(), result.to_csv(), args.csv_dir)
             elif target in _TABLES:
-                table = _TABLES[target]()
+                from repro.experiments import tables
+
+                table = getattr(tables, target)()
                 _emit(target, table.to_text(), None, args.csv_dir)
             elif target == "scenarios":
-                result = figures_mod.figure_scenarios(
+                from repro.experiments.figures import figure_scenarios
+
+                result = figure_scenarios(
                     config,
                     system=args.system,
                     rate=args.rate,
@@ -904,7 +907,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 _emit(target, result.to_text(), result.to_csv(), args.csv_dir)
             elif target == "reliability":
-                result = figures_mod.figure_reliability(
+                from repro.experiments.figures import figure_reliability
+                from repro.experiments.report import reliability_claims
+
+                result = figure_reliability(
                     config,
                     loss_probabilities=args.loss,
                     system=args.system,
@@ -916,7 +922,10 @@ def main(argv: list[str] | None = None) -> int:
                     target, reliability_claims(result), args.csv_dir, result
                 )
             elif target == "multisource":
-                result = figures_mod.figure_multisource(
+                from repro.experiments.figures import figure_multisource
+                from repro.experiments.report import multisource_claims
+
+                result = figure_multisource(
                     config,
                     source_counts=args.sources,
                     system=args.system,
@@ -928,7 +937,10 @@ def main(argv: list[str] | None = None) -> int:
                     target, multisource_claims(result), args.csv_dir, result
                 )
             elif target == "ratio":
-                result = figures_mod.figure_ratio(
+                from repro.experiments.figures import figure_ratio
+                from repro.experiments.report import ratio_claims
+
+                result = figure_ratio(
                     config,
                     system=args.system,
                     rate=args.rate,
@@ -943,16 +955,12 @@ def main(argv: list[str] | None = None) -> int:
                     f" (solver={config.solver} system={args.system})",
                 )
             elif target == "sweep":
-                trace_sink = (
-                    EVENT_BUS.attach(JsonlTraceSink(args.trace))
-                    if args.trace is not None
-                    else None
-                )
-                split_sink = (
-                    EVENT_BUS.attach(CallbackSink(_store_split_line))
-                    if store is not None
-                    else None
-                )
+                trace_sink = _attach_trace(args.trace)
+                split_sink = None
+                if store is not None:
+                    from repro.obs.sinks import CallbackSink
+
+                    split_sink = EVENT_BUS.attach(CallbackSink(_store_split_line))
                 try:
                     sweep = run_sweep(
                         config,
@@ -988,13 +996,16 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 _emit(target, f"{header}\n{csv.rstrip()}", csv, args.csv_dir)
             elif target == "claims":
-                fig3 = fig_cache.get("figure3") or figures_mod.figure3(
+                from repro.experiments import figures
+                from repro.experiments.report import summary_claims
+
+                fig3 = fig_cache.get("figure3") or figures.figure3(
                     config, store=store, resume=args.resume
                 )
-                fig4 = fig_cache.get("figure4") or figures_mod.figure4(
+                fig4 = fig_cache.get("figure4") or figures.figure4(
                     config, store=store, resume=args.resume
                 )
-                fig6 = fig_cache.get("figure6") or figures_mod.figure6(
+                fig6 = fig_cache.get("figure6") or figures.figure6(
                     config, store=store, resume=args.resume
                 )
                 exit_code |= _emit_claims(

@@ -60,7 +60,6 @@ counts, a new loss point) only pay for the delta.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -73,13 +72,11 @@ from repro.dutycycle.models import build_wakeup_schedule
 from repro.experiments.config import SweepConfig
 from repro.network.deployment import DeploymentConfig
 from repro.network.sources import select_sources
-from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
 from repro.scenarios import generate_scenario
 from repro.sim.broadcast import run_broadcast
 from repro.sim.energy import energy_of_broadcast
 from repro.sim.links import build_link_model
-from repro.sim.metrics import aggregate_latency
 from repro.solvers.registry import SOLVER_TIERS
 from repro.store import ExperimentStore, cell_key_for
 from repro.utils.rng import derive_seed
@@ -172,6 +169,8 @@ class SweepResult:
 
     def mean_latency(self, policy: str, num_nodes: int) -> float:
         """Mean latency of ``policy`` over the repetitions at ``num_nodes``."""
+        from repro.sim.metrics import aggregate_latency
+
         values = [r.latency for r in self.records_for(policy, num_nodes)]
         return aggregate_latency(values)["mean"]
 
@@ -462,8 +461,10 @@ def _run_cell(cell: SweepCell) -> list[RunRecord]:
     process pool, and each fabric worker runs it on its leased cells.
     """
     if EVENT_BUS.active:
+        from repro.obs.events import CellStarted
+
         EVENT_BUS.emit(
-            _events.CellStarted(cell.system, cell.rate, cell.num_nodes, cell.repetition)
+            CellStarted(cell.system, cell.rate, cell.num_nodes, cell.repetition)
         )
     setup = _prepare_cell(cell)
     records: list[RunRecord] = []
@@ -524,6 +525,8 @@ def _pool_map(pending: list[SweepCell], workers: int) -> Iterator[list[RunRecord
     why CPython made spawn the macOS default.  The cells are self-contained
     either way: the only pickled state is the cell itself.
     """
+    import multiprocessing
+
     use_fork = (
         sys.platform.startswith("linux")
         and "fork" in multiprocessing.get_all_start_methods()
@@ -624,9 +627,11 @@ def run_sweep(
         if store is not None:
             store.put(keys[index], records)
         if EVENT_BUS.active:
+            from repro.obs.events import CellFinished
+
             cell = cells[index]
             EVENT_BUS.emit(
-                _events.CellFinished(
+                CellFinished(
                     index, cell.num_nodes, cell.repetition, len(records)
                 )
             )
@@ -634,8 +639,10 @@ def run_sweep(
     missing = [index for index in range(len(cells)) if index not in per_cell]
 
     if EVENT_BUS.active:
+        from repro.obs.events import SweepStarted
+
         EVENT_BUS.emit(
-            _events.SweepStarted(
+            SweepStarted(
                 system,
                 effective_rate,
                 effective_engine,
@@ -658,8 +665,10 @@ def run_sweep(
     for index in range(len(cells)):
         result.records.extend(per_cell[index])
     if EVENT_BUS.active:
+        from repro.obs.events import SweepFinished
+
         EVENT_BUS.emit(
-            _events.SweepFinished(
+            SweepFinished(
                 len(result.records), result.cache_hits, result.cache_misses
             )
         )

@@ -27,46 +27,30 @@ any fleet size, worker arrival order, and crash/retry history — proved by
 duplicates, crashes and coordinator restarts.  See ``docs/fabric.md``.
 """
 
-from repro.fabric.coordinator import FabricCoordinator
-from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
-    FabricError,
-    cell_from_payload,
-    cell_to_payload,
-    config_from_payload,
-    config_to_payload,
-    records_from_payload,
-    records_to_payload,
-)
-from repro.fabric.queue import DEFAULT_LEASE_TTL, Lease, LeaseQueue
-from repro.fabric.server import FabricHTTPServer
-from repro.fabric.transport import (
-    HttpTransport,
-    LocalTransport,
-    Transport,
-    TransportError,
-)
-from repro.fabric.worker import FabricWorker, WorkerCrashed, WorkerStats
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "DEFAULT_LEASE_TTL",
-    "FabricCoordinator",
-    "FabricError",
-    "FabricHTTPServer",
-    "FabricWorker",
-    "HttpTransport",
-    "Lease",
-    "LeaseQueue",
-    "LocalTransport",
-    "PROTOCOL_VERSION",
-    "Transport",
-    "TransportError",
-    "WorkerCrashed",
-    "WorkerStats",
-    "cell_from_payload",
-    "cell_to_payload",
-    "config_from_payload",
-    "config_to_payload",
-    "records_from_payload",
-    "records_to_payload",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.fabric.coordinator": ("FabricCoordinator",),
+        "repro.fabric.protocol": (
+            "PROTOCOL_VERSION",
+            "FabricError",
+            "cell_from_payload",
+            "cell_to_payload",
+            "config_from_payload",
+            "config_to_payload",
+            "records_from_payload",
+            "records_to_payload",
+        ),
+        "repro.fabric.queue": ("DEFAULT_LEASE_TTL", "Lease", "LeaseQueue"),
+        "repro.fabric.server": ("FabricHTTPServer",),
+        "repro.fabric.transport": (
+            "HttpTransport",
+            "LocalTransport",
+            "Transport",
+            "TransportError",
+        ),
+        "repro.fabric.worker": ("FabricWorker", "WorkerCrashed", "WorkerStats"),
+    },
+)

@@ -327,9 +327,13 @@ class FabricCoordinator:
                     {"index": index, "digest": self._keys[index].digest, "reason": reason}
                     for index, reason in sorted(self._queue.quarantined.items())
                 ],
+                # Liveness crosses the wire as an age, never as this
+                # process's monotonic ``last_seen`` stamp.
                 "workers": {
                     name: {
-                        **stats,
+                        "claims": stats["claims"],
+                        "completed": stats["completed"],
+                        "failures": stats["failures"],
                         "last_seen_age_s": round(now - stats["last_seen"], 3),
                     }
                     for name, stats in self._workers.items()

@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
 
 __all__ = ["Lease", "LeaseQueue", "DEFAULT_LEASE_TTL"]
@@ -195,9 +194,9 @@ class LeaseQueue:
             self._leases[lease.lease_id] = lease
             self._lease_of[index] = lease.lease_id
             if EVENT_BUS.active:
-                EVENT_BUS.emit(
-                    _events.LeaseClaimed(index, worker, lease.lease_id)
-                )
+                from repro.obs.events import LeaseClaimed
+
+                EVENT_BUS.emit(LeaseClaimed(index, worker, lease.lease_id))
             return lease
         return None
 
@@ -292,20 +291,22 @@ class LeaseQueue:
         attempts = self._attempts.get(index, 0) + 1
         self._attempts[index] = attempts
         if EVENT_BUS.active:
+            from repro.obs.events import LeaseExpired, LeaseFailed
+
             if expired:
-                EVENT_BUS.emit(_events.LeaseExpired(index, lease.worker, attempts))
+                EVENT_BUS.emit(LeaseExpired(index, lease.worker, attempts))
             else:
-                EVENT_BUS.emit(
-                    _events.LeaseFailed(index, lease.worker, reason, attempts)
-                )
+                EVENT_BUS.emit(LeaseFailed(index, lease.worker, reason, attempts))
         if attempts >= self.max_attempts:
             self._state[index] = "quarantined"
             self._quarantine_reason[index] = (
                 f"{reason} — attempt {attempts}/{self.max_attempts}"
             )
             if EVENT_BUS.active:
+                from repro.obs.events import CellQuarantined
+
                 EVENT_BUS.emit(
-                    _events.CellQuarantined(
+                    CellQuarantined(
                         index,
                         f"{reason} — attempt {attempts}/{self.max_attempts}",
                         attempts,

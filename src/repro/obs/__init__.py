@@ -3,7 +3,8 @@
 Observation never participates in simulation: events are pure values, the
 bus is write-only from the instrumented layers' point of view, and the
 zero-cost-when-off contract (see :mod:`repro.obs.bus`) keeps uninstrumented
-runs allocation-free.  Quick start::
+runs allocation-free and keeps them from loading the event classes.
+Quick start::
 
     from repro.obs import EVENT_BUS, RingBufferSink
 
@@ -15,82 +16,41 @@ runs allocation-free.  Quick start::
 See docs/telemetry.md for the event taxonomy and the monitor.
 """
 
-from repro.obs.bus import EVENT_BUS, EventBus, TelemetrySinkError
-from repro.obs.events import (
-    EVENT_KINDS,
-    CellFinished,
-    CellQuarantined,
-    CellStarted,
-    Event,
-    LeaseClaimed,
-    LeaseExpired,
-    LeaseFailed,
-    StoreHit,
-    StoreMiss,
-    StorePut,
-    SweepFinished,
-    SweepStarted,
-    WorkerHeartbeat,
-    event_from_json,
-    event_to_json,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-)
-from repro.obs.monitor import SweepMonitor, render_metrics
-from repro.obs.sinks import (
-    OBS_SINKS,
-    CallbackSink,
-    EventSink,
-    JsonlTraceSink,
-    RingBufferSink,
-    build_sink,
-    read_trace,
-    sink_names,
-)
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    # bus
-    "EVENT_BUS",
-    "EventBus",
-    "TelemetrySinkError",
-    # events
-    "Event",
-    "EVENT_KINDS",
-    "SweepStarted",
-    "SweepFinished",
-    "CellStarted",
-    "CellFinished",
-    "StoreHit",
-    "StoreMiss",
-    "StorePut",
-    "LeaseClaimed",
-    "LeaseExpired",
-    "LeaseFailed",
-    "CellQuarantined",
-    "WorkerHeartbeat",
-    "event_to_json",
-    "event_from_json",
-    # sinks
-    "EventSink",
-    "RingBufferSink",
-    "JsonlTraceSink",
-    "CallbackSink",
-    "OBS_SINKS",
-    "build_sink",
-    "sink_names",
-    "read_trace",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSink",
-    # monitor
-    "SweepMonitor",
-    "render_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.obs.bus": ("EVENT_BUS", "EventBus", "TelemetrySinkError"),
+        "repro.obs.events": (
+            "EVENT_KINDS",
+            "CellFinished",
+            "CellQuarantined",
+            "CellStarted",
+            "Event",
+            "LeaseClaimed",
+            "LeaseExpired",
+            "LeaseFailed",
+            "StoreHit",
+            "StoreMiss",
+            "StorePut",
+            "SweepFinished",
+            "SweepStarted",
+            "WorkerHeartbeat",
+            "event_from_json",
+            "event_to_json",
+        ),
+        "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsSink"),
+        "repro.obs.monitor": ("SweepMonitor", "render_metrics"),
+        "repro.obs.sinks": (
+            "OBS_SINKS",
+            "CallbackSink",
+            "EventSink",
+            "JsonlTraceSink",
+            "RingBufferSink",
+            "build_sink",
+            "read_trace",
+            "sink_names",
+        ),
+    },
+)

@@ -5,14 +5,17 @@ the instrumented layers — sweep runner, store, fabric.
 The design constraint is the **zero-cost-when-off contract**: with no sink
 attached, instrumented hot paths must not even *construct* events, let
 alone dispatch them.  Call sites therefore guard on the plain attribute
-``EVENT_BUS.active``::
+``EVENT_BUS.active`` and import the event class inside the guard::
 
     if EVENT_BUS.active:
-        EVENT_BUS.emit(events.StoreHit(digest, len(records)))
+        from repro.obs.events import StoreHit
+
+        EVENT_BUS.emit(StoreHit(digest, len(records)))
 
 which costs one attribute load and one branch — unmeasurable against a
 slot kernel, and gated below 5% end-to-end by
-``benchmarks/test_telemetry_overhead.py``.
+``benchmarks/test_telemetry_overhead.py`` — and, with the bus off, loads
+no event class at all.
 
 Attach/detach rebuild an immutable sink tuple under a lock while ``emit``
 reads a snapshot, so emitting is safe from any thread (fabric coordinator

@@ -9,13 +9,16 @@ RNG state**: an event is what happened, not when the wall clock saw it
 sweep's deterministic record stream.
 
 The zero-cost contract (see :mod:`repro.obs.bus`) means event *construction*
-is guarded at every hot call site::
+is guarded at every hot call site, and so is the import of this module::
 
     if EVENT_BUS.active:
-        EVENT_BUS.emit(events.StoreHit(...))
+        from repro.obs.events import StoreHit
 
-so a run with no sink attached never allocates an event at all — the unit
-suite pins this by swapping the event classes for raisers.
+        EVENT_BUS.emit(StoreHit(...))
+
+so a run with no sink attached never allocates an event, nor loads this
+module — the unit suite pins this by swapping the event classes for
+raisers and by sweeping in a fresh interpreter.
 """
 
 from __future__ import annotations

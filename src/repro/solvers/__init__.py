@@ -13,43 +13,25 @@ approximation-ratio study (``figures.figure_ratio`` /
 contract.
 """
 
-from repro.solvers.branch_bound import (
-    DEFAULT_MAX_STATES,
-    SolverError,
-    SolverLimitExceeded,
-    SolverPlan,
-    extract_plan,
-    flood_completion_bound,
-    greedy_completion,
-    minimum_completion,
-    solve_broadcast,
-)
-from repro.solvers.bruteforce import brute_force_completion
-from repro.solvers.ilp import ilp_available, minimum_completion_ilp
-from repro.solvers.policies import ExactPolicy
-from repro.solvers.registry import (
-    SOLVER_TIERS,
-    SolverTier,
-    solver_catalog,
-    solver_names,
-)
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "SOLVER_TIERS",
-    "SolverTier",
-    "solver_names",
-    "solver_catalog",
-    "solve_broadcast",
-    "SolverPlan",
-    "SolverError",
-    "SolverLimitExceeded",
-    "ExactPolicy",
-    "minimum_completion",
-    "extract_plan",
-    "flood_completion_bound",
-    "greedy_completion",
-    "brute_force_completion",
-    "ilp_available",
-    "minimum_completion_ilp",
-    "DEFAULT_MAX_STATES",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.solvers.branch_bound": (
+            "DEFAULT_MAX_STATES",
+            "SolverError",
+            "SolverLimitExceeded",
+            "SolverPlan",
+            "extract_plan",
+            "flood_completion_bound",
+            "greedy_completion",
+            "minimum_completion",
+            "solve_broadcast",
+        ),
+        "repro.solvers.bruteforce": ("brute_force_completion",),
+        "repro.solvers.ilp": ("ilp_available", "minimum_completion_ilp"),
+        "repro.solvers.policies": ("ExactPolicy",),
+        "repro.solvers.registry": ("SOLVER_TIERS", "SolverTier", "solver_catalog", "solver_names"),
+    },
+)

@@ -17,29 +17,20 @@ dispatching cells, so interrupted sweeps resume and grid extensions only
 pay for the delta; see ``docs/store.md`` for the full contract.
 """
 
-from repro.store.backends import (
-    STORE_BACKENDS,
-    CsvBackend,
-    JsonlBackend,
-    StoreBackend,
-    get_store_backend,
-    store_backend_names,
-)
-from repro.store.cellkey import STORE_SCHEMA_VERSION, CellKey, cell_key_for
-from repro.store.store import ExperimentStore, GcStats, StoreStats, open_store
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "CellKey",
-    "CsvBackend",
-    "ExperimentStore",
-    "GcStats",
-    "JsonlBackend",
-    "STORE_BACKENDS",
-    "STORE_SCHEMA_VERSION",
-    "StoreBackend",
-    "StoreStats",
-    "cell_key_for",
-    "get_store_backend",
-    "open_store",
-    "store_backend_names",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.store.backends": (
+            "STORE_BACKENDS",
+            "CsvBackend",
+            "JsonlBackend",
+            "StoreBackend",
+            "get_store_backend",
+            "store_backend_names",
+        ),
+        "repro.store.cellkey": ("STORE_SCHEMA_VERSION", "CellKey", "cell_key_for"),
+        "repro.store.store": ("ExperimentStore", "GcStats", "StoreStats", "open_store"),
+    },
+)

@@ -38,7 +38,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.obs import events as _events
 from repro.obs.bus import EVENT_BUS
 from repro.store.backends import StoreBackend, get_store_backend
 from repro.store.cellkey import STORE_SCHEMA_VERSION, CellKey
@@ -200,7 +199,9 @@ class ExperimentStore:
             ).fetchone()
         if row is None:
             if EVENT_BUS.active:
-                EVENT_BUS.emit(_events.StoreMiss(key.digest))
+                from repro.obs.events import StoreMiss
+
+                EVENT_BUS.emit(StoreMiss(key.digest))
             return None
         shard_path = self.root / row[0]
         try:
@@ -212,11 +213,15 @@ class ExperimentStore:
                 )
                 self._connection.commit()
             if EVENT_BUS.active:
-                EVENT_BUS.emit(_events.StoreMiss(key.digest))
+                from repro.obs.events import StoreMiss
+
+                EVENT_BUS.emit(StoreMiss(key.digest))
             return None
         records = get_store_backend(row[1]).loads(text)
         if EVENT_BUS.active:
-            EVENT_BUS.emit(_events.StoreHit(key.digest, len(records)))
+            from repro.obs.events import StoreHit
+
+            EVENT_BUS.emit(StoreHit(key.digest, len(records)))
         return records
 
     def put(self, key: CellKey, records: "Sequence[RunRecord]") -> str:
@@ -260,7 +265,9 @@ class ExperimentStore:
             )
             self._connection.commit()
         if EVENT_BUS.active:
-            EVENT_BUS.emit(_events.StorePut(digest, len(records)))
+            from repro.obs.events import StorePut
+
+            EVENT_BUS.emit(StorePut(digest, len(records)))
         return digest
 
     # -- the operator surface ---------------------------------------------

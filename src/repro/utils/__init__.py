@@ -1,21 +1,17 @@
 """Shared utilities: seeded RNG helpers, validation, serialization, formatting."""
 
-from repro.utils.rng import derive_seed, make_rng
-from repro.utils.serialization import atomic_write_text, canonical_json
-from repro.utils.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-    require,
-)
+from repro.utils.lazy import lazy_namespace
 
-__all__ = [
-    "atomic_write_text",
-    "canonical_json",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
-    "derive_seed",
-    "make_rng",
-    "require",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.utils.rng": ("derive_seed", "make_rng"),
+        "repro.utils.serialization": ("atomic_write_text", "canonical_json"),
+        "repro.utils.validation": (
+            "check_non_negative",
+            "check_positive",
+            "check_probability",
+            "require",
+        ),
+    },
+)

@@ -477,6 +477,17 @@ class TestCoordinatorTelemetry:
         for stats in status["workers"].values():
             assert stats["last_seen_age_s"] >= 0.0
 
+    def test_status_workers_carry_ages_not_monotonic_stamps(self, store, cell_records):
+        now = [1000.0]
+        coordinator = FabricCoordinator(_CELLS, store=store, clock=lambda: now[0])
+        grant = coordinator.handle_request("claim", {"worker": "w1"})
+        _post_result(coordinator, grant, cell_records[grant["index"]])
+        now[0] += 2.5
+        status = json.loads(json.dumps(coordinator.handle_request("status", {})))
+        assert status["workers"] == {
+            "w1": {"claims": 1, "completed": 1, "failures": 0, "last_seen_age_s": 2.5}
+        }
+
     def test_metrics_action_serves_the_registry(self, store, cell_records):
         coordinator = FabricCoordinator(_CELLS, store=store)
         grant = coordinator.handle_request("claim", {"worker": "w1"})

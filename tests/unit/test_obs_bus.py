@@ -30,6 +30,7 @@ from repro.obs.sinks import (
     read_trace,
     sink_names,
 )
+from tests.fresh_interpreter import modules_loaded_by
 
 
 def _sample_events() -> list[Event]:
@@ -151,7 +152,9 @@ class TestZeroCostWhenOff:
     """The zero-cost contract: no sink => hot paths never construct events.
 
     Every event class is swapped for a raiser; instrumented code that
-    constructs an event with the bus inactive explodes immediately.
+    constructs an event with the bus inactive explodes immediately.  The
+    import check runs a sweep in a fresh interpreter: with the bus
+    inactive, not even the event classes load.
     """
 
     @pytest.fixture()
@@ -221,6 +224,25 @@ class TestZeroCostWhenOff:
         queue = LeaseQueue([0, 1], clock=lambda: 0.0)
         lease = queue.claim("w1")
         queue.fail(lease.lease_id, "synthetic")
+
+    @pytest.mark.parametrize("system", ["sync", "duty"])
+    def test_sweep_imports_nothing_when_off(self, tmp_path, system):
+        # The contract covers import cost too: with no sink attached, a
+        # sweep (store hits and misses included) loads no module at all,
+        # so the event classes never load.
+        loaded = modules_loaded_by(
+            "import dataclasses\n"
+            "from repro.experiments.config import QUICK_SWEEP\n"
+            "from repro.experiments.runner import run_sweep\n"
+            "from repro.store import ExperimentStore\n"
+            "config = dataclasses.replace(QUICK_SWEEP, node_counts=(50,), repetitions=1)\n"
+            f"store = ExperimentStore({str(tmp_path / 'store')!r})\n"
+            "baseline = set(sys.modules)\n"
+            f"run_sweep(config, system={system!r})\n"
+            f"run_sweep(config, system={system!r}, store=store)\n"
+            f"run_sweep(config, system={system!r}, store=store)\n"
+        )
+        assert loaded == set()
 
     def test_the_raisers_do_fire_once_a_sink_attaches(self, tmp_path, raising_events):
         # Control experiment: the monkeypatch really covers the call sites.

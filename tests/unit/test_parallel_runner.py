@@ -11,7 +11,13 @@ from repro.baselines.approx26 import Approx26Policy
 from repro.core.policies import EModelPolicy
 from repro.core.time_counter import SearchConfig
 from repro.experiments.config import SweepConfig
-from repro.experiments.runner import SweepCell, _run_cell, default_policies, run_sweep
+from repro.experiments.runner import (
+    SweepCell,
+    _run_cell,
+    default_policies,
+    run_sweep,
+    sweep_cells,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,23 @@ def test_default_policies_are_picklable(tiny_config):
         for (name, factory), (name2, factory2) in zip(policies.items(), revived):
             assert name == name2
             assert type(factory2()) is type(factory())
+
+
+def test_spawned_workers_unpickle_the_policy_factories(tiny_config):
+    # "spawn" (the pool's start method off Linux) unpickles every cell's
+    # policy factories in a fresh interpreter, where the packages resolve
+    # their names lazily.
+    import multiprocessing
+
+    cells = sweep_cells(
+        tiny_config,
+        system="duty",
+        rate=5,
+        policies=default_policies(tiny_config, "duty"),
+    )[:2]
+    with multiprocessing.get_context("spawn").Pool(processes=2) as pool:
+        spawned = pool.map_async(_run_cell, cells).get(timeout=120)
+    assert spawned == [_run_cell(cell) for cell in cells]
 
 
 def test_cells_are_picklable_and_self_contained(tiny_config, cheap_policies):

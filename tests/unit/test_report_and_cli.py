@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import cli as cli_mod
 from repro.experiments import figures as figures_mod
+from repro.experiments import report as report_mod
 from repro.experiments.cli import build_parser, main
 from repro.experiments.figures import FigureResult
 from repro.experiments.report import ClaimCheck, claims_to_text, summary_claims
@@ -116,7 +116,7 @@ class TestClaimExitCodes:
     def _run(monkeypatch, argv, figures, claims, checks):
         for name in figures:
             monkeypatch.setattr(figures_mod, name, lambda *args, **kwargs: _synthetic_fig3())
-        monkeypatch.setattr(cli_mod, claims, lambda *args: checks)
+        monkeypatch.setattr(report_mod, claims, lambda *args: checks)
         return main(argv)
 
     @_TARGETS
